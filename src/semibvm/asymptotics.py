@@ -26,19 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import cho_solve
 from scipy.stats import norm
 
-from .gp_prior import GpPriorSpec, cholesky_with_jitter, prior_covariance
-from .model import (
-    CovariateLaw,
-    Dataset,
-    ModelPoint,
-    NuisanceFunction,
-    interpolation_weights,
-    log_density_ratio,
-)
-from .posterior import MarginalThetaPosterior
+from .gp_prior import GpPriorSpec
+from .model import CovariateLaw, Dataset, ModelPoint, NuisanceFunction, log_density_ratio
+from .posterior import MarginalThetaPosterior, conjugate_joint_posterior, marginal_theta
 
 __all__ = [
     "BvmDiagnostics",
@@ -120,39 +112,26 @@ def _crossings(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float
 
 
 def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
-    """Total-variation distance between N(m1, v1) and N(m2, v2).
+    """Total-variation distance between N(m1, v1) and N(m2, v2), closed form.
 
-    Equal variances: the closed form 2 Phi(|m1 - m2| / (2 sigma)) - 1.
-    Otherwise: adaptive quadrature of half the absolute density
-    difference over the union of the two 40-sigma windows (the mass
-    outside is below 1e-300), split at the density crossings and at
-    each mean +- {1, 5, 40} sd so that no peak hides inside a piece
-    that is orders of magnitude wider than it; absolute accuracy 1e-8
-    or better.
+    Equal variances: 2 Phi(|m1 - m2| / (2 sigma)) - 1.  Otherwise the
+    densities cross at two points lo < hi, one density dominates on
+    (lo, hi) and the other outside it, so the distance is the difference
+    of the two masses of (lo, hi).  Upper-tail masses use the survival
+    function so that far-right intervals keep their precision.
     """
     if not (v1 > 0.0 and v2 > 0.0):
         raise ValueError("variances must be positive")
     if abs(v1 - v2) <= 1e-14 * max(v1, v2):
         sigma = math.sqrt(0.5 * (v1 + v2))
         return float(2.0 * norm.cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0)
-    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    lo, hi = _crossings(m1, v1, m2, v2)
 
-    def absdiff(x):
-        return abs(norm.pdf(x, m1, s1) - norm.pdf(x, m2, s2))
+    def mass(mean: float, var: float) -> float:
+        a, b = (lo - mean) / math.sqrt(var), (hi - mean) / math.sqrt(var)
+        return norm.sf(a) - norm.sf(b) if a > 0.0 else norm.cdf(b) - norm.cdf(a)
 
-    lo_bound = min(m1 - 40.0 * s1, m2 - 40.0 * s2)
-    hi_bound = max(m1 + 40.0 * s1, m2 + 40.0 * s2)
-    cuts = set(_crossings(m1, v1, m2, v2))
-    for mean, sd in ((m1, s1), (m2, s2)):
-        for spread in (1.0, 5.0, 40.0):
-            cuts.add(mean - spread * sd)
-            cuts.add(mean + spread * sd)
-    grid = sorted({lo_bound, hi_bound, *(c for c in cuts if lo_bound < c < hi_bound)})
-    total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        piece, _ = integrate.quad(absdiff, lo, hi, epsabs=1e-13, limit=200)
-        total += piece
-    return min(0.5 * total, 1.0)
+    return float(min(abs(mass(m1, v1) - mass(m2, v2)), 1.0))
 
 
 def bvm_gap(
@@ -322,18 +301,16 @@ def integral_lan_coefficients(
         log s_n(h)/s_n(0) = h n^{-1/2} u' S^{-1} (y - theta0 u)
                             - h^2 (2n)^{-1} u' S^{-1} u
 
-    holds without remainder.  Returns the two coefficients.
+    holds without remainder.  Both are read off the flat-prior theta
+    marginal N(mean, var), u' S^{-1} u = 1/var and u' S^{-1} (y - theta0 u)
+    = (mean - theta0)/var, so the n x n matrix S is never built.
     """
     n = ds.n
     if n < 1:
         raise ValueError("need n >= 1")
-    weights = interpolation_weights(ds.v, spec.grid_size)
-    marginal_cov = weights @ prior_covariance(spec).matrix @ weights.T + np.eye(n)
-    factor = cholesky_with_jitter(marginal_cov)
-    solved_u = cho_solve((factor, True), ds.u)
-    resid = ds.y - theta0 * ds.u
-    linear = float(ds.u @ cho_solve((factor, True), resid)) / math.sqrt(n)
-    quadratic = -float(ds.u @ solved_u) / (2.0 * n)
+    mp = marginal_theta(conjugate_joint_posterior(ds, spec, math.inf))
+    linear = (mp.mean - theta0) / mp.variance / math.sqrt(n)
+    quadratic = -1.0 / (2.0 * n * mp.variance)
     return LanCoefficients(linear=linear, quadratic=quadratic)
 
 

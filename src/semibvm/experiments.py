@@ -98,6 +98,9 @@ class ExperimentConfig:
             raise ValueError("level must lie in (0, 1)")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        if not self.theta_prior_var > 0.0:
+            raise ValueError("theta_prior_var must be positive (inf allowed)")
+        make_components(self)  # the law and the prior spec check their own fields
 
 
 def _eta0_values(cfg: ExperimentConfig, grid: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ seminorm below a bound) is applied by rejection sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ __all__ = [
     "NumericsError",
     "kibm_kernel",
     "prior_covariance",
+    "prior_factor",
     "sample_prior_path",
     "holder_seminorm",
     "cholesky_with_jitter",
@@ -174,6 +176,15 @@ def prior_covariance(spec: GpPriorSpec) -> PriorCovariance:
     return PriorCovariance(matrix=spec.scale**2 * matrix)
 
 
+@functools.lru_cache(maxsize=8)
+def prior_factor(spec: GpPriorSpec) -> np.ndarray:
+    """Read-only lower Cholesky factor L, K = L L': the one place the prior
+    is factorised, cached per spec so every caller shares one array."""
+    factor = cholesky_with_jitter(prior_covariance(spec).matrix)
+    factor.flags.writeable = False
+    return factor
+
+
 def holder_seminorm(eta: NuisanceFunction, alpha: float) -> float:
     """Discrete Hoelder seminorm: max over grid pairs of |d eta| / |d t|^alpha.
 
@@ -204,8 +215,7 @@ def sample_prior_path(
     `max_attempts` raises ValueError (bound too small for the chosen
     order and exponent).
     """
-    cov = prior_covariance(spec)
-    factor = cholesky_with_jitter(cov.matrix)
+    factor = prior_factor(spec)
     rng = np.random.default_rng(seed)
     if not spec.conditioned:
         return NuisanceFunction(factor @ rng.standard_normal(spec.grid_size))

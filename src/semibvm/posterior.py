@@ -11,6 +11,10 @@ limit) and the Gaussian process prior on eta_grid keep the joint
 posterior exactly Gaussian.  A blocked Gibbs sampler over theta and
 eta_grid provides the Monte Carlo cross-check for the closed form.
 
+Every solve works in whitened coordinates eta_grid = L z, K = L L' the
+cached prior factor, so the z-precision I + L'W'WL has every eigenvalue
+>= 1 and is factorised without jitter; K is never inverted.
+
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here; :func:`conditioned_theta_marginal` gives a
 rejection-reweighted estimate of its effect for diagnostic use.
@@ -22,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import block_diag, cho_solve, solve_triangular
 from scipy.stats import norm
 
-from .gp_prior import GpPriorSpec, NumericsError, cholesky_with_jitter, prior_covariance
+from .gp_prior import GpPriorSpec, NumericsError, cholesky_with_jitter, prior_covariance, prior_factor
 from .model import CovariateLaw, Dataset, ModelPoint, interpolation_weights
 
 __all__ = [
@@ -117,10 +121,28 @@ class GibbsChain:
         return self.etas[self.burn_in :]
 
 
-def _nuisance_prior_inverse(spec: GpPriorSpec) -> np.ndarray:
-    cov = prior_covariance(spec).matrix
-    factor = cholesky_with_jitter(cov)
-    return cho_solve((factor, True), np.eye(spec.grid_size))
+def _cholesky(precision: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError("whitened posterior precision is not positive definite") from exc
+
+
+def _nuisance_conditional(ds: Dataset, spec: GpPriorSpec):
+    """Weights W and draw(theta, normals) -> eta | theta, data for normals
+    of shape (m,) or (draws, m).  With eta = L z, z has the theta-free
+    precision B = I + L'W'WL, factorised once."""
+    factor = prior_factor(spec)
+    weights = interpolation_weights(ds.v, spec.grid_size)
+    loaded = weights @ factor
+    chol = _cholesky(np.eye(spec.grid_size) + loaded.T @ loaded)
+
+    def draw(theta: float, normals: np.ndarray) -> np.ndarray:
+        z_mean = cho_solve((chol, True), loaded.T @ (ds.y - theta * ds.u))
+        z = z_mean + solve_triangular(chol.T, normals.T, lower=False).T
+        return z @ factor.T
+
+    return weights, draw
 
 
 def conjugate_joint_posterior(
@@ -131,7 +153,9 @@ def conjugate_joint_posterior(
     Prior: theta ~ N(0, theta_prior_var) independent of eta_grid ~
     N(0, scale^2 K).  `theta_prior_var = math.inf` selects the flat
     limit (zero prior precision on theta).  With no data the posterior
-    is the prior.
+    is the prior.  Solved for (theta, z) with design [u, W L], mapped
+    back by block_diag(1, L); NumericsError if the precision is
+    singular (e.g. a flat theta prior with u = 0).
     """
     if not theta_prior_var > 0.0:
         raise ValueError("theta_prior_var must be positive (math.inf allowed)")
@@ -144,17 +168,17 @@ def conjugate_joint_posterior(
         cov[1:, 1:] = prior_covariance(spec).matrix
         return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov)
 
-    weights = interpolation_weights(ds.v, m)
-    design = np.concatenate([ds.u[:, None], weights], axis=1)
+    factor = prior_factor(spec)
+    design = np.concatenate([ds.u[:, None], interpolation_weights(ds.v, m) @ factor], axis=1)
     precision = design.T @ design
+    precision[1:, 1:] += np.eye(m)
     if not math.isinf(theta_prior_var):
         precision[0, 0] += 1.0 / theta_prior_var
-    precision[1:, 1:] += _nuisance_prior_inverse(spec)
-    factor = cholesky_with_jitter(precision)
-    cov = cho_solve((factor, True), np.eye(m + 1))
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (design.T @ ds.y)
-    return JointGaussianPosterior(mean=mean, covariance=cov)
+    chol = _cholesky(precision)
+    to_eta = block_diag(1.0, factor)  # (theta, z) -> (theta, eta)
+    root = solve_triangular(chol, to_eta.T, lower=True)
+    mean = to_eta @ cho_solve((chol, True), design.T @ ds.y)
+    return JointGaussianPosterior(mean=mean, covariance=root.T @ root)
 
 
 def marginal_theta(jp: JointGaussianPosterior) -> MarginalThetaPosterior:
@@ -193,9 +217,7 @@ def gibbs_chain(
     if not theta_prior_var > 0.0:
         raise ValueError("theta_prior_var must be positive (math.inf allowed)")
     m = spec.grid_size
-    weights = interpolation_weights(ds.v, m)
-    eta_precision = _nuisance_prior_inverse(spec) + weights.T @ weights
-    eta_factor = cholesky_with_jitter(eta_precision)
+    weights, draw_eta = _nuisance_conditional(ds, spec)
 
     theta_precision = ds.u @ ds.u
     if not math.isinf(theta_prior_var):
@@ -211,11 +233,7 @@ def gibbs_chain(
     for it in range(iterations):
         resid = ds.y - weights @ eta
         theta = (ds.u @ resid) / theta_precision + theta_sd * rng.standard_normal()
-        rhs = weights.T @ (ds.y - theta * ds.u)
-        mean = cho_solve((eta_factor, True), rhs)
-        eta = mean + solve_triangular(
-            eta_factor.T, rng.standard_normal(m), lower=False
-        )
+        eta = draw_eta(theta, rng.standard_normal(m))
         thetas[it] = theta
         etas[it] = eta
     return GibbsChain(
@@ -274,13 +292,8 @@ def conditional_nuisance_mass(
     _, v_shared = law.sample_covariates(hellinger_draws, rng)
 
     m = spec.grid_size
-    weights = interpolation_weights(ds.v, m)
-    precision = _nuisance_prior_inverse(spec) + weights.T @ weights
-    factor = cholesky_with_jitter(precision)
-    mean = cho_solve((factor, True), weights.T @ (ds.y - theta_fixed * ds.u))
-
-    z = rng.standard_normal((draws, m))
-    eta_draws = mean[None, :] + solve_triangular(factor.T, z.T, lower=False).T
+    _, draw_eta = _nuisance_conditional(ds, spec)
+    eta_draws = draw_eta(theta_fixed, rng.standard_normal((draws, m)))
 
     eval_weights = interpolation_weights(v_shared, m)
     target = least_favorable_eta(theta_fixed, truth, law)

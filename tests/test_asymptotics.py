@@ -58,6 +58,29 @@ def tv_by_cdf_crossings(m1, v1, m2, v2):
     return 0.5 * (abs(d1) + abs(d2 - d1) + abs(d2))
 
 
+def tv_by_quadrature(m1, v1, m2, v2):
+    """Independent TV evaluation: half the integral of |phi1 - phi2|.
+
+    Breakpoints at each mean +- {0, 1, 5} sd only, so no crossing point
+    is shared with the closed form; the 40-sd window loses < 1e-300.
+    """
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    lo = min(m1 - 40 * s1, m2 - 40 * s2)
+    hi = max(m1 + 40 * s1, m2 + 40 * s2)
+    points = sorted(
+        {m + k * sd for m, sd in ((m1, s1), (m2, s2)) for k in (-5, -1, 0, 1, 5)}
+    )
+    value, _ = quad(
+        lambda x: abs(norm.pdf(x, m1, s1) - norm.pdf(x, m2, s2)),
+        lo,
+        hi,
+        points=[x for x in points if lo < x < hi],
+        limit=500,
+        epsabs=1e-13,
+    )
+    return 0.5 * value
+
+
 class TestDeltaN:
     def test_zero_residuals(self):
         law = make_covariate_law(0.8)
@@ -99,7 +122,7 @@ class TestTvNormals:
         assert tv_normals(0.3, 1.7, 0.3, 1.7) == 0.0
 
     def test_unit_shift_against_quadrature(self):
-        # implementation uses the closed form here; oracle integrates
+        # equal-variance closed form against direct integration
         target, _ = quad(
             lambda x: abs(norm.pdf(x, 0, 1) - norm.pdf(x, 1, 1)), -12, 13, limit=300
         )
@@ -117,11 +140,12 @@ class TestTvNormals:
         ],
     )
     def test_unequal_variances_against_crossing_formula(self, params):
-        # implementation integrates; oracle uses exact CDF differences
-        # at the analytic density crossings
+        # closed form against CDF differences at the density crossings,
+        # and against direct integration that shares no crossing formula
         assert tv_normals(*params) == pytest.approx(
             tv_by_cdf_crossings(*params), abs=1e-8
         )
+        assert tv_normals(*params) == pytest.approx(tv_by_quadrature(*params), abs=1e-8)
 
     def test_symmetry(self):
         assert tv_normals(0.1, 0.8, -0.7, 2.5) == pytest.approx(
@@ -142,7 +166,7 @@ class TestTvNormals:
         assert tv_normals(-50.0, 0.01, 50.0, 0.01) <= 1.0
 
     def test_far_separated_narrow_normals(self):
-        # spikes thousands of sd apart must not be missed by quadrature
+        # spikes thousands of sd apart have disjoint mass
         for params in ((-50.0, 0.01, 50.0, 0.02), (0.0, 1e-4, 30.0, 2e-4)):
             assert tv_normals(*params) == pytest.approx(1.0, abs=1e-10)
             assert tv_normals(*params) == pytest.approx(

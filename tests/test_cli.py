@@ -71,6 +71,15 @@ class TestExitCodes:
         path.write_text("level = 2.0\n")
         assert cli.main(["posterior", "--config", str(path)]) == cli.EXIT_CONFIG
 
+    def test_nonpositive_theta_prior_var_exits_2(self, tmp_path, capsys):
+        # kernel never reads theta_prior_var; the config is rejected anyway
+        path = tmp_path / "bad.cfg"
+        path.write_text("theta_prior_var = 0\n")
+        out = tmp_path / "cov.csv"
+        assert cli.main(["kernel", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "theta_prior_var" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):
         def boom(cfg, jobs):
             raise NumericsError("cell n=50 rep=0 seed=123: Cholesky failed")

@@ -71,6 +71,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(eta0_family="wavelet")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", -1),
+            ("sigma_w", 2.0),
+            ("sigma_w", 0.0),
+            ("grid_size", 1),
+            ("scale", -1.0),
+            ("theta_prior_var", 0.0),
+            ("theta_prior_var", -3.0),
+        ],
+    )
+    def test_bad_model_field_rejected_up_front(self, field, value):
+        # rejected when the config is built, before any cell runs
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
+
+    def test_flat_theta_prior_accepted(self):
+        assert ExperimentConfig(theta_prior_var=math.inf).theta_prior_var == math.inf
+
     def test_eta0_families(self):
         for family, value_at_quarter in (
             ("sine", 0.5),

@@ -2,17 +2,27 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
+from semibvm.asymptotics import integral_lan_coefficients
 from semibvm.experiments import ExperimentConfig, cell_seed, make_components
-from semibvm.gp_prior import GpPriorSpec, prior_covariance
+from semibvm.gp_prior import (
+    GpPriorSpec,
+    NumericsError,
+    cholesky_with_jitter,
+    prior_covariance,
+    prior_factor,
+    sample_prior_path,
+)
 from semibvm.model import (
     Dataset,
     ModelPoint,
     NuisanceFunction,
+    interpolation_weights,
     make_covariate_law,
     sample_dataset,
 )
@@ -43,6 +53,54 @@ def _setup(n=150, seed=9, grid_size=25, scale=2.0, sigma_w=0.8):
 
 def _std_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def eigen_theta_marginal(ds, spec, tau2):
+    """Reference theta marginal: K = L L' by eigendecomposition, whitened solve.
+
+    Eigenvalues are clipped at zero, so a numerically singular K needs
+    no jitter; theta is eliminated through the Schur complement of
+    B = I + L'W'WL.
+    """
+    lam, q = np.linalg.eigh(prior_covariance(spec).matrix)
+    factor = q * np.sqrt(np.clip(lam, 0.0, None))
+    loaded = interpolation_weights(ds.v, spec.grid_size) @ factor
+    b = np.eye(spec.grid_size) + loaded.T @ loaded
+    a = loaded.T @ ds.u
+    solved = np.linalg.solve(b, a)
+    precision = ds.u @ ds.u + (0.0 if math.isinf(tau2) else 1.0 / tau2) - a @ solved
+    mean = (ds.u @ ds.y - solved @ (loaded.T @ ds.y)) / precision
+    return mean, 1.0 / precision
+
+
+def mpmath_theta_marginal(ds, spec, tau2, digits=50):
+    """Reference theta marginal in 50-digit arithmetic via y ~ N(theta u, S).
+
+    S = W K W' + I with K from the cancellation-free kernel form
+    sum_j C(k,j) (t-s)^(k-j) s^(k+j+1) / (k+j+1) / (k!)^2 for s <= t.
+    """
+    k, m = spec.k, spec.grid_size
+    with mpmath.workdps(digits):
+        grid = [mpmath.mpf(j) / (m - 1) for j in range(m)]
+
+        def kernel(s, t):
+            s, t = min(s, t), max(s, t)
+            poly = sum((s * t) ** i / mpmath.factorial(i) ** 2 for i in range(k + 1))
+            integral = sum(
+                mpmath.binomial(k, j) * (t - s) ** (k - j) * s ** (k + j + 1) / (k + j + 1)
+                for j in range(k + 1)
+            )
+            return mpmath.mpf(spec.scale) ** 2 * (poly + integral / mpmath.factorial(k) ** 2)
+
+        cov = mpmath.matrix([[kernel(s, t) for t in grid] for s in grid])
+        w = mpmath.matrix(interpolation_weights(ds.v, m).tolist())
+        s_mat = w * cov * w.T + mpmath.eye(ds.n)
+        u = mpmath.matrix(ds.u.tolist())
+        y = mpmath.matrix(ds.y.tolist())
+        solved_u = mpmath.lu_solve(s_mat, u)
+        precision = (u.T * solved_u)[0] + (0 if math.isinf(tau2) else 1 / mpmath.mpf(tau2))
+        mean = (y.T * solved_u)[0] / precision
+        return float(mean), float(1 / precision)
 
 
 class TestConjugatePosterior:
@@ -105,6 +163,65 @@ class TestConjugatePosterior:
             var_k = marginal_theta(conjugate_joint_posterior(sub, spec, 10.0)).variance
             var_2k = marginal_theta(conjugate_joint_posterior(dbl, spec, 10.0)).variance
             assert var_2k <= var_k + 1e-12
+
+
+class TestWhitenedEngine:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [50, 200])
+    def test_theta_marginal_against_eigen_solve(self, k, grid_size):
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = make_components(cfg)
+        ds = sample_dataset(law, truth, 200, cell_seed(0, 200, k))
+        for tau2 in (cfg.theta_prior_var, math.inf):
+            mp = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
+            mean, var = eigen_theta_marginal(ds, spec, tau2)
+            assert abs(mp.variance / var - 1.0) < 1e-8
+            assert abs(mp.mean - mean) / math.sqrt(var) < 1e-8
+
+    def test_theta_marginal_against_50_digit_solve(self):
+        law = make_covariate_law(0.8)
+        truth = ModelPoint(theta=1.0, eta=NuisanceFunction.zero(8))
+        spec = GpPriorSpec(k=2, grid_size=8, scale=3.0)
+        ds = sample_dataset(law, truth, 12, seed=5)
+        for tau2 in (10.0, math.inf):
+            mp = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
+            mean, var = mpmath_theta_marginal(ds, spec, tau2)
+            assert mp.variance == pytest.approx(var, rel=1e-12)
+            assert mp.mean == pytest.approx(mean, abs=1e-12 * math.sqrt(var))
+
+    def test_flat_prior_without_theta_information_raises(self):
+        _, _, spec, ds = _setup(n=30)
+        blind = Dataset(u=np.zeros(ds.n), v=ds.v, y=ds.y)
+        with pytest.raises(NumericsError):
+            conjugate_joint_posterior(blind, spec, math.inf)
+
+    def test_lan_coefficients_against_marginal_covariance(self):
+        # the n x n form: y | theta ~ N(theta u, S), S = W K W' + I
+        law, truth, spec, ds = _setup(n=60)
+        weights = interpolation_weights(ds.v, spec.grid_size)
+        s_mat = weights @ prior_covariance(spec).matrix @ weights.T + np.eye(ds.n)
+        solved_u = np.linalg.solve(s_mat, ds.u)
+        linear = solved_u @ (ds.y - truth.theta * ds.u) / math.sqrt(ds.n)
+        quadratic = -(solved_u @ ds.u) / (2.0 * ds.n)
+        coeffs = integral_lan_coefficients(ds, spec, truth.theta)
+        assert coeffs.linear == pytest.approx(linear, rel=1e-10, abs=1e-10)
+        assert coeffs.quadratic == pytest.approx(quadratic, rel=1e-10)
+
+    def test_prior_factor_is_one_read_only_array_per_spec(self):
+        spec = GpPriorSpec(k=2, grid_size=30, scale=1.5)
+        factor = prior_factor(spec)
+        assert prior_factor(GpPriorSpec(k=2, grid_size=30, scale=1.5)) is factor
+        assert prior_factor(GpPriorSpec(k=2, grid_size=30, scale=2.5)) is not factor
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_prior_draws_use_the_prior_factor(self, k):
+        spec = GpPriorSpec(k=k, grid_size=40, scale=2.0)
+        direct = cholesky_with_jitter(prior_covariance(spec).matrix)
+        z = np.random.default_rng(17).standard_normal(spec.grid_size)
+        np.testing.assert_array_equal(sample_prior_path(spec, 17).values, direct @ z)
 
 
 class TestMarginalTheta:

@@ -17,17 +17,16 @@ from semibvm import (
     NuisanceFunction,
     ModelPoint,
     conditional_nuisance_mass,
-    conjugate_joint_posterior,
     estimate_un_per_zeta,
     hellinger_distance,
     integral_lan_coefficients,
     kl_divergence,
     lan_remainder,
     least_favorable_eta,
-    marginal_theta,
     misspecified_theta_star,
     posterior_mass_h_ball,
     sample_dataset,
+    theta_posterior,
 )
 from semibvm.experiments import cell_seed, make_components
 
@@ -76,7 +75,7 @@ for n in (100, 400, 1600):
     outside = conditional_nuisance_mass(
         ds_n, spec, truth.theta + 1.0 / math.sqrt(n), truth, law, rho=0.06, draws=200, seed=seed + 1
     )
-    mp = marginal_theta(conjugate_joint_posterior(ds_n, spec, cfg.theta_prior_var))
+    mp = theta_posterior(ds_n, spec, cfg.theta_prior_var)
     inside = posterior_mass_h_ball(mp, truth.theta, math.log(n), n)
     print(f"  n = {n:>5}:  nuisance mass outside = {outside:.3f},"
           f"  theta mass inside log(n)-ball = {inside:.4f}")

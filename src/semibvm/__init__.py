@@ -62,6 +62,58 @@ from .posterior import (
     gibbs_chain,
     marginal_theta,
     posterior_mass_h_ball,
+    theta_posterior,
 )
+
+__all__ = [
+    "BvmDiagnostics",
+    "LanCoefficients",
+    "bvm_gap",
+    "delta_n",
+    "estimate_un",
+    "estimate_un_per_zeta",
+    "hellinger_distance",
+    "integral_lan_coefficients",
+    "kl_divergence",
+    "kl_neighborhood_stats",
+    "lan_remainder",
+    "least_favorable_eta",
+    "misspecified_theta_star",
+    "tv_normals",
+    "ExperimentConfig",
+    "RunReport",
+    "cell_seed",
+    "run_bvm_scan",
+    "run_coverage",
+    "run_parametric_baseline",
+    "GpPriorSpec",
+    "NumericsError",
+    "PriorCovariance",
+    "holder_seminorm",
+    "kibm_kernel",
+    "prior_covariance",
+    "sample_prior_path",
+    "CovariateLaw",
+    "Dataset",
+    "ModelPoint",
+    "NuisanceFunction",
+    "efficient_information",
+    "efficient_score",
+    "empirical_information",
+    "log_density_ratio",
+    "make_covariate_law",
+    "sample_dataset",
+    "GibbsChain",
+    "JointGaussianPosterior",
+    "MarginalThetaPosterior",
+    "conditional_nuisance_mass",
+    "conditioned_theta_marginal",
+    "conjugate_joint_posterior",
+    "credible_interval",
+    "gibbs_chain",
+    "marginal_theta",
+    "posterior_mass_h_ball",
+    "theta_posterior",
+]
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Everything here reduces to one of two evaluation strategies, stated in
 each docstring: analytic reduction (the expectation over (U, V) collapses
-to a closed form or a one-dimensional quadrature over V) or seeded Monte
-Carlo over the covariate law with a reported/derivable standard error.
+to a closed form) or seeded Monte Carlo over the covariate law with a
+reported/derivable standard error.
 
 Central quantities:
 
@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .gp_prior import GpPriorSpec
 from .model import CovariateLaw, Dataset, ModelPoint, NuisanceFunction, log_density_ratio
-from .posterior import MarginalThetaPosterior, conjugate_joint_posterior, marginal_theta
+from .posterior import MarginalThetaPosterior, theta_posterior
 
 __all__ = [
     "BvmDiagnostics",
@@ -117,19 +116,19 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     Equal variances: 2 Phi(|m1 - m2| / (2 sigma)) - 1.  Otherwise the
     densities cross at two points lo < hi, one density dominates on
     (lo, hi) and the other outside it, so the distance is the difference
-    of the two masses of (lo, hi).  Upper-tail masses use the survival
-    function so that far-right intervals keep their precision.
+    of the two masses of (lo, hi).  Upper-tail masses use Phi(-x) so
+    that far-right intervals keep their precision.
     """
     if not (v1 > 0.0 and v2 > 0.0):
         raise ValueError("variances must be positive")
     if abs(v1 - v2) <= 1e-14 * max(v1, v2):
         sigma = math.sqrt(0.5 * (v1 + v2))
-        return float(2.0 * norm.cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0)
+        return float(2.0 * ndtr(abs(m1 - m2) / (2.0 * sigma)) - 1.0)
     lo, hi = _crossings(m1, v1, m2, v2)
 
     def mass(mean: float, var: float) -> float:
         a, b = (lo - mean) / math.sqrt(var), (hi - mean) / math.sqrt(var)
-        return norm.sf(a) - norm.sf(b) if a > 0.0 else norm.cdf(b) - norm.cdf(a)
+        return ndtr(-a) - ndtr(-b) if a > 0.0 else ndtr(b) - ndtr(a)
 
     return float(min(abs(mass(m1, v1) - mass(m2, v2)), 1.0))
 
@@ -190,23 +189,23 @@ def misspecified_theta_star(
     """KL-minimising theta for a fixed nuisance.
 
     theta0 - E[m(V) (eta - eta0)(V)], using E[U^2] = 1 and the tower
-    rule; the V-expectation is a quadrature over [0, 1] with the grid
-    nodes of both nuisances as breakpoints.
+    rule.  The difference D = eta - eta0 is linear between the merged
+    grid nodes of both nuisances, so the V-expectation is exact: on
+    [x0, x1] of width h, int cos(w v) D(v) dv = D0 c0 + D1 c1 with
+    w = 2 pi, c1 = sin(w x1)/w + q, c0 = -sin(w x0)/w - q and
+    q = (cos(w x1) - cos(w x0)) / (w^2 h), taken as
+    -2 sin(w (x0 + x1)/2) sin(w h/2) / (w^2 h) to avoid cancellation.
     """
-
-    def integrand(v):
-        return law.cond_mean(v) * (eta(v) - truth.eta(v))
-
-    nodes = np.union1d(eta.grid, truth.eta.grid)[1:-1]
-    value, _ = integrate.quad(
-        integrand,
-        0.0,
-        1.0,
-        points=nodes,
-        limit=max(60, 2 * nodes.size),
-        epsabs=1e-11,
-        epsrel=1e-11,
-    )
+    nodes = np.union1d(eta.grid, truth.eta.grid)
+    diff = eta(nodes) - truth.eta(nodes)
+    x0, x1 = nodes[:-1], nodes[1:]
+    width = x1 - x0
+    omega = 2.0 * math.pi
+    q = -2.0 * np.sin(0.5 * omega * (x0 + x1)) * np.sin(0.5 * omega * width)
+    q /= omega**2 * width
+    c0 = -np.sin(omega * x0) / omega - q
+    c1 = np.sin(omega * x1) / omega + q
+    value = law.cond_mean_amplitude * float(diff[:-1] @ c0 + diff[1:] @ c1)
     return truth.theta - value
 
 
@@ -308,7 +307,7 @@ def integral_lan_coefficients(
     n = ds.n
     if n < 1:
         raise ValueError("need n >= 1")
-    mp = marginal_theta(conjugate_joint_posterior(ds, spec, math.inf))
+    mp = theta_posterior(ds, spec, math.inf)
     linear = (mp.mean - theta0) / mp.variance / math.sqrt(n)
     quadratic = -1.0 / (2.0 * n * mp.variance)
     return LanCoefficients(linear=linear, quadratic=quadratic)

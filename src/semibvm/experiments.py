@@ -36,12 +36,7 @@ from .model import (
     make_covariate_law,
     sample_dataset,
 )
-from .posterior import (
-    GibbsChain,
-    conjugate_joint_posterior,
-    credible_interval,
-    marginal_theta,
-)
+from .posterior import GibbsChain, credible_interval, theta_posterior
 
 __all__ = [
     "ExperimentConfig",
@@ -201,7 +196,7 @@ def _bvm_cell(args: tuple[ExperimentConfig, int, int]) -> dict:
     law, truth, spec = make_components(cfg)
     try:
         ds = sample_dataset(law, truth, n, seed)
-        mp = marginal_theta(conjugate_joint_posterior(ds, spec, cfg.theta_prior_var))
+        mp = theta_posterior(ds, spec, cfg.theta_prior_var)
         diag = bvm_gap(mp, delta_n(ds, law, truth), law.efficient_info, n, cfg.theta0)
     except NumericsError as exc:
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
@@ -249,7 +244,7 @@ def _coverage_cell(args: tuple[ExperimentConfig, int, int]) -> dict:
     law, truth, spec = make_components(cfg)
     try:
         ds = sample_dataset(law, truth, n, seed)
-        mp = marginal_theta(conjugate_joint_posterior(ds, spec, cfg.theta_prior_var))
+        mp = theta_posterior(ds, spec, cfg.theta_prior_var)
         lo, hi = credible_interval(mp, cfg.level)
     except NumericsError as exc:
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
@@ -328,7 +323,7 @@ def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     """One simulated dataset, its exact posterior and gap diagnostics."""
     law, truth, spec = make_components(cfg)
     ds = sample_dataset(law, truth, n, seed)
-    mp = marginal_theta(conjugate_joint_posterior(ds, spec, cfg.theta_prior_var))
+    mp = theta_posterior(ds, spec, cfg.theta_prior_var)
     lo, hi = credible_interval(mp, cfg.level)
     diag = bvm_gap(mp, delta_n(ds, law, truth), law.efficient_info, n, cfg.theta0)
     return {

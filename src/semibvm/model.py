@@ -34,6 +34,7 @@ __all__ = [
     "efficient_information",
     "empirical_information",
     "uniform_grid",
+    "interpolation_index",
     "interpolation_weights",
 ]
 
@@ -45,6 +46,22 @@ def uniform_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid_size)
 
 
+def interpolation_index(v: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cell and position of each point v for linear interpolation.
+
+    Returns (idx, t): point v_i lies in [g_idx, g_idx+1], idx clipped to
+    0..grid_size-2 so that v = 1 falls in the last cell, and t_i in [0, 1]
+    is its offset, so the interpolated value is (1 - t) f[idx] + t f[idx+1].
+    Entries of v must lie in [0, 1].
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        raise ValueError("interpolation points must lie in [0, 1]")
+    grid = uniform_grid(grid_size)
+    idx = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, grid_size - 2)
+    return idx, (v - grid[idx]) * (grid_size - 1)
+
+
 def interpolation_weights(v: np.ndarray, grid_size: int) -> np.ndarray:
     """Linear-interpolation weight matrix from grid values to points v.
 
@@ -52,14 +69,9 @@ def interpolation_weights(v: np.ndarray, grid_size: int) -> np.ndarray:
     per row, such that W @ values == linear interpolation of the grid
     function at v.  Entries of v must lie in [0, 1].
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size and (v.min() < 0.0 or v.max() > 1.0):
-        raise ValueError("interpolation points must lie in [0, 1]")
-    grid = uniform_grid(grid_size)
-    idx = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, grid_size - 2)
-    t = (v - grid[idx]) * (grid_size - 1)
-    weights = np.zeros((v.size, grid_size))
-    rows = np.arange(v.size)
+    idx, t = interpolation_index(v, grid_size)
+    weights = np.zeros((idx.size, grid_size))
+    rows = np.arange(idx.size)
     weights[rows, idx] = 1.0 - t
     weights[rows, idx + 1] = t
     return weights

@@ -12,8 +12,15 @@ posterior exactly Gaussian.  A blocked Gibbs sampler over theta and
 eta_grid provides the Monte Carlo cross-check for the closed form.
 
 Every solve works in whitened coordinates eta_grid = L z, K = L L' the
-cached prior factor, so the z-precision I + L'W'WL has every eigenvalue
->= 1 and is factorised without jitter; K is never inverted.
+cached prior factor, so the z-precision B = I + L'W'WL has every
+eigenvalue >= 1 and is factorised without jitter; K is never inverted.
+The data enter only through sufficient statistics gathered in O(n) from
+the two interpolation indices of each point: u'u, u'y, W'u, W'y and the
+tridiagonal W'W.  No n x m design is formed.  Every caller starts from
+that one system: :func:`theta_posterior` takes the theta marginal as a
+Schur complement of B with two triangular vector solves, the joint
+factorises the (theta, z) precision assembled from it, and the Gibbs
+sampler and the conditional nuisance draws factorise B once per call.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here; :func:`conditioned_theta_marginal` gives a
@@ -24,18 +31,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, solve_triangular
-from scipy.stats import norm
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dtrtri
+from scipy.special import ndtr, ndtri
 
-from .gp_prior import GpPriorSpec, NumericsError, cholesky_with_jitter, prior_covariance, prior_factor
-from .model import CovariateLaw, Dataset, ModelPoint, interpolation_weights
+from .gp_prior import (
+    GpPriorSpec,
+    NumericsError,
+    cholesky_with_jitter,
+    prior_covariance,
+    prior_factor,
+)
+from .model import CovariateLaw, Dataset, ModelPoint, interpolation_index
 
 __all__ = [
     "JointGaussianPosterior",
     "MarginalThetaPosterior",
     "GibbsChain",
+    "theta_posterior",
     "conjugate_joint_posterior",
     "marginal_theta",
     "sample_joint_posterior",
@@ -123,26 +139,119 @@ class GibbsChain:
 
 def _cholesky(precision: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.cholesky(precision)
+        chol = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise NumericsError("whitened posterior precision is not positive definite") from exc
+    if not np.isfinite(chol).all():  # np.linalg.cholesky lets NaN through
+        raise NumericsError("whitened posterior precision is not finite")
+    return chol
 
 
-def _nuisance_conditional(ds: Dataset, spec: GpPriorSpec):
-    """Weights W and draw(theta, normals) -> eta | theta, data for normals
-    of shape (m,) or (draws, m).  With eta = L z, z has the theta-free
-    precision B = I + L'W'WL, factorised once."""
+def _inverse_lower(chol: np.ndarray) -> np.ndarray:
+    inverse, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise NumericsError("whitened posterior factor is singular")
+    return inverse
+
+
+def _prior_precision(theta_prior_var: float) -> float:
+    if not theta_prior_var > 0.0:
+        raise ValueError("theta_prior_var must be positive (math.inf allowed)")
+    return 0.0 if math.isinf(theta_prior_var) else 1.0 / theta_prior_var
+
+
+def _sufficient_statistics(ds: Dataset, grid_size: int):
+    """(diag, off, W'u, W'y): W'W is tridiagonal with diagonal `diag` and
+    off-diagonal `off`.  Each point loads two neighbouring grid nodes, so
+    every statistic is a bincount over the two indices: O(n), no n x m
+    array."""
+    idx, t = interpolation_index(ds.v, grid_size)
+    s = 1.0 - t
+
+    def scatter(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return np.bincount(idx, left, minlength=grid_size) + np.bincount(
+            idx + 1, right, minlength=grid_size
+        )
+
+    off = np.bincount(idx, s * t, minlength=grid_size - 1)
+    return scatter(s * s, t * t), off, scatter(s * ds.u, t * ds.u), scatter(s * ds.y, t * ds.y)
+
+
+class _Whitened(NamedTuple):
+    """The data reduced to the whitened coordinates z = L^{-1} eta."""
+
+    factor: np.ndarray  # prior factor L, K = L L'
+    precision: np.ndarray  # B = I + L'W'WL, the z-precision given theta
+    wu: np.ndarray  # W'u
+    load_u: np.ndarray  # L'W'u
+    load_y: np.ndarray  # L'W'y
+    uu: float
+    uy: float
+
+
+def _whiten(ds: Dataset, spec: GpPriorSpec) -> _Whitened:
     factor = prior_factor(spec)
-    weights = interpolation_weights(ds.v, spec.grid_size)
-    loaded = weights @ factor
-    chol = _cholesky(np.eye(spec.grid_size) + loaded.T @ loaded)
+    diag, off, wu, wy = _sufficient_statistics(ds, spec.grid_size)
+    loaded = diag[:, None] * factor  # (W'W) L from the three diagonals of W'W
+    loaded[:-1] += off[:, None] * factor[1:]
+    loaded[1:] += off[:, None] * factor[:-1]
+    precision = factor.T @ loaded
+    precision.flat[:: spec.grid_size + 1] += 1.0
+    return _Whitened(
+        factor=factor,
+        precision=precision,
+        wu=wu,
+        load_u=factor.T @ wu,
+        load_y=factor.T @ wy,
+        uu=float(ds.u @ ds.u),
+        uy=float(ds.u @ ds.y),
+    )
+
+
+def _nuisance_conditional(system: _Whitened):
+    """draw(theta, normals) -> eta | theta, data for normals of shape (m,)
+    or (draws, m).  z | theta ~ N(B^{-1} L'W'(y - theta u), B^{-1}) with
+    B^{-1} = C^{-T} C^{-1}, so both mean pieces and the noise map are
+    computed once."""
+    inv_chol = _inverse_lower(_cholesky(system.precision))
+    mean_y = inv_chol.T @ (inv_chol @ system.load_y)
+    mean_u = inv_chol.T @ (inv_chol @ system.load_u)
 
     def draw(theta: float, normals: np.ndarray) -> np.ndarray:
-        z_mean = cho_solve((chol, True), loaded.T @ (ds.y - theta * ds.u))
-        z = z_mean + solve_triangular(chol.T, normals.T, lower=False).T
-        return z @ factor.T
+        z = mean_y - theta * mean_u + normals @ inv_chol
+        return z @ system.factor.T
 
-    return weights, draw
+    return draw
+
+
+def theta_posterior(
+    ds: Dataset, spec: GpPriorSpec, theta_prior_var: float = 10.0
+) -> MarginalThetaPosterior:
+    """Exact marginal posterior of theta, without the joint.
+
+    Same prior as :func:`conjugate_joint_posterior`.  The nuisance is
+    eliminated through the Schur complement of B = I + L'W'WL: with
+    g = C^{-1} L'W'u and h = C^{-1} L'W'y (B = C C'), the precision is
+    u'u + 1/tau^2 - g'g and the mean (u'y - g'h) / precision.  Two
+    triangular vector solves on top of the O(n) statistics.
+    NumericsError if the precision is not positive (e.g. a flat theta
+    prior with u = 0).
+    """
+    prior_precision = _prior_precision(theta_prior_var)
+    if ds.n == 0:
+        if math.isinf(theta_prior_var):
+            raise ValueError("flat theta prior with no data is improper")
+        return MarginalThetaPosterior(mean=0.0, variance=float(theta_prior_var))
+    system = _whiten(ds, spec)
+    chol = _cholesky(system.precision)
+    g = dtrsv(chol, system.load_u, lower=1)
+    h = dtrsv(chol, system.load_y, lower=1)
+    precision = system.uu + prior_precision - float(g @ g)
+    if not precision > 0.0:
+        raise NumericsError("theta posterior precision is not positive")
+    return MarginalThetaPosterior(
+        mean=(system.uy - float(g @ h)) / precision, variance=1.0 / precision
+    )
 
 
 def conjugate_joint_posterior(
@@ -153,12 +262,12 @@ def conjugate_joint_posterior(
     Prior: theta ~ N(0, theta_prior_var) independent of eta_grid ~
     N(0, scale^2 K).  `theta_prior_var = math.inf` selects the flat
     limit (zero prior precision on theta).  With no data the posterior
-    is the prior.  Solved for (theta, z) with design [u, W L], mapped
-    back by block_diag(1, L); NumericsError if the precision is
-    singular (e.g. a flat theta prior with u = 0).
+    is the prior.  The (theta, z) precision [[u'u + 1/tau^2, (L'W'u)'],
+    [L'W'u, B]] is factorised, inverted as a triangle and mapped back by
+    block_diag(1, L); NumericsError if it is singular (e.g. a flat theta
+    prior with u = 0).
     """
-    if not theta_prior_var > 0.0:
-        raise ValueError("theta_prior_var must be positive (math.inf allowed)")
+    prior_precision = _prior_precision(theta_prior_var)
     m = spec.grid_size
     if ds.n == 0:
         if math.isinf(theta_prior_var):
@@ -168,16 +277,16 @@ def conjugate_joint_posterior(
         cov[1:, 1:] = prior_covariance(spec).matrix
         return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov)
 
-    factor = prior_factor(spec)
-    design = np.concatenate([ds.u[:, None], interpolation_weights(ds.v, m) @ factor], axis=1)
-    precision = design.T @ design
-    precision[1:, 1:] += np.eye(m)
-    if not math.isinf(theta_prior_var):
-        precision[0, 0] += 1.0 / theta_prior_var
-    chol = _cholesky(precision)
-    to_eta = block_diag(1.0, factor)  # (theta, z) -> (theta, eta)
-    root = solve_triangular(chol, to_eta.T, lower=True)
-    mean = to_eta @ cho_solve((chol, True), design.T @ ds.y)
+    system = _whiten(ds, spec)
+    precision = np.empty((m + 1, m + 1))
+    precision[0, 0] = system.uu + prior_precision
+    precision[0, 1:] = precision[1:, 0] = system.load_u
+    precision[1:, 1:] = system.precision
+    inv_chol = _inverse_lower(_cholesky(precision))
+    latent_mean = inv_chol.T @ (inv_chol @ np.concatenate([[system.uy], system.load_y]))
+    root = inv_chol.copy()  # C^{-1} block_diag(1, L')
+    root[:, 1:] = inv_chol[:, 1:] @ system.factor.T
+    mean = np.concatenate([latent_mean[:1], system.factor @ latent_mean[1:]])
     return JointGaussianPosterior(mean=mean, covariance=root.T @ root)
 
 
@@ -208,20 +317,19 @@ def gibbs_chain(
 ) -> GibbsChain:
     """Blocked Gibbs sampler alternating exact conditional draws.
 
-    theta | eta, data is univariate normal; eta | theta, data is
-    multivariate normal with a theta-independent precision, so its
-    Cholesky factor is computed once.  Deterministic in `seed`.
+    theta | eta, data is univariate normal with mean (u'y - (W'u)'eta) /
+    precision, O(m) per step; eta | theta, data is multivariate normal
+    with a theta-independent precision, so its factor is computed once.
+    Deterministic in `seed`.
     """
     if not (iterations > burn_in >= 0):
         raise ValueError("need iterations > burn_in >= 0")
-    if not theta_prior_var > 0.0:
-        raise ValueError("theta_prior_var must be positive (math.inf allowed)")
+    prior_precision = _prior_precision(theta_prior_var)
     m = spec.grid_size
-    weights, draw_eta = _nuisance_conditional(ds, spec)
+    system = _whiten(ds, spec)
+    draw_eta = _nuisance_conditional(system)
 
-    theta_precision = ds.u @ ds.u
-    if not math.isinf(theta_prior_var):
-        theta_precision += 1.0 / theta_prior_var
+    theta_precision = system.uu + prior_precision
     if not theta_precision > 0.0:
         raise NumericsError("theta conditional has zero precision")
     theta_sd = 1.0 / math.sqrt(theta_precision)
@@ -231,8 +339,8 @@ def gibbs_chain(
     etas = np.empty((iterations, m))
     eta = np.zeros(m)
     for it in range(iterations):
-        resid = ds.y - weights @ eta
-        theta = (ds.u @ resid) / theta_precision + theta_sd * rng.standard_normal()
+        theta_mean = (system.uy - system.wu @ eta) / theta_precision
+        theta = theta_mean + theta_sd * rng.standard_normal()
         eta = draw_eta(theta, rng.standard_normal(m))
         thetas[it] = theta
         etas[it] = eta
@@ -245,7 +353,7 @@ def credible_interval(mp: MarginalThetaPosterior, level: float) -> tuple[float, 
     """Equal-tailed interval mean +- z_{(1+level)/2} * sd."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     return (mp.mean - z * mp.sd, mp.mean + z * mp.sd)
 
 
@@ -260,7 +368,7 @@ def posterior_mass_h_ball(
     half = M_n / math.sqrt(n)
     lo = (theta0 - half - mp.mean) / mp.sd
     hi = (theta0 + half - mp.mean) / mp.sd
-    return float(norm.cdf(hi) - norm.cdf(lo))
+    return float(ndtr(hi) - ndtr(lo))
 
 
 def conditional_nuisance_mass(
@@ -291,13 +399,13 @@ def conditional_nuisance_mass(
     rng = np.random.default_rng(seed)
     _, v_shared = law.sample_covariates(hellinger_draws, rng)
 
-    m = spec.grid_size
-    _, draw_eta = _nuisance_conditional(ds, spec)
-    eta_draws = draw_eta(theta_fixed, rng.standard_normal((draws, m)))
+    draw_eta = _nuisance_conditional(_whiten(ds, spec))
+    eta_draws = draw_eta(theta_fixed, rng.standard_normal((draws, spec.grid_size)))
 
-    eval_weights = interpolation_weights(v_shared, m)
+    idx, t = interpolation_index(v_shared, spec.grid_size)
+    eta_shared = (1.0 - t) * eta_draws[:, idx] + t * eta_draws[:, idx + 1]
     target = least_favorable_eta(theta_fixed, truth, law)
-    shift = eta_draws @ eval_weights.T - target(v_shared)[None, :]
+    shift = eta_shared - target(v_shared)[None, :]
     distances = hellinger_from_shift(shift)
     return float(np.mean(distances >= rho))
 

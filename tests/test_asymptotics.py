@@ -347,6 +347,25 @@ class TestLeastFavorableEta:
 
 
 class TestMisspecifiedThetaStar:
+    @pytest.mark.parametrize("sizes", [(50, 50), (37, 50), (50, 201), (7, 13), (200, 199)])
+    def test_closed_form_against_quadrature(self, sizes):
+        eta_size, truth_size = sizes
+        law = make_covariate_law(0.6)
+        truth = _truth(grid_size=truth_size)
+        eta = NuisanceFunction(np.random.default_rng(eta_size).normal(size=eta_size))
+        nodes = np.union1d(eta.grid, truth.eta.grid)[1:-1]
+        value, _ = quad(
+            lambda v: law.cond_mean(v) * (eta(v) - truth.eta(v)),
+            0.0,
+            1.0,
+            points=nodes,
+            limit=2 * nodes.size + 60,
+            epsabs=1e-14,
+            epsrel=1e-14,
+        )
+        star = misspecified_theta_star(eta, truth, law)
+        assert star == pytest.approx(truth.theta - value, rel=0.0, abs=1e-12)
+
     def test_at_truth(self):
         law = make_covariate_law(0.8)
         truth = _truth()

@@ -26,8 +26,10 @@ from semibvm.model import (
     make_covariate_law,
     sample_dataset,
 )
+import semibvm.posterior
 from semibvm.posterior import (
     MarginalThetaPosterior,
+    _sufficient_statistics,
     conditional_nuisance_mass,
     conditioned_theta_marginal,
     conjugate_joint_posterior,
@@ -37,6 +39,7 @@ from semibvm.posterior import (
     marginal_theta,
     posterior_mass_h_ball,
     sample_joint_posterior,
+    theta_posterior,
 )
 
 
@@ -173,10 +176,13 @@ class TestWhitenedEngine:
         law, truth, spec = make_components(cfg)
         ds = sample_dataset(law, truth, 200, cell_seed(0, 200, k))
         for tau2 in (cfg.theta_prior_var, math.inf):
-            mp = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
             mean, var = eigen_theta_marginal(ds, spec, tau2)
-            assert abs(mp.variance / var - 1.0) < 1e-8
-            assert abs(mp.mean - mean) / math.sqrt(var) < 1e-8
+            for mp in (
+                marginal_theta(conjugate_joint_posterior(ds, spec, tau2)),
+                theta_posterior(ds, spec, tau2),
+            ):
+                assert abs(mp.variance / var - 1.0) < 1e-8
+                assert abs(mp.mean - mean) / math.sqrt(var) < 1e-8
 
     def test_theta_marginal_against_50_digit_solve(self):
         law = make_covariate_law(0.8)
@@ -184,16 +190,21 @@ class TestWhitenedEngine:
         spec = GpPriorSpec(k=2, grid_size=8, scale=3.0)
         ds = sample_dataset(law, truth, 12, seed=5)
         for tau2 in (10.0, math.inf):
-            mp = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
             mean, var = mpmath_theta_marginal(ds, spec, tau2)
-            assert mp.variance == pytest.approx(var, rel=1e-12)
-            assert mp.mean == pytest.approx(mean, abs=1e-12 * math.sqrt(var))
+            for mp in (
+                marginal_theta(conjugate_joint_posterior(ds, spec, tau2)),
+                theta_posterior(ds, spec, tau2),
+            ):
+                assert mp.variance == pytest.approx(var, rel=1e-12)
+                assert mp.mean == pytest.approx(mean, abs=1e-12 * math.sqrt(var))
 
     def test_flat_prior_without_theta_information_raises(self):
         _, _, spec, ds = _setup(n=30)
         blind = Dataset(u=np.zeros(ds.n), v=ds.v, y=ds.y)
         with pytest.raises(NumericsError):
             conjugate_joint_posterior(blind, spec, math.inf)
+        with pytest.raises(NumericsError):
+            theta_posterior(blind, spec, math.inf)
 
     def test_lan_coefficients_against_marginal_covariance(self):
         # the n x n form: y | theta ~ N(theta u, S), S = W K W' + I
@@ -222,6 +233,98 @@ class TestWhitenedEngine:
         direct = cholesky_with_jitter(prior_covariance(spec).matrix)
         z = np.random.default_rng(17).standard_normal(spec.grid_size)
         np.testing.assert_array_equal(sample_prior_path(spec, 17).values, direct @ z)
+
+
+def _dense_gibbs_reference(ds, spec, tau2, iterations, seed):
+    """Blocked Gibbs through the dense design, as the whitened sampler was
+    before the sufficient statistics: same random stream, other rounding."""
+    factor = prior_factor(spec)
+    weights = interpolation_weights(ds.v, spec.grid_size)
+    loaded = weights @ factor
+    b_mat = np.eye(spec.grid_size) + loaded.T @ loaded
+    chol = np.linalg.cholesky(b_mat)
+    theta_precision = ds.u @ ds.u + 1.0 / tau2
+    rng = np.random.default_rng(seed)
+    thetas, eta = [], np.zeros(spec.grid_size)
+    for _ in range(iterations):
+        theta = ds.u @ (ds.y - weights @ eta) / theta_precision
+        theta += rng.standard_normal() / math.sqrt(theta_precision)
+        z_mean = np.linalg.solve(b_mat, loaded.T @ (ds.y - theta * ds.u))
+        z = z_mean + np.linalg.solve(chol.T, rng.standard_normal(spec.grid_size))
+        eta = factor @ z
+        thetas.append(theta)
+    return np.array(thetas)
+
+
+class TestSufficientStatisticEngine:
+    def test_statistics_match_dense_design(self):
+        law, truth, spec, ds = _setup(n=300, grid_size=17)
+        v = np.concatenate([[0.0, 1.0, 0.0, 1.0], ds.v])  # v = 1 clips the index
+        rng = np.random.default_rng(3)
+        data = Dataset(u=rng.standard_normal(v.size), v=v, y=rng.standard_normal(v.size))
+        diag, off, wu, wy = _sufficient_statistics(data, spec.grid_size)
+        weights = interpolation_weights(data.v, spec.grid_size)
+        tridiagonal = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        np.testing.assert_allclose(tridiagonal, weights.T @ weights, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(wu, weights.T @ data.u, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(wy, weights.T @ data.y, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [50, 200])
+    def test_theta_posterior_matches_joint_marginal(self, k, grid_size):
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = make_components(cfg)
+        for n in (0, 200, 2000):
+            ds = sample_dataset(law, truth, n, cell_seed(2, n, k))
+            for tau2 in (10.0, math.inf):
+                if n == 0 and math.isinf(tau2):
+                    continue
+                joint = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
+                mp = theta_posterior(ds, spec, tau2)
+                assert mp.variance == pytest.approx(joint.variance, rel=1e-10)
+                assert abs(mp.mean - joint.mean) <= 1e-10 * mp.sd
+
+    def test_no_data_is_the_theta_prior(self):
+        _, _, spec, _ = _setup()
+        empty = Dataset(u=np.array([]), v=np.array([]), y=np.array([]))
+        mp = theta_posterior(empty, spec, 7.0)
+        assert (mp.mean, mp.variance) == (0.0, 7.0)
+
+    def test_flat_prior_without_data_rejected(self):
+        _, _, spec, _ = _setup()
+        empty = Dataset(u=np.array([]), v=np.array([]), y=np.array([]))
+        with pytest.raises(ValueError):
+            theta_posterior(empty, spec, math.inf)
+
+    @pytest.mark.parametrize("tau2", [0.0, -1.0, math.nan])
+    def test_invalid_prior_var_rejected(self, tau2):
+        _, _, spec, ds = _setup(n=30)
+        with pytest.raises(ValueError):
+            theta_posterior(ds, spec, tau2)
+
+    def test_indefinite_nuisance_precision_raises(self, monkeypatch):
+        # B = I + L'W'WL is positive definite for any real data; a W'W with
+        # a negative diagonal stands in for a precision that lost it
+        _, _, spec, ds = _setup(n=30)
+        m = spec.grid_size
+        broken = (np.full(m, -1e6), np.zeros(m - 1), np.ones(m), np.ones(m))
+        monkeypatch.setattr(semibvm.posterior, "_sufficient_statistics", lambda *_: broken)
+        for call in (theta_posterior, conjugate_joint_posterior):
+            with pytest.raises(NumericsError):
+                call(ds, spec, 10.0)
+
+    def test_non_finite_nuisance_precision_raises(self, monkeypatch):
+        _, _, spec, ds = _setup(n=30)
+        nan_factor = np.full((spec.grid_size, spec.grid_size), np.nan)
+        monkeypatch.setattr(semibvm.posterior, "prior_factor", lambda _: nan_factor)
+        with pytest.raises(NumericsError):
+            theta_posterior(ds, spec, 10.0)
+
+    def test_gibbs_differs_from_dense_sampler_only_by_rounding(self):
+        _, _, spec, ds = _setup(n=120, grid_size=20)
+        chain = gibbs_chain(ds, spec, 10.0, iterations=300, burn_in=50, seed=13)
+        reference = _dense_gibbs_reference(ds, spec, 10.0, iterations=300, seed=13)
+        np.testing.assert_allclose(chain.thetas, reference, rtol=0.0, atol=1e-9)
 
 
 class TestMarginalTheta:

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gp_prior import GpPriorSpec
 from .model import CovariateLaw, Dataset, ModelPoint, NuisanceFunction, log_density_ratio
-from .posterior import MarginalThetaPosterior, theta_posterior
+from .posterior import MarginalThetaPosterior, _normal_cdf, theta_posterior
 
 __all__ = [
     "BvmDiagnostics",
@@ -123,12 +122,14 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
         raise ValueError("variances must be positive")
     if abs(v1 - v2) <= 1e-14 * max(v1, v2):
         sigma = math.sqrt(0.5 * (v1 + v2))
-        return float(2.0 * ndtr(abs(m1 - m2) / (2.0 * sigma)) - 1.0)
+        return 2.0 * _normal_cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0
     lo, hi = _crossings(m1, v1, m2, v2)
 
     def mass(mean: float, var: float) -> float:
         a, b = (lo - mean) / math.sqrt(var), (hi - mean) / math.sqrt(var)
-        return ndtr(-a) - ndtr(-b) if a > 0.0 else ndtr(b) - ndtr(a)
+        if a > 0.0:
+            return _normal_cdf(-a) - _normal_cdf(-b)
+        return _normal_cdf(b) - _normal_cdf(a)
 
     return float(min(abs(mass(m1, v1) - mass(m2, v2)), 1.0))
 

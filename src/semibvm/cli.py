@@ -155,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.jobs < 1:
+        print(f"config error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
 
     n_default = cfg.n_ladder[0]
     master = cfg.master_seed

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import statistics
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -204,15 +204,22 @@ def _bvm_cell(args: tuple[ExperimentConfig, int, int]) -> dict:
 
 
 def _run_cells(worker, cells, jobs: int) -> list[dict]:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, cells))
     return [worker(cell) for cell in cells]
 
 
-def _iqr(values: np.ndarray) -> float:
-    q1, q3 = np.percentile(values, [25.0, 75.0])
-    return float(q3 - q1)
+def _iqr(values: list[float]) -> float:
+    """Interquartile range by numpy's default (linear) percentile rule."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def run_bvm_scan(cfg: ExperimentConfig, jobs: int = 1) -> RunReport:
@@ -221,14 +228,14 @@ def run_bvm_scan(cfg: ExperimentConfig, jobs: int = 1) -> RunReport:
     rows = _run_cells(_bvm_cell, cells, jobs)
     aggregates = []
     for n in cfg.n_ladder:
-        gaps = np.array([r["tv_gap"] for r in rows if r["n"] == n])
-        variances = np.array([r["localized_post_var"] for r in rows if r["n"] == n])
+        gaps = [r["tv_gap"] for r in rows if r["n"] == n]
+        variances = [r["localized_post_var"] for r in rows if r["n"] == n]
         aggregates.append(
             {
                 "n": n,
-                "median_tv_gap": float(np.median(gaps)),
+                "median_tv_gap": statistics.median(gaps),
                 "iqr_tv_gap": _iqr(gaps),
-                "median_localized_post_var": float(np.median(variances)),
+                "median_localized_post_var": statistics.median(variances),
                 "iqr_localized_post_var": _iqr(variances),
             }
         )

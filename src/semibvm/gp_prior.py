@@ -165,14 +165,31 @@ def kibm_kernel(s: float, t: float, k: int) -> float:
 
 
 def prior_covariance(spec: GpPriorSpec) -> PriorCovariance:
-    """scale^2 * c_k(g_i, g_j) on the uniform grid, symmetrised exactly."""
+    """scale^2 * c_k(g_i, g_j) on the uniform grid, symmetrised exactly.
+
+    The binomial expansion of :func:`kibm_kernel` (the scalar reference),
+    evaluated on the whole grid at once; the upper triangle is mirrored.
+    """
     grid = uniform_grid(spec.grid_size)
-    m = spec.grid_size
-    matrix = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            matrix[i, j] = kibm_kernel(grid[i], grid[j], spec.k)
-            matrix[j, i] = matrix[i, j]
+    k = spec.k
+    s = grid[:, None]
+    t = grid[None, :]
+    mn = np.minimum(s, t)
+    poly = sum((s * t) ** i / math.factorial(i) ** 2 for i in range(k + 1))
+    acc = np.zeros((spec.grid_size, spec.grid_size))
+    for a in range(k + 1):
+        for b in range(k + 1):
+            acc += (
+                math.comb(k, a)
+                * math.comb(k, b)
+                * (-1.0) ** (a + b)
+                * s ** (k - a)
+                * t ** (k - b)
+                * mn ** (a + b + 1)
+                / (a + b + 1)
+            )
+    matrix = np.triu(poly + acc / math.factorial(k) ** 2)
+    matrix += np.triu(matrix, 1).T
     return PriorCovariance(matrix=spec.scale**2 * matrix)
 
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 imports it on first access; load it with the module
 
 __all__ = [
     "CovariateLaw",

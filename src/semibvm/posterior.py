@@ -17,10 +17,14 @@ eigenvalue >= 1 and is factorised without jitter; K is never inverted.
 The data enter only through sufficient statistics gathered in O(n) from
 the two interpolation indices of each point: u'u, u'y, W'u, W'y and the
 tridiagonal W'W.  No n x m design is formed.  Every caller starts from
-that one system: :func:`theta_posterior` takes the theta marginal as a
-Schur complement of B with two triangular vector solves, the joint
+that one system: :func:`theta_posterior` reads the theta marginal off
+one Cholesky factor of B bordered by the theta and y rows, the joint
 factorises the (theta, z) precision assembled from it, and the Gibbs
 sampler and the conditional nuisance draws factorise B once per call.
+
+The theta marginal, the credible interval and the ball mass need numpy
+and the standard library only; SciPy's triangular inverse is imported by
+the joint, Gibbs and conditional-mass paths when they first run.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here; :func:`conditioned_theta_marginal` gives a
@@ -31,12 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dtrtri
-from scipy.special import ndtr, ndtri
 
 from .gp_prior import (
     GpPriorSpec,
@@ -148,10 +150,17 @@ def _cholesky(precision: np.ndarray) -> np.ndarray:
 
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
+    from scipy.linalg.lapack import dtrtri
+
     inverse, info = dtrtri(chol, lower=1)
     if info != 0:
         raise NumericsError("whitened posterior factor is singular")
     return inverse
+
+
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF; erfc keeps the lower tail's relative precision."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _prior_precision(theta_prior_var: float) -> float:
@@ -230,12 +239,18 @@ def theta_posterior(
     """Exact marginal posterior of theta, without the joint.
 
     Same prior as :func:`conjugate_joint_posterior`.  The nuisance is
-    eliminated through the Schur complement of B = I + L'W'WL: with
-    g = C^{-1} L'W'u and h = C^{-1} L'W'y (B = C C'), the precision is
-    u'u + 1/tau^2 - g'g and the mean (u'y - g'h) / precision.  Two
-    triangular vector solves on top of the O(n) statistics.
-    NumericsError if the precision is not positive (e.g. a flat theta
-    prior with u = 0).
+    eliminated by one Cholesky factorisation of the bordered matrix
+
+        [[B,        L'W'u,          L'W'y  ],
+         [(L'W'u)', u'u + 1/tau^2,  u'y    ],
+         [(L'W'y)', u'y,            y'y + 1]]
+
+    with B = I + L'W'WL.  Its theta pivot s is the square root of the
+    Schur complement of B, so the precision is s^2; the theta entry r of
+    the y row is (u'y - g'h) / s with g, h the solves of B's factor
+    against L'W'u and L'W'y, so the mean is r / s.  The + 1 keeps the
+    last pivot >= 1 and changes no other entry.  NumericsError if the
+    precision is not positive (e.g. a flat theta prior with u = 0).
     """
     prior_precision = _prior_precision(theta_prior_var)
     if ds.n == 0:
@@ -243,14 +258,18 @@ def theta_posterior(
             raise ValueError("flat theta prior with no data is improper")
         return MarginalThetaPosterior(mean=0.0, variance=float(theta_prior_var))
     system = _whiten(ds, spec)
-    chol = _cholesky(system.precision)
-    g = dtrsv(chol, system.load_u, lower=1)
-    h = dtrsv(chol, system.load_y, lower=1)
-    precision = system.uu + prior_precision - float(g @ g)
-    if not precision > 0.0:
-        raise NumericsError("theta posterior precision is not positive")
+    m = spec.grid_size
+    bordered = np.empty((m + 2, m + 2))
+    bordered[:m, :m] = system.precision
+    bordered[:m, m] = bordered[m, :m] = system.load_u
+    bordered[:m, m + 1] = bordered[m + 1, :m] = system.load_y
+    bordered[m, m] = system.uu + prior_precision
+    bordered[m, m + 1] = bordered[m + 1, m] = system.uy
+    bordered[m + 1, m + 1] = float(ds.y @ ds.y) + 1.0
+    chol = _cholesky(bordered)
+    pivot = float(chol[m, m])
     return MarginalThetaPosterior(
-        mean=(system.uy - float(g @ h)) / precision, variance=1.0 / precision
+        mean=float(chol[m + 1, m]) / pivot, variance=1.0 / pivot**2
     )
 
 
@@ -353,7 +372,7 @@ def credible_interval(mp: MarginalThetaPosterior, level: float) -> tuple[float, 
     """Equal-tailed interval mean +- z_{(1+level)/2} * sd."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    z = ndtri(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return (mp.mean - z * mp.sd, mp.mean + z * mp.sd)
 
 
@@ -368,7 +387,7 @@ def posterior_mass_h_ball(
     half = M_n / math.sqrt(n)
     lo = (theta0 - half - mp.mean) / mp.sd
     hi = (theta0 + half - mp.mean) / mp.sd
-    return float(ndtr(hi) - ndtr(lo))
+    return _normal_cdf(hi) - _normal_cdf(lo)
 
 
 def conditional_nuisance_mass(

@@ -80,6 +80,22 @@ class TestExitCodes:
         assert "theta_prior_var" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+    def test_nonpositive_jobs_exits_2_before_any_work(
+        self, command, jobs, config_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite --jobs < 1")
+
+        monkeypatch.setattr(cli, "run_bvm_scan", no_work)
+        monkeypatch.setattr(cli, "run_coverage", no_work)
+        out = tmp_path / "r.json"
+        argv = [command, "--config", config_path, "--jobs", jobs, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):
         def boom(cfg, jobs):
             raise NumericsError("cell n=50 rep=0 seed=123: Cholesky failed")

@@ -131,6 +131,24 @@ class TestBvmScan:
         parallel = run_bvm_scan(SMALL, jobs=2)
         assert serial.to_json_text() == parallel.to_json_text()
 
+    @pytest.mark.parametrize("seeds", [1, 2, 5, 6])
+    def test_aggregates_match_numpy_linear_percentiles(self, seeds):
+        cfg = ExperimentConfig(n_ladder=(30,), seeds=seeds, grid_size=15, master_seed=7)
+        report = run_bvm_scan(cfg)
+        (agg,) = report.aggregates
+        for key in ("tv_gap", "localized_post_var"):
+            values = np.array([row[key] for row in report.rows])
+            q1, q3 = np.percentile(values, [25.0, 75.0])
+            assert agg[f"median_{key}"] == pytest.approx(np.median(values), rel=1e-15)
+            assert agg[f"iqr_{key}"] == pytest.approx(q3 - q1, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_bvm_scan(SMALL, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_coverage(SMALL, 3, jobs=jobs)
+
     def test_single_n_row_count(self):
         cfg = ExperimentConfig(n_ladder=(50,), seeds=100, grid_size=12)
         report = run_bvm_scan(cfg)

@@ -112,6 +112,20 @@ class TestPriorCovariance:
         expected = [spec.scale**2 * kibm_kernel(t, t, 2) for t in grid]
         np.testing.assert_allclose(np.diag(cov.matrix), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [2, 17, 60])
+    def test_every_entry_matches_kernel(self, k, grid_size):
+        spec = GpPriorSpec(k=k, grid_size=grid_size, scale=1.5)
+        matrix = prior_covariance(spec).matrix
+        grid = uniform_grid(grid_size)
+        expected = np.array(
+            [[spec.scale**2 * kibm_kernel(s, t, k) for t in grid] for s in grid]
+        )
+        np.testing.assert_allclose(
+            matrix, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max()
+        )
+        np.testing.assert_array_equal(matrix, matrix.T)
+
     def test_asymmetric_matrix_rejected(self):
         from semibvm.gp_prior import PriorCovariance
 

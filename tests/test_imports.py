@@ -1,5 +1,7 @@
-"""Start-up hygiene: the CLI must not pull in the heavy scipy subpackages."""
+"""Start-up hygiene: the CLI loads no SciPy, and a serial run loads nothing
+heavy after start-up, where it would count against the run's wall time."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,17 +9,42 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+SMALL_CONFIG = "grid_size = 15\nn_ladder = 30, 60\nseeds = 3\nmaster_seed = 7\n"
 
-def test_cli_import_loads_neither_scipy_stats_nor_integrate():
+
+def _run_python(code: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    code = (
-        "import sys, semibvm.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-    )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import json, sys, semibvm.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = json.loads(_run_python(code))
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_serial_runs_import_no_numpy_or_scipy_module(tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    code = (
+        "import json, sys, semibvm.cli\n"
+        "before = set(sys.modules)\n"
+        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        "assert semibvm.cli.main(['bvm-scan', '--config', cfg, '--out', out + '/s.json']) == 0\n"
+        "assert semibvm.cli.main(\n"
+        "    ['coverage', '--config', cfg, '--replications', '4', '--out', out + '/c.json']\n"
+        ") == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    added = json.loads(_run_python(code, str(config), str(tmp_path)))
+    assert [m for m in added if m.split(".")[0] in ("numpy", "scipy")] == []

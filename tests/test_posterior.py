@@ -6,9 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from semibvm.asymptotics import integral_lan_coefficients
+from semibvm.asymptotics import integral_lan_coefficients, tv_normals
 from semibvm.experiments import ExperimentConfig, cell_seed, make_components
 from semibvm.gp_prior import (
     GpPriorSpec,
@@ -29,6 +30,7 @@ from semibvm.model import (
 import semibvm.posterior
 from semibvm.posterior import (
     MarginalThetaPosterior,
+    _normal_cdf,
     _sufficient_statistics,
     conditional_nuisance_mass,
     conditioned_theta_marginal,
@@ -453,6 +455,64 @@ class TestPosteriorMassHBall:
             posterior_mass_h_ball(mp, 0.0, -1.0, 10)
         with pytest.raises(ValueError):
             posterior_mass_h_ball(mp, 0.0, 1.0, 0)
+
+
+class TestNormalFunctionsAgainstScipy:
+    """The stdlib normal CDF and quantile against scipy.special references."""
+
+    def test_credible_interval_quantile(self):
+        mp = MarginalThetaPosterior(mean=0.3, variance=2.0)
+        for level in (1e-6, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-12):
+            z = ndtri(0.5 * (1.0 + level))
+            lo, hi = credible_interval(mp, level)
+            assert lo == pytest.approx(0.3 - z * mp.sd, rel=1e-14, abs=1e-15)
+            assert hi == pytest.approx(0.3 + z * mp.sd, rel=1e-14, abs=1e-15)
+
+    def test_cdf_out_to_the_tails(self):
+        x = np.linspace(-37.0, 37.0, 7401)
+        ours = np.array([_normal_cdf(float(xi)) for xi in x])
+        # Phi has condition number about x^2 in the lower tail, so one
+        # rounding of x / sqrt(2) alone moves Phi(-37) by ~2e-13 relative
+        np.testing.assert_allclose(ours, ndtr(x), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("centre", [-37.0, -20.0, -3.0, 0.0, 3.0, 20.0, 37.0])
+    def test_ball_mass_including_tails(self, centre):
+        mp = MarginalThetaPosterior(mean=0.0, variance=1.0)
+        for half in (1e-3, 0.5, 2.0):
+            # n = 1 makes the ball [centre - half, centre + half] in sd units
+            reference = ndtr(centre + half) - ndtr(centre - half)
+            mass = posterior_mass_h_ball(mp, centre, half, 1)
+            assert mass == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "m1, v1, m2, v2",
+        [
+            (0.0, 1.0, 0.0, 1.0),
+            (0.0, 1.0, 0.4, 1.0),
+            (0.0, 1.0, 1e-3, 1.0),
+            (0.0, 1.0, 0.2, 1.3),
+            (1.5, 0.8, -0.7, 2.5),
+            (0.0, 1.0, 0.0, 1e-4),
+            (37.0, 1.0, 36.5, 1.05),
+            (-37.0, 1.0, -36.5, 1.05),
+        ],
+    )
+    def test_tv_normals(self, m1, v1, m2, v2):
+        if v1 == v2:
+            reference = 2.0 * ndtr(abs(m1 - m2) / (2.0 * math.sqrt(v1))) - 1.0
+        else:
+            a = 0.5 * (1.0 / v2 - 1.0 / v1)
+            b = m1 / v1 - m2 / v2
+            c = 0.5 * (m2**2 / v2 - m1**2 / v1) - 0.5 * math.log(v1 / v2)
+            disc = math.sqrt(b * b - 4.0 * a * c)
+            lo, hi = sorted(((-b - disc) / (2.0 * a), (-b + disc) / (2.0 * a)))
+
+            def mass(mean, var):
+                x, y = (lo - mean) / math.sqrt(var), (hi - mean) / math.sqrt(var)
+                return ndtr(-x) - ndtr(-y) if x > 0.0 else ndtr(y) - ndtr(x)
+
+            reference = abs(mass(m1, v1) - mass(m2, v2))
+        assert tv_normals(m1, v1, m2, v2) == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
 class TestConditionalNuisanceMass:

@@ -140,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,36 +161,26 @@ def main(argv: list[str] | None = None) -> int:
 
     n_default = cfg.n_ladder[0]
     master = cfg.master_seed
+    dest = cfg.output_path or sys.stdout
     try:
         if args.command == "kernel":
             _, _, spec = make_components(cfg)
-            cov = prior_covariance(spec)
-            if cfg.output_path:
-                covariance_to_csv(cov, cfg.output_path)
-            else:
-                for row in cov.matrix:
-                    print(",".join(repr(float(x)) for x in row))
+            covariance_to_csv(prior_covariance(spec), dest)
         elif args.command == "sample":
             law, truth, _ = make_components(cfg)
             n = args.n if args.n is not None else n_default
-            ds = sample_dataset(law, truth, n, cell_seed(master, n, 0))
-            if cfg.output_path:
-                dataset_to_csv(ds, cfg.output_path)
-            else:
-                print("u,v,y,e")
-                for row in zip(ds.u, ds.v, ds.y, ds.e):
-                    print(",".join(repr(float(x)) for x in row))
+            dataset_to_csv(sample_dataset(law, truth, n, cell_seed(master, n, 0)), dest)
         elif args.command == "posterior":
             n = args.n if args.n is not None else n_default
             _emit(run_posterior_snapshot(cfg, n, cell_seed(master, n, 0)), cfg.output_path)
         elif args.command == "bvm-scan":
             report = run_bvm_scan(cfg, jobs=args.jobs)
             if not cfg.output_path:
-                print(report.to_json_text())
+                report.write(sys.stdout, cfg.format)
         elif args.command == "coverage":
             report = run_coverage(cfg, args.replications, jobs=args.jobs)
             if not cfg.output_path:
-                print(report.to_json_text())
+                report.write(sys.stdout, cfg.format)
         elif args.command == "baseline":
             diag = run_parametric_baseline(
                 args.n, cfg.theta0, args.prior_var, cell_seed(master, args.n, 0)

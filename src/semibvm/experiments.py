@@ -8,11 +8,13 @@ can be recomputed in isolation and reports are bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -169,19 +171,27 @@ class RunReport:
             aggregates=payload["aggregates"],
         )
 
-    def write(self, path: str, fmt: str = "json") -> None:
-        if fmt == "json":
-            with open(path, "w") as fh:
-                fh.write(self.to_json_text())
-        elif fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                header = list(self.rows[0].keys()) if self.rows else []
-                writer.writerow(header)
-                for row in self.rows:
-                    writer.writerow([row[key] for key in header])
-        else:
+    def write(self, dest: str | TextIO, fmt: str = "json") -> None:
+        """JSON text, or the rows as CSV, to a path or a text stream."""
+        if fmt not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        with _opened(dest) as fh:
+            if fmt == "json":
+                fh.write(self.to_json_text() + "\n")
+                return
+            writer = csv.writer(fh)
+            header = list(self.rows[0].keys()) if self.rows else []
+            writer.writerow(header)
+            for row in self.rows:
+                writer.writerow([row[key] for key in header])
+
+
+def _opened(dest: str | TextIO):
+    """A text stream as it is, or a path opened for writing; either way
+    the same bytes go out (newline="" keeps csv's line ends as written)."""
+    if hasattr(dest, "write"):
+        return contextlib.nullcontext(dest)
+    return open(dest, "w", newline="")
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -190,10 +200,12 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _bvm_cell(args: tuple[ExperimentConfig, int, int]) -> dict:
-    cfg, n, rep = args
+_Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
+
+
+def _bvm_cell(args: tuple[ExperimentConfig, _Components, int, int]) -> dict:
+    cfg, (law, truth, spec), n, rep = args
     seed = cell_seed(cfg.master_seed, n, rep)
-    law, truth, spec = make_components(cfg)
     try:
         ds = sample_dataset(law, truth, n, seed)
         mp = theta_posterior(ds, spec, cfg.theta_prior_var)
@@ -224,7 +236,8 @@ def _iqr(values: list[float]) -> float:
 
 def run_bvm_scan(cfg: ExperimentConfig, jobs: int = 1) -> RunReport:
     """Convergence scan: per-cell gap diagnostics plus per-n medians."""
-    cells = [(cfg, n, rep) for n in cfg.n_ladder for rep in range(cfg.seeds)]
+    components = make_components(cfg)
+    cells = [(cfg, components, n, rep) for n in cfg.n_ladder for rep in range(cfg.seeds)]
     rows = _run_cells(_bvm_cell, cells, jobs)
     aggregates = []
     for n in cfg.n_ladder:
@@ -245,10 +258,9 @@ def run_bvm_scan(cfg: ExperimentConfig, jobs: int = 1) -> RunReport:
     return report
 
 
-def _coverage_cell(args: tuple[ExperimentConfig, int, int]) -> dict:
-    cfg, n, rep = args
+def _coverage_cell(args: tuple[ExperimentConfig, _Components, int, int]) -> dict:
+    cfg, (law, truth, spec), n, rep = args
     seed = cell_seed(cfg.master_seed, n, rep)
-    law, truth, spec = make_components(cfg)
     try:
         ds = sample_dataset(law, truth, n, seed)
         mp = theta_posterior(ds, spec, cfg.theta_prior_var)
@@ -269,7 +281,8 @@ def run_coverage(cfg: ExperimentConfig, replications: int, jobs: int = 1) -> Run
     """Frequentist coverage of the level-credible interval, per ladder n."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    cells = [(cfg, n, rep) for n in cfg.n_ladder for rep in range(replications)]
+    components = make_components(cfg)
+    cells = [(cfg, components, n, rep) for n in cfg.n_ladder for rep in range(replications)]
     rows = _run_cells(_coverage_cell, cells, jobs)
     aggregates = []
     for n in cfg.n_ladder:
@@ -424,18 +437,20 @@ def run_diagnostics_suite(
     }
 
 
-def covariance_to_csv(cov: PriorCovariance | np.ndarray, path: str) -> None:
-    """Full covariance matrix, row-major, one row per CSV line."""
+def covariance_to_csv(cov: PriorCovariance | np.ndarray, dest: str | TextIO) -> None:
+    """Full covariance matrix, row-major, one row per CSV line, to a path
+    or a text stream."""
     matrix = cov.matrix if isinstance(cov, PriorCovariance) else np.asarray(cov)
-    with open(path, "w", newline="") as fh:
+    with _opened(dest) as fh:
         writer = csv.writer(fh)
         for row in matrix:
             writer.writerow([repr(float(x)) for x in row])
 
 
-def dataset_to_csv(ds: Dataset, path: str) -> None:
-    """Columns u, v, y, e (e blank when the dataset has no provenance)."""
-    with open(path, "w", newline="") as fh:
+def dataset_to_csv(ds: Dataset, dest: str | TextIO) -> None:
+    """Columns u, v, y, e (e blank when the dataset has no provenance), to
+    a path or a text stream."""
+    with _opened(dest) as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v", "y", "e"])
         e = ds.e if ds.e is not None else [""] * ds.n

@@ -129,10 +129,6 @@ class PriorCovariance:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def kibm_kernel(s: float, t: float, k: int) -> float:
     """Covariance c_k(s, t) of the randomly-started k-fold integrated BM.

@@ -158,10 +158,6 @@ class NuisanceFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_values(cls, values) -> "NuisanceFunction":
-        return cls(np.asarray(values, dtype=float))
-
-    @classmethod
     def from_callable(cls, f, grid_size: int) -> "NuisanceFunction":
         grid = uniform_grid(grid_size)
         return cls(np.asarray([f(t) for t in grid], dtype=float))

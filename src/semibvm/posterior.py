@@ -11,20 +11,18 @@ limit) and the Gaussian process prior on eta_grid keep the joint
 posterior exactly Gaussian.  A blocked Gibbs sampler over theta and
 eta_grid provides the Monte Carlo cross-check for the closed form.
 
-Every solve works in whitened coordinates eta_grid = L z, K = L L' the
-cached prior factor, so the z-precision B = I + L'W'WL has every
-eigenvalue >= 1 and is factorised without jitter; K is never inverted.
-The data enter only through sufficient statistics gathered in O(n) from
-the two interpolation indices of each point: u'u, u'y, W'u, W'y and the
-tridiagonal W'W.  No n x m design is formed.  Every caller starts from
-that one system: :func:`theta_posterior` reads the theta marginal off
-one Cholesky factor of B bordered by the theta and y rows, the joint
-factorises the (theta, z) precision assembled from it, and the Gibbs
-sampler and the conditional nuisance draws factorise B once per call.
-
-The theta marginal, the credible interval and the ball mass need numpy
-and the standard library only; SciPy's triangular inverse is imported by
-the joint, Gibbs and conditional-mass paths when they first run.
+Every posterior is a view of one linear system.  In whitened coordinates
+eta_grid = L z, K = L L' the cached prior factor, it is the (m+2)x(m+2)
+matrix S ordered (z, theta, y) that :func:`_system` assembles; its z
+block B = I + L'W'WL has every eigenvalue >= 1 and is factorised without
+jitter, and K is never inverted.  The data enter only through sufficient
+statistics gathered in O(n) from the two interpolation indices of each
+point: u'u, u'y, W'u, W'y and the tridiagonal W'W.  No n x m design is
+formed.  :func:`theta_posterior` reads the theta marginal off the pivots
+of chol(S), the joint reads its mean and covariance root off the same
+factor, and the Gibbs sampler and the conditional nuisance draws
+factorise S's B block once per call.  The package needs numpy and the
+standard library only.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here; :func:`conditioned_theta_marginal` gives a
@@ -36,17 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple
 
 import numpy as np
 
-from .gp_prior import (
-    GpPriorSpec,
-    NumericsError,
-    cholesky_with_jitter,
-    prior_covariance,
-    prior_factor,
-)
+from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor
 from .model import CovariateLaw, Dataset, ModelPoint, interpolation_index
 
 __all__ = [
@@ -71,24 +62,26 @@ class JointGaussianPosterior:
     """Exact Gaussian posterior over (theta, eta-grid-values).
 
     Coordinate 0 is theta; the remaining coordinates are the grid values
-    of the nuisance.
+    of the nuisance.  `root` is the square root the engine built,
+    covariance = root' root, through which the joint is sampled.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
+    root: np.ndarray
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError("mean and covariance dimensions are inconsistent")
+        root = np.asarray(self.root, dtype=float)
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size) or root.shape != cov.shape:
+            raise ValueError("mean, covariance and root dimensions are inconsistent")
         scale = max(1.0, float(np.abs(cov).max()))
         if not np.allclose(cov, cov.T, atol=1e-10 * scale, rtol=0.0):
             raise ValueError("covariance must be symmetric to 1e-10")
-        cov = 0.5 * (cov + cov.T)
-        cholesky_with_jitter(cov)  # must be factorisable
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "root", root)
 
     @property
     def grid_size(self) -> int:
@@ -150,12 +143,9 @@ def _cholesky(precision: np.ndarray) -> np.ndarray:
 
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
-    from scipy.linalg.lapack import dtrtri
-
-    inverse, info = dtrtri(chol, lower=1)
-    if info != 0:
-        raise NumericsError("whitened posterior factor is singular")
-    return inverse
+    """Inverse of a lower Cholesky factor; the LU inverse's rounding above
+    the diagonal is cut off, so the result is exactly lower triangular."""
+    return np.tril(np.linalg.inv(chol))
 
 
 def _normal_cdf(x: float) -> float:
@@ -186,49 +176,48 @@ def _sufficient_statistics(ds: Dataset, grid_size: int):
     return scatter(s * s, t * t), off, scatter(s * ds.u, t * ds.u), scatter(s * ds.y, t * ds.y)
 
 
-class _Whitened(NamedTuple):
-    """The data reduced to the whitened coordinates z = L^{-1} eta."""
+def _system(
+    ds: Dataset, spec: GpPriorSpec, prior_precision: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, S): the prior factor and the one posterior system, ordered (z, theta, y),
 
-    factor: np.ndarray  # prior factor L, K = L L'
-    precision: np.ndarray  # B = I + L'W'WL, the z-precision given theta
-    wu: np.ndarray  # W'u
-    load_u: np.ndarray  # L'W'u
-    load_y: np.ndarray  # L'W'y
-    uu: float
-    uy: float
+        S = [[B,        L'W'u,                 L'W'y  ],
+             [(L'W'u)', u'u + prior_precision, u'y    ],
+             [(L'W'y)', u'y,                   y'y + 1]],
 
-
-def _whiten(ds: Dataset, spec: GpPriorSpec) -> _Whitened:
+    with B = I + L'W'WL the precision of z = L^{-1} eta given theta.  In
+    chol(S) the leading (m+1) block D factorises the (z, theta) precision
+    and the y row is D^{-1} times its right-hand side (L'W'y, u'y); the
+    + 1 keeps the last pivot >= 1 and changes no other entry.
+    """
     factor = prior_factor(spec)
-    diag, off, wu, wy = _sufficient_statistics(ds, spec.grid_size)
+    m = spec.grid_size
+    diag, off, wu, wy = _sufficient_statistics(ds, m)
     loaded = diag[:, None] * factor  # (W'W) L from the three diagonals of W'W
     loaded[:-1] += off[:, None] * factor[1:]
     loaded[1:] += off[:, None] * factor[:-1]
     precision = factor.T @ loaded
-    precision.flat[:: spec.grid_size + 1] += 1.0
-    return _Whitened(
-        factor=factor,
-        precision=precision,
-        wu=wu,
-        load_u=factor.T @ wu,
-        load_y=factor.T @ wy,
-        uu=float(ds.u @ ds.u),
-        uy=float(ds.u @ ds.y),
-    )
+    precision.flat[:: m + 1] += 1.0
+    system = np.empty((m + 2, m + 2))
+    system[:m, :m] = precision
+    system[:m, m] = system[m, :m] = factor.T @ wu
+    system[:m, m + 1] = system[m + 1, :m] = factor.T @ wy
+    system[m, m] = float(ds.u @ ds.u) + prior_precision
+    system[m, m + 1] = system[m + 1, m] = float(ds.u @ ds.y)
+    system[m + 1, m + 1] = float(ds.y @ ds.y) + 1.0
+    return factor, system
 
 
-def _nuisance_conditional(system: _Whitened):
-    """draw(theta, normals) -> eta | theta, data for normals of shape (m,)
-    or (draws, m).  z | theta ~ N(B^{-1} L'W'(y - theta u), B^{-1}) with
-    B^{-1} = C^{-T} C^{-1}, so both mean pieces and the noise map are
-    computed once."""
-    inv_chol = _inverse_lower(_cholesky(system.precision))
-    mean_y = inv_chol.T @ (inv_chol @ system.load_y)
-    mean_u = inv_chol.T @ (inv_chol @ system.load_u)
+def _nuisance_conditional(system: np.ndarray, m: int):
+    """draw(theta, normals) -> z | theta, data for normals of shape (m,)
+    or (draws, m).  z | theta ~ N(B^{-1} (L'W'y - theta L'W'u), B^{-1})
+    with B^{-1} = C^{-T} C^{-1}, C the factor of S's B block, so both mean
+    pieces and the noise map are computed once."""
+    inv_chol = _inverse_lower(_cholesky(system[:m, :m]))
+    mean_u, mean_y = (inv_chol.T @ (inv_chol @ system[:m, m:])).T
 
     def draw(theta: float, normals: np.ndarray) -> np.ndarray:
-        z = mean_y - theta * mean_u + normals @ inv_chol
-        return z @ system.factor.T
+        return mean_y - theta * mean_u + normals @ inv_chol
 
     return draw
 
@@ -239,17 +228,11 @@ def theta_posterior(
     """Exact marginal posterior of theta, without the joint.
 
     Same prior as :func:`conjugate_joint_posterior`.  The nuisance is
-    eliminated by one Cholesky factorisation of the bordered matrix
-
-        [[B,        L'W'u,          L'W'y  ],
-         [(L'W'u)', u'u + 1/tau^2,  u'y    ],
-         [(L'W'y)', u'y,            y'y + 1]]
-
-    with B = I + L'W'WL.  Its theta pivot s is the square root of the
-    Schur complement of B, so the precision is s^2; the theta entry r of
-    the y row is (u'y - g'h) / s with g, h the solves of B's factor
-    against L'W'u and L'W'y, so the mean is r / s.  The + 1 keeps the
-    last pivot >= 1 and changes no other entry.  NumericsError if the
+    eliminated by one Cholesky factorisation of the system S of
+    :func:`_system`.  Its theta pivot s is the square root of the Schur
+    complement of B, so the precision is s^2; the theta entry r of the y
+    row is (u'y - g'h) / s with g, h the solves of B's factor against
+    L'W'u and L'W'y, so the mean is r / s.  NumericsError if the
     precision is not positive (e.g. a flat theta prior with u = 0).
     """
     prior_precision = _prior_precision(theta_prior_var)
@@ -257,16 +240,8 @@ def theta_posterior(
         if math.isinf(theta_prior_var):
             raise ValueError("flat theta prior with no data is improper")
         return MarginalThetaPosterior(mean=0.0, variance=float(theta_prior_var))
-    system = _whiten(ds, spec)
     m = spec.grid_size
-    bordered = np.empty((m + 2, m + 2))
-    bordered[:m, :m] = system.precision
-    bordered[:m, m] = bordered[m, :m] = system.load_u
-    bordered[:m, m + 1] = bordered[m + 1, :m] = system.load_y
-    bordered[m, m] = system.uu + prior_precision
-    bordered[m, m + 1] = bordered[m + 1, m] = system.uy
-    bordered[m + 1, m + 1] = float(ds.y @ ds.y) + 1.0
-    chol = _cholesky(bordered)
+    chol = _cholesky(_system(ds, spec, prior_precision)[1])
     pivot = float(chol[m, m])
     return MarginalThetaPosterior(
         mean=float(chol[m + 1, m]) / pivot, variance=1.0 / pivot**2
@@ -281,10 +256,12 @@ def conjugate_joint_posterior(
     Prior: theta ~ N(0, theta_prior_var) independent of eta_grid ~
     N(0, scale^2 K).  `theta_prior_var = math.inf` selects the flat
     limit (zero prior precision on theta).  With no data the posterior
-    is the prior.  The (theta, z) precision [[u'u + 1/tau^2, (L'W'u)'],
-    [L'W'u, B]] is factorised, inverted as a triangle and mapped back by
-    block_diag(1, L); NumericsError if it is singular (e.g. a flat theta
-    prior with u = 0).
+    is the prior, with root block_diag(tau, L').  Otherwise it is read
+    off the factor of the system S of :func:`_system`: with D its leading
+    (z, theta) block and R = D^{-1}, the (z, theta) mean is R' times the
+    y row and the covariance is R'R, mapped to (theta, eta) through
+    eta = L z.  NumericsError if S is not positive definite (e.g. a flat
+    theta prior with u = 0).
     """
     prior_precision = _prior_precision(theta_prior_var)
     m = spec.grid_size
@@ -294,19 +271,20 @@ def conjugate_joint_posterior(
         cov = np.zeros((m + 1, m + 1))
         cov[0, 0] = theta_prior_var
         cov[1:, 1:] = prior_covariance(spec).matrix
-        return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov)
+        root = np.zeros((m + 1, m + 1))
+        root[0, 0] = math.sqrt(theta_prior_var)
+        root[1:, 1:] = prior_factor(spec).T
+        return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov, root=root)
 
-    system = _whiten(ds, spec)
-    precision = np.empty((m + 1, m + 1))
-    precision[0, 0] = system.uu + prior_precision
-    precision[0, 1:] = precision[1:, 0] = system.load_u
-    precision[1:, 1:] = system.precision
-    inv_chol = _inverse_lower(_cholesky(precision))
-    latent_mean = inv_chol.T @ (inv_chol @ np.concatenate([[system.uy], system.load_y]))
-    root = inv_chol.copy()  # C^{-1} block_diag(1, L')
-    root[:, 1:] = inv_chol[:, 1:] @ system.factor.T
-    mean = np.concatenate([latent_mean[:1], system.factor @ latent_mean[1:]])
-    return JointGaussianPosterior(mean=mean, covariance=root.T @ root)
+    factor, system = _system(ds, spec, prior_precision)
+    chol = _cholesky(system)
+    inv_chol = _inverse_lower(chol[: m + 1, : m + 1])
+    latent_mean = inv_chol.T @ chol[m + 1, : m + 1]  # (z, theta)
+    root = np.empty((m + 1, m + 1))  # R with its columns mapped to (theta, eta)
+    root[:, 0] = inv_chol[:, m]
+    root[:, 1:] = inv_chol[:, :m] @ factor.T
+    mean = np.concatenate([latent_mean[m:], factor @ latent_mean[:m]])
+    return JointGaussianPosterior(mean=mean, covariance=root.T @ root, root=root)
 
 
 def marginal_theta(jp: JointGaussianPosterior) -> MarginalThetaPosterior:
@@ -319,11 +297,10 @@ def marginal_theta(jp: JointGaussianPosterior) -> MarginalThetaPosterior:
 def sample_joint_posterior(
     jp: JointGaussianPosterior, size: int, seed: int
 ) -> np.ndarray:
-    """Exact draws from the joint posterior, shape (size, dim)."""
-    factor = cholesky_with_jitter(jp.covariance)
+    """Exact draws mean + z root from the joint posterior, shape (size, dim)."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((size, jp.mean.size))
-    return jp.mean[None, :] + z @ factor.T
+    return jp.mean[None, :] + z @ jp.root
 
 
 def gibbs_chain(
@@ -336,35 +313,37 @@ def gibbs_chain(
 ) -> GibbsChain:
     """Blocked Gibbs sampler alternating exact conditional draws.
 
-    theta | eta, data is univariate normal with mean (u'y - (W'u)'eta) /
-    precision, O(m) per step; eta | theta, data is multivariate normal
-    with a theta-independent precision, so its factor is computed once.
-    Deterministic in `seed`.
+    The chain runs in z = L^{-1} eta on the system S of :func:`_system`:
+    theta | z, data is univariate normal with mean (u'y - (L'W'u)'z) /
+    precision, O(m) per step; z | theta, data is multivariate normal with
+    the theta-independent precision B, so its factor is computed once.
+    The states map to eta with one matmul at the end.  Deterministic in
+    `seed`.
     """
     if not (iterations > burn_in >= 0):
         raise ValueError("need iterations > burn_in >= 0")
-    prior_precision = _prior_precision(theta_prior_var)
     m = spec.grid_size
-    system = _whiten(ds, spec)
-    draw_eta = _nuisance_conditional(system)
+    factor, system = _system(ds, spec, _prior_precision(theta_prior_var))
+    draw_z = _nuisance_conditional(system, m)
 
-    theta_precision = system.uu + prior_precision
+    theta_precision = float(system[m, m])
     if not theta_precision > 0.0:
         raise NumericsError("theta conditional has zero precision")
     theta_sd = 1.0 / math.sqrt(theta_precision)
+    load_u, uy = system[m, :m], float(system[m, m + 1])
 
     rng = np.random.default_rng(seed)
     thetas = np.empty(iterations)
-    etas = np.empty((iterations, m))
-    eta = np.zeros(m)
+    zs = np.empty((iterations, m))
+    z = np.zeros(m)
     for it in range(iterations):
-        theta_mean = (system.uy - system.wu @ eta) / theta_precision
+        theta_mean = (uy - load_u @ z) / theta_precision
         theta = theta_mean + theta_sd * rng.standard_normal()
-        eta = draw_eta(theta, rng.standard_normal(m))
+        z = draw_z(theta, rng.standard_normal(m))
         thetas[it] = theta
-        etas[it] = eta
+        zs[it] = z
     return GibbsChain(
-        thetas=thetas, etas=etas, iterations=iterations, burn_in=burn_in, seed=seed
+        thetas=thetas, etas=zs @ factor.T, iterations=iterations, burn_in=burn_in, seed=seed
     )
 
 
@@ -418,8 +397,9 @@ def conditional_nuisance_mass(
     rng = np.random.default_rng(seed)
     _, v_shared = law.sample_covariates(hellinger_draws, rng)
 
-    draw_eta = _nuisance_conditional(_whiten(ds, spec))
-    eta_draws = draw_eta(theta_fixed, rng.standard_normal((draws, spec.grid_size)))
+    factor, system = _system(ds, spec, 0.0)
+    draw_z = _nuisance_conditional(system, spec.grid_size)
+    eta_draws = draw_z(theta_fixed, rng.standard_normal((draws, spec.grid_size))) @ factor.T
 
     idx, t = interpolation_index(v_shared, spec.grid_size)
     eta_shared = (1.0 - t) * eta_draws[:, idx] + t * eta_draws[:, idx + 1]

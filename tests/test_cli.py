@@ -176,6 +176,31 @@ class TestSubcommands:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 7
 
+    @pytest.mark.parametrize(
+        "command", [["kernel"], ["sample", "--n", "20"], ["posterior", "--n", "40"]]
+    )
+    def test_stdout_bytes_equal_out_file(self, command, config_path, tmp_path, capsysbinary):
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert cli.main([*command, "--config", config_path]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, rows", [(["bvm-scan"], 6), (["coverage", "--replications", "2"], 4)]
+    )
+    def test_csv_format_on_stdout(self, command, rows, config_path, tmp_path, capsysbinary):
+        out = tmp_path / "r.csv"
+        argv = [*command, "--config", config_path, "--format", "csv"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert cli.main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert printed == out.read_bytes()
+        lines = printed.decode().splitlines()
+        assert len(lines) == 1 + rows
+        assert lines[0].split(",")[:2] in (["rep", "seed"], ["n", "rep"])
+
     def test_coverage_small(self, config_path, tmp_path):
         out = tmp_path / "cov.json"
         code = cli.main(

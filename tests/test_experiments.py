@@ -118,7 +118,7 @@ class TestBvmScan:
     def test_single_cell_reproduces_row(self):
         report = run_bvm_scan(SMALL)
         row = report.rows[5]
-        again = _bvm_cell((SMALL, row["n"], row["rep"]))
+        again = _bvm_cell((SMALL, make_components(SMALL), row["n"], row["rep"]))
         assert again == row
 
     def test_rows_record_seeds(self):

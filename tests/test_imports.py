@@ -1,5 +1,6 @@
-"""Start-up hygiene: the CLI loads no SciPy, and a serial run loads nothing
-heavy after start-up, where it would count against the run's wall time."""
+"""Start-up hygiene: the CLI loads no SciPy, a serial run loads nothing
+heavy after start-up, where it would count against the run's wall time,
+and no posterior path needs SciPy at all."""
 
 import json
 import os
@@ -48,3 +49,25 @@ def test_serial_runs_import_no_numpy_or_scipy_module(tmp_path):
     )
     added = json.loads(_run_python(code, str(config), str(tmp_path)))
     assert [m for m in added if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_every_posterior_path_runs_without_scipy():
+    code = (
+        "import json, math, sys\n"
+        "from semibvm.experiments import ExperimentConfig, make_components\n"
+        "from semibvm.gp_prior import GpPriorSpec\n"
+        "from semibvm.model import sample_dataset\n"
+        "from semibvm.posterior import (conditional_nuisance_mass, conditioned_theta_marginal,\n"
+        "    conjugate_joint_posterior, gibbs_chain, sample_joint_posterior)\n"
+        "law, truth, spec = make_components(ExperimentConfig(k=3, grid_size=15))\n"
+        "ds = sample_dataset(law, truth, 60, 1)\n"
+        "jp = conjugate_joint_posterior(ds, spec, 10.0)\n"
+        "sample_joint_posterior(jp, 5, 2)\n"
+        "gibbs_chain(ds, spec, math.inf, 20, 5, 3)\n"
+        "conditional_nuisance_mass(ds, spec, 1.0, truth, law, 0.1, 10, 4, hellinger_draws=50)\n"
+        "ball = GpPriorSpec(k=3, grid_size=15, scale=3.0, holder_alpha=0.5, holder_bound=1e3)\n"
+        "conditioned_theta_marginal(conjugate_joint_posterior(ds, ball, 10.0), ball, 20, 5)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = json.loads(_run_python(code))
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

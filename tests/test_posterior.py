@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -30,8 +31,10 @@ from semibvm.model import (
 import semibvm.posterior
 from semibvm.posterior import (
     MarginalThetaPosterior,
+    _inverse_lower,
     _normal_cdf,
     _sufficient_statistics,
+    _system,
     conditional_nuisance_mass,
     conditioned_theta_marginal,
     conjugate_joint_posterior,
@@ -200,6 +203,24 @@ class TestWhitenedEngine:
                 assert mp.variance == pytest.approx(var, rel=1e-12)
                 assert mp.mean == pytest.approx(mean, abs=1e-12 * math.sqrt(var))
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_joint_against_observation_space_solve(self, k):
+        # Gaussian conditioning on y = [u, W] x + e with x ~ N(0, P),
+        # P = block_diag(tau^2, K): an n x n solve that never inverts K
+        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=25))
+        ds = sample_dataset(law, truth, 60, cell_seed(5, 60, k))
+        prior = np.zeros((26, 26))
+        prior[0, 0] = 10.0
+        prior[1:, 1:] = prior_covariance(spec).matrix
+        design = np.column_stack([ds.u, interpolation_weights(ds.v, 25)])
+        gain = np.linalg.solve(design @ prior @ design.T + np.eye(ds.n), design @ prior).T
+        jp = conjugate_joint_posterior(ds, spec, 10.0)
+        scale = np.abs(prior).max()
+        np.testing.assert_allclose(jp.mean, gain @ ds.y, rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_allclose(
+            jp.covariance, prior - gain @ design @ prior, rtol=0.0, atol=1e-9 * scale
+        )
+
     def test_flat_prior_without_theta_information_raises(self):
         _, _, spec, ds = _setup(n=30)
         blind = Dataset(u=np.zeros(ds.n), v=ds.v, y=ds.y)
@@ -281,10 +302,39 @@ class TestSufficientStatisticEngine:
             for tau2 in (10.0, math.inf):
                 if n == 0 and math.isinf(tau2):
                     continue
-                joint = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
+                jp = conjugate_joint_posterior(ds, spec, tau2)
+                joint = marginal_theta(jp)
                 mp = theta_posterior(ds, spec, tau2)
                 assert mp.variance == pytest.approx(joint.variance, rel=1e-10)
                 assert abs(mp.mean - joint.mean) <= 1e-10 * mp.sd
+                if n == 0:  # the prior's root: block_diag(tau, L')
+                    root = np.zeros((grid_size + 1, grid_size + 1))
+                    root[0, 0] = math.sqrt(tau2)
+                    root[1:, 1:] = prior_factor(spec).T
+                    np.testing.assert_array_equal(jp.root, root)
+                else:
+                    scale = np.abs(jp.covariance).max()
+                    gap = np.abs(jp.root.T @ jp.root - jp.covariance).max()
+                    assert gap <= 1e-12 * scale
+                # draws are mean + z root exactly, the k = 3 prior included
+                z = np.random.default_rng(n + k).standard_normal((4, grid_size + 1))
+                np.testing.assert_array_equal(
+                    sample_joint_posterior(jp, 4, seed=n + k), jp.mean + z @ jp.root
+                )
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [50, 200])
+    def test_inverse_lower_against_triangular_solve(self, k, grid_size):
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = make_components(cfg)
+        identity = np.eye(grid_size)
+        for n in (200, 20_000):
+            ds = sample_dataset(law, truth, n, cell_seed(4, n, k))
+            chol = np.linalg.cholesky(_system(ds, spec, 0.1)[1][:grid_size, :grid_size])
+            reference = solve_triangular(chol, identity, lower=True)
+            inverse = _inverse_lower(chol)
+            np.testing.assert_array_equal(inverse, np.tril(inverse))
+            assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_no_data_is_the_theta_prior(self):
         _, _, spec, _ = _setup()

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp_prior import GpPriorSpec
-from .model import CovariateLaw, Dataset, ModelPoint, NuisanceFunction, log_density_ratio
+from .model import (
+    CovariateLaw,
+    Dataset,
+    DatasetStack,
+    ModelPoint,
+    NuisanceFunction,
+    log_density_ratio,
+)
 from .posterior import MarginalThetaPosterior, _normal_cdf, theta_posterior
 
 __all__ = [
@@ -83,19 +90,22 @@ class LanCoefficients:
             raise ValueError("quadratic coefficient must be <= 0")
 
 
-def delta_n(ds: Dataset, law: CovariateLaw, truth: ModelPoint) -> float:
+def delta_n(
+    ds: Dataset | DatasetStack, law: CovariateLaw, truth: ModelPoint
+) -> float | np.ndarray:
     """Score-based centering: I^{-1} n^{-1/2} sum e_i (u_i - m(v_i)).
 
     Uses the stored true residuals, so the dataset must carry simulation
-    provenance.
+    provenance.  For a DatasetStack, one value per row.
     """
     if ds.n < 1:
         raise ValueError("need n >= 1")
     if ds.e is None:
         raise ValueError("dataset lacks stored residuals")
     info = law.efficient_info
-    score_sum = float(np.sum(ds.e * (ds.u - law.cond_mean(ds.v))))
-    return score_sum / (info * math.sqrt(ds.n))
+    score_sum = np.sum(ds.e * (ds.u - law.cond_mean(ds.v)), axis=-1)
+    delta = score_sum / (info * math.sqrt(ds.n))
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def _crossings(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:

@@ -2,10 +2,12 @@
 
 Subcommands: kernel, sample, posterior, bvm-scan, coverage, baseline,
 diagnostics.  Common flags: --config (key = value text file mirroring the
-experiment config), --seed, --out, --format, --jobs.
+experiment config), --seed, --out, --format, and the deprecated --jobs,
+which is checked (>= 1) and otherwise ignored: replications run as
+stacked batches in one process.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (the offending
-cell is printed to standard error).
+Exit codes: 0 success, 2 config error (including --jobs < 1), 3 numeric
+failure (the offending cell is printed to standard error).
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", help="output path")
     parser.add_argument("--format", choices=("csv", "json"), help="report format")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="deprecated and ignored (must be >= 1)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +162,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"config error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.jobs > 1:
+        print(
+            "warning: --jobs is deprecated and ignored; replications run as "
+            "stacked batches in one process",
+            file=sys.stderr,
+        )
 
     n_default = cfg.n_ladder[0]
     master = cfg.master_seed
@@ -174,11 +184,11 @@ def main(argv: list[str] | None = None) -> int:
             n = args.n if args.n is not None else n_default
             _emit(run_posterior_snapshot(cfg, n, cell_seed(master, n, 0)), cfg.output_path)
         elif args.command == "bvm-scan":
-            report = run_bvm_scan(cfg, jobs=args.jobs)
+            report = run_bvm_scan(cfg)
             if not cfg.output_path:
                 report.write(sys.stdout, cfg.format)
         elif args.command == "coverage":
-            report = run_coverage(cfg, args.replications, jobs=args.jobs)
+            report = run_coverage(cfg, args.replications)
             if not cfg.output_path:
                 report.write(sys.stdout, cfg.format)
         elif args.command == "baseline":

@@ -2,8 +2,17 @@
 
 Reports are figure-ready data, not figures.  Every replication cell
 (n, rep) derives its own 64-bit seed from the master seed through a
-documented splitmix64 fold (see :func:`cell_seed`), so any single cell
-can be recomputed in isolation and reports are bit-reproducible.
+documented splitmix64 fold (see :func:`cell_seed`) and draws its dataset
+from its own generator, so any single cell can be recomputed in
+isolation and reports are bit-reproducible.
+
+Scans and coverage studies solve the replications of one n in batches,
+in one process: the batch's datasets are stacked as rows, their
+sufficient statistics gathered by offset bincounts and their posterior
+systems factorised by one stacked Cholesky call (see
+:func:`semibvm.posterior.theta_posteriors`).  A row does not depend on
+which other cells share its batch, and a batch's size is bounded by a
+fixed working-set budget, so the reports are the same for any batching.
 """
 
 from __future__ import annotations
@@ -37,8 +46,17 @@ from .model import (
     empirical_information,
     make_covariate_law,
     sample_dataset,
+    sample_datasets,
 )
-from .posterior import GibbsChain, credible_interval, theta_posterior
+from .posterior import (
+    GibbsChain,
+    MarginalThetaPosterior,
+    StackNumericsError,
+    credible_bounds,
+    credible_interval,
+    theta_posterior,
+    theta_posteriors,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -201,29 +219,57 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 
 
 _Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
+_Batch = tuple[ExperimentConfig, _Components, int, range]
+
+# Working-set budget of one batch, in doubles: a batch at sample size n
+# on an m-point grid holds n data points and one (m+2)^2 system per
+# replication, so it takes max(1, budget // (n + (m+2)^2)) replications:
+# 4-5 on the default config, enough to spread the per-call overhead.  One
+# batch per n instead (100 default replications) raised the peak RSS of a
+# coverage run by 8 MiB.
+_BATCH_BUDGET = 2**14
 
 
-def _bvm_cell(args: tuple[ExperimentConfig, _Components, int, int]) -> dict:
-    cfg, (law, truth, spec), n, rep = args
-    seed = cell_seed(cfg.master_seed, n, rep)
+def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
+    """The (cfg, components, n, reps) batches that cover every cell, in
+    (n, rep) order."""
+    for n in cfg.n_ladder:
+        size = max(1, _BATCH_BUDGET // (n + (cfg.grid_size + 2) ** 2))
+        for start in range(0, replications, size):
+            yield cfg, components, n, range(start, min(start + size, replications))
+
+
+def _solve_batch(batch: _Batch):
+    """Seeds, datasets and theta marginals of one batch's cells.  A
+    failing cell is named by its n, rep and seed."""
+    cfg, (law, truth, spec), n, reps = batch
+    seeds = [cell_seed(cfg.master_seed, n, rep) for rep in reps]
+    data = sample_datasets(law, truth, n, seeds)
     try:
-        ds = sample_dataset(law, truth, n, seed)
-        mp = theta_posterior(ds, spec, cfg.theta_prior_var)
-        diag = bvm_gap(mp, delta_n(ds, law, truth), law.efficient_info, n, cfg.theta0)
-    except NumericsError as exc:
+        means, variances = theta_posteriors(data.u, data.v, data.y, spec, cfg.theta_prior_var)
+    except StackNumericsError as exc:
+        rep, seed = reps[exc.index], seeds[exc.index]
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
-    return {"rep": rep, "seed": seed, **asdict(diag)}
+    return seeds, data, means, variances
 
 
-def _run_cells(worker, cells, jobs: int) -> list[dict]:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+def _bvm_cell(batch: _Batch) -> list[dict]:
+    """Gap rows of one batch of cells; a row is the same whatever else
+    is in its batch."""
+    cfg, (law, truth, _), n, reps = batch
+    seeds, data, means, variances = _solve_batch(batch)
+    deltas = delta_n(data, law, truth)
+    rows = []
+    for rep, seed, mean, variance, delta in zip(reps, seeds, means, variances, deltas):
+        mp = MarginalThetaPosterior(mean=float(mean), variance=float(variance))
+        diag = bvm_gap(mp, float(delta), law.efficient_info, n, cfg.theta0)
+        rows.append({"rep": rep, "seed": seed, **asdict(diag)})
+    return rows
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(cell) for cell in cells]
+
+def _run_cells(worker, batches) -> list[dict]:
+    """Every batch's rows, in order, in this process."""
+    return [row for batch in batches for row in worker(batch)]
 
 
 def _iqr(values: list[float]) -> float:
@@ -234,11 +280,9 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def run_bvm_scan(cfg: ExperimentConfig, jobs: int = 1) -> RunReport:
+def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
     """Convergence scan: per-cell gap diagnostics plus per-n medians."""
-    components = make_components(cfg)
-    cells = [(cfg, components, n, rep) for n in cfg.n_ladder for rep in range(cfg.seeds)]
-    rows = _run_cells(_bvm_cell, cells, jobs)
+    rows = _run_cells(_bvm_cell, _batches(cfg, make_components(cfg), cfg.seeds))
     aggregates = []
     for n in cfg.n_ladder:
         gaps = [r["tv_gap"] for r in rows if r["n"] == n]
@@ -258,32 +302,23 @@ def run_bvm_scan(cfg: ExperimentConfig, jobs: int = 1) -> RunReport:
     return report
 
 
-def _coverage_cell(args: tuple[ExperimentConfig, _Components, int, int]) -> dict:
-    cfg, (law, truth, spec), n, rep = args
-    seed = cell_seed(cfg.master_seed, n, rep)
-    try:
-        ds = sample_dataset(law, truth, n, seed)
-        mp = theta_posterior(ds, spec, cfg.theta_prior_var)
-        lo, hi = credible_interval(mp, cfg.level)
-    except NumericsError as exc:
-        raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
-    return {
-        "n": n,
-        "rep": rep,
-        "seed": seed,
-        "lo": lo,
-        "hi": hi,
-        "covered": bool(lo <= cfg.theta0 <= hi),
-    }
+def _coverage_cell(batch: _Batch) -> list[dict]:
+    """Credible-interval rows of one batch of cells."""
+    cfg, _, n, reps = batch
+    seeds, _, means, variances = _solve_batch(batch)
+    lo, hi = credible_bounds(means, np.sqrt(variances), cfg.level)
+    covered = (lo <= cfg.theta0) & (cfg.theta0 <= hi)
+    return [
+        {"n": n, "rep": rep, "seed": seed, "lo": a, "hi": b, "covered": c}
+        for rep, seed, a, b, c in zip(reps, seeds, lo.tolist(), hi.tolist(), covered.tolist())
+    ]
 
 
-def run_coverage(cfg: ExperimentConfig, replications: int, jobs: int = 1) -> RunReport:
+def run_coverage(cfg: ExperimentConfig, replications: int) -> RunReport:
     """Frequentist coverage of the level-credible interval, per ladder n."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    components = make_components(cfg)
-    cells = [(cfg, components, n, rep) for n in cfg.n_ladder for rep in range(replications)]
-    rows = _run_cells(_coverage_cell, cells, jobs)
+    rows = _run_cells(_coverage_cell, _batches(cfg, make_components(cfg), replications))
     aggregates = []
     for n in cfg.n_ladder:
         hits = np.array([r["covered"] for r in rows if r["n"] == n], dtype=float)

@@ -112,7 +112,11 @@ class GpPriorSpec:
 
 @dataclass(frozen=True)
 class PriorCovariance:
-    """Symmetric positive-semidefinite covariance matrix on the grid."""
+    """Symmetric covariance matrix on the grid.
+
+    Positive semidefiniteness is checked where the matrix is factorised,
+    once per spec, by :func:`prior_factor`.
+    """
 
     matrix: np.ndarray
 
@@ -122,9 +126,6 @@ class PriorCovariance:
             raise ValueError("covariance must be a square matrix")
         if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
             raise ValueError("covariance must be symmetric to 1e-12")
-        eigmin = float(np.linalg.eigvalsh(matrix).min())
-        if eigmin < -1e-10 * np.trace(matrix):
-            raise ValueError(f"covariance is not PSD (min eigenvalue {eigmin:g})")
         matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -192,8 +193,20 @@ def prior_covariance(spec: GpPriorSpec) -> PriorCovariance:
 @functools.lru_cache(maxsize=8)
 def prior_factor(spec: GpPriorSpec) -> np.ndarray:
     """Read-only lower Cholesky factor L, K = L L': the one place the prior
-    is factorised, cached per spec so every caller shares one array."""
-    factor = cholesky_with_jitter(prior_covariance(spec).matrix)
+    is factorised, cached per spec so every caller shares one array.
+
+    A plain Cholesky that succeeds proves K positive definite.  Only a K
+    that needs jitter has its smallest eigenvalue checked: ValueError if
+    K is not PSD to -1e-10 * trace, else :func:`cholesky_with_jitter`.
+    """
+    matrix = prior_covariance(spec).matrix
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        eigmin = float(np.linalg.eigvalsh(matrix).min())
+        if eigmin < -1e-10 * np.trace(matrix):
+            raise ValueError(f"covariance is not PSD (min eigenvalue {eigmin:g})") from None
+        factor = cholesky_with_jitter(matrix)
     factor.flags.writeable = False
     return factor
 

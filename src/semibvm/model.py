@@ -18,6 +18,7 @@ is e * (U - m(V)) and the efficient information is sigma_w^2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,10 @@ __all__ = [
     "NuisanceFunction",
     "ModelPoint",
     "Dataset",
+    "DatasetStack",
     "make_covariate_law",
     "sample_dataset",
+    "sample_datasets",
     "log_density_ratio",
     "efficient_score",
     "efficient_information",
@@ -217,21 +220,48 @@ class Dataset:
         return self.u.size
 
 
-def sample_dataset(
-    law: CovariateLaw, truth: ModelPoint, n: int, seed: int
-) -> Dataset:
-    """Simulate n i.i.d. triplets from the model at `truth`.
+@dataclass(frozen=True)
+class DatasetStack:
+    """Simulated datasets of one size n, as the rows of (r, n) arrays."""
 
-    Fully determined by `seed` (draw order: v, z, e).  The realised noise
-    is stored on the dataset for score-based diagnostics.
+    u: np.ndarray
+    v: np.ndarray
+    y: np.ndarray
+    e: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.u.shape[1]
+
+    def __getitem__(self, row: int) -> Dataset:
+        return Dataset(u=self.u[row], v=self.v[row], y=self.y[row], e=self.e[row])
+
+
+def sample_datasets(
+    law: CovariateLaw, truth: ModelPoint, n: int, seeds: Sequence[int]
+) -> DatasetStack:
+    """Simulate one dataset of n i.i.d. triplets per seed, stacked as rows.
+
+    Row i is fully determined by seeds[i] (draw order: v, z, e), whatever
+    the other seeds are.  The realised noise is kept for score-based
+    diagnostics.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = np.random.default_rng(seed)
-    u, v = law.sample_covariates(n, rng)
-    e = rng.standard_normal(n)
-    y = truth.theta * u + truth.eta(v) + e
-    return Dataset(u=u, v=v, y=y, e=e)
+    u, v, e = (np.empty((len(seeds), n)) for _ in range(3))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        u[row], v[row] = law.sample_covariates(n, rng)
+        e[row] = rng.standard_normal(n)
+    return DatasetStack(u=u, v=v, y=truth.theta * u + truth.eta(v) + e, e=e)
+
+
+def sample_dataset(
+    law: CovariateLaw, truth: ModelPoint, n: int, seed: int
+) -> Dataset:
+    """Simulate n i.i.d. triplets from the model at `truth`: row 0 of
+    :func:`sample_datasets` for the one seed."""
+    return sample_datasets(law, truth, n, [seed])[0]
 
 
 def log_density_ratio(x, p: ModelPoint, p_ref: ModelPoint):

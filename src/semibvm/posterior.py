@@ -13,16 +13,17 @@ eta_grid provides the Monte Carlo cross-check for the closed form.
 
 Every posterior is a view of one linear system.  In whitened coordinates
 eta_grid = L z, K = L L' the cached prior factor, it is the (m+2)x(m+2)
-matrix S ordered (z, theta, y) that :func:`_system` assembles; its z
+matrix S ordered (z, theta, y) that :func:`_systems` assembles; its z
 block B = I + L'W'WL has every eigenvalue >= 1 and is factorised without
 jitter, and K is never inverted.  The data enter only through sufficient
 statistics gathered in O(n) from the two interpolation indices of each
 point: u'u, u'y, W'u, W'y and the tridiagonal W'W.  No n x m design is
-formed.  :func:`theta_posterior` reads the theta marginal off the pivots
-of chol(S), the joint reads its mean and covariance root off the same
-factor, and the Gibbs sampler and the conditional nuisance draws
-factorise S's B block once per call.  The package needs numpy and the
-standard library only.
+formed.  :func:`theta_posteriors` reads the theta marginals of many
+equal-size datasets off the pivots of one stacked chol(S), and
+:func:`theta_posterior` is its stack of one; the joint reads its mean
+and covariance root off the same factor, and the Gibbs sampler and the
+conditional nuisance draws factorise S's B block once per call.  The
+package needs numpy and the standard library only.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here; :func:`conditioned_theta_marginal` gives a
@@ -45,11 +46,13 @@ __all__ = [
     "MarginalThetaPosterior",
     "GibbsChain",
     "theta_posterior",
+    "theta_posteriors",
     "conjugate_joint_posterior",
     "marginal_theta",
     "sample_joint_posterior",
     "gibbs_chain",
     "credible_interval",
+    "credible_bounds",
     "posterior_mass_h_ball",
     "conditional_nuisance_mass",
     "conditioned_theta_marginal",
@@ -132,14 +135,43 @@ class GibbsChain:
         return self.etas[self.burn_in :]
 
 
+class StackNumericsError(NumericsError):
+    """A NumericsError raised for one system of a stack; `index` is its
+    position in the stack."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 def _cholesky(precision: np.ndarray) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(precision).all():
+            raise NumericsError("whitened posterior precision is not finite") from exc
         raise NumericsError("whitened posterior precision is not positive definite") from exc
     if not np.isfinite(chol).all():  # np.linalg.cholesky lets NaN through
         raise NumericsError("whitened posterior precision is not finite")
     return chol
+
+
+def _cholesky_stack(systems: np.ndarray) -> np.ndarray:
+    """Factors of a stack of systems in one np.linalg.cholesky call.  If
+    any fails, each is factorised alone to name the first that does, as
+    StackNumericsError."""
+    try:
+        chol = np.linalg.cholesky(systems)
+        if np.isfinite(chol).all():
+            return chol
+    except np.linalg.LinAlgError:
+        pass
+    for index, system in enumerate(systems):
+        try:
+            _cholesky(system)
+        except NumericsError as exc:
+            raise StackNumericsError(index, str(exc)) from exc
+    raise NumericsError("stacked Cholesky failed on no single system")
 
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
@@ -159,27 +191,45 @@ def _prior_precision(theta_prior_var: float) -> float:
     return 0.0 if math.isinf(theta_prior_var) else 1.0 / theta_prior_var
 
 
-def _sufficient_statistics(ds: Dataset, grid_size: int):
-    """(diag, off, W'u, W'y): W'W is tridiagonal with diagonal `diag` and
-    off-diagonal `off`.  Each point loads two neighbouring grid nodes, so
-    every statistic is a bincount over the two indices: O(n), no n x m
-    array."""
-    idx, t = interpolation_index(ds.v, grid_size)
+def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
+    """(diag, off, W'u, W'y, u'u, u'y, y'y) of the datasets in the rows of
+    u, v, y (shape (r, n)), one row each: W'W is tridiagonal with diagonal
+    `diag` and off-diagonal `off`.  Each point loads two neighbouring grid
+    nodes, so the W statistics of every row come from one bincount per
+    weight, node j of row i in bin i*m + j: O(r n), no n x m array.  Each
+    bin sums its row's points in order, and the dot products run row by
+    row, so a row's statistics do not depend on the other rows."""
+    rows, m = u.shape[0], grid_size
+    idx, t = interpolation_index(v, m)
     s = 1.0 - t
+    left = (idx + m * np.arange(rows)[:, None]).ravel()
+    right = left + 1
 
-    def scatter(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return np.bincount(idx, left, minlength=grid_size) + np.bincount(
-            idx + 1, right, minlength=grid_size
-        )
+    def gather(bins: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return np.bincount(bins, weights.ravel(), minlength=rows * m).reshape(rows, m)
 
-    off = np.bincount(idx, s * t, minlength=grid_size - 1)
-    return scatter(s * s, t * t), off, scatter(s * ds.u, t * ds.u), scatter(s * ds.y, t * ds.y)
+    def scatter(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return gather(left, a) + gather(right, b)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    return (
+        scatter(s * s, t * t),
+        gather(left, s * t)[:, :-1],
+        scatter(s * u, t * u),
+        scatter(s * y, t * y),
+        dot(u, u),
+        dot(u, y),
+        dot(y, y),
+    )
 
 
-def _system(
-    ds: Dataset, spec: GpPriorSpec, prior_precision: float
+def _systems(
+    u: np.ndarray, v: np.ndarray, y: np.ndarray, spec: GpPriorSpec, prior_precision: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(L, S): the prior factor and the one posterior system, ordered (z, theta, y),
+    """(L, S): the prior factor and one posterior system per dataset in
+    the rows of u, v, y, stacked (r, m+2, m+2) and ordered (z, theta, y),
 
         S = [[B,        L'W'u,                 L'W'y  ],
              [(L'W'u)', u'u + prior_precision, u'y    ],
@@ -188,24 +238,34 @@ def _system(
     with B = I + L'W'WL the precision of z = L^{-1} eta given theta.  In
     chol(S) the leading (m+1) block D factorises the (z, theta) precision
     and the y row is D^{-1} times its right-hand side (L'W'y, u'y); the
-    + 1 keeps the last pivot >= 1 and changes no other entry.
+    + 1 keeps the last pivot >= 1 and changes no other entry.  Every
+    product is taken system by system, so each system is the same
+    whatever else is in the stack.
     """
     factor = prior_factor(spec)
     m = spec.grid_size
-    diag, off, wu, wy = _sufficient_statistics(ds, m)
-    loaded = diag[:, None] * factor  # (W'W) L from the three diagonals of W'W
-    loaded[:-1] += off[:, None] * factor[1:]
-    loaded[1:] += off[:, None] * factor[:-1]
-    precision = factor.T @ loaded
-    precision.flat[:: m + 1] += 1.0
-    system = np.empty((m + 2, m + 2))
-    system[:m, :m] = precision
-    system[:m, m] = system[m, :m] = factor.T @ wu
-    system[:m, m + 1] = system[m + 1, :m] = factor.T @ wy
-    system[m, m] = float(ds.u @ ds.u) + prior_precision
-    system[m, m + 1] = system[m + 1, m] = float(ds.u @ ds.y)
-    system[m + 1, m + 1] = float(ds.y @ ds.y) + 1.0
-    return factor, system
+    diag, off, wu, wy, uu, uy, yy = _statistics(u, v, y, m)
+    loaded = diag[:, :, None] * factor  # (W'W) L from the three diagonals of W'W
+    loaded[:, :-1] += off[:, :, None] * factor[1:]
+    loaded[:, 1:] += off[:, :, None] * factor[:-1]
+    systems = np.empty((u.shape[0], m + 2, m + 2))
+    systems[:, :m, :m] = factor.T @ loaded
+    nodes = np.arange(m)
+    systems[:, nodes, nodes] += 1.0
+    for col, w in ((m, wu), (m + 1, wy)):
+        systems[:, :m, col] = systems[:, col, :m] = (factor.T @ w[:, :, None])[:, :, 0]
+    systems[:, m, m] = uu + prior_precision
+    systems[:, m, m + 1] = systems[:, m + 1, m] = uy
+    systems[:, m + 1, m + 1] = yy + 1.0
+    return factor, systems
+
+
+def _system(
+    ds: Dataset, spec: GpPriorSpec, prior_precision: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, S) for one dataset: :func:`_systems` on a stack of one."""
+    factor, systems = _systems(ds.u[None], ds.v[None], ds.y[None], spec, prior_precision)
+    return factor, systems[0]
 
 
 def _nuisance_conditional(system: np.ndarray, m: int):
@@ -229,23 +289,44 @@ def theta_posterior(
 
     Same prior as :func:`conjugate_joint_posterior`.  The nuisance is
     eliminated by one Cholesky factorisation of the system S of
-    :func:`_system`.  Its theta pivot s is the square root of the Schur
+    :func:`_systems`.  Its theta pivot s is the square root of the Schur
     complement of B, so the precision is s^2; the theta entry r of the y
     row is (u'y - g'h) / s with g, h the solves of B's factor against
     L'W'u and L'W'y, so the mean is r / s.  NumericsError if the
     precision is not positive (e.g. a flat theta prior with u = 0).
     """
-    prior_precision = _prior_precision(theta_prior_var)
+    _prior_precision(theta_prior_var)  # rejects a nonpositive variance
     if ds.n == 0:
         if math.isinf(theta_prior_var):
             raise ValueError("flat theta prior with no data is improper")
         return MarginalThetaPosterior(mean=0.0, variance=float(theta_prior_var))
-    m = spec.grid_size
-    chol = _cholesky(_system(ds, spec, prior_precision)[1])
-    pivot = float(chol[m, m])
-    return MarginalThetaPosterior(
-        mean=float(chol[m + 1, m]) / pivot, variance=1.0 / pivot**2
+    (mean,), (variance,) = theta_posteriors(
+        ds.u[None], ds.v[None], ds.y[None], spec, theta_prior_var
     )
+    return MarginalThetaPosterior(mean=float(mean), variance=float(variance))
+
+
+def theta_posteriors(
+    u: np.ndarray, v: np.ndarray, y: np.ndarray, spec: GpPriorSpec, theta_prior_var: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theta marginal means and variances of the datasets in the rows of
+    u, v, y (shape (r, n), n >= 1): the systems of every row are stacked
+    and factorised by one np.linalg.cholesky call.  Row i's result does not
+    depend on the other rows.  StackNumericsError names the first row
+    whose system or theta precision fails.
+    """
+    m = spec.grid_size
+    _, systems = _systems(u, v, y, spec, _prior_precision(theta_prior_var))
+    chol = _cholesky_stack(systems)
+    pivot = chol[:, m, m]
+    with np.errstate(over="ignore", divide="ignore"):  # checked just below
+        variance = 1.0 / pivot**2
+    bad = np.flatnonzero(~(np.isfinite(variance) & (variance > 0.0)))
+    if bad.size:
+        raise StackNumericsError(
+            int(bad[0]), "theta posterior precision is not finite and positive"
+        )
+    return chol[:, m + 1, m] / pivot, variance
 
 
 def conjugate_joint_posterior(
@@ -257,7 +338,7 @@ def conjugate_joint_posterior(
     N(0, scale^2 K).  `theta_prior_var = math.inf` selects the flat
     limit (zero prior precision on theta).  With no data the posterior
     is the prior, with root block_diag(tau, L').  Otherwise it is read
-    off the factor of the system S of :func:`_system`: with D its leading
+    off the factor of the system S of :func:`_systems`: with D its leading
     (z, theta) block and R = D^{-1}, the (z, theta) mean is R' times the
     y row and the covariance is R'R, mapped to (theta, eta) through
     eta = L z.  NumericsError if S is not positive definite (e.g. a flat
@@ -313,7 +394,7 @@ def gibbs_chain(
 ) -> GibbsChain:
     """Blocked Gibbs sampler alternating exact conditional draws.
 
-    The chain runs in z = L^{-1} eta on the system S of :func:`_system`:
+    The chain runs in z = L^{-1} eta on the system S of :func:`_systems`:
     theta | z, data is univariate normal with mean (u'y - (L'W'u)'z) /
     precision, O(m) per step; z | theta, data is multivariate normal with
     the theta-independent precision B, so its factor is computed once.
@@ -349,10 +430,16 @@ def gibbs_chain(
 
 def credible_interval(mp: MarginalThetaPosterior, level: float) -> tuple[float, float]:
     """Equal-tailed interval mean +- z_{(1+level)/2} * sd."""
+    return credible_bounds(mp.mean, mp.sd, level)
+
+
+def credible_bounds(mean, sd, level: float):
+    """(mean - z sd, mean + z sd) with z = z_{(1+level)/2}, for floats or
+    arrays of means and standard deviations."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    return (mp.mean - z * mp.sd, mp.mean + z * mp.sd)
+    return (mean - z * sd, mean + z * sd)
 
 
 def posterior_mass_h_ball(

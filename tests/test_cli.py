@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import semibvm.posterior
 from semibvm import cli
-from semibvm.experiments import ExperimentConfig, make_components
+from semibvm.experiments import ExperimentConfig, cell_seed, make_components
 from semibvm.gp_prior import NumericsError, prior_covariance
 
 
@@ -97,13 +98,55 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):
-        def boom(cfg, jobs):
+        def boom(cfg):
             raise NumericsError("cell n=50 rep=0 seed=123: Cholesky failed")
 
         monkeypatch.setattr(cli, "run_bvm_scan", boom)
         assert cli.main(["bvm-scan"]) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numeric failure" in err and "n=50" in err
+
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            ({1: "indefinite"}, (1, "not positive definite")),
+            ({2: "nan"}, (2, "not finite")),
+            ({2: "indefinite", 1: "nan"}, (1, "not finite")),
+            ({0: "small theta pivot"}, (0, "theta posterior precision")),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["bvm-scan"], ["coverage", "--replications", "3"]])
+    def test_failing_replication_in_a_batch_is_named(
+        self, command, corrupt, expected, config_path, tmp_path, monkeypatch, capsys
+    ):
+        # the three replications at n = 60 share one stacked factorisation;
+        # the first broken system is reported by its own cell
+        original = semibvm.posterior._systems
+
+        def corrupted(u, v, y, spec, prior_precision):
+            factor, systems = original(u, v, y, spec, prior_precision)
+            if u.shape[1] == 60:
+                m = spec.grid_size
+                for row, kind in corrupt.items():
+                    if kind == "indefinite":
+                        systems[row, m, m] = -1.0
+                    elif kind == "nan":
+                        systems[row, 0, 0] = np.nan
+                    else:  # a positive theta pivot whose square underflows to 0
+                        systems[row, m, :m] = 0.0
+                        systems[row, m, m] = 5e-324
+                        systems[row, m + 1, m] = 0.0
+            return factor, systems
+
+        monkeypatch.setattr(semibvm.posterior, "_systems", corrupted)
+        out = tmp_path / "r.json"
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == cli.EXIT_NUMERIC
+        rep, message = expected
+        err = capsys.readouterr().err
+        assert f"cell n=60 rep={rep} seed={cell_seed(7, 60, rep)}: " in err
+        assert message in err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_success_exit_0(self, config_path, tmp_path):
         out = tmp_path / "r.json"
@@ -236,16 +279,13 @@ class TestSubcommands:
         for key in ("kl_neighborhood", "domination", "lan_remainder", "hellinger_bound"):
             assert key in payload
 
-    def test_jobs_flag_parallel_scan(self, config_path, tmp_path):
-        out = tmp_path / "p.json"
-        code = cli.main(
-            ["bvm-scan", "--config", config_path, "--jobs", "2", "--out", str(out)]
-        )
-        assert code == 0
-        serial = tmp_path / "s.json"
-        cli.main(["bvm-scan", "--config", config_path, "--out", str(serial)])
-        a = json.loads(out.read_text())
-        b = json.loads(serial.read_text())
-        # config echo differs in output_path; the science must not
-        assert a["rows"] == b["rows"]
-        assert a["aggregates"] == b["aggregates"]
+    @pytest.mark.parametrize("command", [["bvm-scan"], ["coverage", "--replications", "3"]])
+    def test_jobs_flag_is_ignored_with_one_warning(self, command, config_path, capsysbinary):
+        assert cli.main([*command, "--config", config_path]) == 0
+        plain = capsysbinary.readouterr()
+        assert cli.main([*command, "--config", config_path, "--jobs", "2"]) == 0
+        flagged = capsysbinary.readouterr()
+        assert flagged.out == plain.out
+        assert plain.err == b""
+        lines = flagged.err.decode().splitlines()
+        assert len(lines) == 1 and "--jobs" in lines[0] and "ignored" in lines[0]

@@ -1,15 +1,22 @@
 """Harness tests: seed derivation, reports, scans, coverage, baseline."""
 
+import inspect
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semibvm import experiments
+from semibvm.asymptotics import bvm_gap, delta_n
 from semibvm.experiments import (
     ExperimentConfig,
     RunReport,
     _bvm_cell,
+    _coverage_cell,
     cell_seed,
     chain_to_csv,
     covariance_to_csv,
@@ -24,7 +31,7 @@ from semibvm.experiments import (
 )
 from semibvm.gp_prior import prior_covariance
 from semibvm.model import sample_dataset
-from semibvm.posterior import gibbs_chain
+from semibvm.posterior import credible_interval, gibbs_chain, theta_posterior
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
 
@@ -118,18 +125,22 @@ class TestBvmScan:
     def test_single_cell_reproduces_row(self):
         report = run_bvm_scan(SMALL)
         row = report.rows[5]
-        again = _bvm_cell((SMALL, make_components(SMALL), row["n"], row["rep"]))
-        assert again == row
+        reps = range(row["rep"], row["rep"] + 1)
+        again = _bvm_cell((SMALL, make_components(SMALL), row["n"], reps))
+        assert again == [row]
 
     def test_rows_record_seeds(self):
         report = run_bvm_scan(SMALL)
         for row in report.rows:
             assert row["seed"] == cell_seed(SMALL.master_seed, row["n"], row["rep"])
 
-    def test_parallel_matches_serial(self):
-        serial = run_bvm_scan(SMALL)
-        parallel = run_bvm_scan(SMALL, jobs=2)
-        assert serial.to_json_text() == parallel.to_json_text()
+    @pytest.mark.parametrize("budget", [1, 700, 10**6])
+    def test_report_does_not_depend_on_batch_size(self, budget, monkeypatch):
+        # budget 1: one replication per batch; 10**6: one batch per n
+        scan, coverage = run_bvm_scan(SMALL), run_coverage(SMALL, 5)
+        monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
+        assert run_bvm_scan(SMALL).to_json_text() == scan.to_json_text()
+        assert run_coverage(SMALL, 5).to_json_text() == coverage.to_json_text()
 
     @pytest.mark.parametrize("seeds", [1, 2, 5, 6])
     def test_aggregates_match_numpy_linear_percentiles(self, seeds):
@@ -142,17 +153,84 @@ class TestBvmScan:
             assert agg[f"median_{key}"] == pytest.approx(np.median(values), rel=1e-15)
             assert agg[f"iqr_{key}"] == pytest.approx(q3 - q1, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_nonpositive_jobs_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            run_bvm_scan(SMALL, jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
-            run_coverage(SMALL, 3, jobs=jobs)
+    def test_runs_take_no_jobs_argument(self):
+        # replications run as stacked batches in one process; the process
+        # pool and its jobs keyword are gone
+        assert list(inspect.signature(run_bvm_scan).parameters) == ["cfg"]
+        assert list(inspect.signature(run_coverage).parameters) == ["cfg", "replications"]
+        with pytest.raises(TypeError):
+            run_bvm_scan(SMALL, jobs=2)
 
     def test_single_n_row_count(self):
         cfg = ExperimentConfig(n_ladder=(50,), seeds=100, grid_size=12)
         report = run_bvm_scan(cfg)
         assert len(report.rows) == 100
+
+
+class TestBatchedCells:
+    """Rows solved in stacked batches against the per-cell reference."""
+
+    def test_single_coverage_cell_reproduces_row(self):
+        report = run_coverage(SMALL, 4)
+        row = report.rows[6]
+        reps = range(row["rep"], row["rep"] + 1)
+        assert _coverage_cell((SMALL, make_components(SMALL), row["n"], reps)) == [row]
+
+    def test_batches_cover_every_cell_in_order(self, monkeypatch):
+        cfg = ExperimentConfig(n_ladder=(10, 20), grid_size=3)
+        monkeypatch.setattr(experiments, "_BATCH_BUDGET", 5 * (10 + 25))
+        batches = list(experiments._batches(cfg, make_components(cfg), 7))
+        assert [(n, list(reps)) for _, _, n, reps in batches] == [
+            (10, [0, 1, 2, 3, 4]),
+            (10, [5, 6]),
+            (20, [0, 1, 2]),
+            (20, [3, 4, 5]),
+            (20, [6]),
+        ]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 4),
+        grid_size=st.integers(2, 80),
+        n=st.integers(1, 400),
+        theta_prior_var=st.sampled_from([0.5, 10.0, math.inf]),
+        batch=st.integers(1, 4),
+        batches=st.integers(1, 2),
+        extra=st.integers(-1, 1),
+    )
+    def test_rows_equal_per_cell_reference(
+        self, k, grid_size, n, theta_prior_var, batch, batches, extra
+    ):
+        # the budget gives `batch` replications per batch, and the
+        # replication count lands one below, on or one above a boundary
+        replications = max(1, batch * batches + extra)
+        cfg = ExperimentConfig(
+            k=k,
+            grid_size=grid_size,
+            n_ladder=(n,),
+            seeds=replications,
+            theta_prior_var=theta_prior_var,
+            master_seed=k * 1000 + n,
+        )
+        budget = batch * (n + (grid_size + 2) ** 2)
+        with mock.patch.object(experiments, "_BATCH_BUDGET", budget):
+            scan = run_bvm_scan(cfg).rows
+            coverage = run_coverage(cfg, replications).rows
+        law, truth, spec = make_components(cfg)
+        for rep in range(replications):
+            seed = cell_seed(cfg.master_seed, n, rep)
+            ds = sample_dataset(law, truth, n, seed)
+            mp = theta_posterior(ds, spec, theta_prior_var)
+            lo, hi = credible_interval(mp, cfg.level)
+            diag = bvm_gap(mp, delta_n(ds, law, truth), law.efficient_info, n, cfg.theta0)
+            expected = {"rep": rep, "seed": seed, **vars(diag)}
+            assert scan[rep].keys() == expected.keys()
+            for key, value in expected.items():
+                assert scan[rep][key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+            assert coverage[rep]["seed"] == seed
+            assert coverage[rep]["lo"] == pytest.approx(lo, rel=1e-12, abs=1e-12)
+            assert coverage[rep]["hi"] == pytest.approx(hi, rel=1e-12, abs=1e-12)
+            assert coverage[rep]["covered"] == (lo <= cfg.theta0 <= hi)
 
 
 class TestReportSerialization:

@@ -133,6 +133,33 @@ class TestPriorCovariance:
         with pytest.raises(ValueError):
             PriorCovariance(matrix=bad)
 
+    def test_non_psd_matrix_rejected_where_it_is_factorised(self, monkeypatch):
+        # construction checks shape and symmetry only; prior_factor, the
+        # one place K is factorised, checks PSD once per spec
+        from semibvm import gp_prior
+
+        bad = gp_prior.PriorCovariance(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]))
+        monkeypatch.setattr(gp_prior, "prior_covariance", lambda spec: bad)
+        gp_prior.prior_factor.cache_clear()
+        with pytest.raises(ValueError, match="not PSD"):
+            gp_prior.prior_factor(GpPriorSpec(k=0, grid_size=2, scale=1.234))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_eigenvalue_check_only_when_jitter_is_needed(self, k, monkeypatch):
+        # k = 0 factorises plainly; k = 3 on 50 nodes needs jitter
+        from semibvm import gp_prior
+
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        spec = GpPriorSpec(k=k, grid_size=50, scale=1.234)
+        gp_prior.prior_factor.cache_clear()
+        factor = gp_prior.prior_factor(spec)
+        np.testing.assert_allclose(
+            factor @ factor.T, prior_covariance(spec).matrix, atol=1e-5 * spec.scale**2
+        )
+        assert len(calls) == (1 if k == 3 else 0)
+
 
 class TestCholeskyJitter:
     def test_clean_matrix_untouched(self):

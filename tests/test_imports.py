@@ -1,6 +1,6 @@
-"""Start-up hygiene: the CLI loads no SciPy, a serial run loads nothing
-heavy after start-up, where it would count against the run's wall time,
-and no posterior path needs SciPy at all."""
+"""Start-up hygiene: the CLI loads no SciPy, a run loads nothing heavy
+after start-up, where it would count against the run's wall time, no
+run starts a process pool, and no posterior path needs SciPy at all."""
 
 import json
 import os
@@ -49,6 +49,24 @@ def test_serial_runs_import_no_numpy_or_scipy_module(tmp_path):
     )
     added = json.loads(_run_python(code, str(config), str(tmp_path)))
     assert [m for m in added if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_jobs_flag_loads_no_pool_module(tmp_path):
+    # --jobs is deprecated and ignored: replications run as stacked
+    # batches in this process
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    code = (
+        "import json, sys, semibvm.cli\n"
+        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        "for command in (['bvm-scan'], ['coverage', '--replications', '4']):\n"
+        "    argv = [*command, '--config', cfg, '--jobs', '2', '--out', out + '/r.json']\n"
+        "    assert semibvm.cli.main(argv) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = json.loads(_run_python(code, str(config), str(tmp_path)))
+    pools = ("concurrent", "multiprocessing")
+    assert [m for m in loaded if m.split(".")[0] in pools] == []
 
 
 def test_every_posterior_path_runs_without_scipy():

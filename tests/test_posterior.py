@@ -33,8 +33,9 @@ from semibvm.posterior import (
     MarginalThetaPosterior,
     _inverse_lower,
     _normal_cdf,
-    _sufficient_statistics,
+    _statistics,
     _system,
+    _systems,
     conditional_nuisance_mass,
     conditioned_theta_marginal,
     conjugate_joint_posterior,
@@ -285,12 +286,27 @@ class TestSufficientStatisticEngine:
         v = np.concatenate([[0.0, 1.0, 0.0, 1.0], ds.v])  # v = 1 clips the index
         rng = np.random.default_rng(3)
         data = Dataset(u=rng.standard_normal(v.size), v=v, y=rng.standard_normal(v.size))
-        diag, off, wu, wy = _sufficient_statistics(data, spec.grid_size)
+        stats = _statistics(data.u[None], data.v[None], data.y[None], spec.grid_size)
+        diag, off, wu, wy, uu, uy, yy = (stat[0] for stat in stats)
         weights = interpolation_weights(data.v, spec.grid_size)
         tridiagonal = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         np.testing.assert_allclose(tridiagonal, weights.T @ weights, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(wu, weights.T @ data.u, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(wy, weights.T @ data.y, rtol=0.0, atol=1e-12)
+        assert (uu, uy, yy) == (data.u @ data.u, data.u @ data.y, data.y @ data.y)
+
+    def test_stacked_systems_equal_each_system_alone(self):
+        # offset bins and row-by-row products: a row's system is bit for
+        # bit the one it gets in a stack of one
+        _, _, spec, _ = _setup(grid_size=17)
+        rng = np.random.default_rng(5)
+        u, y = rng.standard_normal((2, 6, 90))
+        v = rng.uniform(0.0, 1.0, (6, 90))
+        v[2, :2] = (0.0, 1.0)
+        _, stacked = _systems(u, v, y, spec, 0.1)
+        for row in range(6):
+            alone = _systems(u[row : row + 1], v[row : row + 1], y[row : row + 1], spec, 0.1)[1]
+            np.testing.assert_array_equal(stacked[row], alone[0])
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("grid_size", [50, 200])
@@ -359,8 +375,14 @@ class TestSufficientStatisticEngine:
         # a negative diagonal stands in for a precision that lost it
         _, _, spec, ds = _setup(n=30)
         m = spec.grid_size
-        broken = (np.full(m, -1e6), np.zeros(m - 1), np.ones(m), np.ones(m))
-        monkeypatch.setattr(semibvm.posterior, "_sufficient_statistics", lambda *_: broken)
+        broken = (
+            np.full((1, m), -1e6),
+            np.zeros((1, m - 1)),
+            np.ones((1, m)),
+            np.ones((1, m)),
+            *np.ones((3, 1)),
+        )
+        monkeypatch.setattr(semibvm.posterior, "_statistics", lambda *_: broken)
         for call in (theta_posterior, conjugate_joint_posterior):
             with pytest.raises(NumericsError):
                 call(ds, spec, 10.0)

@@ -19,8 +19,8 @@ from semibvm import (
     credible_interval,
     gibbs_chain,
     make_covariate_law,
-    marginal_theta,
     sample_dataset,
+    theta_posterior,
 )
 from semibvm.posterior import effective_sample_size
 
@@ -33,7 +33,7 @@ spec = GpPriorSpec(k=1, grid_size=50, scale=3.0)
 ds = sample_dataset(law, truth, n=300, seed=42)
 
 jp = conjugate_joint_posterior(ds, spec, theta_prior_var=10.0)
-mp = marginal_theta(jp)
+mp = theta_posterior(ds, spec, theta_prior_var=10.0)  # the joint's theta coordinate
 lo, hi = credible_interval(mp, 0.95)
 print("exact conjugate posterior, n = 300:")
 print(f"  theta mean      = {mp.mean:.4f}   (truth {truth.theta})")

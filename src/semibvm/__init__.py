@@ -11,7 +11,6 @@ from .asymptotics import (
     LanCoefficients,
     bvm_gap,
     delta_n,
-    estimate_un,
     estimate_un_per_zeta,
     hellinger_distance,
     integral_lan_coefficients,
@@ -60,7 +59,6 @@ from .posterior import (
     conjugate_joint_posterior,
     credible_interval,
     gibbs_chain,
-    marginal_theta,
     posterior_mass_h_ball,
     theta_posterior,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "LanCoefficients",
     "bvm_gap",
     "delta_n",
-    "estimate_un",
     "estimate_un_per_zeta",
     "hellinger_distance",
     "integral_lan_coefficients",
@@ -111,7 +108,6 @@ __all__ = [
     "conjugate_joint_posterior",
     "credible_interval",
     "gibbs_chain",
-    "marginal_theta",
     "posterior_mass_h_ball",
     "theta_posterior",
 ]

@@ -51,7 +51,6 @@ __all__ = [
     "hellinger_from_shift",
     "kl_neighborhood_stats",
     "integral_lan_coefficients",
-    "estimate_un",
     "estimate_un_per_zeta",
 ]
 
@@ -385,20 +384,3 @@ def estimate_un_per_zeta(
         estimates[j] = ratios.mean()
         errors[j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
     return estimates, errors
-
-
-def estimate_un(
-    law: CovariateLaw,
-    truth: ModelPoint,
-    zeta_set: list[NuisanceFunction],
-    rho: float,
-    h: float | None,
-    n: int,
-    mc_reps: int,
-    seed: int,
-) -> float:
-    """Maximum of the per-translation domination estimates."""
-    estimates, _ = estimate_un_per_zeta(
-        law, truth, zeta_set, rho, h, n, mc_reps, seed
-    )
-    return float(estimates.max())

@@ -20,6 +20,7 @@ import sys
 
 from .experiments import (
     ExperimentConfig,
+    _opened,
     cell_seed,
     covariance_to_csv,
     dataset_to_csv,
@@ -143,15 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -180,25 +172,22 @@ def main(argv: list[str] | None = None) -> int:
             law, truth, _ = make_components(cfg)
             n = args.n if args.n is not None else n_default
             dataset_to_csv(sample_dataset(law, truth, n, cell_seed(master, n, 0)), dest)
-        elif args.command == "posterior":
-            n = args.n if args.n is not None else n_default
-            _emit(run_posterior_snapshot(cfg, n, cell_seed(master, n, 0)), cfg.output_path)
         elif args.command == "bvm-scan":
-            report = run_bvm_scan(cfg)
-            if not cfg.output_path:
-                report.write(sys.stdout, cfg.format)
+            run_bvm_scan(cfg).write(dest, cfg.format)
         elif args.command == "coverage":
-            report = run_coverage(cfg, args.replications)
-            if not cfg.output_path:
-                report.write(sys.stdout, cfg.format)
-        elif args.command == "baseline":
-            diag = run_parametric_baseline(
-                args.n, cfg.theta0, args.prior_var, cell_seed(master, args.n, 0)
-            )
-            _emit(dataclasses.asdict(diag), cfg.output_path)
-        elif args.command == "diagnostics":
+            run_coverage(cfg, args.replications).write(dest, cfg.format)
+        else:  # posterior, baseline, diagnostics: one JSON object
             n = args.n if args.n is not None else n_default
-            _emit(run_diagnostics_suite(cfg, n, cell_seed(master, n, 0)), cfg.output_path)
+            seed = cell_seed(master, n, 0)
+            if args.command == "posterior":
+                payload = run_posterior_snapshot(cfg, n, seed)
+            elif args.command == "baseline":
+                diag = run_parametric_baseline(n, cfg.theta0, args.prior_var, seed)
+                payload = dataclasses.asdict(diag)
+            else:
+                payload = run_diagnostics_suite(cfg, n, seed)
+            with _opened(dest) as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

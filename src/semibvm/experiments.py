@@ -49,7 +49,6 @@ from .model import (
     sample_datasets,
 )
 from .posterior import (
-    GibbsChain,
     MarginalThetaPosterior,
     StackNumericsError,
     credible_bounds,
@@ -71,7 +70,6 @@ __all__ = [
     "run_diagnostics_suite",
     "covariance_to_csv",
     "dataset_to_csv",
-    "chain_to_csv",
 ]
 
 _ETA0_FAMILIES = ("sine", "cosine", "constant", "zero")
@@ -296,10 +294,7 @@ def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
                 "iqr_localized_post_var": _iqr(variances),
             }
         )
-    report = RunReport(kind="bvm_scan", config=_config_dict(cfg), rows=rows, aggregates=aggregates)
-    if cfg.output_path:
-        report.write(cfg.output_path, cfg.format)
-    return report
+    return RunReport(kind="bvm_scan", config=_config_dict(cfg), rows=rows, aggregates=aggregates)
 
 
 def _coverage_cell(batch: _Batch) -> list[dict]:
@@ -331,12 +326,7 @@ def run_coverage(cfg: ExperimentConfig, replications: int) -> RunReport:
                 "binomial_se": math.sqrt(coverage * (1.0 - coverage) / hits.size),
             }
         )
-    report = RunReport(
-        kind="coverage", config=_config_dict(cfg), rows=rows, aggregates=aggregates
-    )
-    if cfg.output_path:
-        report.write(cfg.output_path, cfg.format)
-    return report
+    return RunReport(kind="coverage", config=_config_dict(cfg), rows=rows, aggregates=aggregates)
 
 
 def run_parametric_baseline(
@@ -491,16 +481,3 @@ def dataset_to_csv(ds: Dataset, dest: str | TextIO) -> None:
         e = ds.e if ds.e is not None else [""] * ds.n
         for row in zip(ds.u, ds.v, ds.y, e):
             writer.writerow([repr(float(x)) if x != "" else "" for x in row])
-
-
-def chain_to_csv(chain: GibbsChain, path: str) -> None:
-    """Columns iter, theta, eta_0 ... eta_{m-1}, one row per iteration."""
-    m = chain.etas.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "theta"] + [f"eta_{j}" for j in range(m)])
-        for it in range(chain.iterations):
-            writer.writerow(
-                [it, repr(float(chain.thetas[it]))]
-                + [repr(float(x)) for x in chain.etas[it]]
-            )

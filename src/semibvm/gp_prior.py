@@ -11,9 +11,13 @@ independent of W.  Its covariance function is
     c_k(s, t) = sum_{i=0}^{k} (s t)^i / (i!)^2
                 + int_0^{min(s,t)} (s-x)^k (t-x)^k / (k!)^2 dx,
 
-which this module evaluates in closed form.  Sample paths have smoothness
-k + 1/2; an optional Hoelder-ball restriction (sup norm plus Hoelder
-seminorm below a bound) is applied by rejection sampling.
+which this module evaluates in closed form.  The discretised covariance
+K is factorised once per spec by :func:`prior_factor`: a plain Cholesky
+where K is numerically positive definite, else an exact eigen square
+root, so every posterior runs on K itself and never on K plus a jitter.
+Sample paths have smoothness k + 1/2; an optional Hoelder-ball
+restriction (sup norm plus Hoelder seminorm below a bound) is applied by
+rejection sampling.
 """
 
 from __future__ import annotations
@@ -35,44 +39,11 @@ __all__ = [
     "prior_factor",
     "sample_prior_path",
     "holder_seminorm",
-    "cholesky_with_jitter",
 ]
 
 
 class NumericsError(RuntimeError):
-    """Linear algebra failed after the configured jitter escalation."""
-
-
-# Jitter escalation for near-singular kernels: start at 1e-12 * trace/m on
-# the diagonal and multiply by 10 up to 1e-6 * trace/m.
-_JITTER_START = 1e-12
-_JITTER_STOP = 1e-6
-
-
-def cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating a diagonal jitter if needed.
-
-    Integrated Brownian motion kernels are near-singular on fine grids;
-    the escalation bounds the distortion at 1e-6 * trace/m.  Raises
-    :class:`NumericsError` when even the largest jitter fails.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    base = np.trace(matrix) / matrix.shape[0]
-    if base <= 0.0:
-        raise NumericsError("matrix has nonpositive trace; cannot factorise")
-    jitter = _JITTER_START
-    while jitter <= _JITTER_STOP * (1.0 + 1e-9):
-        try:
-            return np.linalg.cholesky(matrix + jitter * base * np.eye(matrix.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericsError(
-        f"Cholesky failed after jitter escalation up to {_JITTER_STOP:g} * trace/m"
-    )
+    """A posterior precision is not finite and positive definite."""
 
 
 @dataclass(frozen=True)
@@ -192,21 +163,24 @@ def prior_covariance(spec: GpPriorSpec) -> PriorCovariance:
 
 @functools.lru_cache(maxsize=8)
 def prior_factor(spec: GpPriorSpec) -> np.ndarray:
-    """Read-only lower Cholesky factor L, K = L L': the one place the prior
-    is factorised, cached per spec so every caller shares one array.
+    """Read-only square root L of K, K = L L': the one place the prior is
+    factorised, cached per spec so every caller shares one array.
 
-    A plain Cholesky that succeeds proves K positive definite.  Only a K
-    that needs jitter has its smallest eigenvalue checked: ValueError if
-    K is not PSD to -1e-10 * trace, else :func:`cholesky_with_jitter`.
+    L is the lower Cholesky factor when a plain Cholesky succeeds, which
+    proves K positive definite.  Otherwise (k >= 3, or a fine grid at
+    k = 2, where K is singular to rounding) L = Q diag(sqrt(max(lam, 0)))
+    from the eigendecomposition K = Q diag(lam) Q', which reproduces K to
+    rounding with no jitter; ValueError if K is not PSD to
+    -1e-10 * trace.
     """
     matrix = prior_covariance(spec).matrix
     try:
         factor = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        eigmin = float(np.linalg.eigvalsh(matrix).min())
-        if eigmin < -1e-10 * np.trace(matrix):
-            raise ValueError(f"covariance is not PSD (min eigenvalue {eigmin:g})") from None
-        factor = cholesky_with_jitter(matrix)
+        lam, vectors = np.linalg.eigh(matrix)
+        if lam[0] < -1e-10 * np.trace(matrix):
+            raise ValueError(f"covariance is not PSD (min eigenvalue {lam[0]:g})") from None
+        factor = vectors * np.sqrt(np.maximum(lam, 0.0))
     factor.flags.writeable = False
     return factor
 

@@ -48,7 +48,6 @@ __all__ = [
     "theta_posterior",
     "theta_posteriors",
     "conjugate_joint_posterior",
-    "marginal_theta",
     "sample_joint_posterior",
     "gibbs_chain",
     "credible_interval",
@@ -366,13 +365,6 @@ def conjugate_joint_posterior(
     root[:, 1:] = inv_chol[:, :m] @ factor.T
     mean = np.concatenate([latent_mean[m:], factor @ latent_mean[:m]])
     return JointGaussianPosterior(mean=mean, covariance=root.T @ root, root=root)
-
-
-def marginal_theta(jp: JointGaussianPosterior) -> MarginalThetaPosterior:
-    """Coordinate-0 marginal of the joint Gaussian posterior."""
-    return MarginalThetaPosterior(
-        mean=float(jp.mean[0]), variance=float(jp.covariance[0, 0])
-    )
 
 
 def sample_joint_posterior(

@@ -31,7 +31,6 @@ from semibvm.experiments import (
 )
 from semibvm.gp_prior import (
     GpPriorSpec,
-    cholesky_with_jitter,
     kibm_kernel,
     prior_covariance,
 )
@@ -45,11 +44,10 @@ from semibvm.model import (
     uniform_grid,
 )
 from semibvm.posterior import (
-    conjugate_joint_posterior,
     effective_sample_size,
     gibbs_chain,
-    marginal_theta,
     posterior_mass_h_ball,
+    theta_posterior,
 )
 
 DEFAULT = ExperimentConfig()  # sigma_w .8, theta0 1, eta0 .5 sine, k 1, m 50, tau2 10
@@ -121,7 +119,7 @@ def test_04_gibbs_agrees_with_conjugate():
         tau2 = rng.uniform(5.0, 50.0)
         n = int(rng.integers(80, 300))
         ds = sample_dataset(cfg_law, truth, n, seed=int(rng.integers(2**31)))
-        mp = marginal_theta(conjugate_joint_posterior(ds, spec, tau2))
+        mp = theta_posterior(ds, spec, tau2)
         chain = gibbs_chain(
             ds, spec, tau2, iterations=11_000, burn_in=1_000, seed=int(rng.integers(2**31))
         )
@@ -250,7 +248,7 @@ def test_08_integral_expansion():
     )
     ds = sample_dataset(law, truth30, 4, seed=88)
     coeffs = integral_lan_coefficients(ds, spec, truth30.theta)
-    factor = cholesky_with_jitter(prior_covariance(spec).matrix)
+    factor = np.linalg.cholesky(prior_covariance(spec).matrix)
     rng = np.random.default_rng(888)
     paths = rng.standard_normal((150_000, 30)) @ factor.T
     eta_at_v = paths @ interpolation_weights(ds.v, 30).T
@@ -337,7 +335,7 @@ def test_11_root_n_concentration():
     masses = []
     for rep in range(50):
         ds = sample_dataset(law, truth, n, cell_seed(11, n, rep))
-        mp = marginal_theta(conjugate_joint_posterior(ds, spec, DEFAULT.theta_prior_var))
+        mp = theta_posterior(ds, spec, DEFAULT.theta_prior_var)
         masses.append(posterior_mass_h_ball(mp, truth.theta, radius, n))
     med = float(np.median(masses))
     _verdict(11, "posterior mass inside log(n)-ball", med >= 0.95, f"median mass {med:.6f} >= 0.95")

@@ -21,6 +21,18 @@ master_seed = 7
 """
 
 
+# every subcommand, with arguments that keep it small
+COMMANDS = [
+    ["kernel"],
+    ["sample", "--n", "20"],
+    ["posterior", "--n", "40"],
+    ["bvm-scan"],
+    ["coverage", "--replications", "2"],
+    ["baseline", "--n", "100"],
+    ["diagnostics", "--n", "30"],
+]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scan.cfg"
@@ -219,15 +231,29 @@ class TestSubcommands:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 7
 
-    @pytest.mark.parametrize(
-        "command", [["kernel"], ["sample", "--n", "20"], ["posterior", "--n", "40"]]
-    )
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_stdout_bytes_equal_out_file(self, command, config_path, tmp_path, capsysbinary):
         out = tmp_path / "o.txt"
         assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
         capsysbinary.readouterr()
         assert cli.main([*command, "--config", config_path]) == 0
-        assert capsysbinary.readouterr().out == out.read_bytes()
+        # a scan report echoes its config, output_path included
+        written = out.read_bytes().replace(json.dumps(str(out)).encode(), b"null")
+        assert capsysbinary.readouterr().out == written
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_output_path_in_config(self, command, config_path, tmp_path, capsysbinary):
+        # output_path in the config file, no --out: that file gets the
+        # bytes --out would, and nothing goes to stdout
+        out = tmp_path / "o.txt"
+        path = tmp_path / "out.cfg"
+        path.write_text(SMALL_CONFIG + f"output_path = {out}\n")
+        assert cli.main([*command, "--config", str(path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        written = out.read_bytes()
+        out.unlink()
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
+        assert out.read_bytes() == written
 
     @pytest.mark.parametrize(
         "command, rows", [(["bvm-scan"], 6), (["coverage", "--replications", "2"], 4)]

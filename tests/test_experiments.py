@@ -18,7 +18,6 @@ from semibvm.experiments import (
     _bvm_cell,
     _coverage_cell,
     cell_seed,
-    chain_to_csv,
     covariance_to_csv,
     dataset_to_csv,
     make_components,
@@ -31,7 +30,7 @@ from semibvm.experiments import (
 )
 from semibvm.gp_prior import prior_covariance
 from semibvm.model import sample_dataset
-from semibvm.posterior import credible_interval, gibbs_chain, theta_posterior
+from semibvm.posterior import credible_interval, theta_posterior
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
 
@@ -254,13 +253,15 @@ class TestReportSerialization:
         assert len(lines) == 1 + len(report.rows)
         assert lines[0].split(",")[:2] == ["rep", "seed"]
 
-    def test_output_path_in_config(self, tmp_path):
+    def test_output_path_is_left_to_the_caller(self, tmp_path):
+        # the runs return their reports; only the CLI writes output_path
         path = tmp_path / "auto.json"
         cfg = ExperimentConfig(
             n_ladder=(30,), seeds=2, grid_size=12, output_path=str(path)
         )
         run_bvm_scan(cfg)
-        assert path.exists()
+        run_coverage(cfg, replications=2)
+        assert not path.exists()
 
 
 class TestCoverage:
@@ -371,14 +372,3 @@ class TestCsvExports:
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(loaded[:, 0], ds.u)
         np.testing.assert_array_equal(loaded[:, 3], ds.e)
-
-    def test_chain_export_columns(self, tmp_path):
-        law, truth, spec = make_components(SMALL)
-        ds = sample_dataset(law, truth, 30, 3)
-        chain = gibbs_chain(ds, spec, 10.0, iterations=20, burn_in=5, seed=4)
-        path = tmp_path / "chain.csv"
-        chain_to_csv(chain, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("iter,theta,eta_0")
-        assert len(lines) == 1 + 20
-        assert len(lines[0].split(",")) == 2 + spec.grid_size

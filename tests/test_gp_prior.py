@@ -8,11 +8,10 @@ from scipy.integrate import quad
 
 from semibvm.gp_prior import (
     GpPriorSpec,
-    NumericsError,
-    cholesky_with_jitter,
     holder_seminorm,
     kibm_kernel,
     prior_covariance,
+    prior_factor,
     sample_prior_path,
 )
 from semibvm.model import NuisanceFunction, uniform_grid
@@ -145,36 +144,27 @@ class TestPriorCovariance:
             gp_prior.prior_factor(GpPriorSpec(k=0, grid_size=2, scale=1.234))
 
     @pytest.mark.parametrize("k", [0, 3])
-    def test_eigenvalue_check_only_when_jitter_is_needed(self, k, monkeypatch):
-        # k = 0 factorises plainly; k = 3 on 50 nodes needs jitter
+    def test_eigendecomposition_only_when_plain_cholesky_fails(self, k, monkeypatch):
+        # k = 0 factorises plainly; K at k = 3 on 50 nodes is singular to
+        # rounding and takes the eigen square root
         from semibvm import gp_prior
 
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        spec = GpPriorSpec(k=k, grid_size=50, scale=1.234)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         gp_prior.prior_factor.cache_clear()
-        factor = gp_prior.prior_factor(spec)
-        np.testing.assert_allclose(
-            factor @ factor.T, prior_covariance(spec).matrix, atol=1e-5 * spec.scale**2
-        )
+        prior_factor(GpPriorSpec(k=k, grid_size=50, scale=1.234))
         assert len(calls) == (1 if k == 3 else 0)
 
-
-class TestCholeskyJitter:
-    def test_clean_matrix_untouched(self):
-        mat = np.array([[2.0, 0.5], [0.5, 1.0]])
-        factor = cholesky_with_jitter(mat)
-        np.testing.assert_allclose(factor @ factor.T, mat, atol=1e-14)
-
-    def test_singular_psd_matrix_recovers(self):
-        mat = np.ones((4, 4))  # rank one
-        factor = cholesky_with_jitter(mat)
-        np.testing.assert_allclose(factor @ factor.T, mat, atol=1e-5)
-
-    def test_indefinite_matrix_fails(self):
-        with pytest.raises(NumericsError):
-            cholesky_with_jitter(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [50, 200, 400])
+    def test_factor_reproduces_the_covariance(self, k, grid_size):
+        # no jitter: L L' is K to rounding at every order, the orders
+        # whose K needs the eigen square root included
+        spec = GpPriorSpec(k=k, grid_size=grid_size, scale=3.0)
+        matrix = prior_covariance(spec).matrix
+        factor = prior_factor(spec)
+        assert np.abs(factor @ factor.T - matrix).max() <= 2e-13 * np.abs(matrix).max()
 
 
 class TestSamplePriorPath:

@@ -1,6 +1,7 @@
 """Start-up hygiene: the CLI loads no SciPy, a run loads nothing heavy
 after start-up, where it would count against the run's wall time, no
-run starts a process pool, and no posterior path needs SciPy at all."""
+run starts a process pool, no posterior path needs SciPy at all, and
+every exported name resolves."""
 
 import json
 import os
@@ -89,3 +90,22 @@ def test_every_posterior_path_runs_without_scipy():
     )
     loaded = json.loads(_run_python(code))
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_every_export_resolves_once():
+    import importlib
+    import pkgutil
+
+    import semibvm
+
+    removed = {"cholesky_with_jitter", "chain_to_csv", "estimate_un", "marginal_theta"}
+    modules = [semibvm] + [
+        importlib.import_module(f"semibvm.{info.name}")
+        for info in pkgutil.iter_modules(semibvm.__path__)
+    ]
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        assert len(exported) == len(set(exported)), module.__name__
+        assert [name for name in exported if not hasattr(module, name)] == [], module.__name__
+        assert removed.isdisjoint(exported), module.__name__
+        assert removed.isdisjoint(vars(module)), module.__name__

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
@@ -15,7 +17,6 @@ from semibvm.experiments import ExperimentConfig, cell_seed, make_components
 from semibvm.gp_prior import (
     GpPriorSpec,
     NumericsError,
-    cholesky_with_jitter,
     prior_covariance,
     prior_factor,
     sample_prior_path,
@@ -42,7 +43,6 @@ from semibvm.posterior import (
     credible_interval,
     effective_sample_size,
     gibbs_chain,
-    marginal_theta,
     posterior_mass_h_ball,
     sample_joint_posterior,
     theta_posterior,
@@ -62,6 +62,11 @@ def _setup(n=150, seed=9, grid_size=25, scale=2.0, sigma_w=0.8):
 
 def _std_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def joint_theta(jp):
+    """The joint's coordinate 0: theta's marginal mean and variance."""
+    return MarginalThetaPosterior(mean=float(jp.mean[0]), variance=float(jp.covariance[0, 0]))
 
 
 def eigen_theta_marginal(ds, spec, tau2):
@@ -129,15 +134,15 @@ class TestConjugatePosterior:
         # gives the textbook posterior N(1, 1/2)
         spec = GpPriorSpec(k=1, grid_size=10, scale=1e-6)
         ds = Dataset(u=np.array([1.0]), v=np.array([0.5]), y=np.array([2.0]))
-        mp = marginal_theta(conjugate_joint_posterior(ds, spec, theta_prior_var=1.0))
+        mp = joint_theta(conjugate_joint_posterior(ds, spec, theta_prior_var=1.0))
         assert mp.mean == pytest.approx(1.0, abs=1e-5)
         assert mp.variance == pytest.approx(0.5, abs=1e-5)
 
     def test_flat_prior_limit(self):
         # tau^2 = inf drops the theta prior precision entirely
         law, truth, spec, ds = _setup()
-        flat = marginal_theta(conjugate_joint_posterior(ds, spec, math.inf))
-        tight = marginal_theta(conjugate_joint_posterior(ds, spec, 1e12))
+        flat = joint_theta(conjugate_joint_posterior(ds, spec, math.inf))
+        tight = joint_theta(conjugate_joint_posterior(ds, spec, 1e12))
         assert flat.mean == pytest.approx(tight.mean, rel=1e-6)
         assert flat.variance == pytest.approx(tight.variance, rel=1e-6)
 
@@ -153,7 +158,7 @@ class TestConjugatePosterior:
             conjugate_joint_posterior(ds, spec, 0.0)
 
     def test_posterior_dominated_by_prior(self):
-        # prior covariance minus posterior covariance is PSD up to jitter
+        # prior covariance minus posterior covariance is PSD up to rounding
         _, _, spec, ds = _setup()
         tau2 = 10.0
         jp = conjugate_joint_posterior(ds, spec, tau2)
@@ -169,8 +174,8 @@ class TestConjugatePosterior:
         for k in (50, 100, 200):
             sub = Dataset(u=full.u[:k], v=full.v[:k], y=full.y[:k])
             dbl = Dataset(u=full.u[: 2 * k], v=full.v[: 2 * k], y=full.y[: 2 * k])
-            var_k = marginal_theta(conjugate_joint_posterior(sub, spec, 10.0)).variance
-            var_2k = marginal_theta(conjugate_joint_posterior(dbl, spec, 10.0)).variance
+            var_k = joint_theta(conjugate_joint_posterior(sub, spec, 10.0)).variance
+            var_2k = joint_theta(conjugate_joint_posterior(dbl, spec, 10.0)).variance
             assert var_2k <= var_k + 1e-12
 
 
@@ -184,21 +189,24 @@ class TestWhitenedEngine:
         for tau2 in (cfg.theta_prior_var, math.inf):
             mean, var = eigen_theta_marginal(ds, spec, tau2)
             for mp in (
-                marginal_theta(conjugate_joint_posterior(ds, spec, tau2)),
+                joint_theta(conjugate_joint_posterior(ds, spec, tau2)),
                 theta_posterior(ds, spec, tau2),
             ):
                 assert abs(mp.variance / var - 1.0) < 1e-8
                 assert abs(mp.mean - mean) / math.sqrt(var) < 1e-8
 
-    def test_theta_marginal_against_50_digit_solve(self):
+    @pytest.mark.parametrize("k, grid_size", [(2, 8), (3, 50), (4, 30)])
+    def test_theta_marginal_against_50_digit_solve(self, k, grid_size):
+        # K at k = 3 and 4 is singular to rounding: the prior factor is
+        # its eigen square root, and the marginal still holds to 1e-12
         law = make_covariate_law(0.8)
         truth = ModelPoint(theta=1.0, eta=NuisanceFunction.zero(8))
-        spec = GpPriorSpec(k=2, grid_size=8, scale=3.0)
+        spec = GpPriorSpec(k=k, grid_size=grid_size, scale=3.0)
         ds = sample_dataset(law, truth, 12, seed=5)
         for tau2 in (10.0, math.inf):
             mean, var = mpmath_theta_marginal(ds, spec, tau2)
             for mp in (
-                marginal_theta(conjugate_joint_posterior(ds, spec, tau2)),
+                joint_theta(conjugate_joint_posterior(ds, spec, tau2)),
                 theta_posterior(ds, spec, tau2),
             ):
                 assert mp.variance == pytest.approx(var, rel=1e-12)
@@ -254,9 +262,8 @@ class TestWhitenedEngine:
     @pytest.mark.parametrize("k", [1, 3])
     def test_prior_draws_use_the_prior_factor(self, k):
         spec = GpPriorSpec(k=k, grid_size=40, scale=2.0)
-        direct = cholesky_with_jitter(prior_covariance(spec).matrix)
         z = np.random.default_rng(17).standard_normal(spec.grid_size)
-        np.testing.assert_array_equal(sample_prior_path(spec, 17).values, direct @ z)
+        np.testing.assert_array_equal(sample_prior_path(spec, 17).values, prior_factor(spec) @ z)
 
 
 def _dense_gibbs_reference(ds, spec, tau2, iterations, seed):
@@ -319,7 +326,7 @@ class TestSufficientStatisticEngine:
                 if n == 0 and math.isinf(tau2):
                     continue
                 jp = conjugate_joint_posterior(ds, spec, tau2)
-                joint = marginal_theta(jp)
+                joint = joint_theta(jp)
                 mp = theta_posterior(ds, spec, tau2)
                 assert mp.variance == pytest.approx(joint.variance, rel=1e-10)
                 assert abs(mp.mean - joint.mean) <= 1e-10 * mp.sd
@@ -401,19 +408,36 @@ class TestSufficientStatisticEngine:
         np.testing.assert_allclose(chain.thetas, reference, rtol=0.0, atol=1e-9)
 
 
-class TestMarginalTheta:
-    def test_reads_first_coordinate(self):
-        _, _, spec, ds = _setup()
-        jp = conjugate_joint_posterior(ds, spec, 10.0)
-        mp = marginal_theta(jp)
-        assert mp.mean == jp.mean[0]
-        assert mp.variance == jp.covariance[0, 0]
+class TestEngineProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 4),
+        grid_size=st.integers(2, 80),
+        n=st.integers(0, 300),
+        tau2=st.sampled_from([0.5, 10.0, math.inf]),
+    )
+    def test_engine_invariants(self, k, grid_size, n, tau2):
+        assume(n > 0 or not math.isinf(tau2))  # flat prior, no data: improper
+        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        ds = sample_dataset(law, truth, n, cell_seed(9, n, k))
+        matrix = prior_covariance(spec).matrix
+        factor = prior_factor(spec)
+        assert np.abs(factor @ factor.T - matrix).max() <= 2e-13 * np.abs(matrix).max()
+        mp = theta_posterior(ds, spec, tau2)
         assert mp.variance > 0.0
+        jp = conjugate_joint_posterior(ds, spec, tau2)
+        scale = np.abs(jp.covariance).max()
+        assert np.abs(jp.root.T @ jp.root - jp.covariance).max() <= 1e-12 * scale
+        joint = joint_theta(jp)
+        assert abs(mp.variance / joint.variance - 1.0) <= 1e-10
+        assert abs(mp.mean - joint.mean) <= 1e-10 * mp.sd
 
+
+class TestMarginalTheta:
     def test_matches_exact_joint_samples(self):
         _, _, spec, ds = _setup()
         jp = conjugate_joint_posterior(ds, spec, 10.0)
-        mp = marginal_theta(jp)
+        mp = theta_posterior(ds, spec, 10.0)
         draws = sample_joint_posterior(jp, 10_000, seed=77)[:, 0]
         se_mean = mp.sd / math.sqrt(draws.size)
         assert abs(draws.mean() - mp.mean) < 4 * se_mean
@@ -447,7 +471,7 @@ class TestGibbs:
 
     def test_matches_conjugate_marginal(self):
         _, _, spec, ds = _setup(n=120, grid_size=20)
-        mp = marginal_theta(conjugate_joint_posterior(ds, spec, 10.0))
+        mp = joint_theta(conjugate_joint_posterior(ds, spec, 10.0))
         chain = gibbs_chain(ds, spec, 10.0, iterations=6000, burn_in=1000, seed=13)
         draws = chain.theta_draws
         ess = effective_sample_size(draws)

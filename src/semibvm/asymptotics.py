@@ -35,7 +35,7 @@ from .model import (
     NuisanceFunction,
     log_density_ratio,
 )
-from .posterior import MarginalThetaPosterior, _normal_cdf, theta_posterior
+from .posterior import MarginalThetaPosterior, _normal_cdf, _row_dots, theta_posterior
 
 __all__ = [
     "BvmDiagnostics",
@@ -323,15 +323,6 @@ def integral_lan_coefficients(
     return LanCoefficients(linear=linear, quadratic=quadratic)
 
 
-def _plugin_h(u: np.ndarray, e: np.ndarray, clamp: float = 2.0) -> float:
-    # least-squares direction sqrt(n) * (u.e) / (u.u), clamped
-    denom = float(u @ u)
-    if denom == 0.0:
-        return 0.0
-    h = math.sqrt(u.size) * float(u @ e) / denom
-    return max(-clamp, min(clamp, h))
-
-
 def estimate_un_per_zeta(
     law: CovariateLaw,
     truth: ModelPoint,
@@ -366,14 +357,15 @@ def estimate_un_per_zeta(
         rng = np.random.default_rng([seed, j])
         u, v = law.sample_covariates(mc_reps * n, rng)
         e = rng.standard_normal(mc_reps * n)
-        u = u.reshape(mc_reps, n)
-        v = v.reshape(mc_reps, n)
-        e = e.reshape(mc_reps, n)
+        u, v, e = (a.reshape(mc_reps, n) for a in (u, v, e))
         y = truth.theta * u + truth.eta(v) + zeta(v) + e
         w = u - law.cond_mean(v)
         r_ref = y - truth.theta * u - truth.eta(v) - zeta(v)
-        if h is None:
-            h_rep = np.array([_plugin_h(u[i], r_ref[i]) for i in range(mc_reps)])
+        if h is None:  # least-squares direction sqrt(n) (u.r)/(u.u), clamped
+            uu = _row_dots(u, u)
+            h_rep = np.zeros(mc_reps)
+            np.divide(rootn * _row_dots(u, r_ref), uu, out=h_rep, where=uu != 0.0)
+            h_rep = np.clip(h_rep, -2.0, 2.0)
         else:
             h_rep = np.full(mc_reps, float(h))
         shift = h_rep[:, None] / rootn

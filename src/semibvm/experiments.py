@@ -47,6 +47,7 @@ from .model import (
     make_covariate_law,
     sample_dataset,
     sample_datasets,
+    uniform_grid,
 )
 from .posterior import (
     MarginalThetaPosterior,
@@ -133,7 +134,7 @@ def make_components(
     """Law, true model point and prior spec implied by a config."""
     law = make_covariate_law(cfg.sigma_w)
     spec = GpPriorSpec(k=cfg.k, grid_size=cfg.grid_size, scale=cfg.scale)
-    grid = np.linspace(0.0, 1.0, cfg.grid_size)
+    grid = uniform_grid(cfg.grid_size)
     truth = ModelPoint(theta=cfg.theta0, eta=NuisanceFunction(_eta0_values(cfg, grid)))
     return law, truth, spec
 
@@ -211,7 +212,9 @@ def _opened(dest: str | TextIO):
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
+    """Every field but output_path: a report is the same bytes wherever it goes."""
     out = asdict(cfg)
+    del out["output_path"]
     out["n_ladder"] = list(cfg.n_ladder)
     return out
 

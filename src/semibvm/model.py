@@ -39,6 +39,7 @@ __all__ = [
     "empirical_information",
     "uniform_grid",
     "interpolation_index",
+    "interpolate",
     "interpolation_weights",
 ]
 
@@ -50,35 +51,32 @@ def uniform_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid_size)
 
 
-def interpolation_index(v: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid cell and position of each point v for linear interpolation.
-
-    Returns (idx, t): point v_i lies in [g_idx, g_idx+1], idx clipped to
-    0..grid_size-2 so that v = 1 falls in the last cell, and t_i in [0, 1]
-    is its offset, so the interpolated value is (1 - t) f[idx] + t f[idx+1].
-    Entries of v must lie in [0, 1].
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size and (v.min() < 0.0 or v.max() > 1.0):
+def interpolation_index(v, grid_size: int):
+    """(idx, t), each of v's shape: the cell of the uniform grid j/(m-1)
+    holding each point v in [0, 1], idx = min(floor(v (m-1)), m-2) in
+    closed form (v = 1 falls in the last cell), and its offset
+    t = v (m-1) - idx in [0, 1]."""
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    v = np.asarray(v, dtype=float)
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise ValueError("interpolation points must lie in [0, 1]")
-    grid = uniform_grid(grid_size)
-    idx = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, grid_size - 2)
-    return idx, (v - grid[idx]) * (grid_size - 1)
+    x = v * (grid_size - 1)
+    idx = np.minimum(x.astype(np.intp), grid_size - 2)
+    return idx, x - idx
+
+
+def interpolate(values: np.ndarray, v):
+    """Linear interpolation at the points v of grid values along the last
+    axis of `values`: shape values.shape[:-1] + v.shape."""
+    idx, t = interpolation_index(v, values.shape[-1])
+    return (1.0 - t) * values[..., idx] + t * values[..., idx + 1]
 
 
 def interpolation_weights(v: np.ndarray, grid_size: int) -> np.ndarray:
-    """Linear-interpolation weight matrix from grid values to points v.
-
-    Returns an (n, grid_size) matrix W with at most two nonzero entries
-    per row, such that W @ values == linear interpolation of the grid
-    function at v.  Entries of v must lie in [0, 1].
-    """
-    idx, t = interpolation_index(v, grid_size)
-    weights = np.zeros((idx.size, grid_size))
-    rows = np.arange(idx.size)
-    weights[rows, idx] = 1.0 - t
-    weights[rows, idx + 1] = t
-    return weights
+    """(n, grid_size) matrix W, at most two nonzeros a row, with W @ values
+    the :func:`interpolate` of the grid values at the n points v."""
+    return interpolate(np.eye(grid_size), np.atleast_1d(v)).T
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ class NuisanceFunction:
         return uniform_grid(self.values.size)
 
     def __call__(self, v):
-        return np.interp(v, self.grid, self.values)
+        return interpolate(self.values, v)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -1,10 +1,14 @@
 """Posterior computation for the discretised partial linear model.
 
-With the nuisance represented by its values on a uniform grid (entering
-the likelihood through linear-interpolation weights), the model is a
-finite Bayesian linear regression with unit noise variance:
+With the nuisance represented by its values on a uniform grid j/(m-1),
+the model is a finite Bayesian linear regression with unit noise
+variance:
 
     y_i = theta * u_i + w(v_i)' eta_grid + e_i.
+
+w(v) is the one interpolation rule of :mod:`semibvm.model`, which the
+simulator shares: 1 - t and t on the nodes of the cell min(floor(v (m-1)),
+m-2), found in closed form, with t = v (m-1) - cell.
 
 A Gaussian N(0, tau^2) prior on theta (tau^2 = inf supported as a flat
 limit) and the Gaussian process prior on eta_grid keep the joint
@@ -39,7 +43,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor
-from .model import CovariateLaw, Dataset, ModelPoint, interpolation_index
+from .model import CovariateLaw, Dataset, ModelPoint, interpolate, interpolation_index
 
 __all__ = [
     "JointGaussianPosterior",
@@ -190,6 +194,11 @@ def _prior_precision(theta_prior_var: float) -> float:
     return 0.0 if math.isinf(theta_prior_var) else 1.0 / theta_prior_var
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row i of two (r, n) arrays, whatever the other rows."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
     """(diag, off, W'u, W'y, u'u, u'y, y'y) of the datasets in the rows of
     u, v, y (shape (r, n)), one row each: W'W is tridiagonal with diagonal
@@ -210,17 +219,14 @@ def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
     def scatter(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return gather(left, a) + gather(right, b)
 
-    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
     return (
         scatter(s * s, t * t),
         gather(left, s * t)[:, :-1],
         scatter(s * u, t * u),
         scatter(s * y, t * y),
-        dot(u, u),
-        dot(u, y),
-        dot(y, y),
+        _row_dots(u, u),
+        _row_dots(u, y),
+        _row_dots(y, y),
     )
 
 
@@ -480,8 +486,7 @@ def conditional_nuisance_mass(
     draw_z = _nuisance_conditional(system, spec.grid_size)
     eta_draws = draw_z(theta_fixed, rng.standard_normal((draws, spec.grid_size))) @ factor.T
 
-    idx, t = interpolation_index(v_shared, spec.grid_size)
-    eta_shared = (1.0 - t) * eta_draws[:, idx] + t * eta_draws[:, idx + 1]
+    eta_shared = interpolate(eta_draws, v_shared)
     target = least_favorable_eta(theta_fixed, truth, law)
     shift = eta_shared - target(v_shared)[None, :]
     distances = hellinger_from_shift(shift)

@@ -667,6 +667,29 @@ class TestEstimateUn:
         assert np.all(np.isfinite(errors))
         assert np.all(estimates > 0.0)
 
+    def test_plugin_direction_equals_per_replication_loop(self):
+        # reference: each replication's plug-in direction on its own,
+        # sqrt(n) (u.r)/(u.u) clamped to [-2, 2], from the same draws
+        law = make_covariate_law(0.8)
+        truth = _truth()
+        n, reps, seed = 40, 300, 103
+        zetas = self._zetas()
+        estimates, _ = estimate_un_per_zeta(law, truth, zetas, 0.5, None, n, reps, seed)
+        for j, zeta in enumerate(zetas):
+            rng = np.random.default_rng([seed, j])
+            u, v = law.sample_covariates(reps * n, rng)
+            e = rng.standard_normal(reps * n)
+            u, v, e = (a.reshape(reps, n) for a in (u, v, e))
+            y = truth.theta * u + truth.eta(v) + zeta(v) + e
+            r = y - truth.theta * u - truth.eta(v) - zeta(v)
+            w = u - law.cond_mean(v)
+            ratios = np.empty(reps)
+            for i in range(reps):
+                h = math.sqrt(n) * float(u[i] @ r[i]) / float(u[i] @ u[i])
+                shift = max(-2.0, min(2.0, h)) / math.sqrt(n)
+                ratios[i] = np.exp(np.sum(-0.5 * (r[i] - shift * w[i]) ** 2 + 0.5 * r[i] ** 2))
+            assert estimates[j] == ratios.mean()
+
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)
         truth = _truth()

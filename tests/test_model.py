@@ -14,6 +14,8 @@ from semibvm.model import (
     efficient_information,
     efficient_score,
     empirical_information,
+    interpolate,
+    interpolation_index,
     interpolation_weights,
     log_density_ratio,
     make_covariate_law,
@@ -273,3 +275,43 @@ class TestInterpolationWeights:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             interpolation_weights(np.array([1.2]), 5)
+
+
+class TestInterpolationIndex:
+    @pytest.mark.parametrize("grid_size", [2, 3, 7, 50, 200, 1001])
+    def test_floor_rule_on_random_points_nodes_and_one(self, grid_size):
+        # cell min(floor(v (m-1)), m-2), offset v (m-1) - cell, exactly
+        rng = np.random.default_rng(grid_size)
+        v = np.concatenate([rng.uniform(0, 1, 500), uniform_grid(grid_size), [1.0]])
+        x = v * (grid_size - 1)
+        cell = np.minimum(np.floor(x).astype(np.int64), grid_size - 2)
+        idx, t = interpolation_index(v, grid_size)
+        np.testing.assert_array_equal(idx, cell)
+        np.testing.assert_array_equal(t, x - cell)
+
+    def test_keeps_the_shape_of_v(self):
+        idx, t = interpolation_index(0.3, 5)
+        assert np.ndim(idx) == 0 and np.ndim(t) == 0
+        assert (int(idx), float(t)) == (1, pytest.approx(0.2))
+        assert np.ndim(NuisanceFunction(np.array([0.0, 2.0]))(0.25)) == 0
+        idx, t = interpolation_index(np.full((3, 4), 0.5), 5)
+        assert idx.shape == t.shape == (3, 4)
+
+    def test_agrees_with_np_interp(self):
+        rng = np.random.default_rng(47)
+        values = rng.normal(size=(3, 17))
+        v = rng.uniform(0, 1, size=(4, 25))
+        expected = np.stack([np.interp(v, uniform_grid(17), row) for row in values])
+        np.testing.assert_allclose(interpolate(values, v), expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("point", [-1e-12, 1.0 + 1e-12, np.nan])
+    def test_nuisance_rejects_points_outside_unit_interval(self, point):
+        eta = NuisanceFunction(np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(ValueError):
+            eta(np.array([0.5, point]))
+        with pytest.raises(ValueError):
+            eta(point)
+
+    def test_grid_of_one_node_rejected(self):
+        with pytest.raises(ValueError):
+            interpolation_index(np.array([0.5]), 1)

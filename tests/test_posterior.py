@@ -479,6 +479,26 @@ class TestGibbs:
         assert abs(draws.mean() - mp.mean) < 3 * se
         assert 0.9 < draws.var(ddof=1) / mp.variance < 1.1
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 4),
+        grid_size=st.integers(2, 40),
+        n=st.integers(1, 200),
+        tau2=st.sampled_from([0.5, 10.0, math.inf]),
+    )
+    def test_chain_moments_match_exact_marginal(self, k, grid_size, n, tau2):
+        # Monte Carlo errors of the post-burn-in mean and variance from the
+        # chain's ESS: sd/sqrt(ESS) and var*sqrt(2/ESS) (normal draws); the
+        # chain must land within 5 of them of the exact theta marginal
+        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        ds = sample_dataset(law, truth, n, cell_seed(11, n, k))
+        mp = theta_posterior(ds, spec, tau2)
+        chain = gibbs_chain(ds, spec, tau2, iterations=2200, burn_in=200, seed=grid_size)
+        draws = chain.theta_draws
+        ess = effective_sample_size(draws)
+        assert abs(draws.mean() - mp.mean) <= 5.0 * mp.sd / math.sqrt(ess)
+        assert abs(draws.var(ddof=1) - mp.variance) <= 5.0 * mp.variance * math.sqrt(2.0 / ess)
+
     def test_pinned_nuisance_limit_ks(self):
         # scale -> 0 reduces theta-draws to the known-nuisance posterior;
         # KS statistic below the 1% critical value at 5000 draws

@@ -34,6 +34,7 @@ from .model import (
     ModelPoint,
     NuisanceFunction,
     log_density_ratio,
+    sample_dataset,
 )
 from .posterior import MarginalThetaPosterior, _normal_cdf, _row_dots, theta_posterior
 
@@ -176,12 +177,18 @@ def kl_divergence(
     by seeded Monte Carlo over (U, V).  Standard error is
     sd(half-square)/sqrt(mc_draws).
     """
+    shift = _mean_shift(p, truth, law, mc_draws, seed)
+    return float(np.mean(0.5 * shift**2))
+
+
+def _mean_shift(
+    p1: ModelPoint, p2: ModelPoint, law: CovariateLaw, mc_draws: int, seed: int
+) -> np.ndarray:
+    """(theta1 - theta2) U + (eta1 - eta2)(V) at mc_draws seeded (U, V) draws."""
     if mc_draws < 1:
         raise ValueError("mc_draws must be >= 1")
-    rng = np.random.default_rng(seed)
-    u, v = law.sample_covariates(mc_draws, rng)
-    shift = (p.theta - truth.theta) * u + (p.eta(v) - truth.eta(v))
-    return float(np.mean(0.5 * shift**2))
+    u, v = law.sample_covariates(mc_draws, np.random.default_rng(seed))
+    return (p1.theta - p2.theta) * u + (p1.eta(v) - p2.eta(v))
 
 
 def least_favorable_eta(
@@ -266,12 +273,7 @@ def hellinger_distance(
     sqrt(1 - E exp(-D^2 / 8)) with D = (theta1 - theta2) U +
     (eta1 - eta2)(V); the covariate expectation is seeded Monte Carlo.
     """
-    if mc_draws < 1:
-        raise ValueError("mc_draws must be >= 1")
-    rng = np.random.default_rng(seed)
-    u, v = law.sample_covariates(mc_draws, rng)
-    shift = (p1.theta - p2.theta) * u + (p1.eta(v) - p2.eta(v))
-    return float(hellinger_from_shift(shift))
+    return float(hellinger_from_shift(_mean_shift(p1, p2, law, mc_draws, seed)))
 
 
 def kl_neighborhood_stats(
@@ -289,13 +291,8 @@ def kl_neighborhood_stats(
     """
     if mc_draws < 1:
         raise ValueError("mc_draws must be >= 1")
-    rng = np.random.default_rng(seed)
-    u, v = law.sample_covariates(mc_draws, rng)
-    e = rng.standard_normal(mc_draws)
-    y = truth.theta * u + truth.eta(v) + e
-    log_ratio = log_density_ratio(
-        (u, v, y), ModelPoint(truth.theta, eta), truth
-    )
+    ds = sample_dataset(law, truth, mc_draws, seed)
+    log_ratio = log_density_ratio((ds.u, ds.v, ds.y), ModelPoint(truth.theta, eta), truth)
     return float(-np.mean(log_ratio)), float(np.mean(log_ratio**2))
 
 
@@ -343,6 +340,13 @@ def estimate_un_per_zeta(
     least-squares direction clamped to |h| <= 2.  The expectation equals
     1 exactly for deterministic h.  Callers are responsible for probe
     translations staying within Hellinger radius `rho` of the truth.
+
+    At the translated truth the residual is the drawn noise e, so with
+    w = u - m(v) and s = h / sqrt(n) a replication's log ratio
+    sum[-(e - s w)^2/2 + e^2/2] is s (w.e) - s^2 (w.w)/2, and its
+    plug-in direction is sqrt(n) (u.e)/(u.u): four row dots.  Only `law`,
+    `h`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the estimates;
+    the values of `truth` and of the translations, and `rho`, do not.
     """
     if mc_reps < 1:
         raise ValueError("mc_reps must be >= 1")
@@ -353,26 +357,20 @@ def estimate_un_per_zeta(
     rootn = math.sqrt(n)
     estimates = np.empty(len(zeta_set))
     errors = np.empty(len(zeta_set))
-    for j, zeta in enumerate(zeta_set):
+    for j in range(len(zeta_set)):
         rng = np.random.default_rng([seed, j])
         u, v = law.sample_covariates(mc_reps * n, rng)
         e = rng.standard_normal(mc_reps * n)
         u, v, e = (a.reshape(mc_reps, n) for a in (u, v, e))
-        y = truth.theta * u + truth.eta(v) + zeta(v) + e
         w = u - law.cond_mean(v)
-        r_ref = y - truth.theta * u - truth.eta(v) - zeta(v)
-        if h is None:  # least-squares direction sqrt(n) (u.r)/(u.u), clamped
+        if h is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
             uu = _row_dots(u, u)
-            h_rep = np.zeros(mc_reps)
-            np.divide(rootn * _row_dots(u, r_ref), uu, out=h_rep, where=uu != 0.0)
+            h_rep = np.divide(rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0)
             h_rep = np.clip(h_rep, -2.0, 2.0)
         else:
             h_rep = np.full(mc_reps, float(h))
-        shift = h_rep[:, None] / rootn
-        log_ratio = np.sum(
-            -0.5 * (r_ref - shift * w) ** 2 + 0.5 * r_ref**2, axis=1
-        )
-        ratios = np.exp(log_ratio)
+        shift = h_rep / rootn
+        ratios = np.exp(shift * _row_dots(w, e) - 0.5 * shift**2 * _row_dots(w, w))
         estimates[j] = ratios.mean()
         errors[j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
     return estimates, errors

@@ -369,6 +369,8 @@ def run_parametric_baseline(
 
 def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     """One simulated dataset, its exact posterior and gap diagnostics."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     law, truth, spec = make_components(cfg)
     ds = sample_dataset(law, truth, n, seed)
     mp = theta_posterior(ds, spec, cfg.theta_prior_var)
@@ -396,10 +398,13 @@ def run_diagnostics_suite(
     waves; the report carries every estimate together with the bound or
     reference value it is judged against.
     """
-    law, truth, spec = make_components(cfg)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    law, truth, _ = make_components(cfg)
     grid = truth.eta.grid
+    zeta = NuisanceFunction(0.1 * np.cos(2.0 * np.pi * grid))
     probes = {
-        "0.1*cos(2pi v)": 0.1 * np.cos(2.0 * np.pi * grid),
+        "0.1*cos(2pi v)": zeta.values,
         "0.2*sin(4pi v)": 0.2 * np.sin(4.0 * np.pi * grid),
     }
 
@@ -418,10 +423,7 @@ def run_diagnostics_suite(
             }
         )
 
-    zeta_set = [
-        NuisanceFunction(np.zeros(grid.size)),
-        NuisanceFunction(0.1 * np.cos(2.0 * np.pi * grid)),
-    ]
+    zeta_set = [NuisanceFunction.zero(grid.size), zeta]
     un_rows = []
     for h_label, h in (("h=1", 1.0), ("plugin", None)):
         estimates, errors = estimate_un_per_zeta(
@@ -437,7 +439,6 @@ def run_diagnostics_suite(
         )
 
     ds = sample_dataset(law, truth, n, seed)
-    zeta = NuisanceFunction(0.1 * np.cos(2.0 * np.pi * grid))
     remainder = lan_remainder(ds, 1.0, zeta, truth, law)
     identity_value = 0.5 * (empirical_information(ds, law) - law.efficient_info)
 

@@ -200,16 +200,15 @@ class Dataset:
     e: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        for name in ("u", "v", "y"):
+        for name in ("u", "v", "y") + (() if self.e is None else ("e",)):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, arr)
         if not (self.u.shape == self.v.shape == self.y.shape) or self.u.ndim != 1:
             raise ValueError("u, v, y must be 1-d arrays of equal length")
-        if self.e is not None:
-            e = np.asarray(self.e, dtype=float)
-            if e.shape != self.u.shape:
-                raise ValueError("e must match the length of u, v, y")
-            object.__setattr__(self, "e", e)
+        if self.e is not None and self.e.shape != self.u.shape:
+            raise ValueError("e must match the length of u, v, y")
         if self.v.size and (self.v.min() < 0.0 or self.v.max() > 1.0):
             raise ValueError("v entries must lie in [0, 1]")
 

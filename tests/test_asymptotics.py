@@ -668,13 +668,43 @@ class TestEstimateUn:
         assert np.all(estimates > 0.0)
 
     def test_plugin_direction_equals_per_replication_loop(self):
-        # reference: each replication's plug-in direction on its own,
-        # sqrt(n) (u.r)/(u.u) clamped to [-2, 2], from the same draws
+        # reference: each replication on its own from the same draws, its
+        # residual the noise e, its plug-in direction sqrt(n) (u.e)/(u.u)
+        # clamped to [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2
         law = make_covariate_law(0.8)
         truth = _truth()
-        n, reps, seed = 40, 300, 103
+        reps, seed = 300, 103
         zetas = self._zetas()
-        estimates, _ = estimate_un_per_zeta(law, truth, zetas, 0.5, None, n, reps, seed)
+        for n in (3, 40, 800, 1000):
+            estimates, _ = estimate_un_per_zeta(law, truth, zetas, 0.5, None, n, reps, seed)
+            for j in range(len(zetas)):
+                rng = np.random.default_rng([seed, j])
+                u, v = law.sample_covariates(reps * n, rng)
+                e = rng.standard_normal(reps * n)
+                u, v, e = (a.reshape(reps, n) for a in (u, v, e))
+                w = u - law.cond_mean(v)
+                ratios = np.empty(reps)
+                for i in range(reps):
+                    h = math.sqrt(n) * float(u[i] @ e[i]) / float(u[i] @ u[i])
+                    shift = max(-2.0, min(2.0, h)) / math.sqrt(n)
+                    we, ww = float(w[i] @ e[i]), float(w[i] @ w[i])
+                    ratios[i] = np.exp(shift * we - 0.5 * shift**2 * ww)
+                assert estimates[j] == ratios.mean()
+
+    @pytest.mark.parametrize("sigma_w", [0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("grid_size", [2, 21, 200])
+    @pytest.mark.parametrize("n", [1, 40, 800])
+    @pytest.mark.parametrize("h", [None, 1.0, -2.0])
+    def test_matches_rebuilt_residual_reference(self, sigma_w, grid_size, n, h):
+        # reference: y rebuilt at the translated truth and the residual
+        # subtracted back out of it, summed term by term
+        law = make_covariate_law(sigma_w)
+        truth = _truth(grid_size=grid_size, theta=-1.5, amplitude=3.0)
+        grid = uniform_grid(grid_size)
+        zetas = [NuisanceFunction.zero(grid_size), NuisanceFunction(2.0 * np.cos(2 * math.pi * grid))]
+        reps, seed = 50, 109
+        estimates, errors = estimate_un_per_zeta(law, truth, zetas, 0.5, h, n, reps, seed)
+        rootn = math.sqrt(n)
         for j, zeta in enumerate(zetas):
             rng = np.random.default_rng([seed, j])
             u, v = law.sample_covariates(reps * n, rng)
@@ -683,12 +713,32 @@ class TestEstimateUn:
             y = truth.theta * u + truth.eta(v) + zeta(v) + e
             r = y - truth.theta * u - truth.eta(v) - zeta(v)
             w = u - law.cond_mean(v)
-            ratios = np.empty(reps)
-            for i in range(reps):
-                h = math.sqrt(n) * float(u[i] @ r[i]) / float(u[i] @ u[i])
-                shift = max(-2.0, min(2.0, h)) / math.sqrt(n)
-                ratios[i] = np.exp(np.sum(-0.5 * (r[i] - shift * w[i]) ** 2 + 0.5 * r[i] ** 2))
-            assert estimates[j] == ratios.mean()
+            if h is None:
+                h_rep = np.clip(rootn * np.sum(u * r, axis=1) / np.sum(u * u, axis=1), -2.0, 2.0)
+            else:
+                h_rep = np.full(reps, h)
+            shift = h_rep[:, None] / rootn
+            ratios = np.exp(np.sum(-0.5 * (r - shift * w) ** 2 + 0.5 * r**2, axis=1))
+            assert estimates[j] == pytest.approx(ratios.mean(), rel=1e-12, abs=0.0)
+            se = ratios.std(ddof=1) / math.sqrt(reps)
+            assert errors[j] == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("h", [None, 1.0])
+    def test_reads_only_the_drawn_noise(self, h, monkeypatch):
+        # the residual at the translated truth is the noise, so neither
+        # the truth's nor the translations' values enter, and no nuisance
+        # is evaluated
+        def no_evaluation(self, v):
+            raise AssertionError("a nuisance function was evaluated")
+
+        monkeypatch.setattr(NuisanceFunction, "__call__", no_evaluation)
+        law = make_covariate_law(0.8)
+        other_truth = _truth(grid_size=7, theta=-3.0, amplitude=2.5)
+        other_zetas = [NuisanceFunction(np.full(7, 1.5)), NuisanceFunction(np.linspace(-2, 2, 7))]
+        a = estimate_un_per_zeta(law, _truth(), self._zetas(), 0.5, h, 40, 300, seed=107)
+        b = estimate_un_per_zeta(law, other_truth, other_zetas, 0.1, h, 40, 300, seed=107)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import semibvm.experiments
 import semibvm.posterior
 from semibvm import cli
 from semibvm.experiments import ExperimentConfig, cell_seed, make_components
@@ -108,6 +109,20 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["posterior", "diagnostics"])
+    def test_nonpositive_n_exits_2_before_any_work(self, command, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("work started despite --n < 1")
+
+        monkeypatch.setattr(semibvm.experiments, "sample_dataset", spy)
+        monkeypatch.setattr(semibvm.experiments, "kl_neighborhood_stats", spy)
+        assert cli.main([command, "--n", "0"]) == cli.EXIT_CONFIG
+        assert "need n >= 1" in capsys.readouterr().err
+        assert calls == []
 
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):
         def boom(cfg):

@@ -130,6 +130,14 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             Dataset(u=np.ones(2), v=np.array([0.5, 1.5]), y=np.ones(2))
 
+    @pytest.mark.parametrize("name", ["u", "v", "y", "e"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected(self, name, bad):
+        fields = {key: np.full(3, 0.5) for key in ("u", "v", "y", "e")}
+        fields[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            Dataset(**fields)
+
 
 class TestLogDensityRatio:
     def test_same_point_is_zero(self):

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
+import typing
 
 from .experiments import (
     ExperimentConfig,
@@ -43,9 +43,15 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = {"k", "grid_size", "seeds", "master_seed"}
-_FLOAT_KEYS = {"sigma_w", "theta0", "eta0_amplitude", "scale", "theta_prior_var", "level"}
-_STR_KEYS = {"eta0_family", "output_path", "format"}
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+
+
+# each key's parser, by the type its ExperimentConfig field declares;
+# float() reads 'inf' and 'Infinity' as math.inf
+_PARSERS = {int: int, float: float, str: str, str | None: str, tuple[int, ...]: _int_list}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_KEY_PARSERS = {f.name: _PARSERS[_HINTS[f.name]] for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -64,20 +70,10 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = math.inf if value in ("inf", "Infinity") else float(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            elif key == "n_ladder":
-                values[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[key] = _KEY_PARSERS[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -85,11 +81,11 @@ def parse_config_file(path: str) -> dict:
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = parse_config_file(args.config) if args.config else {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         overrides["output_path"] = args.out
-    if getattr(args, "format", None) is not None:
+    if args.format is not None:
         overrides["format"] = args.format
     try:
         return ExperimentConfig(**overrides)
@@ -161,8 +157,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    n_default = cfg.n_ladder[0]
-    master = cfg.master_seed
+    n = getattr(args, "n", None)  # kernel, bvm-scan and coverage take no --n
+    n = cfg.n_ladder[0] if n is None else n
+    seed = cell_seed(cfg.master_seed, n, 0)
     dest = cfg.output_path or sys.stdout
     try:
         if args.command == "kernel":
@@ -170,15 +167,12 @@ def main(argv: list[str] | None = None) -> int:
             covariance_to_csv(prior_covariance(spec), dest)
         elif args.command == "sample":
             law, truth, _ = make_components(cfg)
-            n = args.n if args.n is not None else n_default
-            dataset_to_csv(sample_dataset(law, truth, n, cell_seed(master, n, 0)), dest)
+            dataset_to_csv(sample_dataset(law, truth, n, seed), dest)
         elif args.command == "bvm-scan":
             run_bvm_scan(cfg).write(dest, cfg.format)
         elif args.command == "coverage":
             run_coverage(cfg, args.replications).write(dest, cfg.format)
         else:  # posterior, baseline, diagnostics: one JSON object
-            n = args.n if args.n is not None else n_default
-            seed = cell_seed(master, n, 0)
             if args.command == "posterior":
                 payload = run_posterior_snapshot(cfg, n, seed)
             elif args.command == "baseline":

@@ -73,7 +73,13 @@ __all__ = [
     "dataset_to_csv",
 ]
 
-_ETA0_FAMILIES = ("sine", "cosine", "constant", "zero")
+# eta0 families: name -> (amplitude, grid) -> values on the grid
+_ETA0_FAMILIES = {
+    "sine": lambda amp, grid: amp * np.sin(2.0 * np.pi * grid),
+    "cosine": lambda amp, grid: amp * np.cos(2.0 * np.pi * grid),
+    "constant": lambda amp, grid: np.full(grid.size, amp),
+    "zero": lambda amp, grid: np.zeros(grid.size),
+}
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.eta0_family not in _ETA0_FAMILIES:
             raise ValueError(
-                f"eta0_family must be one of {_ETA0_FAMILIES}, got {self.eta0_family!r}"
+                f"eta0_family must be one of {tuple(_ETA0_FAMILIES)}, "
+                f"got {self.eta0_family!r}"
             )
         ladder = tuple(int(n) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -112,20 +119,11 @@ class ExperimentConfig:
             raise ValueError("level must lie in (0, 1)")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        if not math.isfinite(self.theta0):
+            raise ValueError(f"theta0 must be finite, got {self.theta0}")
         if not self.theta_prior_var > 0.0:
             raise ValueError("theta_prior_var must be positive (inf allowed)")
         make_components(self)  # the law and the prior spec check their own fields
-
-
-def _eta0_values(cfg: ExperimentConfig, grid: np.ndarray) -> np.ndarray:
-    amp = cfg.eta0_amplitude
-    if cfg.eta0_family == "sine":
-        return amp * np.sin(2.0 * np.pi * grid)
-    if cfg.eta0_family == "cosine":
-        return amp * np.cos(2.0 * np.pi * grid)
-    if cfg.eta0_family == "constant":
-        return np.full(grid.size, amp)
-    return np.zeros(grid.size)
 
 
 def make_components(
@@ -134,8 +132,8 @@ def make_components(
     """Law, true model point and prior spec implied by a config."""
     law = make_covariate_law(cfg.sigma_w)
     spec = GpPriorSpec(k=cfg.k, grid_size=cfg.grid_size, scale=cfg.scale)
-    grid = uniform_grid(cfg.grid_size)
-    truth = ModelPoint(theta=cfg.theta0, eta=NuisanceFunction(_eta0_values(cfg, grid)))
+    eta0 = _ETA0_FAMILIES[cfg.eta0_family](cfg.eta0_amplitude, uniform_grid(cfg.grid_size))
+    truth = ModelPoint(theta=cfg.theta0, eta=NuisanceFunction(eta0))
     return law, truth, spec
 
 

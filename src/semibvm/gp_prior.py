@@ -50,9 +50,11 @@ class NumericsError(RuntimeError):
 class GpPriorSpec:
     """Prior configuration: integration order, grid, scale, optional ball.
 
-    `scale` multiplies the standard deviation of the process.  When
-    `holder_bound` is set the prior is restricted by rejection to paths
-    with sup norm + discrete Hoelder seminorm below the bound.
+    `scale` multiplies the standard deviation of the process; it must be
+    positive with a finite, nonzero square (the square scales K).  With
+    `holder_alpha` and `holder_bound` set, both or neither, the prior is
+    restricted by rejection to paths with sup norm + discrete Hoelder
+    seminorm below the bound.
     """
 
     k: int = 1
@@ -66,15 +68,17 @@ class GpPriorSpec:
             raise ValueError("integration order k must be >= 0")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-        if self.holder_bound is not None:
-            if self.holder_alpha is None:
-                raise ValueError("holder_bound requires holder_alpha")
+        if not (self.scale > 0.0 and 0.0 < self.scale * self.scale < math.inf):
+            raise ValueError(
+                f"scale must be positive with a finite, nonzero square, got {self.scale}"
+            )
+        if (self.holder_alpha is None) != (self.holder_bound is None):
+            raise ValueError("holder_alpha and holder_bound are set together or not at all")
+        if self.conditioned:
             if not self.holder_bound > 0.0:
                 raise ValueError("holder_bound must be positive")
-        if self.holder_alpha is not None and not (0.0 < self.holder_alpha <= 1.0):
-            raise ValueError("holder_alpha must lie in (0, 1]")
+            if not (0.0 < self.holder_alpha <= 1.0):
+                raise ValueError("holder_alpha must lie in (0, 1]")
 
     @property
     def conditioned(self) -> bool:

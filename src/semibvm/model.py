@@ -83,20 +83,27 @@ def interpolation_weights(v: np.ndarray, grid_size: int) -> np.ndarray:
 class CovariateLaw:
     """Joint law of (U, V) with known conditional mean m(v) = a cos(2 pi v).
 
-    Standardisation a^2/2 + sigma_w^2 = 1 is enforced, so E[U^2] = 1.
-    Construct through :func:`make_covariate_law`.
+    sigma_w = residual_sd is the law's one free number: the amplitude
+    a = sqrt(2 (1 - sigma_w^2)) follows from the standardisation
+    a^2/2 + sigma_w^2 = 1, so E[U^2] = 1.
     """
 
-    cond_mean_amplitude: float
     residual_sd: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.residual_sd <= 1.0):
-            raise ValueError(
-                f"residual_sd must lie in (0, 1], got {self.residual_sd}"
+        sd = self.residual_sd
+        if not (0.0 < sd <= 1.0):  # a NaN fails too
+            reason = (
+                "must be <= 1 to allow E[U^2] = 1"
+                if sd > 1.0
+                else "must be positive (information would vanish)"
             )
-        if abs(self.cond_mean_amplitude**2 / 2.0 + self.residual_sd**2 - 1.0) > 1e-12:
-            raise ValueError("law is not standardised to E[U^2] = 1")
+            raise ValueError(f"residual_sd {reason}, got {sd}")
+
+    @property
+    def cond_mean_amplitude(self) -> float:
+        """a = sqrt(2 (1 - sigma_w^2))."""
+        return math.sqrt(2.0 * (1.0 - self.residual_sd**2))
 
     def cond_mean(self, v: np.ndarray | float) -> np.ndarray | float:
         """m(v) = E[U | V = v]."""
@@ -134,12 +141,7 @@ def make_covariate_law(residual_sd: float) -> CovariateLaw:
     outside (0, 1] are rejected because either the efficient information
     would vanish or no standardising amplitude exists.
     """
-    if residual_sd <= 0.0:
-        raise ValueError("residual_sd must be positive (information would vanish)")
-    if residual_sd > 1.0:
-        raise ValueError("residual_sd must be <= 1 to allow E[U^2] = 1")
-    amplitude = math.sqrt(2.0 * (1.0 - residual_sd**2))
-    return CovariateLaw(cond_mean_amplitude=amplitude, residual_sd=residual_sd)
+    return CovariateLaw(residual_sd=residual_sd)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """CLI tests: subcommands, config file parsing, exit codes."""
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,26 @@ seeds = 3
 master_seed = 7
 """
 
+
+# a value other than the default for every ExperimentConfig field
+NON_DEFAULT = {
+    "sigma_w": 0.6,
+    "theta0": -2.5,
+    "eta0_family": "cosine",
+    "eta0_amplitude": 1.25,
+    "k": 2,
+    "grid_size": 17,
+    "scale": 1.5,
+    "theta_prior_var": 4.0,
+    "n_ladder": (30, 60),
+    "seeds": 7,
+    "level": 0.9,
+    "master_seed": 12345,
+    "output_path": "report.csv",
+    "format": "csv",
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # every subcommand, with arguments that keep it small
 COMMANDS = [
@@ -72,6 +95,49 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_config_file("/does/not/exist.cfg")
 
+    def test_every_field_round_trips(self, tmp_path):
+        fields = dataclasses.fields(ExperimentConfig)
+        assert [f.name for f in fields] == list(NON_DEFAULT)
+        for f in fields:
+            assert NON_DEFAULT[f.name] != f.default, f.name
+        text = "".join(
+            f"{key} = {', '.join(map(str, value)) if key == 'n_ladder' else value}\n"
+            for key, value in NON_DEFAULT.items()
+        )
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        parsed = cli.parse_config_file(str(path))
+        assert parsed == NON_DEFAULT
+        assert ExperimentConfig(**parsed) == ExperimentConfig(**NON_DEFAULT)
+
+    @pytest.mark.parametrize("text", ["inf", "Infinity"])
+    def test_flat_prior_spellings(self, text, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"theta_prior_var = {text}\n")
+        parsed = cli.parse_config_file(str(path))
+        assert ExperimentConfig(**parsed).theta_prior_var == math.inf
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("bandwidth = 3", "unknown key 'bandwidth'"), ("n_ladder = 30, x", "bad value for")],
+    )
+    def test_errors_name_the_line(self, text, message, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# header\n{text}\n")
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(str(path))}:2: {message}"):
+            cli.parse_config_file(str(path))
+
+    def test_readme_block_documents_every_key(self, tmp_path):
+        # README's '### Config file' block lists ExperimentConfig's fields,
+        # in order, and is itself a valid config file
+        section = README.read_text().split("### Config file", 1)[1]
+        block = section.split("```\n", 2)[1]
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+        assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        ExperimentConfig(**cli.parse_config_file(str(path)))
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -108,6 +174,28 @@ class TestExitCodes:
         argv = [command, "--config", config_path, "--jobs", jobs, "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["theta0 = nan", "theta0 = inf", "scale = inf", "scale = 1e200"]
+    )
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+    def test_nonfinite_config_exits_2_before_any_work(
+        self, command, line, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("work started despite a non-finite config")
+
+        monkeypatch.setattr(semibvm.experiments, "sample_datasets", spy)
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["posterior", "diagnostics"])

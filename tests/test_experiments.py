@@ -87,6 +87,12 @@ class TestConfig:
             ("scale", -1.0),
             ("theta_prior_var", 0.0),
             ("theta_prior_var", -3.0),
+            ("theta0", math.nan),
+            ("theta0", math.inf),
+            ("scale", math.inf),
+            ("scale", 1e200),  # its square overflows
+            ("scale", 1e-200),  # its square underflows: the zero prior
+            ("sigma_w", math.nan),
         ],
     )
     def test_bad_model_field_rejected_up_front(self, field, value):

@@ -219,6 +219,9 @@ class TestSamplePriorPath:
     def test_ball_requires_alpha(self):
         with pytest.raises(ValueError):
             GpPriorSpec(k=1, grid_size=10, scale=1.0, holder_bound=5.0)
+        # and the reverse: an alpha without a bound would restrict nothing
+        with pytest.raises(ValueError, match="together"):
+            GpPriorSpec(k=1, grid_size=10, scale=1.0, holder_alpha=0.6)
 
 
 class TestHolderSeminorm:

@@ -52,6 +52,12 @@ class TestMakeCovariateLaw:
         law = make_covariate_law(0.8)
         assert law.cond_mean_amplitude == pytest.approx(math.sqrt(0.72), abs=1e-15)
 
+    def test_residual_sd_is_the_only_field(self):
+        # the amplitude is derived from sigma_w, never passed beside it
+        assert CovariateLaw(residual_sd=0.8) == make_covariate_law(0.8)
+        with pytest.raises(TypeError):
+            CovariateLaw(cond_mean_amplitude=math.sqrt(0.72), residual_sd=0.8)
+
     def test_second_moment_monte_carlo(self):
         # E U^2 = 1 within 3 MC standard errors at 1e5 draws
         law = make_covariate_law(0.8)

@@ -51,7 +51,8 @@ class GpPriorSpec:
     """Prior configuration: integration order, grid, scale, optional ball.
 
     `scale` multiplies the standard deviation of the process; it must be
-    positive with a finite, nonzero square (the square scales K).  With
+    positive with K's largest entry, scale^2 * c_k(1, 1), finite and
+    nonzero.  With
     `holder_alpha` and `holder_bound` set, both or neither, the prior is
     restricted by rejection to paths with sup norm + discrete Hoelder
     seminorm below the bound.
@@ -68,9 +69,11 @@ class GpPriorSpec:
             raise ValueError("integration order k must be >= 0")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if not (self.scale > 0.0 and 0.0 < self.scale * self.scale < math.inf):
+        corner = kibm_kernel(1.0, 1.0, self.k)
+        if not (self.scale > 0.0 and 0.0 < self.scale * self.scale * corner < math.inf):
             raise ValueError(
-                f"scale must be positive with a finite, nonzero square, got {self.scale}"
+                "scale must be positive with K's largest entry, scale^2 * c_k(1, 1), "
+                f"finite and nonzero, got {self.scale}"
             )
         if (self.holder_alpha is None) != (self.holder_bound is None):
             raise ValueError("holder_alpha and holder_bound are set together or not at all")

@@ -192,6 +192,16 @@ class ModelPoint:
     eta: NuisanceFunction
 
 
+def _store_finite(obj, names: Sequence[str]) -> None:
+    """Store each named field of a frozen dataclass as a float array;
+    ValueError names the first with a non-finite entry."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} entries must be finite")
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n observed triplets; e keeps the true noise when simulated."""
@@ -202,11 +212,7 @@ class Dataset:
     e: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        for name in ("u", "v", "y") + (() if self.e is None else ("e",)):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} entries must be finite")
-            object.__setattr__(self, name, arr)
+        _store_finite(self, ("u", "v", "y") + (() if self.e is None else ("e",)))
         if not (self.u.shape == self.v.shape == self.y.shape) or self.u.ndim != 1:
             raise ValueError("u, v, y must be 1-d arrays of equal length")
         if self.e is not None and self.e.shape != self.u.shape:
@@ -227,6 +233,9 @@ class DatasetStack:
     v: np.ndarray
     y: np.ndarray
     e: np.ndarray
+
+    def __post_init__(self) -> None:
+        _store_finite(self, ("u", "v", "y", "e"))
 
     @property
     def n(self) -> int:
@@ -252,7 +261,9 @@ def sample_datasets(
         rng = np.random.default_rng(seed)
         u[row], v[row] = law.sample_covariates(n, rng)
         e[row] = rng.standard_normal(n)
-    return DatasetStack(u=u, v=v, y=truth.theta * u + truth.eta(v) + e, e=e)
+    with np.errstate(over="ignore"):  # DatasetStack rejects an overflowed y
+        y = truth.theta * u + truth.eta(v) + e
+    return DatasetStack(u=u, v=v, y=y, e=e)
 
 
 def sample_dataset(

@@ -15,17 +15,19 @@ limit) and the Gaussian process prior on eta_grid keep the joint
 posterior exactly Gaussian.  A blocked Gibbs sampler over theta and
 eta_grid provides the Monte Carlo cross-check for the closed form.
 
-Every posterior is a view of one linear system.  In whitened coordinates
-eta_grid = L z, K = L L' the cached prior factor, it is the (m+2)x(m+2)
-matrix S ordered (z, theta, y) that :func:`_systems` assembles; its z
-block B = I + L'W'WL has every eigenvalue >= 1 and is factorised without
-jitter, and K is never inverted.  The data enter only through sufficient
-statistics gathered in O(n) from the two interpolation indices of each
-point: u'u, u'y, W'u, W'y and the tridiagonal W'W.  No n x m design is
-formed.  :func:`theta_posteriors` reads the theta marginals of many
+Every posterior is a view of one linear system S, written only by
+:func:`_assemble` from the sufficient statistics of :func:`_statistics`
+(u'u, u'y, y'y, W'u, W'y and the tridiagonal W'W, gathered in O(n) from
+the two interpolation indices of each point; no n x m design) and any
+m x r square root L of K = L L'.  Each public function takes the cached
+:func:`semibvm.gp_prior.prior_factor` of its spec once and sizes all
+below from it.  In whitened coordinates eta_grid = L z, S is the
+(r+2)x(r+2) matrix ordered (z, theta, y); its z block B = I + L'W'WL has
+every eigenvalue >= 1 and is factorised without jitter, and K is never
+inverted.  :func:`theta_posteriors` reads the theta marginals of many
 equal-size datasets off the pivots of one stacked chol(S), and
-:func:`theta_posterior` is its stack of one; the joint reads its mean
-and covariance root off the same factor, and the Gibbs sampler and the
+:func:`theta_posterior` is its stack of one; the joint reads its mean and
+covariance root off the same factor, and the Gibbs sampler and the
 conditional nuisance draws factorise S's B block once per call.  The
 package needs numpy and the standard library only.
 
@@ -68,8 +70,9 @@ class JointGaussianPosterior:
     """Exact Gaussian posterior over (theta, eta-grid-values).
 
     Coordinate 0 is theta; the remaining coordinates are the grid values
-    of the nuisance.  `root` is the square root the engine built,
-    covariance = root' root, through which the joint is sampled.
+    of the nuisance.  `root` (one row per prior factor column, plus theta)
+    is the square root the engine built, covariance = root' root, through
+    which the joint is sampled.
     """
 
     mean: np.ndarray
@@ -80,7 +83,7 @@ class JointGaussianPosterior:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         root = np.asarray(self.root, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size) or root.shape != cov.shape:
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size) or root.shape[1:] != (mean.size,):
             raise ValueError("mean, covariance and root dimensions are inconsistent")
         scale = max(1.0, float(np.abs(cov).max()))
         if not np.allclose(cov, cov.T, atol=1e-10 * scale, rtol=0.0):
@@ -195,16 +198,17 @@ def _prior_precision(theta_prior_var: float) -> float:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i for each row i of two (r, n) arrays, whatever the other rows."""
+    """a_i . b_i for each row i of two (rows, n) arrays, whatever the others."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _cholesky names a non-finite S
 def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
     """(diag, off, W'u, W'y, u'u, u'y, y'y) of the datasets in the rows of
-    u, v, y (shape (r, n)), one row each: W'W is tridiagonal with diagonal
+    u, v, y (shape (rows, n)), one row each: W'W is tridiagonal with diagonal
     `diag` and off-diagonal `off`.  Each point loads two neighbouring grid
     nodes, so the W statistics of every row come from one bincount per
-    weight, node j of row i in bin i*m + j: O(r n), no n x m array.  Each
+    weight, node j of row i in bin i*m + j: O(rows n), no n x m array.  Each
     bin sums its row's points in order, and the dot products run row by
     row, so a row's statistics do not depend on the other rows."""
     rows, m = u.shape[0], grid_size
@@ -230,56 +234,47 @@ def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
     )
 
 
-def _systems(
-    u: np.ndarray, v: np.ndarray, y: np.ndarray, spec: GpPriorSpec, prior_precision: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L, S): the prior factor and one posterior system per dataset in
-    the rows of u, v, y, stacked (r, m+2, m+2) and ordered (z, theta, y),
+@np.errstate(over="ignore", invalid="ignore")  # _cholesky names a non-finite S
+def _assemble(stats: tuple, factor: np.ndarray, prior_precision: float) -> np.ndarray:
+    """One posterior system per dataset of `stats` (from
+    :func:`_statistics`), stacked (rows, r+2, r+2) and ordered (z, theta,
+    y), for any m x r square root L of K = L L':
 
         S = [[B,        L'W'u,                 L'W'y  ],
              [(L'W'u)', u'u + prior_precision, u'y    ],
              [(L'W'y)', u'y,                   y'y + 1]],
 
-    with B = I + L'W'WL the precision of z = L^{-1} eta given theta.  In
-    chol(S) the leading (m+1) block D factorises the (z, theta) precision
-    and the y row is D^{-1} times its right-hand side (L'W'y, u'y); the
-    + 1 keeps the last pivot >= 1 and changes no other entry.  Every
-    product is taken system by system, so each system is the same
-    whatever else is in the stack.
+    with B = I + L'W'WL the precision of z given theta, eta = L z.  In
+    chol(S) the leading (r+1) block D factorises the (z, theta) precision,
+    the theta pivot sits at index r, and the y row is D^{-1} times its
+    right-hand side (L'W'y, u'y); the + 1 keeps the last pivot >= 1 and
+    changes no other entry.  Every product is taken system by system, so
+    each system is the same whatever else is in the stack.
     """
-    factor = prior_factor(spec)
-    m = spec.grid_size
-    diag, off, wu, wy, uu, uy, yy = _statistics(u, v, y, m)
+    diag, off, wu, wy, uu, uy, yy = stats
+    r = factor.shape[1]
     loaded = diag[:, :, None] * factor  # (W'W) L from the three diagonals of W'W
     loaded[:, :-1] += off[:, :, None] * factor[1:]
     loaded[:, 1:] += off[:, :, None] * factor[:-1]
-    systems = np.empty((u.shape[0], m + 2, m + 2))
-    systems[:, :m, :m] = factor.T @ loaded
-    nodes = np.arange(m)
+    systems = np.empty((uu.shape[0], r + 2, r + 2))
+    systems[:, :r, :r] = factor.T @ loaded
+    nodes = np.arange(r)
     systems[:, nodes, nodes] += 1.0
-    for col, w in ((m, wu), (m + 1, wy)):
-        systems[:, :m, col] = systems[:, col, :m] = (factor.T @ w[:, :, None])[:, :, 0]
-    systems[:, m, m] = uu + prior_precision
-    systems[:, m, m + 1] = systems[:, m + 1, m] = uy
-    systems[:, m + 1, m + 1] = yy + 1.0
-    return factor, systems
+    for col, w in ((r, wu), (r + 1, wy)):
+        systems[:, :r, col] = systems[:, col, :r] = (factor.T @ w[:, :, None])[:, :, 0]
+    systems[:, r, r] = uu + prior_precision
+    systems[:, r, r + 1] = systems[:, r + 1, r] = uy
+    systems[:, r + 1, r + 1] = yy + 1.0
+    return systems
 
 
-def _system(
-    ds: Dataset, spec: GpPriorSpec, prior_precision: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L, S) for one dataset: :func:`_systems` on a stack of one."""
-    factor, systems = _systems(ds.u[None], ds.v[None], ds.y[None], spec, prior_precision)
-    return factor, systems[0]
-
-
-def _nuisance_conditional(system: np.ndarray, m: int):
-    """draw(theta, normals) -> z | theta, data for normals of shape (m,)
-    or (draws, m).  z | theta ~ N(B^{-1} (L'W'y - theta L'W'u), B^{-1})
+def _nuisance_conditional(system: np.ndarray, r: int):
+    """draw(theta, normals) -> z | theta, data for normals of shape (r,)
+    or (draws, r).  z | theta ~ N(B^{-1} (L'W'y - theta L'W'u), B^{-1})
     with B^{-1} = C^{-T} C^{-1}, C the factor of S's B block, so both mean
     pieces and the noise map are computed once."""
-    inv_chol = _inverse_lower(_cholesky(system[:m, :m]))
-    mean_u, mean_y = (inv_chol.T @ (inv_chol @ system[:m, m:])).T
+    inv_chol = _inverse_lower(_cholesky(system[:r, :r]))
+    mean_u, mean_y = (inv_chol.T @ (inv_chol @ system[:r, r:])).T
 
     def draw(theta: float, normals: np.ndarray) -> np.ndarray:
         return mean_y - theta * mean_u + normals @ inv_chol
@@ -294,10 +289,10 @@ def theta_posterior(
 
     Same prior as :func:`conjugate_joint_posterior`.  The nuisance is
     eliminated by one Cholesky factorisation of the system S of
-    :func:`_systems`.  Its theta pivot s is the square root of the Schur
-    complement of B, so the precision is s^2; the theta entry r of the y
+    :func:`_assemble`.  Its theta pivot s is the square root of the Schur
+    complement of B, so the precision is s^2; the theta entry c of the y
     row is (u'y - g'h) / s with g, h the solves of B's factor against
-    L'W'u and L'W'y, so the mean is r / s.  NumericsError if the
+    L'W'u and L'W'y, so the mean is c / s.  NumericsError if the
     precision is not positive (e.g. a flat theta prior with u = 0).
     """
     _prior_precision(theta_prior_var)  # rejects a nonpositive variance
@@ -315,15 +310,16 @@ def theta_posteriors(
     u: np.ndarray, v: np.ndarray, y: np.ndarray, spec: GpPriorSpec, theta_prior_var: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta marginal means and variances of the datasets in the rows of
-    u, v, y (shape (r, n), n >= 1): the systems of every row are stacked
+    u, v, y (shape (rows, n), n >= 1): the systems of every row are stacked
     and factorised by one np.linalg.cholesky call.  Row i's result does not
     depend on the other rows.  StackNumericsError names the first row
     whose system or theta precision fails.
     """
-    m = spec.grid_size
-    _, systems = _systems(u, v, y, spec, _prior_precision(theta_prior_var))
-    chol = _cholesky_stack(systems)
-    pivot = chol[:, m, m]
+    factor = prior_factor(spec)
+    m, r = factor.shape
+    stats = _statistics(u, v, y, m)
+    chol = _cholesky_stack(_assemble(stats, factor, _prior_precision(theta_prior_var)))
+    pivot = chol[:, r, r]
     with np.errstate(over="ignore", divide="ignore"):  # checked just below
         variance = 1.0 / pivot**2
     bad = np.flatnonzero(~(np.isfinite(variance) & (variance > 0.0)))
@@ -331,7 +327,7 @@ def theta_posteriors(
         raise StackNumericsError(
             int(bad[0]), "theta posterior precision is not finite and positive"
         )
-    return chol[:, m + 1, m] / pivot, variance
+    return chol[:, r + 1, r] / pivot, variance
 
 
 def conjugate_joint_posterior(
@@ -343,33 +339,34 @@ def conjugate_joint_posterior(
     N(0, scale^2 K).  `theta_prior_var = math.inf` selects the flat
     limit (zero prior precision on theta).  With no data the posterior
     is the prior, with root block_diag(tau, L').  Otherwise it is read
-    off the factor of the system S of :func:`_systems`: with D its leading
+    off the factor of the system S of :func:`_assemble`: with D its leading
     (z, theta) block and R = D^{-1}, the (z, theta) mean is R' times the
     y row and the covariance is R'R, mapped to (theta, eta) through
     eta = L z.  NumericsError if S is not positive definite (e.g. a flat
     theta prior with u = 0).
     """
     prior_precision = _prior_precision(theta_prior_var)
-    m = spec.grid_size
+    factor = prior_factor(spec)
+    m, r = factor.shape
     if ds.n == 0:
         if math.isinf(theta_prior_var):
             raise ValueError("flat theta prior with no data is improper")
         cov = np.zeros((m + 1, m + 1))
         cov[0, 0] = theta_prior_var
         cov[1:, 1:] = prior_covariance(spec).matrix
-        root = np.zeros((m + 1, m + 1))
+        root = np.zeros((r + 1, m + 1))
         root[0, 0] = math.sqrt(theta_prior_var)
-        root[1:, 1:] = prior_factor(spec).T
+        root[1:, 1:] = factor.T
         return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov, root=root)
 
-    factor, system = _system(ds, spec, prior_precision)
-    chol = _cholesky(system)
-    inv_chol = _inverse_lower(chol[: m + 1, : m + 1])
-    latent_mean = inv_chol.T @ chol[m + 1, : m + 1]  # (z, theta)
-    root = np.empty((m + 1, m + 1))  # R with its columns mapped to (theta, eta)
-    root[:, 0] = inv_chol[:, m]
-    root[:, 1:] = inv_chol[:, :m] @ factor.T
-    mean = np.concatenate([latent_mean[m:], factor @ latent_mean[:m]])
+    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
+    chol = _cholesky(_assemble(stats, factor, prior_precision)[0])
+    inv_chol = _inverse_lower(chol[: r + 1, : r + 1])
+    latent_mean = inv_chol.T @ chol[r + 1, : r + 1]  # (z, theta)
+    root = np.empty((r + 1, m + 1))  # R with its columns mapped to (theta, eta)
+    root[:, 0] = inv_chol[:, r]
+    root[:, 1:] = inv_chol[:, :r] @ factor.T
+    mean = np.concatenate([latent_mean[r:], factor @ latent_mean[:r]])
     return JointGaussianPosterior(mean=mean, covariance=root.T @ root, root=root)
 
 
@@ -378,7 +375,7 @@ def sample_joint_posterior(
 ) -> np.ndarray:
     """Exact draws mean + z root from the joint posterior, shape (size, dim)."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((size, jp.mean.size))
+    z = rng.standard_normal((size, jp.root.shape[0]))
     return jp.mean[None, :] + z @ jp.root
 
 
@@ -392,33 +389,35 @@ def gibbs_chain(
 ) -> GibbsChain:
     """Blocked Gibbs sampler alternating exact conditional draws.
 
-    The chain runs in z = L^{-1} eta on the system S of :func:`_systems`:
+    The chain runs in z, eta = L z, on the system S of :func:`_assemble`:
     theta | z, data is univariate normal with mean (u'y - (L'W'u)'z) /
-    precision, O(m) per step; z | theta, data is multivariate normal with
+    precision, O(r) per step; z | theta, data is multivariate normal with
     the theta-independent precision B, so its factor is computed once.
     The states map to eta with one matmul at the end.  Deterministic in
     `seed`.
     """
     if not (iterations > burn_in >= 0):
         raise ValueError("need iterations > burn_in >= 0")
-    m = spec.grid_size
-    factor, system = _system(ds, spec, _prior_precision(theta_prior_var))
-    draw_z = _nuisance_conditional(system, m)
+    factor = prior_factor(spec)
+    m, r = factor.shape
+    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
+    system = _assemble(stats, factor, _prior_precision(theta_prior_var))[0]
+    draw_z = _nuisance_conditional(system, r)
 
-    theta_precision = float(system[m, m])
+    theta_precision = float(system[r, r])
     if not theta_precision > 0.0:
         raise NumericsError("theta conditional has zero precision")
     theta_sd = 1.0 / math.sqrt(theta_precision)
-    load_u, uy = system[m, :m], float(system[m, m + 1])
+    load_u, uy = system[r, :r], float(system[r, r + 1])
 
     rng = np.random.default_rng(seed)
     thetas = np.empty(iterations)
-    zs = np.empty((iterations, m))
-    z = np.zeros(m)
+    zs = np.empty((iterations, r))
+    z = np.zeros(r)
     for it in range(iterations):
         theta_mean = (uy - load_u @ z) / theta_precision
         theta = theta_mean + theta_sd * rng.standard_normal()
-        z = draw_z(theta, rng.standard_normal(m))
+        z = draw_z(theta, rng.standard_normal(r))
         thetas[it] = theta
         zs[it] = z
     return GibbsChain(
@@ -482,9 +481,11 @@ def conditional_nuisance_mass(
     rng = np.random.default_rng(seed)
     _, v_shared = law.sample_covariates(hellinger_draws, rng)
 
-    factor, system = _system(ds, spec, 0.0)
-    draw_z = _nuisance_conditional(system, spec.grid_size)
-    eta_draws = draw_z(theta_fixed, rng.standard_normal((draws, spec.grid_size))) @ factor.T
+    factor = prior_factor(spec)
+    m, r = factor.shape
+    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
+    draw_z = _nuisance_conditional(_assemble(stats, factor, 0.0)[0], r)
+    eta_draws = draw_z(theta_fixed, rng.standard_normal((draws, r))) @ factor.T
 
     eta_shared = interpolate(eta_draws, v_shared)
     target = least_favorable_eta(theta_fixed, truth, law)

@@ -177,9 +177,16 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line", ["theta0 = nan", "theta0 = inf", "scale = inf", "scale = 1e200"]
+        "line",
+        [
+            "theta0 = nan",
+            "theta0 = inf",
+            "scale = inf",
+            "scale = 1e200",
+            "scale = 1e154",  # a finite square, but scale^2 * c_1(1, 1) overflows K
+        ],
     )
-    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage", "kernel"])
     def test_nonfinite_config_exits_2_before_any_work(
         self, command, line, tmp_path, monkeypatch, capsys
     ):
@@ -190,12 +197,56 @@ class TestExitCodes:
             raise AssertionError("work started despite a non-finite config")
 
         monkeypatch.setattr(semibvm.experiments, "sample_datasets", spy)
+        monkeypatch.setattr(cli, "prior_covariance", spy)
         path = tmp_path / "bad.cfg"
         path.write_text(SMALL_CONFIG + line + "\n")
         out = tmp_path / "r.json"
         assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["theta0 = 1e308", "theta0 = -1e308"])
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+    def test_overflowing_y_exits_2_before_any_posterior(
+        self, command, line, tmp_path, monkeypatch, capsys
+    ):
+        # a RuntimeWarning would fail this test: the suite turns warnings into errors
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a posterior was computed from a non-finite y")
+
+        monkeypatch.setattr(semibvm.experiments, "theta_posteriors", spy)
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: y entries must be finite\n"
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "scale = 8e153",  # K is finite, the products of S overflow
+            "theta0 = 1e200",  # y is finite, y'y overflows
+        ],
+    )
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+    def test_overflowing_system_exits_3_with_one_line(
+        self, command, line, tmp_path, capsys
+    ):
+        # one stderr line and no RuntimeWarning, which the suite makes an error
+        path = tmp_path / "big.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: cell n=30 rep=0 ")
+        assert err.endswith("whitened posterior precision is not finite\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["posterior", "diagnostics"])
@@ -236,24 +287,30 @@ class TestExitCodes:
     ):
         # the three replications at n = 60 share one stacked factorisation;
         # the first broken system is reported by its own cell
-        original = semibvm.posterior._systems
+        statistics, assemble = semibvm.posterior._statistics, semibvm.posterior._assemble
+        sizes = []
 
-        def corrupted(u, v, y, spec, prior_precision):
-            factor, systems = original(u, v, y, spec, prior_precision)
-            if u.shape[1] == 60:
-                m = spec.grid_size
+        def recorded(u, v, y, grid_size):
+            sizes.append(u.shape[1])
+            return statistics(u, v, y, grid_size)
+
+        def corrupted(stats, factor, prior_precision):
+            systems = assemble(stats, factor, prior_precision)
+            if sizes[-1] == 60:
+                r = factor.shape[1]
                 for row, kind in corrupt.items():
                     if kind == "indefinite":
-                        systems[row, m, m] = -1.0
+                        systems[row, r, r] = -1.0
                     elif kind == "nan":
                         systems[row, 0, 0] = np.nan
                     else:  # a positive theta pivot whose square underflows to 0
-                        systems[row, m, :m] = 0.0
-                        systems[row, m, m] = 5e-324
-                        systems[row, m + 1, m] = 0.0
-            return factor, systems
+                        systems[row, r, :r] = 0.0
+                        systems[row, r, r] = 5e-324
+                        systems[row, r + 1, r] = 0.0
+            return systems
 
-        monkeypatch.setattr(semibvm.posterior, "_systems", corrupted)
+        monkeypatch.setattr(semibvm.posterior, "_statistics", recorded)
+        monkeypatch.setattr(semibvm.posterior, "_assemble", corrupted)
         out = tmp_path / "r.json"
         assert cli.main([*command, "--config", config_path, "--out", str(out)]) == cli.EXIT_NUMERIC
         rep, message = expected

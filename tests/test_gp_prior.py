@@ -1,6 +1,7 @@
 """Prior tests: kernel against quadrature, covariance, path sampling, seminorm."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ class TestPriorCovariance:
         base = prior_covariance(GpPriorSpec(k=1, grid_size=9, scale=1.0))
         scaled = prior_covariance(GpPriorSpec(k=1, grid_size=9, scale=2.0))
         np.testing.assert_allclose(scaled.matrix, 4.0 * base.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_scale_whose_covariance_overflows_rejected(self, k):
+        # K's largest entry is scale^2 c_k(1, 1): just below the scale that
+        # overflows it K is finite, just above the spec is rejected
+        edge = math.sqrt(sys.float_info.max / kibm_kernel(1.0, 1.0, k))
+        matrix = prior_covariance(GpPriorSpec(k=k, grid_size=7, scale=0.999 * edge)).matrix
+        assert np.isfinite(matrix).all()
+        assert matrix.max() == matrix[-1, -1]
+        with pytest.raises(ValueError, match="largest entry"):
+            GpPriorSpec(k=k, grid_size=7, scale=1.001 * edge)
 
     def test_diagonal_matches_kernel(self):
         spec = GpPriorSpec(k=2, grid_size=11, scale=1.5)

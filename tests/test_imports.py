@@ -109,3 +109,40 @@ def test_every_export_resolves_once():
         assert [name for name in exported if not hasattr(module, name)] == [], module.__name__
         assert removed.isdisjoint(exported), module.__name__
         assert removed.isdisjoint(vars(module)), module.__name__
+
+
+def test_docstring_references_resolve():
+    # every :func:, :class: or :mod: reference in the package's source
+    # names an attribute of its own module or a dotted semibvm. path
+    import importlib
+    import pkgutil
+    import re
+
+    import semibvm
+
+    def resolve(module, target):
+        if target.startswith("semibvm."):
+            try:
+                return importlib.import_module(target)
+            except ImportError:
+                parent, _, target = target.rpartition(".")
+                module = importlib.import_module(parent)
+        for part in target.split("."):
+            module = getattr(module, part)
+        return module
+
+    modules = [semibvm] + [
+        importlib.import_module(f"semibvm.{info.name}")
+        for info in pkgutil.iter_modules(semibvm.__path__)
+    ]
+    checked, broken = 0, []
+    for module in modules:
+        text = Path(module.__file__).read_text()
+        for target in re.findall(r":(?:func|class|mod):`([^`]+)`", text):
+            checked += 1
+            try:
+                resolve(module, target)
+            except (AttributeError, ImportError):
+                broken.append(f"{module.__name__}: {target}")
+    assert broken == []
+    assert checked >= 15

@@ -9,6 +9,7 @@ from scipy.stats import norm
 from semibvm.model import (
     CovariateLaw,
     Dataset,
+    DatasetStack,
     ModelPoint,
     NuisanceFunction,
     efficient_information,
@@ -20,6 +21,7 @@ from semibvm.model import (
     log_density_ratio,
     make_covariate_law,
     sample_dataset,
+    sample_datasets,
     uniform_grid,
 )
 
@@ -143,6 +145,19 @@ class TestSampleDataset:
         fields[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             Dataset(**fields)
+
+    @pytest.mark.parametrize("name", ["u", "v", "y", "e"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stack_nonfinite_entries_rejected(self, name, bad):
+        fields = {key: np.full((2, 3), 0.5) for key in ("u", "v", "y", "e")}
+        fields[name][1, 2] = bad
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            DatasetStack(**fields)
+
+    def test_overflowing_y_rejected_without_a_warning(self):
+        # theta u overflows for |u| > 1.8; warnings are errors in this suite
+        with pytest.raises(ValueError, match="y entries must be finite"):
+            sample_datasets(make_covariate_law(0.8), _truth(theta=1e308), 50, [1, 2])
 
 
 class TestLogDensityRatio:

@@ -28,15 +28,15 @@ from semibvm.model import (
     interpolation_weights,
     make_covariate_law,
     sample_dataset,
+    sample_datasets,
 )
 import semibvm.posterior
 from semibvm.posterior import (
     MarginalThetaPosterior,
+    _assemble,
     _inverse_lower,
     _normal_cdf,
     _statistics,
-    _system,
-    _systems,
     conditional_nuisance_mass,
     conditioned_theta_marginal,
     conjugate_joint_posterior,
@@ -46,6 +46,7 @@ from semibvm.posterior import (
     posterior_mass_h_ball,
     sample_joint_posterior,
     theta_posterior,
+    theta_posteriors,
 )
 
 
@@ -310,10 +311,39 @@ class TestSufficientStatisticEngine:
         u, y = rng.standard_normal((2, 6, 90))
         v = rng.uniform(0.0, 1.0, (6, 90))
         v[2, :2] = (0.0, 1.0)
-        _, stacked = _systems(u, v, y, spec, 0.1)
+        factor, m = prior_factor(spec), spec.grid_size
+        stacked = _assemble(_statistics(u, v, y, m), factor, 0.1)
         for row in range(6):
-            alone = _systems(u[row : row + 1], v[row : row + 1], y[row : row + 1], spec, 0.1)[1]
-            np.testing.assert_array_equal(stacked[row], alone[0])
+            stats = _statistics(u[row : row + 1], v[row : row + 1], y[row : row + 1], m)
+            np.testing.assert_array_equal(stacked[row], _assemble(stats, factor, 0.1)[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [50, 200])
+    def test_engine_depends_on_k_only(self, k, grid_size, monkeypatch):
+        # any square root of K gives the same posterior: L P for a signed
+        # permutation P, and [L, 0] with one column more than the grid
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = make_components(cfg)
+        data = sample_datasets(law, truth, 400, [cell_seed(6, 400, rep) for rep in range(3)])
+        ds = data[0]
+        factor = prior_factor(spec)
+        means, variances = theta_posteriors(data.u, data.v, data.y, spec, 10.0)
+        jp = conjugate_joint_posterior(ds, spec, 10.0)
+        rng = np.random.default_rng(k)
+        signs = rng.choice([-1.0, 1.0], grid_size)
+        for other in (
+            factor[:, rng.permutation(grid_size)] * signs,
+            np.hstack([factor, np.zeros((grid_size, 1))]),
+        ):
+            monkeypatch.setattr(semibvm.posterior, "prior_factor", lambda _: other)
+            other_means, other_variances = theta_posteriors(data.u, data.v, data.y, spec, 10.0)
+            np.testing.assert_allclose(other_variances, variances, rtol=1e-12, atol=0.0)
+            assert np.all(np.abs(other_means - means) <= 1e-12 * np.sqrt(variances))
+            other_jp = conjugate_joint_posterior(ds, spec, 10.0)
+            assert other_jp.root.shape == (other.shape[1] + 1, grid_size + 1)
+            scale = np.abs(jp.covariance).max()
+            assert np.abs(other_jp.covariance - jp.covariance).max() <= 1e-12 * scale
+            assert np.abs(other_jp.mean - jp.mean).max() <= 1e-12 * np.abs(jp.mean).max()
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("grid_size", [50, 200])
@@ -353,7 +383,9 @@ class TestSufficientStatisticEngine:
         identity = np.eye(grid_size)
         for n in (200, 20_000):
             ds = sample_dataset(law, truth, n, cell_seed(4, n, k))
-            chol = np.linalg.cholesky(_system(ds, spec, 0.1)[1][:grid_size, :grid_size])
+            stats = _statistics(ds.u[None], ds.v[None], ds.y[None], grid_size)
+            system = _assemble(stats, prior_factor(spec), 0.1)[0]
+            chol = np.linalg.cholesky(system[:grid_size, :grid_size])
             reference = solve_triangular(chol, identity, lower=True)
             inverse = _inverse_lower(chol)
             np.testing.assert_array_equal(inverse, np.tril(inverse))

@@ -240,21 +240,26 @@ def lan_remainder(
     h n^{-1/2} sum g_zeta(x_i) - h^2 I / 2 differ by exactly
     (h^2 / 2) ((1/n) sum (u_i - m(v_i))^2 - I); the signed value returned
     here is that quadratic deficit (expansion minus log ratio).
+
+    The residuals are formed from the stored noise, not from y: with
+    data drawn at `truth`, y - theta0 u - (eta0 + zeta)(v) = e - zeta(v)
+    and the perturbed residual is that minus (h/sqrt(n)) (u - m(v)), so
+    no term of size theta0 u cancels and the value does not depend on
+    theta0.  The dataset must carry simulation provenance.
     """
     n = ds.n
     if n < 1:
         raise ValueError("need n >= 1")
+    if ds.e is None:
+        raise ValueError("dataset lacks stored residuals")
     rootn = math.sqrt(n)
-    theta_n = truth.theta + h / rootn
-    mv = law.cond_mean(ds.v)
-    eta0_v = truth.eta(ds.v)
-    zeta_v = zeta(ds.v)
+    w = ds.u - law.cond_mean(ds.v)
 
-    r_ref = ds.y - truth.theta * ds.u - (eta0_v + zeta_v)
-    r_pert = ds.y - theta_n * ds.u - (eta0_v - (h / rootn) * mv + zeta_v)
+    r_ref = ds.e - zeta(ds.v)
+    r_pert = r_ref - (h / rootn) * w
     log_ratio = float(np.sum(-0.5 * r_pert**2 + 0.5 * r_ref**2))
 
-    score_sum = float(np.sum(r_ref * (ds.u - mv)))
+    score_sum = float(np.sum(r_ref * w))
     expansion = (h / rootn) * score_sum - 0.5 * h * h * law.efficient_info
     return expansion - log_ratio
 
@@ -325,7 +330,7 @@ def estimate_un_per_zeta(
     truth: ModelPoint,
     zeta_set: list[NuisanceFunction],
     rho: float,
-    h: float | None,
+    h: float | None | tuple[float | None, ...],
     n: int,
     mc_reps: int,
     seed: int,
@@ -341,6 +346,11 @@ def estimate_un_per_zeta(
     1 exactly for deterministic h.  Callers are responsible for probe
     translations staying within Hellinger radius `rho` of the truth.
 
+    `h` is one direction, giving arrays of shape (len(zeta_set),), or a
+    tuple of directions, giving arrays of shape (len(h), len(zeta_set))
+    whose row i equals the result for h[i] alone: each zeta's sample is
+    drawn once and every direction is evaluated on it.
+
     At the translated truth the residual is the drawn noise e, so with
     w = u - m(v) and s = h / sqrt(n) a replication's log ratio
     sum[-(e - s w)^2/2 + e^2/2] is s (w.e) - s^2 (w.w)/2, and its
@@ -354,23 +364,30 @@ def estimate_un_per_zeta(
         raise ValueError("need n >= 1")
     if not zeta_set:
         raise ValueError("zeta_set must be nonempty")
+    directions = h if isinstance(h, tuple) else (h,)
     rootn = math.sqrt(n)
-    estimates = np.empty(len(zeta_set))
-    errors = np.empty(len(zeta_set))
+    estimates = np.empty((len(directions), len(zeta_set)))
+    errors = np.empty((len(directions), len(zeta_set)))
     for j in range(len(zeta_set)):
         rng = np.random.default_rng([seed, j])
         u, v = law.sample_covariates(mc_reps * n, rng)
         e = rng.standard_normal(mc_reps * n)
         u, v, e = (a.reshape(mc_reps, n) for a in (u, v, e))
         w = u - law.cond_mean(v)
-        if h is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
-            uu = _row_dots(u, u)
-            h_rep = np.divide(rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0)
-            h_rep = np.clip(h_rep, -2.0, 2.0)
-        else:
-            h_rep = np.full(mc_reps, float(h))
-        shift = h_rep / rootn
-        ratios = np.exp(shift * _row_dots(w, e) - 0.5 * shift**2 * _row_dots(w, w))
-        estimates[j] = ratios.mean()
-        errors[j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
-    return estimates, errors
+        we, ww = _row_dots(w, e), _row_dots(w, w)
+        for i, direction in enumerate(directions):
+            if direction is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
+                uu = _row_dots(u, u)
+                h_rep = np.divide(
+                    rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0
+                )
+                h_rep = np.clip(h_rep, -2.0, 2.0)
+            else:
+                h_rep = np.full(mc_reps, float(direction))
+            shift = h_rep / rootn
+            ratios = np.exp(shift * we - 0.5 * shift**2 * ww)
+            estimates[i, j] = ratios.mean()
+            errors[i, j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
+    if isinstance(h, tuple):
+        return estimates, errors
+    return estimates[0], errors[0]

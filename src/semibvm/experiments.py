@@ -8,9 +8,11 @@ isolation and reports are bit-reproducible.
 
 Scans and coverage studies solve the replications of one n in batches,
 in one process: the batch's datasets are stacked as rows, their
-sufficient statistics gathered by offset bincounts and their posterior
-systems factorised by one stacked Cholesky call (see
-:func:`semibvm.posterior.theta_posteriors`).  A row does not depend on
+sufficient statistics gathered by offset bincounts, their posterior
+systems assembled by two stacked GEMMs and factorised by one stacked
+Cholesky call (see :func:`semibvm.posterior.theta_posteriors`).  Only
+the generator runs per cell: :func:`semibvm.model.sample_datasets`
+forms u and y once for the whole batch.  A row does not depend on
 which other cells share its batch, and a batch's size is bounded by a
 fixed working-set budget, so the reports are the same for any batching.
 """
@@ -221,11 +223,16 @@ _Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
 _Batch = tuple[ExperimentConfig, _Components, int, range]
 
 # Working-set budget of one batch, in doubles: a batch at sample size n
-# on an m-point grid holds n data points and one (m+2)^2 system per
-# replication, so it takes max(1, budget // (n + (m+2)^2)) replications:
-# 4-5 on the default config, enough to spread the per-call overhead.  One
-# batch per n instead (100 default replications) raised the peak RSS of a
-# coverage run by 8 MiB.
+# on an m-point grid takes max(1, budget // (n + (m+2)^2)) replications,
+# 4-5 on the default config, enough to spread the per-call overhead.  The
+# divisor counts one n-point data row and the (m+2)^2 system of each
+# replication; the data's other rows (u, v, z, e, y and the statistics'
+# weights) and the assembly's m x m gram array W'W and its m x r product
+# (W'W) L are about as large again each, so a batch's arrays span a few
+# budgets.  Re-measured with the GEMM assembly: 2^15 (9-11 replications)
+# was no faster end to end than 2^14, and per system it raised the
+# assembly's cost.  One batch per n (100 default replications) raised the
+# peak RSS of a coverage run by 8 MiB.
 _BATCH_BUDGET = 2**14
 
 
@@ -422,19 +429,18 @@ def run_diagnostics_suite(
         )
 
     zeta_set = [NuisanceFunction.zero(grid.size), zeta]
-    un_rows = []
-    for h_label, h in (("h=1", 1.0), ("plugin", None)):
-        estimates, errors = estimate_un_per_zeta(
-            law, truth, zeta_set, rho=0.5, h=h, n=n, mc_reps=un_reps, seed=seed
-        )
-        un_rows.append(
-            {
-                "h": h_label,
-                "estimates": estimates.tolist(),
-                "standard_errors": errors.tolist(),
-                "max": float(estimates.max()),
-            }
-        )
+    estimates, errors = estimate_un_per_zeta(
+        law, truth, zeta_set, rho=0.5, h=(1.0, None), n=n, mc_reps=un_reps, seed=seed
+    )
+    un_rows = [
+        {
+            "h": h_label,
+            "estimates": est.tolist(),
+            "standard_errors": err.tolist(),
+            "max": float(est.max()),
+        }
+        for h_label, est, err in zip(("h=1", "plugin"), estimates, errors)
+    ]
 
     ds = sample_dataset(law, truth, n, seed)
     remainder = lan_remainder(ds, 1.0, zeta, truth, law)

@@ -109,12 +109,16 @@ class CovariateLaw:
         """m(v) = E[U | V = v]."""
         return self.cond_mean_amplitude * np.cos(2.0 * np.pi * np.asarray(v))
 
+    def covariate_u(self, v: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """u = m(v) + sigma_w z, the covariate U of the uniform draws v and
+        the standard normals z."""
+        return self.cond_mean(v) + self.residual_sd * z
+
     def sample_covariates(self, n: int, rng: np.random.Generator):
-        """Draw n i.i.d. pairs (u, v)."""
+        """Draw n i.i.d. pairs (u, v): v ~ Uniform[0, 1] first, then the
+        n normals z of :meth:`covariate_u`."""
         v = rng.uniform(0.0, 1.0, size=n)
-        z = rng.standard_normal(n)
-        u = self.cond_mean(v) + self.residual_sd * z
-        return u, v
+        return self.covariate_u(v, rng.standard_normal(n)), v
 
     @property
     def efficient_info(self) -> float:
@@ -250,17 +254,22 @@ def sample_datasets(
 ) -> DatasetStack:
     """Simulate one dataset of n i.i.d. triplets per seed, stacked as rows.
 
-    Row i is fully determined by seeds[i] (draw order: v, z, e), whatever
-    the other seeds are.  The realised noise is kept for score-based
-    diagnostics.
+    Row i is fully determined by seeds[i], whatever the other seeds are:
+    default_rng(seeds[i]) draws n uniforms v, then n normals z, then the
+    n noises e, and u = m(v) + sigma_w z (:meth:`CovariateLaw.covariate_u`),
+    y = theta u + eta(v) + e.  Per row only the generator runs; u and y
+    are formed once for the whole stack.  The realised noise is kept for
+    score-based diagnostics.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    u, v, e = (np.empty((len(seeds), n)) for _ in range(3))
+    v, z, e = (np.empty((len(seeds), n)) for _ in range(3))
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        u[row], v[row] = law.sample_covariates(n, rng)
-        e[row] = rng.standard_normal(n)
+        rng.random(out=v[row])  # uniform(0, 1) bit for bit: 0 + 1 x = x
+        rng.standard_normal(out=z[row])
+        rng.standard_normal(out=e[row])
+    u = law.covariate_u(v, z)
     with np.errstate(over="ignore"):  # DatasetStack rejects an overflowed y
         y = truth.theta * u + truth.eta(v) + e
     return DatasetStack(u=u, v=v, y=y, e=e)

@@ -24,7 +24,10 @@ m x r square root L of K = L L'.  Each public function takes the cached
 below from it.  In whitened coordinates eta_grid = L z, S is the
 (r+2)x(r+2) matrix ordered (z, theta, y); its z block B = I + L'W'WL has
 every eigenvalue >= 1 and is factorised without jitter, and K is never
-inverted.  :func:`theta_posteriors` reads the theta marginals of many
+inverted.  A stack's z blocks are built by two stacked GEMMs, L' times
+((W'W) L) with W'W written as a dense tridiagonal m x m array, so the
+assembly is BLAS-3 work rather than elementwise passes over m x r
+arrays.  :func:`theta_posteriors` reads the theta marginals of many
 equal-size datasets off the pivots of one stacked chol(S), and
 :func:`theta_posterior` is its stack of one; the joint reads its mean and
 covariance root off the same factor, and the Gibbs sampler and the
@@ -248,18 +251,27 @@ def _assemble(stats: tuple, factor: np.ndarray, prior_precision: float) -> np.nd
     chol(S) the leading (r+1) block D factorises the (z, theta) precision,
     the theta pivot sits at index r, and the y row is D^{-1} times its
     right-hand side (L'W'y, u'y); the + 1 keeps the last pivot >= 1 and
-    changes no other entry.  Every product is taken system by system, so
-    each system is the same whatever else is in the stack.
+    changes no other entry.
+
+    The z blocks of the stack are two stacked GEMMs: the three diagonals
+    of each W'W are written into a zeroed (rows, m, m) array through
+    strided views of its flattened rows, and L'((W'W) L) goes straight
+    into S; the identity is added through a strided view of S's
+    diagonal.  Every product, the matvecs L'W'u and L'W'y included, is
+    taken system by system, so each system is the same whatever else is
+    in the stack.
     """
     diag, off, wu, wy, uu, uy, yy = stats
+    rows, m = diag.shape
     r = factor.shape[1]
-    loaded = diag[:, :, None] * factor  # (W'W) L from the three diagonals of W'W
-    loaded[:, :-1] += off[:, :, None] * factor[1:]
-    loaded[:, 1:] += off[:, :, None] * factor[:-1]
-    systems = np.empty((uu.shape[0], r + 2, r + 2))
-    systems[:, :r, :r] = factor.T @ loaded
-    nodes = np.arange(r)
-    systems[:, nodes, nodes] += 1.0
+    gram = np.zeros((rows, m, m))  # W'W, tridiagonal
+    flat = gram.reshape(rows, m * m)
+    flat[:, :: m + 1] = diag
+    flat[:, 1 :: m + 1] = off
+    flat[:, m :: m + 1] = off
+    systems = np.empty((rows, r + 2, r + 2))
+    np.matmul(factor.T, gram @ factor, out=systems[:, :r, :r])
+    systems.reshape(rows, (r + 2) ** 2)[:, : r * (r + 3) : r + 3] += 1.0
     for col, w in ((r, wu), (r + 1, wy)):
         systems[:, :r, col] = systems[:, col, :r] = (factor.T @ w[:, :, None])[:, :, 0]
     systems[:, r, r] = uu + prior_precision

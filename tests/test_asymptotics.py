@@ -24,6 +24,7 @@ from semibvm.asymptotics import (
 )
 from semibvm.gp_prior import GpPriorSpec, prior_covariance
 from semibvm.model import (
+    CovariateLaw,
     Dataset,
     ModelPoint,
     NuisanceFunction,
@@ -445,6 +446,26 @@ class TestLanRemainder:
         identity = 0.5 * h * h * (empirical_information(ds, law) - law.efficient_info)
         assert rem == pytest.approx(identity, abs=1e-10)
 
+    def test_needs_the_stored_noise(self):
+        law = make_covariate_law(0.8)
+        truth = _truth()
+        ds = sample_dataset(law, truth, 30, 4)
+        bare = Dataset(u=ds.u, v=ds.v, y=ds.y)
+        with pytest.raises(ValueError, match="stored residuals"):
+            lan_remainder(bare, 1.0, NuisanceFunction.zero(41), truth, law)
+
+    @pytest.mark.parametrize("theta0", [1.0, 1e10, 1e14, 1e200])
+    def test_identity_holds_at_any_theta0(self, theta0):
+        # the residuals come from the drawn noise, so no theta0 u term cancels
+        law = make_covariate_law(0.8)
+        truth = _truth(theta=theta0)
+        ds = sample_dataset(law, truth, 50, 7)
+        zeta = NuisanceFunction(0.1 * np.cos(2 * math.pi * uniform_grid(41)))
+        rem = lan_remainder(ds, 1.0, zeta, truth, law)
+        identity = 0.5 * (empirical_information(ds, law) - law.efficient_info)
+        assert abs(rem - identity) < 1e-10
+        assert rem == lan_remainder(ds, 1.0, zeta, _truth(), law)
+
     def test_median_magnitude_shrinks_with_n(self):
         law = make_covariate_law(0.8)
         truth = _truth()
@@ -739,6 +760,32 @@ class TestEstimateUn:
         b = estimate_un_per_zeta(law, other_truth, other_zetas, 0.1, h, 40, 300, seed=107)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+    def test_directions_share_one_draw(self):
+        # a tuple of directions gives, row by row, each direction's arrays
+        # alone, from one draw per translation
+        law = make_covariate_law(0.8)
+        truth = _truth()
+        zetas = self._zetas()
+        directions = (1.0, None, -2.0)
+        calls = []
+        sample = CovariateLaw.sample_covariates
+
+        def counting(self, n, rng):
+            calls.append(n)
+            return sample(self, n, rng)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CovariateLaw, "sample_covariates", counting)
+            estimates, errors = estimate_un_per_zeta(
+                law, truth, zetas, 0.5, directions, 40, 300, 113
+            )
+        assert calls == [40 * 300] * len(zetas)
+        assert estimates.shape == errors.shape == (len(directions), len(zetas))
+        for i, h in enumerate(directions):
+            alone = estimate_un_per_zeta(law, truth, zetas, 0.5, h, 40, 300, 113)
+            assert np.array_equal(estimates[i], alone[0])
+            assert np.array_equal(errors[i], alone[1])
 
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)

@@ -463,6 +463,16 @@ class TestSubcommands:
         for key in ("kl_neighborhood", "domination", "lan_remainder", "hellinger_bound"):
             assert key in payload
 
+    @pytest.mark.parametrize("theta0", ["1", "1e10", "1e14", "1e200"])
+    def test_diagnostics_lan_identity_at_any_theta0(self, theta0, tmp_path):
+        # the remainder's residuals come from the drawn noise, not from y
+        config = tmp_path / "theta0.txt"
+        config.write_text(f"theta0 = {theta0}\n")
+        out = tmp_path / "diag.json"
+        code = cli.main(["diagnostics", "--config", str(config), "--n", "50", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["lan_remainder"]["identity_residual"] < 1e-10
+
     @pytest.mark.parametrize("command", [["bvm-scan"], ["coverage", "--replications", "3"]])
     def test_jobs_flag_is_ignored_with_one_warning(self, command, config_path, capsysbinary):
         assert cli.main([*command, "--config", config_path]) == 0

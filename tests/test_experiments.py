@@ -29,7 +29,7 @@ from semibvm.experiments import (
     splitmix64,
 )
 from semibvm.gp_prior import prior_covariance
-from semibvm.model import sample_dataset
+from semibvm.model import NuisanceFunction, sample_dataset
 from semibvm.posterior import credible_interval, theta_posterior
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
@@ -359,6 +359,29 @@ class TestSnapshotsAndSuite:
         assert a["lan_remainder"]["identity_residual"] < 1e-10
         assert {row["h"] for row in a["domination"]} == {"h=1", "plugin"}
         assert all(r["neg_mean_log_ratio"] <= r["bound"] for r in a["kl_neighborhood"])
+
+
+    def test_diagnostics_suite_draws_each_domination_sample_once(self, monkeypatch):
+        # both directions are evaluated on one draw per translation, and the
+        # rows equal one estimate_un_per_zeta call per direction
+        law, truth, _ = make_components(SMALL)
+        calls = []
+        real = experiments.estimate_un_per_zeta
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["h"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_un_per_zeta", spy)
+        report = run_diagnostics_suite(SMALL, n=40, seed=3, mc_draws=5000, un_reps=400)
+        assert calls == [(1.0, None)]
+        grid = truth.eta.grid
+        zetas = [NuisanceFunction.zero(grid.size), NuisanceFunction(0.1 * np.cos(2 * np.pi * grid))]
+        for row, h in zip(report["domination"], (1.0, None)):
+            estimates, errors = real(law, truth, zetas, 0.5, h, 40, 400, 3)
+            assert row["estimates"] == estimates.tolist()
+            assert row["standard_errors"] == errors.tolist()
+            assert row["max"] == float(estimates.max())
 
 
 class TestCsvExports:

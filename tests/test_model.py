@@ -154,6 +154,35 @@ class TestSampleDataset:
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             DatasetStack(**fields)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 800])
+    def test_rows_follow_the_seed_contract(self, n):
+        # reference: default_rng(seed) draws uniform(0, 1, n), then n normals
+        # z and n noises e; u = m(v) + sigma_w z and y = theta u + eta(v) + e
+        law, truth = make_covariate_law(0.6), _truth(grid_size=23, theta=-1.3)
+        seeds = [0, 1, 2**64 - 1]
+        data = sample_datasets(law, truth, n, seeds)
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            v = rng.uniform(0.0, 1.0, n)
+            z = rng.standard_normal(n)
+            e = rng.standard_normal(n)
+            u = law.cond_mean(v) + law.residual_sd * z
+            y = truth.theta * u + truth.eta(v) + e
+            alone = sample_dataset(law, truth, n, seed)
+            for name, reference in (("u", u), ("v", v), ("y", y), ("e", e)):
+                assert np.array_equal(getattr(data, name)[row], reference), name
+                assert np.array_equal(getattr(alone, name), reference), name
+
+    def test_covariates_follow_the_same_formula(self):
+        law = make_covariate_law(0.45)
+        u, v = law.sample_covariates(300, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        v_ref = rng.uniform(0.0, 1.0, 300)
+        z = rng.standard_normal(300)
+        assert np.array_equal(v, v_ref)
+        assert np.array_equal(u, law.covariate_u(v_ref, z))
+        assert np.array_equal(u, law.cond_mean(v_ref) + law.residual_sd * z)
+
     def test_overflowing_y_rejected_without_a_warning(self):
         # theta u overflows for |u| > 1.8; warnings are errors in this suite
         with pytest.raises(ValueError, match="y entries must be finite"):

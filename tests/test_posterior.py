@@ -25,6 +25,7 @@ from semibvm.model import (
     Dataset,
     ModelPoint,
     NuisanceFunction,
+    interpolate,
     interpolation_weights,
     make_covariate_law,
     sample_dataset,
@@ -316,6 +317,31 @@ class TestSufficientStatisticEngine:
         for row in range(6):
             stats = _statistics(u[row : row + 1], v[row : row + 1], y[row : row + 1], m)
             np.testing.assert_array_equal(stacked[row], _assemble(stats, factor, 0.1)[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [2, 3, 50, 200])
+    def test_assemble_against_dense_reference(self, k, grid_size):
+        # S = lift' [W u y]'[W u y] lift + diag(1, ..., 1, p, 1) with the
+        # dense n x m interpolation matrix W and lift = blockdiag(L, 1, 1)
+        rng = np.random.default_rng(10 * k + grid_size)
+        rows, n, precision = 3, 120, 0.1
+        u, y = rng.standard_normal((2, rows, n))
+        v = rng.uniform(0.0, 1.0, (rows, n))
+        v[1, :3] = (0.0, 1.0, 0.5)
+        factor = prior_factor(GpPriorSpec(k=k, grid_size=grid_size, scale=2.0))
+        m, r = factor.shape
+        systems = _assemble(_statistics(u, v, y, m), factor, precision)
+        lift = np.zeros((m + 2, r + 2))
+        lift[:m, :r] = factor
+        lift[m, r] = lift[m + 1, r + 1] = 1.0
+        ridge = np.ones(r + 2)
+        ridge[r] = precision
+        assert systems.shape == (rows, r + 2, r + 2)
+        for row in range(rows):
+            design = np.column_stack([interpolate(np.eye(m), v[row]).T, u[row], y[row]])
+            dense = lift.T @ (design.T @ design) @ lift + np.diag(ridge)
+            scale = np.abs(dense).max()
+            np.testing.assert_allclose(systems[row], dense, rtol=0.0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("grid_size", [50, 200])

@@ -369,11 +369,15 @@ def estimate_un_per_zeta(
     estimates = np.empty((len(directions), len(zeta_set)))
     errors = np.empty((len(directions), len(zeta_set)))
     for j in range(len(zeta_set)):
+        # sample_covariates' draws (v, then z), then the noise e; m(v) is
+        # formed once, for u as covariate_u forms it and for w
         rng = np.random.default_rng([seed, j])
-        u, v = law.sample_covariates(mc_reps * n, rng)
-        e = rng.standard_normal(mc_reps * n)
-        u, v, e = (a.reshape(mc_reps, n) for a in (u, v, e))
-        w = u - law.cond_mean(v)
+        v = rng.uniform(0.0, 1.0, size=(mc_reps, n))
+        z = rng.standard_normal((mc_reps, n))
+        e = rng.standard_normal((mc_reps, n))
+        m = law.cond_mean(v)
+        u = m + law.residual_sd * z
+        w = u - m
         we, ww = _row_dots(w, e), _row_dots(w, w)
         for i, direction in enumerate(directions):
             if direction is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped

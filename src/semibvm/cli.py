@@ -1,10 +1,16 @@
 """Command-line interface.
 
 Subcommands: kernel, sample, posterior, bvm-scan, coverage, baseline,
-diagnostics.  Common flags: --config (key = value text file mirroring the
+diagnostics, listed once with their help text and extra flags in
+``_COMMANDS``.  Common flags: --config (key = value text file mirroring the
 experiment config), --seed, --out, --format, and the deprecated --jobs,
 which is checked (>= 1) and otherwise ignored: replications run as
 stacked batches in one process.
+
+A launch whose first argument names a subcommand builds only that
+subcommand's parser; any other launch (help, a typo, an option placed
+first) builds them all.  Help, usage and error text are the same bytes
+either way.
 
 Exit codes: 0 success, 2 config error (including --jobs < 1), 3 numeric
 failure (the offending cell is printed to standard error).
@@ -103,45 +109,54 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the --n of the commands that size one dataset
+_N = ("--n", {"type": int, "help": "sample size (default: first ladder entry)"})
+
+# every subcommand: name -> (help text, extra arguments as (flag, keywords))
+_COMMANDS = {
+    "kernel": ("dump the prior covariance matrix as CSV", ()),
+    "sample": ("simulate a dataset and write CSV (u,v,y,e)", (_N,)),
+    "posterior": ("one-shot posterior diagnostics as JSON", (_N,)),
+    "bvm-scan": ("gap scan over the n ladder", ()),
+    "coverage": (
+        "credible-interval coverage study",
+        (("--replications", {"type": int, "default": 1000}),),
+    ),
+    "baseline": (
+        "normal location-model reference gap",
+        (
+            ("--n", {"type": int, "default": 1000}),
+            ("--prior-var", {"type": float, "default": 100.0}),
+        ),
+    ),
+    "diagnostics": ("KL/domination/expansion suite as JSON", (_N,)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's parser, or, given a
+    `command` of ``_COMMANDS``, with that one's alone."""
     parser = argparse.ArgumentParser(
         prog="semibvm",
         description="Posterior-normality experiments for partial linear regression",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kernel", help="dump the prior covariance matrix as CSV")
-    _add_common(p)
-
-    p = sub.add_parser("sample", help="simulate a dataset and write CSV (u,v,y,e)")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="sample size (default: first ladder entry)")
-
-    p = sub.add_parser("posterior", help="one-shot posterior diagnostics as JSON")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="sample size (default: first ladder entry)")
-
-    p = sub.add_parser("bvm-scan", help="gap scan over the n ladder")
-    _add_common(p)
-
-    p = sub.add_parser("coverage", help="credible-interval coverage study")
-    _add_common(p)
-    p.add_argument("--replications", type=int, default=1000)
-
-    p = sub.add_parser("baseline", help="normal location-model reference gap")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--prior-var", type=float, default=100.0)
-
-    p = sub.add_parser("diagnostics", help="KL/domination/expansion suite as JSON")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="sample size (default: first ladder entry)")
-
+    # usage lists every name either way; the full parser keeps the default
+    # metavar, which words its errors as "argument command: ..."
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, extra = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, keywords in extra:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = load_config(args)
     except ConfigError as exc:

@@ -34,7 +34,7 @@ from .asymptotics import (
     bvm_gap,
     delta_n,
     estimate_un_per_zeta,
-    hellinger_distance,
+    hellinger_from_shift,
     kl_neighborhood_stats,
     lan_remainder,
     tv_normals,
@@ -229,10 +229,20 @@ _Batch = tuple[ExperimentConfig, _Components, int, range]
 # replication; the data's other rows (u, v, z, e, y and the statistics'
 # weights) and the assembly's m x m gram array W'W and its m x r product
 # (W'W) L are about as large again each, so a batch's arrays span a few
-# budgets.  Re-measured with the GEMM assembly: 2^15 (9-11 replications)
-# was no faster end to end than 2^14, and per system it raised the
-# assembly's cost.  One batch per n (100 default replications) raised the
-# peak RSS of a coverage run by 8 MiB.
+# budgets.
+#
+# Why 2^14 and no larger: the allocator.  At 2^14 a default batch's
+# (rows, m+2, m+2) arrays (85-106 KiB) stay under glibc's 128 KiB mmap and
+# trim thresholds, so freed memory is reused.  Above them every batch is
+# handed fresh pages, returned to the kernel on free and faulted in again.
+# Per cold `coverage --replications 100` launch on a 2-vCPU VM (getrusage
+# around cli.main): 2^14 takes 160-167 minor faults and 0-4 ms system
+# time, 2^15 3762-3808 faults and 9-24 ms, 2^16 3905-4203 faults and
+# 4-28 ms.  With MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ raised,
+# 2^15 takes 252 faults.  So 2^15 was no faster end to end than 2^14.
+# One batch per n (100 default replications) raised the peak RSS of a
+# coverage run by 8 MiB.  A change of the budget should measure page
+# faults as well as wall time.
 _BATCH_BUDGET = 2**14
 
 
@@ -269,7 +279,7 @@ def _bvm_cell(batch: _Batch) -> list[dict]:
     for rep, seed, mean, variance, delta in zip(reps, seeds, means, variances, deltas):
         mp = MarginalThetaPosterior(mean=float(mean), variance=float(variance))
         diag = bvm_gap(mp, float(delta), law.efficient_info, n, cfg.theta0)
-        rows.append({"rep": rep, "seed": seed, **asdict(diag)})
+        rows.append({"rep": rep, "seed": seed, **vars(diag)})  # the fields, not a deep copy
     return rows
 
 
@@ -446,9 +456,12 @@ def run_diagnostics_suite(
     remainder = lan_remainder(ds, 1.0, zeta, truth, law)
     identity_value = 0.5 * (empirical_information(ds, law) - law.efficient_info)
 
+    # hellinger_distance of theta0 + m_shift/sqrt(n) from theta0, on its
+    # covariate draw, with the mean shift formed from the increment itself:
+    # (theta0 + increment) - theta0 rounds it away as |theta0| grows
     m_shift = 2.0
-    shifted = ModelPoint(truth.theta + m_shift / math.sqrt(n), truth.eta)
-    hell = hellinger_distance(shifted, truth, law, mc_draws, seed)
+    u, _ = law.sample_covariates(mc_draws, np.random.default_rng(seed))
+    hell = float(hellinger_from_shift(m_shift / math.sqrt(n) * u))
     bound = m_shift**2 / (2.0 * n) + m_shift**3 / (6.0 * n**2) * law.fourth_moment_u
 
     return {

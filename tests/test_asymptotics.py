@@ -763,20 +763,20 @@ class TestEstimateUn:
 
     def test_directions_share_one_draw(self):
         # a tuple of directions gives, row by row, each direction's arrays
-        # alone, from one draw per translation
+        # alone, from one draw per translation, whose m(v) is formed once
         law = make_covariate_law(0.8)
         truth = _truth()
         zetas = self._zetas()
         directions = (1.0, None, -2.0)
         calls = []
-        sample = CovariateLaw.sample_covariates
+        cond_mean = CovariateLaw.cond_mean
 
-        def counting(self, n, rng):
-            calls.append(n)
-            return sample(self, n, rng)
+        def counting(self, v):
+            calls.append(np.size(v))
+            return cond_mean(self, v)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CovariateLaw, "sample_covariates", counting)
+            patch.setattr(CovariateLaw, "cond_mean", counting)
             estimates, errors = estimate_un_per_zeta(
                 law, truth, zetas, 0.5, directions, 40, 300, 113
             )

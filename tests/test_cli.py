@@ -1,5 +1,6 @@
-"""CLI tests: subcommands, config file parsing, exit codes."""
+"""CLI tests: subcommands, parser parity, config file parsing, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -137,6 +138,76 @@ class TestConfigParsing:
         path = tmp_path / "readme.cfg"
         path.write_text(block)
         ExperimentConfig(**cli.parse_config_file(str(path)))
+
+
+# argv that the parser alone answers: help, usage and errors
+PARSE_ONLY = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--seed", "3", "bvm-scan"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["bvm-scan", "--bogus"],
+    ["bvm-scan", "kernel"],
+    ["coverage", "--replications", "x"],
+    ["coverage", "--rep", "x"],
+    ["kernel", "--n", "5"],
+    ["baseline", "--prior-var", "nope"],
+]
+
+
+def _outcome(call, argv, capsys):
+    """(stdout, stderr, exit code) of call(argv)."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSE_ONLY, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_main_matches_the_full_parser(self, argv, capsys):
+        # a launch builds one command's parser where it can; what it
+        # prints and its exit code are those of the parser with them all
+        full = _outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert _outcome(cli.main, argv, capsys) == full
+        assert full[2] in (0, 2) and full[0] + full[1]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_a_command_builds_its_own_subparser_alone(
+        self, command, config_path, tmp_path, monkeypatch
+    ):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
+        assert built == [command[0]]
+        built.clear()
+        cli.build_parser()
+        assert built == list(cli._COMMANDS)
+
+    def test_readme_lists_every_subcommand(self):
+        # README's "Subcommands" bullets are the _COMMANDS table: each
+        # name, its help text and its extra flags with their defaults
+        def flag(name, keywords):
+            return f"`{name}`" + (f", default {keywords['default']}" if "default" in keywords else "")
+
+        expected = []
+        for name, (help_text, extra) in cli._COMMANDS.items():
+            flags = "; ".join(flag(*argument) for argument in extra)
+            expected.append(f"* `{name}` - {help_text}" + (f" ({flags})" if flags else ""))
+        section = README.read_text().split("Subcommands:\n", 1)[1]
+        bullets = section.lstrip("\n").split("\n\n", 1)[0].splitlines()
+        assert bullets == expected, "\n".join(expected)
 
 
 class TestExitCodes:
@@ -472,6 +543,19 @@ class TestSubcommands:
         code = cli.main(["diagnostics", "--config", str(config), "--n", "50", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["lan_remainder"]["identity_residual"] < 1e-10
+
+    def test_diagnostics_hellinger_at_any_theta0(self, tmp_path):
+        # the theta shift 2/sqrt(n) is not rounded away as |theta0| grows
+        values = []
+        for theta0 in ("1", "1e14", "1e200"):
+            config = tmp_path / "theta0.txt"
+            config.write_text(f"theta0 = {theta0}\n")
+            out = tmp_path / "diag.json"
+            argv = ["diagnostics", "--config", str(config), "--n", "50", "--out", str(out)]
+            assert cli.main(argv) == 0
+            values.append(json.loads(out.read_text())["hellinger_bound"]["hellinger_sq"])
+        assert values[0] > 0.0
+        assert values == pytest.approx([values[0]] * 3, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("command", [["bvm-scan"], ["coverage", "--replications", "3"]])
     def test_jobs_flag_is_ignored_with_one_warning(self, command, config_path, capsysbinary):

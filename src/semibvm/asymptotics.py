@@ -109,13 +109,15 @@ def delta_n(
 
 
 def _crossings(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
-    # roots of log phi1 - log phi2 = 0; two real roots whenever v1 != v2
+    # roots of log phi1 - log phi2 = a x^2 + b x + c = 0; two real roots
+    # whenever v1 != v2.  q/a and c/q never subtract near-equal terms, so
+    # the finite root keeps its precision as a -> 0; b = 0 forces disc > 0
     a = 0.5 * (1.0 / v2 - 1.0 / v1)
     b = m1 / v1 - m2 / v2
     c = 0.5 * (m2**2 / v2 - m1**2 / v1) - 0.5 * math.log(v1 / v2)
     disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
-    r1 = (-b - disc) / (2.0 * a)
-    r2 = (-b + disc) / (2.0 * a)
+    q = -0.5 * (b + math.copysign(disc, b))
+    r1, r2 = q / a, c / q
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 

@@ -6,15 +6,20 @@ documented splitmix64 fold (see :func:`cell_seed`) and draws its dataset
 from its own generator, so any single cell can be recomputed in
 isolation and reports are bit-reproducible.
 
-Scans and coverage studies solve the replications of one n in batches,
-in one process: the batch's datasets are stacked as rows, their
-sufficient statistics gathered by offset bincounts, their posterior
-systems assembled by two stacked GEMMs and factorised by one stacked
-Cholesky call (see :func:`semibvm.posterior.theta_posteriors`).  Only
-the generator runs per cell: :func:`semibvm.model.sample_datasets`
-forms u and y once for the whole batch.  A row does not depend on
-which other cells share its batch, and a batch's size is bounded by a
-fixed working-set budget, so the reports are the same for any batching.
+Scans and coverage studies solve the replications of one n in chunks,
+in one process: a chunk's datasets are stacked as rows, their seeds
+folded in one pass of uint64 array arithmetic (:func:`_cell_seeds`),
+their sufficient statistics gathered by offset bincounts, and their
+posterior systems assembled by two stacked GEMMs and factorised by
+stacked Cholesky calls, in sub-stacks (see
+:func:`semibvm.posterior.theta_posteriors`).  Only the generator runs
+per cell: :func:`semibvm.model.sample_datasets` forms u and y once for
+the whole chunk.  Each stage's stack is sized by its own working set
+against one fixed budget (see ``_BATCH_BUDGET``): a chunk takes as many
+replications as fit the budget at two doubles per data point, a
+sub-stack as many (r+2)^2 systems as fit it.  A row does not depend on
+which other cells share its chunk or sub-stack, so the reports are the
+same for any budget.
 """
 
 from __future__ import annotations
@@ -142,8 +147,10 @@ def make_components(
 _MASK64 = (1 << 64) - 1
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 step (Steele et al. mixing constants)."""
+def splitmix64(x):
+    """One splitmix64 step (Steele et al. mixing constants), on a Python
+    int, or elementwise on a numpy uint64 array, whose arithmetic wraps
+    mod 2^64 as the masks do."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -158,6 +165,15 @@ def cell_seed(master_seed: int, n: int, rep: int) -> int:
     for word in (master_seed, n, rep):
         state = splitmix64((state ^ (word & _MASK64)) & _MASK64)
     return state
+
+
+def _cell_seeds(master_seed: int, n: int, reps: range) -> list[int]:
+    """cell_seed(master_seed, n, rep) for every rep: the (master, n)
+    folds are shared, and the last fold runs once over the chunk in a
+    uint64 array (an array, as numpy warns on scalar uint64 overflow)."""
+    prefix = splitmix64(splitmix64(master_seed & _MASK64) ^ (n & _MASK64))
+    words = np.array([rep & _MASK64 for rep in reps], dtype=np.uint64)
+    return splitmix64(np.uint64(prefix) ^ words).tolist()
 
 
 @dataclass
@@ -222,47 +238,54 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 _Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
 _Batch = tuple[ExperimentConfig, _Components, int, range]
 
-# Working-set budget of one batch, in doubles: a batch at sample size n
-# on an m-point grid takes max(1, budget // (n + (m+2)^2)) replications,
-# 4-5 on the default config, enough to spread the per-call overhead.  The
-# divisor counts one n-point data row and the (m+2)^2 system of each
-# replication; the data's other rows (u, v, z, e, y and the statistics'
-# weights) and the assembly's m x m gram array W'W and its m x r product
-# (W'W) L are about as large again each, so a batch's arrays span a few
-# budgets.
+# Working-set budget of one stage's stack, in doubles.  Each stage is
+# sized by its own working set against it: a data chunk at sample size n
+# takes max(1, budget // 2n) replications (14 chunks for the 300 default
+# coverage cells), and theta_posteriors assembles and factorises its
+# (r+2)^2 systems in sub-stacks of max(1, budget // (r+2)^2) (6 on the
+# default grid).  The O(n) stages (generator, u and y, the bincounts)
+# thus pay their per-call overhead once per chunk, not once per 4-5
+# replications as when one divisor, n + (m+2)^2, sized every stage.
 #
-# Why 2^14 and no larger: the allocator.  At 2^14 a default batch's
-# (rows, m+2, m+2) arrays (85-106 KiB) stay under glibc's 128 KiB mmap and
-# trim thresholds, so freed memory is reused.  Above them every batch is
-# handed fresh pages, returned to the kernel on free and faulted in again.
-# Per cold `coverage --replications 100` launch on a 2-vCPU VM (getrusage
-# around cli.main): 2^14 takes 160-167 minor faults and 0-4 ms system
-# time, 2^15 3762-3808 faults and 9-24 ms, 2^16 3905-4203 faults and
-# 4-28 ms.  With MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ raised,
-# 2^15 takes 252 faults.  So 2^15 was no faster end to end than 2^14.
-# One batch per n (100 default replications) raised the peak RSS of a
-# coverage run by 8 MiB.  A change of the budget should measure page
-# faults as well as wall time.
+# Why these divisors: the allocator.  A chunk's (rows, n) arrays stay at
+# half the budget, 64 KiB, and a sub-stack's (rows, m, m) and (rows,
+# r+2, r+2) arrays at most at the budget, so all stay under glibc's
+# 128 KiB mmap threshold and freed memory is reused.  Above it every
+# stack is handed fresh pages, returned to the kernel on free and
+# faulted in again.  Per cold `coverage --replications 100` launch on a
+# 2-vCPU VM (getrusage around cli.main, 6 launches each): one divisor
+# took 158-161 minor faults and 37.7-37.8 MiB peak RSS, these two take
+# 592-594 faults and 38.1-38.2 MiB, 0-4 ms system time either way.  Of
+# the added faults about 300 are heap trims (with MALLOC_TRIM_THRESHOLD_
+# raised: 194 and 301), since freeing several 64 KiB arrays at once
+# leaves more than 128 KiB free at the top of the heap.  A data divisor
+# of n, with arrays right at 128 KiB, faulted about 2390 times per
+# launch.  A budget of 2^15 under the single divisor took 3762-3808
+# faults and was no faster end to end than 2^14, and one batch per n
+# raised the peak RSS of a coverage run by 8 MiB.  A change of the
+# budget or a divisor should measure page faults as well as wall time.
 _BATCH_BUDGET = 2**14
 
 
 def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
-    """The (cfg, components, n, reps) batches that cover every cell, in
-    (n, rep) order."""
+    """The (cfg, components, n, reps) chunks that cover every cell, in
+    (n, rep) order: max(1, budget // 2n) replications each."""
     for n in cfg.n_ladder:
-        size = max(1, _BATCH_BUDGET // (n + (cfg.grid_size + 2) ** 2))
+        size = max(1, _BATCH_BUDGET // (2 * n))
         for start in range(0, replications, size):
             yield cfg, components, n, range(start, min(start + size, replications))
 
 
 def _solve_batch(batch: _Batch):
-    """Seeds, datasets and theta marginals of one batch's cells.  A
+    """Seeds, datasets and theta marginals of one chunk's cells.  A
     failing cell is named by its n, rep and seed."""
     cfg, (law, truth, spec), n, reps = batch
-    seeds = [cell_seed(cfg.master_seed, n, rep) for rep in reps]
+    seeds = _cell_seeds(cfg.master_seed, n, reps)
     data = sample_datasets(law, truth, n, seeds)
     try:
-        means, variances = theta_posteriors(data.u, data.v, data.y, spec, cfg.theta_prior_var)
+        means, variances = theta_posteriors(
+            data.u, data.v, data.y, spec, cfg.theta_prior_var, _BATCH_BUDGET
+        )
     except StackNumericsError as exc:
         rep, seed = reps[exc.index], seeds[exc.index]
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
@@ -270,8 +293,8 @@ def _solve_batch(batch: _Batch):
 
 
 def _bvm_cell(batch: _Batch) -> list[dict]:
-    """Gap rows of one batch of cells; a row is the same whatever else
-    is in its batch."""
+    """Gap rows of one chunk of cells; a row is the same whatever else
+    is in its chunk."""
     cfg, (law, truth, _), n, reps = batch
     seeds, data, means, variances = _solve_batch(batch)
     deltas = delta_n(data, law, truth)
@@ -284,7 +307,7 @@ def _bvm_cell(batch: _Batch) -> list[dict]:
 
 
 def _run_cells(worker, batches) -> list[dict]:
-    """Every batch's rows, in order, in this process."""
+    """Every chunk's rows, in order, in this process."""
     return [row for batch in batches for row in worker(batch)]
 
 
@@ -316,7 +339,7 @@ def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
 
 
 def _coverage_cell(batch: _Batch) -> list[dict]:
-    """Credible-interval rows of one batch of cells."""
+    """Credible-interval rows of one chunk of cells."""
     cfg, _, n, reps = batch
     seeds, _, means, variances = _solve_batch(batch)
     lo, hi = credible_bounds(means, np.sqrt(variances), cfg.level)

@@ -46,6 +46,15 @@ class NumericsError(RuntimeError):
     """A posterior precision is not finite and positive definite."""
 
 
+# c_k divides by (k!)^2 as a float: 98!^2 is about 9e307, 99!^2 overflows
+_MAX_ORDER = 98
+
+
+def _check_order(k: int) -> None:
+    if not 0 <= k <= _MAX_ORDER:
+        raise ValueError(f"integration order k must lie in [0, {_MAX_ORDER}], got {k}")
+
+
 @dataclass(frozen=True)
 class GpPriorSpec:
     """Prior configuration: integration order, grid, scale, optional ball.
@@ -65,8 +74,7 @@ class GpPriorSpec:
     holder_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("integration order k must be >= 0")
+        _check_order(self.k)
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
         corner = kibm_kernel(1.0, 1.0, self.k)
@@ -120,8 +128,7 @@ def kibm_kernel(s: float, t: float, k: int) -> float:
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("kernel arguments must lie in [0, 1]")
-    if k < 0:
-        raise ValueError("integration order k must be >= 0")
+    _check_order(k)
     poly = sum((s * t) ** i / math.factorial(i) ** 2 for i in range(k + 1))
     mn = min(s, t)
     acc = 0.0

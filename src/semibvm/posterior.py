@@ -27,12 +27,14 @@ every eigenvalue >= 1 and is factorised without jitter, and K is never
 inverted.  A stack's z blocks are built by two stacked GEMMs, L' times
 ((W'W) L) with W'W written as a dense tridiagonal m x m array, so the
 assembly is BLAS-3 work rather than elementwise passes over m x r
-arrays.  :func:`theta_posteriors` reads the theta marginals of many
-equal-size datasets off the pivots of one stacked chol(S), and
-:func:`theta_posterior` is its stack of one; the joint reads its mean and
-covariance root off the same factor, and the Gibbs sampler and the
-conditional nuisance draws factorise S's B block once per call.  The
-package needs numpy and the standard library only.
+arrays.  :func:`theta_posteriors` gathers the statistics of many
+equal-size datasets at once and reads their theta marginals off the
+pivots of stacked chol(S), assembled and factorised in sub-stacks of at
+most a given working set, and :func:`theta_posterior` is its stack of
+one; the joint reads its mean and covariance root off the same factor,
+and the Gibbs sampler and the conditional nuisance draws factorise S's
+B block once per call.  The package needs numpy and the standard
+library only.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here; :func:`conditioned_theta_marginal` gives a
@@ -319,27 +321,46 @@ def theta_posterior(
 
 
 def theta_posteriors(
-    u: np.ndarray, v: np.ndarray, y: np.ndarray, spec: GpPriorSpec, theta_prior_var: float
+    u: np.ndarray,
+    v: np.ndarray,
+    y: np.ndarray,
+    spec: GpPriorSpec,
+    theta_prior_var: float,
+    budget: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta marginal means and variances of the datasets in the rows of
-    u, v, y (shape (rows, n), n >= 1): the systems of every row are stacked
-    and factorised by one np.linalg.cholesky call.  Row i's result does not
-    depend on the other rows.  StackNumericsError names the first row
-    whose system or theta precision fails.
+    u, v, y (shape (rows, n), n >= 1).  The statistics of every row are
+    gathered at once; the systems are assembled and factorised by one
+    np.linalg.cholesky call per sub-stack of max(1, budget // (r+2)^2)
+    rows, one sub-stack of all rows if `budget` (in doubles) is None.
+    Row i's result does not depend on the other rows.  StackNumericsError
+    names, by its row, the first failing system or theta precision of the
+    first sub-stack with one.
     """
     factor = prior_factor(spec)
     m, r = factor.shape
     stats = _statistics(u, v, y, m)
-    chol = _cholesky_stack(_assemble(stats, factor, _prior_precision(theta_prior_var)))
-    pivot = chol[:, r, r]
-    with np.errstate(over="ignore", divide="ignore"):  # checked just below
-        variance = 1.0 / pivot**2
-    bad = np.flatnonzero(~(np.isfinite(variance) & (variance > 0.0)))
-    if bad.size:
-        raise StackNumericsError(
-            int(bad[0]), "theta posterior precision is not finite and positive"
-        )
-    return chol[:, r + 1, r] / pivot, variance
+    prior_precision = _prior_precision(theta_prior_var)
+    rows = u.shape[0]
+    size = rows if budget is None else max(1, budget // (r + 2) ** 2)
+    means, variances = np.empty(rows), np.empty(rows)
+    for start in range(0, rows, size):
+        part = slice(start, start + size)
+        try:
+            chol = _cholesky_stack(_assemble([s[part] for s in stats], factor, prior_precision))
+        except StackNumericsError as exc:
+            exc.index += start
+            raise
+        pivot = chol[:, r, r]
+        with np.errstate(over="ignore", divide="ignore"):  # checked just below
+            variance = 1.0 / pivot**2
+        bad = np.flatnonzero(~(np.isfinite(variance) & (variance > 0.0)))
+        if bad.size:
+            raise StackNumericsError(
+                start + int(bad[0]), "theta posterior precision is not finite and positive"
+            )
+        means[part], variances[part] = chol[:, r + 1, r] / pivot, variance
+    return means, variances
 
 
 def conjugate_joint_posterior(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -172,6 +173,34 @@ class TestTvNormals:
             assert tv_normals(*params) == pytest.approx(
                 tv_by_cdf_crossings(*params), abs=1e-8
             )
+
+    def test_near_equal_variances_against_mpmath(self):
+        # the finite density crossing comes from the stable root form, so
+        # the gap keeps full precision as the variance ratio approaches 1
+        # (the textbook form was off by 2.4e-5 at 1 + 2e-14)
+        def reference(m1, v1, m2, v2):
+            with mpmath.workdps(60):
+                m1, v1, m2, v2 = (mpmath.mpf(x) for x in (m1, v1, m2, v2))
+                a = (1 / v2 - 1 / v1) / 2
+                b = m1 / v1 - m2 / v2
+                c = (m2**2 / v2 - m1**2 / v1) / 2 - mpmath.log(v1 / v2) / 2
+                disc = mpmath.sqrt(b * b - 4 * a * c)
+                lo, hi = sorted(((-b - disc) / (2 * a), (-b + disc) / (2 * a)))
+
+                def mass(mean, var):
+                    sd = mpmath.sqrt(var)
+                    return mpmath.ncdf(hi, mean, sd) - mpmath.ncdf(lo, mean, sd)
+
+                return float(abs(mass(m1, v1) - mass(m2, v2)))
+
+        errors = []
+        for ratio in (1 + 2e-14, 1 + 1e-13, 1 + 1e-12, 1 + 1e-10, 1 + 1e-6, 1.01, 1.5, 4.0):
+            for gap in (0.0, 1e-3, 0.1, 1.0, 3.0, 8.0):
+                for sign in (1.0, -1.0):
+                    for params in ((sign * gap, 1.0, 0.0, ratio), (0.0, ratio, sign * gap, 1.0)):
+                        errors.append(abs(tv_normals(*params) - reference(*params)))
+        assert max(errors) <= 1e-15
+        assert tv_normals(3.0, 1.0, 0.0, 1.0 + 2e-14) == pytest.approx(0.8663855975, abs=1e-10)
 
     def test_variance_validation(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,21 @@ PARSE_ONLY = [
 ]
 
 
+def _break_system(systems: np.ndarray, row: int, kind: str) -> None:
+    """Make system `row` of an assembled (z, theta, y) stack fail: an
+    indefinite theta block, a NaN, or a positive theta pivot whose square
+    underflows to 0."""
+    r = systems.shape[1] - 2
+    if kind == "indefinite":
+        systems[row, r, r] = -1.0
+    elif kind == "nan":
+        systems[row, 0, 0] = np.nan
+    else:
+        systems[row, r, :r] = 0.0
+        systems[row, r, r] = 5e-324
+        systems[row, r + 1, r] = 0.0
+
+
 def _outcome(call, argv, capsys):
     """(stdout, stderr, exit code) of call(argv)."""
     try:
@@ -277,6 +292,33 @@ class TestExitCodes:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_overflowing_integration_order_exits_2_with_one_line(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # (k!)^2 overflows a float from k = 99; the config is refused before
+        # any prior, dataset or posterior is built
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("work started despite k >= 99")
+
+        monkeypatch.setattr(semibvm.experiments, "sample_datasets", spy)
+        monkeypatch.setattr(semibvm.experiments, "sample_dataset", spy)
+        monkeypatch.setattr(cli, "prior_covariance", spy)
+        monkeypatch.setattr(cli, "sample_dataset", spy)
+        monkeypatch.setattr(cli, "run_parametric_baseline", spy)
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + "k = 200\n")
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: integration order k must lie in [0, 98], got 200\n"
+        )
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["theta0 = 1e308", "theta0 = -1e308"])
     @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
     def test_overflowing_y_exits_2_before_any_posterior(
@@ -368,16 +410,8 @@ class TestExitCodes:
         def corrupted(stats, factor, prior_precision):
             systems = assemble(stats, factor, prior_precision)
             if sizes[-1] == 60:
-                r = factor.shape[1]
                 for row, kind in corrupt.items():
-                    if kind == "indefinite":
-                        systems[row, r, r] = -1.0
-                    elif kind == "nan":
-                        systems[row, 0, 0] = np.nan
-                    else:  # a positive theta pivot whose square underflows to 0
-                        systems[row, r, :r] = 0.0
-                        systems[row, r, r] = 5e-324
-                        systems[row, r + 1, r] = 0.0
+                    _break_system(systems, row, kind)
             return systems
 
         monkeypatch.setattr(semibvm.posterior, "_statistics", recorded)
@@ -385,6 +419,54 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert cli.main([*command, "--config", config_path, "--out", str(out)]) == cli.EXIT_NUMERIC
         rep, message = expected
+        err = capsys.readouterr().err
+        assert f"cell n=60 rep={rep} seed={cell_seed(7, 60, rep)}: " in err
+        assert message in err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("indefinite", "not positive definite"),
+            ("nan", "not finite"),
+            ("small theta pivot", "theta posterior precision"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, row, rep",
+        [
+            (["bvm-scan"], 0, 2),  # sub-stacks [0, 1], [2]
+            (["coverage", "--replications", "4"], 1, 3),  # sub-stacks [0, 1], [2, 3]
+        ],
+    )
+    def test_failing_system_in_a_later_sub_stack_is_named(
+        self, command, row, rep, kind, message, config_path, tmp_path, monkeypatch, capsys
+    ):
+        # a budget of two (r+2)^2 systems: the n = 60 chunk is factorised in
+        # sub-stacks of two, and a failure in the second is named by its
+        # own replication, not by its row in the sub-stack
+        monkeypatch.setattr(semibvm.experiments, "_BATCH_BUDGET", 2 * (15 + 2) ** 2)
+        statistics, assemble = semibvm.posterior._statistics, semibvm.posterior._assemble
+        sizes, stacks = [], []
+
+        def recorded(u, v, y, grid_size):
+            sizes.append(u.shape[1])
+            return statistics(u, v, y, grid_size)
+
+        def corrupted(stats, factor, prior_precision):
+            systems = assemble(stats, factor, prior_precision)
+            if sizes[-1] == 60:
+                stacks.append(len(systems))
+                if len(stacks) == 2:
+                    _break_system(systems, row, kind)
+            return systems
+
+        monkeypatch.setattr(semibvm.posterior, "_statistics", recorded)
+        monkeypatch.setattr(semibvm.posterior, "_assemble", corrupted)
+        out = tmp_path / "r.json"
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert stacks == [2, row + 1]
         err = capsys.readouterr().err
         assert f"cell n=60 rep={rep} seed={cell_seed(7, 60, rep)}: " in err
         assert message in err

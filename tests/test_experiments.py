@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semibvm import experiments
+from semibvm import experiments, posterior
 from semibvm.asymptotics import bvm_gap, delta_n
 from semibvm.experiments import (
     ExperimentConfig,
     RunReport,
     _bvm_cell,
+    _cell_seeds,
     _coverage_cell,
     cell_seed,
     covariance_to_csv,
@@ -53,6 +54,16 @@ class TestSeedDerivation:
 
     def test_master_seed_moves_all_cells(self):
         assert cell_seed(0, 50, 0) != cell_seed(1, 50, 0)
+
+    @pytest.mark.parametrize("master", [0, 1, -1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 50, 2**63])
+    def test_chunk_seeds_equal_cell_seed(self, master, n):
+        # the uint64 array fold wraps as cell_seed's masks do, without the
+        # overflow warning of numpy's scalar arithmetic
+        seeds = _cell_seeds(master, n, range(1000))
+        assert seeds == [cell_seed(master, n, rep) for rep in range(1000)]
+        assert all(type(seed) is int for seed in seeds)
+        assert _cell_seeds(master, n, range(997, 1000)) == seeds[997:]
 
 
 class TestConfig:
@@ -182,33 +193,72 @@ class TestBatchedCells:
         assert _coverage_cell((SMALL, make_components(SMALL), row["n"], reps)) == [row]
 
     def test_batches_cover_every_cell_in_order(self, monkeypatch):
-        cfg = ExperimentConfig(n_ladder=(10, 20), grid_size=3)
-        monkeypatch.setattr(experiments, "_BATCH_BUDGET", 5 * (10 + 25))
+        # a chunk at n takes budget // 2n replications (at least one),
+        # whatever the grid: 5 at n = 10, 2 at n = 20, 1 at n = 60
+        cfg = ExperimentConfig(n_ladder=(10, 20, 60), grid_size=40)
+        monkeypatch.setattr(experiments, "_BATCH_BUDGET", 100)
         batches = list(experiments._batches(cfg, make_components(cfg), 7))
         assert [(n, list(reps)) for _, _, n, reps in batches] == [
             (10, [0, 1, 2, 3, 4]),
             (10, [5, 6]),
-            (20, [0, 1, 2]),
-            (20, [3, 4, 5]),
+            (20, [0, 1]),
+            (20, [2, 3]),
+            (20, [4, 5]),
             (20, [6]),
+            *((60, [rep]) for rep in range(7)),
         ]
+
+    def test_stacks_stay_within_their_budget(self, monkeypatch):
+        # no sampled (rows, n) array exceeds budget // 2 doubles and no
+        # assembled stack exceeds budget // (r+2)^2 systems; both bounds
+        # are reached, so the sizes are the largest the budget allows
+        budget, r = 200, 3
+        cfg = ExperimentConfig(n_ladder=(10, 30), grid_size=r, seeds=20, master_seed=3)
+        sample, assemble = experiments.sample_datasets, posterior._assemble
+        samples, stacks = [], []
+
+        def sampled(*args):
+            data = sample(*args)
+            samples.append(data.u.size)
+            return data
+
+        def assembled(stats, factor, prior_precision):
+            stacks.append(stats[0].shape[0])
+            return assemble(stats, factor, prior_precision)
+
+        reference = run_bvm_scan(cfg).to_json_text(), run_coverage(cfg, 20).to_json_text()
+        monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
+        monkeypatch.setattr(experiments, "sample_datasets", sampled)
+        monkeypatch.setattr(posterior, "_assemble", assembled)
+        report = run_bvm_scan(cfg), run_coverage(cfg, 20)
+        assert tuple(rep.to_json_text() for rep in report) == reference
+        assert max(samples) == budget // 2
+        assert max(stacks) == budget // (r + 2) ** 2 == 8
+        assert sum(samples) == 2 * 20 * (10 + 30) and sum(stacks) == 2 * 2 * 20
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         k=st.integers(0, 4),
-        grid_size=st.integers(2, 80),
-        n=st.integers(1, 400),
+        grid_size=st.integers(3, 80),
         theta_prior_var=st.sampled_from([0.5, 10.0, math.inf]),
-        batch=st.integers(1, 4),
-        batches=st.integers(1, 2),
+        sub=st.integers(1, 3),
+        per_chunk=st.integers(2, 3),
+        stacks=st.integers(1, 6),
         extra=st.integers(-1, 1),
     )
     def test_rows_equal_per_cell_reference(
-        self, k, grid_size, n, theta_prior_var, batch, batches, extra
+        self, k, grid_size, theta_prior_var, sub, per_chunk, stacks, extra
     ):
-        # the budget gives `batch` replications per batch, and the
-        # replication count lands one below, on or one above a boundary
-        replications = max(1, batch * batches + extra)
+        # the budget gives `sub` systems per sub-stack and `per_chunk`
+        # sub-stacks per chunk, and the replication count lands one below,
+        # on or one above a sub-stack boundary: inside a chunk or on a
+        # chunk boundary.  n = ceil((r+2)^2 / (2 per_chunk)) makes both
+        # sizes exact, so n follows from the grid.
+        systems = (grid_size + 2) ** 2
+        n = -(-systems // (2 * per_chunk))
+        budget = 2 * n * sub * per_chunk
+        assert budget // (2 * n) == sub * per_chunk and budget // systems == sub
+        replications = max(1, sub * stacks + extra)
         cfg = ExperimentConfig(
             k=k,
             grid_size=grid_size,
@@ -217,7 +267,6 @@ class TestBatchedCells:
             theta_prior_var=theta_prior_var,
             master_seed=k * 1000 + n,
         )
-        budget = batch * (n + (grid_size + 2) ** 2)
         with mock.patch.object(experiments, "_BATCH_BUDGET", budget):
             scan = run_bvm_scan(cfg).rows
             coverage = run_coverage(cfg, replications).rows

@@ -80,6 +80,19 @@ class TestKernel:
         with pytest.raises(ValueError):
             kibm_kernel(0.5, 0.5, -1)
 
+    @pytest.mark.parametrize("k", [99, 200])
+    def test_order_whose_factorial_square_overflows_is_rejected(self, k):
+        # c_k divides a float by (k!)^2, which overflows a float from k = 99
+        message = rf"integration order k must lie in \[0, 98\], got {k}"
+        with pytest.raises(ValueError, match=message):
+            kibm_kernel(0.5, 0.5, k)
+        with pytest.raises(ValueError, match=message):
+            GpPriorSpec(k=k)
+
+    def test_largest_order_is_accepted(self):
+        assert math.isfinite(kibm_kernel(1.0, 1.0, 98))
+        assert GpPriorSpec(k=98).k == 98
+
 
 class TestPriorCovariance:
     def test_two_point_order_zero(self):

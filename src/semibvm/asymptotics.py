@@ -112,9 +112,10 @@ def _crossings(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float
     # roots of log phi1 - log phi2 = a x^2 + b x + c = 0; two real roots
     # whenever v1 != v2.  q/a and c/q never subtract near-equal terms, so
     # the finite root keeps its precision as a -> 0; b = 0 forces disc > 0
+    # (with the larger variance in [1/2, 2), ac is at least of order 1e-29)
     a = 0.5 * (1.0 / v2 - 1.0 / v1)
     b = m1 / v1 - m2 / v2
-    c = 0.5 * (m2**2 / v2 - m1**2 / v1) - 0.5 * math.log(v1 / v2)
+    c = 0.5 * (m2 * m2 / v2 - m1 * m1 / v1) - 0.5 * math.log(v1 / v2)
     disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
     q = -0.5 * (b + math.copysign(disc, b))
     r1, r2 = q / a, c / q
@@ -135,6 +136,13 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     if abs(v1 - v2) <= 1e-14 * max(v1, v2):
         sigma = math.sqrt(0.5 * (v1 + v2))
         return 2.0 * _normal_cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0
+    # the distance is scale-free: x -> x / 2^e moves the larger variance
+    # into [1/2, 2), so 1/v and ac stay normal floats up to variances near
+    # the float maximum.  A power of two scales every step of _crossings
+    # exactly, so a rescaled pair gives the same bits
+    e = math.frexp(max(v1, v2))[1] // 2
+    m1, m2 = math.ldexp(m1, -e), math.ldexp(m2, -e)
+    v1, v2 = math.ldexp(v1, -2 * e), math.ldexp(v2, -2 * e)
     lo, hi = _crossings(m1, v1, m2, v2)
 
     def mass(mean: float, var: float) -> float:

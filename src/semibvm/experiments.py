@@ -16,10 +16,10 @@ stacked Cholesky calls, in sub-stacks (see
 per cell: :func:`semibvm.model.sample_datasets` forms u and y once for
 the whole chunk.  Each stage's stack is sized by its own working set
 against one fixed budget (see ``_BATCH_BUDGET``): a chunk takes as many
-replications as fit the budget at two doubles per data point, a
-sub-stack as many (r+2)^2 systems as fit it.  A row does not depend on
-which other cells share its chunk or sub-stack, so the reports are the
-same for any budget.
+replications as fit the budget at two doubles per entry of its widest
+row, n data points or m grid statistics, a sub-stack as many (r+2)^2
+systems as fit it.  A row does not depend on which other cells share
+its chunk or sub-stack, so the reports are the same for any budget.
 """
 
 from __future__ import annotations
@@ -240,15 +240,17 @@ _Batch = tuple[ExperimentConfig, _Components, int, range]
 
 # Working-set budget of one stage's stack, in doubles.  Each stage is
 # sized by its own working set against it: a data chunk at sample size n
-# takes max(1, budget // 2n) replications (14 chunks for the 300 default
-# coverage cells), and theta_posteriors assembles and factorises its
-# (r+2)^2 systems in sub-stacks of max(1, budget // (r+2)^2) (6 on the
-# default grid).  The O(n) stages (generator, u and y, the bincounts)
-# thus pay their per-call overhead once per chunk, not once per 4-5
-# replications as when one divisor, n + (m+2)^2, sized every stage.
+# on a grid of m nodes takes max(1, budget // 2 max(n, m)) replications
+# (14 chunks for the 300 default coverage cells, where m <= n), and
+# theta_posteriors assembles and factorises its (r+2)^2 systems in
+# sub-stacks of max(1, budget // (r+2)^2) (6 on the default grid).  The
+# O(n) stages (generator, u and y, the bincounts) thus pay their
+# per-call overhead once per chunk, not once per 4-5 replications as
+# when one divisor, n + (m+2)^2, sized every stage.
 #
-# Why these divisors: the allocator.  A chunk's (rows, n) arrays stay at
-# half the budget, 64 KiB, and a sub-stack's (rows, m, m) and (rows,
+# Why these divisors: the allocator.  A chunk's (rows, n) samples and
+# its (rows, m) statistics (diag, off, W'u, W'y and their bincounts) stay
+# at half the budget, 64 KiB, and a sub-stack's (rows, m, m) and (rows,
 # r+2, r+2) arrays at most at the budget, so all stay under glibc's
 # 128 KiB mmap threshold and freed memory is reused.  Above it every
 # stack is handed fresh pages, returned to the kernel on free and
@@ -269,9 +271,9 @@ _BATCH_BUDGET = 2**14
 
 def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
     """The (cfg, components, n, reps) chunks that cover every cell, in
-    (n, rep) order: max(1, budget // 2n) replications each."""
+    (n, rep) order: max(1, budget // 2 max(n, m)) replications each."""
     for n in cfg.n_ladder:
-        size = max(1, _BATCH_BUDGET // (2 * n))
+        size = max(1, _BATCH_BUDGET // (2 * max(n, cfg.grid_size)))
         for start in range(0, replications, size):
             yield cfg, components, n, range(start, min(start + size, replications))
 

@@ -315,7 +315,7 @@ def theta_posterior(
             raise ValueError("flat theta prior with no data is improper")
         return MarginalThetaPosterior(mean=0.0, variance=float(theta_prior_var))
     (mean,), (variance,) = theta_posteriors(
-        ds.u[None], ds.v[None], ds.y[None], spec, theta_prior_var
+        ds.u[None], ds.v[None], ds.y[None], spec, theta_prior_var, budget=1
     )
     return MarginalThetaPosterior(mean=float(mean), variance=float(variance))
 
@@ -326,23 +326,22 @@ def theta_posteriors(
     y: np.ndarray,
     spec: GpPriorSpec,
     theta_prior_var: float,
-    budget: int | None = None,
+    budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta marginal means and variances of the datasets in the rows of
     u, v, y (shape (rows, n), n >= 1).  The statistics of every row are
     gathered at once; the systems are assembled and factorised by one
     np.linalg.cholesky call per sub-stack of max(1, budget // (r+2)^2)
-    rows, one sub-stack of all rows if `budget` (in doubles) is None.
-    Row i's result does not depend on the other rows.  StackNumericsError
-    names, by its row, the first failing system or theta precision of the
-    first sub-stack with one.
+    rows (`budget` in doubles).  Row i's result does not depend on the
+    other rows.  StackNumericsError names, by its row, the first failing
+    system or theta precision of the first sub-stack with one.
     """
     factor = prior_factor(spec)
     m, r = factor.shape
     stats = _statistics(u, v, y, m)
     prior_precision = _prior_precision(theta_prior_var)
     rows = u.shape[0]
-    size = rows if budget is None else max(1, budget // (r + 2) ** 2)
+    size = max(1, budget // (r + 2) ** 2)
     means, variances = np.empty(rows), np.empty(rows)
     for start in range(0, rows, size):
         part = slice(start, start + size)

@@ -199,6 +199,13 @@ class TestTvNormals:
                 for sign in (1.0, -1.0):
                     for params in ((sign * gap, 1.0, 0.0, ratio), (0.0, ratio, sign * gap, 1.0)):
                         errors.append(abs(tv_normals(*params) - reference(*params)))
+        # near the float maximum with equal m/v (b = 0), 4ac underflows
+        # unless the pair is first brought to unit scale
+        for var in (1e297, 1e300, 1.7e308):
+            for ratio in (1 + 3e-14, 1 + 1e-13, 1 + 1e-12, 1 + 1e-6):
+                for slope in (0.0, 1e-300, -1e-300):
+                    params = (slope * var, var, slope * var / ratio, var / ratio)
+                    errors.append(abs(tv_normals(*params) - reference(*params)))
         assert max(errors) <= 1e-15
         assert tv_normals(3.0, 1.0, 0.0, 1.0 + 2e-14) == pytest.approx(0.8663855975, abs=1e-10)
 

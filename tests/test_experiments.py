@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibvm import experiments, posterior
@@ -193,14 +193,16 @@ class TestBatchedCells:
         assert _coverage_cell((SMALL, make_components(SMALL), row["n"], reps)) == [row]
 
     def test_batches_cover_every_cell_in_order(self, monkeypatch):
-        # a chunk at n takes budget // 2n replications (at least one),
-        # whatever the grid: 5 at n = 10, 2 at n = 20, 1 at n = 60
-        cfg = ExperimentConfig(n_ladder=(10, 20, 60), grid_size=40)
+        # a chunk takes budget // 2 max(n, m) replications (at least one):
+        # 3 at n = 10, where the grid of 15 nodes is the wider row, 2 at
+        # n = 20 and 1 at n = 60
+        cfg = ExperimentConfig(n_ladder=(10, 20, 60), grid_size=15)
         monkeypatch.setattr(experiments, "_BATCH_BUDGET", 100)
         batches = list(experiments._batches(cfg, make_components(cfg), 7))
         assert [(n, list(reps)) for _, _, n, reps in batches] == [
-            (10, [0, 1, 2, 3, 4]),
-            (10, [5, 6]),
+            (10, [0, 1, 2]),
+            (10, [3, 4, 5]),
+            (10, [6]),
             (20, [0, 1]),
             (20, [2, 3]),
             (20, [4, 5]),
@@ -209,55 +211,74 @@ class TestBatchedCells:
         ]
 
     def test_stacks_stay_within_their_budget(self, monkeypatch):
-        # no sampled (rows, n) array exceeds budget // 2 doubles and no
-        # assembled stack exceeds budget // (r+2)^2 systems; both bounds
-        # are reached, so the sizes are the largest the budget allows
-        budget, r = 200, 3
-        cfg = ExperimentConfig(n_ladder=(10, 30), grid_size=r, seeds=20, master_seed=3)
-        sample, assemble = experiments.sample_datasets, posterior._assemble
-        samples, stacks = [], []
+        # no sampled (rows, n) array and no (rows, m) statistic exceeds
+        # budget // 2 doubles, also at n = 2 below the grid of 4, and no
+        # assembled stack exceeds budget // (r+2)^2 systems; all three
+        # bounds are reached, so the sizes are the largest the budget allows
+        budget, r = 200, 4
+        cfg = ExperimentConfig(n_ladder=(2, 10, 30), grid_size=r, seeds=50, master_seed=3)
+        sample, statistics = experiments.sample_datasets, posterior._statistics
+        assemble = posterior._assemble
+        samples, gathered, stacks = [], [], []
 
         def sampled(*args):
             data = sample(*args)
             samples.append(data.u.size)
             return data
 
+        def statistics_of(u, v, y, grid_size):
+            stats = statistics(u, v, y, grid_size)
+            gathered.append(max(a.size for a in stats[:4]))  # diag, off, W'u, W'y
+            return stats
+
         def assembled(stats, factor, prior_precision):
             stacks.append(stats[0].shape[0])
             return assemble(stats, factor, prior_precision)
 
-        reference = run_bvm_scan(cfg).to_json_text(), run_coverage(cfg, 20).to_json_text()
+        reference = run_bvm_scan(cfg).to_json_text(), run_coverage(cfg, 50).to_json_text()
         monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
         monkeypatch.setattr(experiments, "sample_datasets", sampled)
+        monkeypatch.setattr(posterior, "_statistics", statistics_of)
         monkeypatch.setattr(posterior, "_assemble", assembled)
-        report = run_bvm_scan(cfg), run_coverage(cfg, 20)
+        report = run_bvm_scan(cfg), run_coverage(cfg, 50)
         assert tuple(rep.to_json_text() for rep in report) == reference
-        assert max(samples) == budget // 2
-        assert max(stacks) == budget // (r + 2) ** 2 == 8
-        assert sum(samples) == 2 * 20 * (10 + 30) and sum(stacks) == 2 * 2 * 20
+        assert max(samples) == max(gathered) == budget // 2
+        assert max(stacks) == budget // (r + 2) ** 2 == 5
+        assert sum(samples) == 2 * 50 * (2 + 10 + 30) and sum(stacks) == 2 * 3 * 50
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         k=st.integers(0, 4),
-        grid_size=st.integers(3, 80),
+        grid_size=st.integers(2, 80),
         theta_prior_var=st.sampled_from([0.5, 10.0, math.inf]),
         sub=st.integers(1, 3),
         per_chunk=st.integers(2, 3),
         stacks=st.integers(1, 6),
         extra=st.integers(-1, 1),
+        free_n=st.none() | st.integers(1, 400),
     )
+    @example(k=0, grid_size=2, theta_prior_var=10.0, sub=3, per_chunk=3, stacks=2, extra=1, free_n=None)
+    @example(k=1, grid_size=2, theta_prior_var=10.0, sub=1, per_chunk=2, stacks=3, extra=0, free_n=1)
+    @example(k=2, grid_size=80, theta_prior_var=math.inf, sub=2, per_chunk=2, stacks=2, extra=1, free_n=1)
+    @example(k=3, grid_size=60, theta_prior_var=0.5, sub=1, per_chunk=2, stacks=4, extra=-1, free_n=25)
     def test_rows_equal_per_cell_reference(
-        self, k, grid_size, theta_prior_var, sub, per_chunk, stacks, extra
+        self, k, grid_size, theta_prior_var, sub, per_chunk, stacks, extra, free_n
     ):
-        # the budget gives `sub` systems per sub-stack and `per_chunk`
-        # sub-stacks per chunk, and the replication count lands one below,
-        # on or one above a sub-stack boundary: inside a chunk or on a
-        # chunk boundary.  n = ceil((r+2)^2 / (2 per_chunk)) makes both
-        # sizes exact, so n follows from the grid.
+        # the budget gives `sub` systems per sub-stack, and the replication
+        # count lands one below, on or one above a sub-stack boundary.
+        # free_n None: n = ceil((r+2)^2 / (2 per_chunk)) >= m makes a chunk
+        # exactly `per_chunk` sub-stacks, so the count also lands inside a
+        # chunk or on a chunk boundary.  Otherwise n is drawn freely, down
+        # to 1 and below the grid (empty bins), and a chunk holds whatever
+        # budget // 2 max(n, m) gives
         systems = (grid_size + 2) ** 2
-        n = -(-systems // (2 * per_chunk))
-        budget = 2 * n * sub * per_chunk
-        assert budget // (2 * n) == sub * per_chunk and budget // systems == sub
+        if free_n is None:
+            n = -(-systems // (2 * per_chunk))
+            budget = 2 * n * sub * per_chunk
+            assert budget // (2 * max(n, grid_size)) == sub * per_chunk
+        else:
+            n, budget = free_n, sub * systems
+        assert budget // systems == sub
         replications = max(1, sub * stacks + extra)
         cfg = ExperimentConfig(
             k=k,

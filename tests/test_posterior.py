@@ -353,7 +353,9 @@ class TestSufficientStatisticEngine:
         data = sample_datasets(law, truth, 400, [cell_seed(6, 400, rep) for rep in range(3)])
         ds = data[0]
         factor = prior_factor(spec)
-        means, variances = theta_posteriors(data.u, data.v, data.y, spec, 10.0)
+        # two systems per sub-stack for r = m and r = m + 1: row 2 is alone
+        budget = 2 * (grid_size + 3) ** 2
+        means, variances = theta_posteriors(data.u, data.v, data.y, spec, 10.0, budget)
         jp = conjugate_joint_posterior(ds, spec, 10.0)
         rng = np.random.default_rng(k)
         signs = rng.choice([-1.0, 1.0], grid_size)
@@ -362,7 +364,9 @@ class TestSufficientStatisticEngine:
             np.hstack([factor, np.zeros((grid_size, 1))]),
         ):
             monkeypatch.setattr(semibvm.posterior, "prior_factor", lambda _: other)
-            other_means, other_variances = theta_posteriors(data.u, data.v, data.y, spec, 10.0)
+            other_means, other_variances = theta_posteriors(
+                data.u, data.v, data.y, spec, 10.0, budget
+            )
             np.testing.assert_allclose(other_variances, variances, rtol=1e-12, atol=0.0)
             assert np.all(np.abs(other_means - means) <= 1e-12 * np.sqrt(variances))
             other_jp = conjugate_joint_posterior(ds, spec, 10.0)

@@ -55,7 +55,6 @@ from .posterior import (
     JointGaussianPosterior,
     MarginalThetaPosterior,
     conditional_nuisance_mass,
-    conditioned_theta_marginal,
     conjugate_joint_posterior,
     credible_interval,
     gibbs_chain,
@@ -104,7 +103,6 @@ __all__ = [
     "JointGaussianPosterior",
     "MarginalThetaPosterior",
     "conditional_nuisance_mass",
-    "conditioned_theta_marginal",
     "conjugate_joint_posterior",
     "credible_interval",
     "gibbs_chain",

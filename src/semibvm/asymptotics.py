@@ -3,7 +3,11 @@
 Everything here reduces to one of two evaluation strategies, stated in
 each docstring: analytic reduction (the expectation over (U, V) collapses
 to a closed form) or seeded Monte Carlo over the covariate law with a
-reported/derivable standard error.
+reported/derivable standard error.  The KL divergence, the two KL
+neighbourhood moments and the misspecified theta* are exact: each is an
+integral over V of a nuisance difference that is linear between grid
+nodes (see :func:`_difference_integrals`).  The Hellinger distance and
+the plug-in domination statistic are seeded Monte Carlo.
 
 Central quantities:
 
@@ -33,8 +37,6 @@ from .model import (
     DatasetStack,
     ModelPoint,
     NuisanceFunction,
-    log_density_ratio,
-    sample_dataset,
 )
 from .posterior import MarginalThetaPosterior, _normal_cdf, _row_dots, theta_posterior
 
@@ -178,17 +180,50 @@ def bvm_gap(
     )
 
 
-def kl_divergence(
-    p: ModelPoint, truth: ModelPoint, law: CovariateLaw, mc_draws: int, seed: int
-) -> float:
-    """KL divergence of p from the truth, as a covariate expectation.
+def _difference_integrals(
+    eta: NuisanceFunction, eta0: NuisanceFunction
+) -> tuple[float, float, float]:
+    """Exact (int D^2, int D^4, int cos(2 pi v) D(v)) over [0, 1], D = eta - eta0.
 
-    Equals (1/2) E[((theta - theta0) U + (eta - eta0)(V))^2]; estimated
-    by seeded Monte Carlo over (U, V).  Standard error is
-    sd(half-square)/sqrt(mc_draws).
+    D is linear between the merged grid nodes of both nuisances, so each
+    integral is a sum of closed forms over the cells.  On [x0, x1] of
+    width h with end values D0, D1: int D^2 = h (D0^2 + D0 D1 + D1^2)/3,
+    int D^4 = h (D0^4 + D0^3 D1 + D0^2 D1^2 + D0 D1^3 + D1^4)/5, and
+    int cos(w v) D(v) dv = D0 c0 + D1 c1 with w = 2 pi,
+    c1 = sin(w x1)/w + q, c0 = -sin(w x0)/w - q and
+    q = (cos(w x1) - cos(w x0)) / (w^2 h), taken as
+    -2 sin(w (x0 + x1)/2) sin(w h/2) / (w^2 h) to avoid cancellation.
     """
-    shift = _mean_shift(p, truth, law, mc_draws, seed)
-    return float(np.mean(0.5 * shift**2))
+    nodes = np.union1d(eta.grid, eta0.grid)
+    diff = eta(nodes) - eta0(nodes)
+    x0, x1 = nodes[:-1], nodes[1:]
+    width = x1 - x0
+    omega = 2.0 * math.pi
+    q = -2.0 * np.sin(0.5 * omega * (x0 + x1)) * np.sin(0.5 * omega * width)
+    q /= omega**2 * width
+    c0 = -np.sin(omega * x0) / omega - q
+    c1 = np.sin(omega * x1) / omega + q
+    d0, d1 = diff[:-1], diff[1:]
+    cos_integral = float(d0 @ c0 + d1 @ c1)
+    sq0, sq1, cross = d0 * d0, d1 * d1, d0 * d1
+    sq_integral = float(width @ (sq0 + cross + sq1)) / 3.0
+    fourth_integral = float(width @ (sq0 * sq0 + cross * (sq0 + sq1) + sq0 * sq1 + sq1 * sq1)) / 5.0
+    return sq_integral, fourth_integral, cos_integral
+
+
+def kl_divergence(p: ModelPoint, truth: ModelPoint, law: CovariateLaw) -> float:
+    """KL divergence of p from the truth, exact.
+
+    (1/2) E[(dtheta U + D(V))^2] with dtheta = theta - theta0 and
+    D = eta - eta0.  E[U^2] = 1 and the tower rule E[U D(V)] =
+    a int cos(2 pi v) D(v) dv reduce it to
+    (1/2) [dtheta^2 + 2 dtheta a int cos(2 pi v) D(v) dv + int D^2],
+    whose integrals :func:`_difference_integrals` gives exactly.
+    """
+    sq_integral, _, cos_integral = _difference_integrals(p.eta, truth.eta)
+    dtheta = p.theta - truth.theta
+    cross = 2.0 * dtheta * law.cond_mean_amplitude * cos_integral
+    return 0.5 * (dtheta * dtheta + cross + sq_integral)
 
 
 def _mean_shift(
@@ -216,24 +251,11 @@ def misspecified_theta_star(
     """KL-minimising theta for a fixed nuisance.
 
     theta0 - E[m(V) (eta - eta0)(V)], using E[U^2] = 1 and the tower
-    rule.  The difference D = eta - eta0 is linear between the merged
-    grid nodes of both nuisances, so the V-expectation is exact: on
-    [x0, x1] of width h, int cos(w v) D(v) dv = D0 c0 + D1 c1 with
-    w = 2 pi, c1 = sin(w x1)/w + q, c0 = -sin(w x0)/w - q and
-    q = (cos(w x1) - cos(w x0)) / (w^2 h), taken as
-    -2 sin(w (x0 + x1)/2) sin(w h/2) / (w^2 h) to avoid cancellation.
+    rule; the V-expectation a int cos(2 pi v) D(v) dv is exact (see
+    :func:`_difference_integrals`).
     """
-    nodes = np.union1d(eta.grid, truth.eta.grid)
-    diff = eta(nodes) - truth.eta(nodes)
-    x0, x1 = nodes[:-1], nodes[1:]
-    width = x1 - x0
-    omega = 2.0 * math.pi
-    q = -2.0 * np.sin(0.5 * omega * (x0 + x1)) * np.sin(0.5 * omega * width)
-    q /= omega**2 * width
-    c0 = -np.sin(omega * x0) / omega - q
-    c1 = np.sin(omega * x1) / omega + q
-    value = law.cond_mean_amplitude * float(diff[:-1] @ c0 + diff[1:] @ c1)
-    return truth.theta - value
+    _, _, cos_integral = _difference_integrals(eta, truth.eta)
+    return truth.theta - law.cond_mean_amplitude * cos_integral
 
 
 def lan_remainder(
@@ -292,23 +314,20 @@ def hellinger_distance(
 
 
 def kl_neighborhood_stats(
-    eta: NuisanceFunction,
-    truth: ModelPoint,
-    law: CovariateLaw,
-    mc_draws: int,
-    seed: int,
+    eta: NuisanceFunction, truth: ModelPoint, law: CovariateLaw
 ) -> tuple[float, float]:
-    """First two moments of the log-likelihood ratio at theta0.
+    """First two moments of the log-likelihood ratio at theta0, exact.
 
-    Returns Monte Carlo estimates of (-E0 log r, E0 (log r)^2) for
-    r = p_{theta0, eta} / p_{theta0, eta0}, the two statistics whose
-    smallness places eta in a KL-type neighborhood of eta0.
+    Returns (-E0 log r, E0 (log r)^2) for r = p_{theta0, eta} /
+    p_{theta0, eta0}, the two statistics whose smallness places eta in a
+    KL-type neighborhood of eta0.  Under the truth the residual is the
+    noise e, so log r = e D(V) - D(V)^2/2 with D = eta - eta0, and
+    E e = 0, E e^2 = 1 give (int D^2 / 2, int D^2 + int D^4 / 4); the
+    integrals are exact (see :func:`_difference_integrals`).  V is
+    uniform whatever `law` is, so `law` does not enter.
     """
-    if mc_draws < 1:
-        raise ValueError("mc_draws must be >= 1")
-    ds = sample_dataset(law, truth, mc_draws, seed)
-    log_ratio = log_density_ratio((ds.u, ds.v, ds.y), ModelPoint(truth.theta, eta), truth)
-    return float(-np.mean(log_ratio)), float(np.mean(log_ratio**2))
+    sq_integral, fourth_integral, _ = _difference_integrals(eta, truth.eta)
+    return 0.5 * sq_integral, sq_integral + 0.25 * fourth_integral
 
 
 def integral_lan_coefficients(
@@ -337,10 +356,8 @@ def integral_lan_coefficients(
 
 def estimate_un_per_zeta(
     law: CovariateLaw,
-    truth: ModelPoint,
     zeta_set: list[NuisanceFunction],
-    rho: float,
-    h: float | None | tuple[float | None, ...],
+    h: float | None,
     n: int,
     mc_reps: int,
     seed: int,
@@ -351,22 +368,16 @@ def estimate_un_per_zeta(
     the zeta-translated truth, of the n-fold likelihood ratio between
     the h-perturbed and unperturbed submodel points is estimated over
     `mc_reps` independent replications (each zeta gets its own seeded
-    substream).  `h = None` uses the per-replication plug-in
-    least-squares direction clamped to |h| <= 2.  The expectation equals
-    1 exactly for deterministic h.  Callers are responsible for probe
-    translations staying within Hellinger radius `rho` of the truth.
-
-    `h` is one direction, giving arrays of shape (len(zeta_set),), or a
-    tuple of directions, giving arrays of shape (len(h), len(zeta_set))
-    whose row i equals the result for h[i] alone: each zeta's sample is
-    drawn once and every direction is evaluated on it.
+    substream), giving arrays of shape (len(zeta_set),).  `h = None`
+    uses the per-replication plug-in least-squares direction clamped to
+    |h| <= 2.  The expectation equals 1 exactly for deterministic h.
 
     At the translated truth the residual is the drawn noise e, so with
     w = u - m(v) and s = h / sqrt(n) a replication's log ratio
     sum[-(e - s w)^2/2 + e^2/2] is s (w.e) - s^2 (w.w)/2, and its
     plug-in direction is sqrt(n) (u.e)/(u.u): four row dots.  Only `law`,
     `h`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the estimates;
-    the values of `truth` and of the translations, and `rho`, do not.
+    the values of the truth and of the translations do not.
     """
     if mc_reps < 1:
         raise ValueError("mc_reps must be >= 1")
@@ -374,10 +385,9 @@ def estimate_un_per_zeta(
         raise ValueError("need n >= 1")
     if not zeta_set:
         raise ValueError("zeta_set must be nonempty")
-    directions = h if isinstance(h, tuple) else (h,)
     rootn = math.sqrt(n)
-    estimates = np.empty((len(directions), len(zeta_set)))
-    errors = np.empty((len(directions), len(zeta_set)))
+    estimates = np.empty(len(zeta_set))
+    errors = np.empty(len(zeta_set))
     for j in range(len(zeta_set)):
         # sample_covariates' draws (v, then z), then the noise e; m(v) is
         # formed once, for u as covariate_u forms it and for w
@@ -388,20 +398,16 @@ def estimate_un_per_zeta(
         m = law.cond_mean(v)
         u = m + law.residual_sd * z
         w = u - m
-        we, ww = _row_dots(w, e), _row_dots(w, w)
-        for i, direction in enumerate(directions):
-            if direction is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
-                uu = _row_dots(u, u)
-                h_rep = np.divide(
-                    rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0
-                )
-                h_rep = np.clip(h_rep, -2.0, 2.0)
-            else:
-                h_rep = np.full(mc_reps, float(direction))
-            shift = h_rep / rootn
-            ratios = np.exp(shift * we - 0.5 * shift**2 * ww)
-            estimates[i, j] = ratios.mean()
-            errors[i, j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
-    if isinstance(h, tuple):
-        return estimates, errors
-    return estimates[0], errors[0]
+        if h is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
+            uu = _row_dots(u, u)
+            h_rep = np.divide(
+                rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0
+            )
+            h_rep = np.clip(h_rep, -2.0, 2.0)
+        else:
+            h_rep = np.full(mc_reps, float(h))
+        shift = h_rep / rootn
+        ratios = np.exp(shift * _row_dots(w, e) - 0.5 * shift**2 * _row_dots(w, w))
+        estimates[j] = ratios.mean()
+        errors[j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
+    return estimates, errors

@@ -436,10 +436,18 @@ def run_diagnostics_suite(
 
     Probe nuisance perturbations are fixed small multiples of smooth
     waves; the report carries every estimate together with the bound or
-    reference value it is judged against.
+    reference value it is judged against.  The KL-neighborhood moments
+    are exact, and so is the h=1 domination row: a fixed direction's
+    likelihood ratio has expectation exactly 1, reported with standard
+    error 0.  The plug-in domination row (`un_reps` replications) and
+    the Hellinger row (`mc_draws` covariate draws) are seeded Monte Carlo.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if mc_draws < 1:
+        raise ValueError("mc_draws must be >= 1")
+    if un_reps < 1:
+        raise ValueError("un_reps must be >= 1")
     law, truth, _ = make_components(cfg)
     grid = truth.eta.grid
     zeta = NuisanceFunction(0.1 * np.cos(2.0 * np.pi * grid))
@@ -451,7 +459,7 @@ def run_diagnostics_suite(
     kl_rows = []
     for label, delta_vals in probes.items():
         eta = NuisanceFunction(truth.eta.values + delta_vals)
-        first, second = kl_neighborhood_stats(eta, truth, law, mc_draws, seed)
+        first, second = kl_neighborhood_stats(eta, truth, law)
         sup = float(np.max(np.abs(delta_vals)))
         bound_scale = max(eta.sup_norm(), truth.eta.sup_norm())
         kl_rows.append(
@@ -464,9 +472,8 @@ def run_diagnostics_suite(
         )
 
     zeta_set = [NuisanceFunction.zero(grid.size), zeta]
-    estimates, errors = estimate_un_per_zeta(
-        law, truth, zeta_set, rho=0.5, h=(1.0, None), n=n, mc_reps=un_reps, seed=seed
-    )
+    estimates, errors = estimate_un_per_zeta(law, zeta_set, h=None, n=n, mc_reps=un_reps, seed=seed)
+    ones = np.ones(len(zeta_set))
     un_rows = [
         {
             "h": h_label,
@@ -474,7 +481,7 @@ def run_diagnostics_suite(
             "standard_errors": err.tolist(),
             "max": float(est.max()),
         }
-        for h_label, est, err in zip(("h=1", "plugin"), estimates, errors)
+        for h_label, est, err in (("h=1", ones, 0.0 * ones), ("plugin", estimates, errors))
     ]
 
     ds = sample_dataset(law, truth, n, seed)

@@ -37,8 +37,7 @@ B block once per call.  The package needs numpy and the standard
 library only.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
-propagated here; :func:`conditioned_theta_marginal` gives a
-rejection-reweighted estimate of its effect for diagnostic use.
+propagated here: every posterior uses the unrestricted prior.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "credible_bounds",
     "posterior_mass_h_ball",
     "conditional_nuisance_mass",
-    "conditioned_theta_marginal",
     "effective_sample_size",
 ]
 
@@ -524,33 +522,6 @@ def conditional_nuisance_mass(
     shift = eta_shared - target(v_shared)[None, :]
     distances = hellinger_from_shift(shift)
     return float(np.mean(distances >= rho))
-
-
-def conditioned_theta_marginal(
-    jp: JointGaussianPosterior, spec: GpPriorSpec, draws: int, seed: int
-) -> tuple[float, float, float]:
-    """Theta marginal under the Hoelder-ball-restricted prior, by rejection.
-
-    The restricted-prior posterior equals the unrestricted posterior
-    conditioned on the ball event, so joint draws are filtered on
-    sup norm + seminorm < holder_bound.  Returns (mean, variance,
-    acceptance fraction).  Diagnostic only; no equivalence with the
-    unrestricted marginal is asserted.
-    """
-    from .gp_prior import _ball_norm
-
-    if not spec.conditioned:
-        raise ValueError("spec carries no Hoelder ball to condition on")
-    if draws < 2:
-        raise ValueError("need draws >= 2")
-    samples = sample_joint_posterior(jp, draws, seed)
-    keep = np.array(
-        [_ball_norm(row[1:], spec.holder_alpha) < spec.holder_bound for row in samples]
-    )
-    if keep.sum() < 2:
-        raise ValueError("fewer than 2 draws landed in the Hoelder ball")
-    kept = samples[keep, 0]
-    return float(kept.mean()), float(kept.var(ddof=1)), float(keep.mean())
 
 
 def effective_sample_size(x: np.ndarray) -> float:

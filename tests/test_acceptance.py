@@ -228,11 +228,9 @@ def test_07_least_favorable_recovery():
         )
         theta = truth.theta + dtheta
         star = least_favorable_eta(theta, truth, law)
-        draws = 150_000
-        est = kl_divergence(ModelPoint(theta, star), truth, law, draws, seed=77)
+        est = kl_divergence(ModelPoint(theta, star), truth, law)
         target = 0.5 * dtheta**2 * INFO
-        se = 0.125 * math.sqrt(2.0) * INFO / math.sqrt(draws)
-        value_ok = abs(est - target) < 3 * se + 1e-5
+        value_ok = abs(est - target) < 1e-5  # grid interpolation of m
         all_ok = all_ok and grid_ok and value_ok
         coeffs = ", ".join(f"{c:+.2f}" for c in best_c)
         details.append(f"dtheta={dtheta}: argmin ({coeffs}), KL err {abs(est - target):.2e}")
@@ -299,9 +297,7 @@ def test_09_domination_statistic_normalised():
     ok = True
     details = []
     for n in (10, 100):
-        estimates, errors = estimate_un_per_zeta(
-            law, truth, zetas, rho=0.5, h=1.0, n=n, mc_reps=10_000, seed=9
-        )
+        estimates, errors = estimate_un_per_zeta(law, zetas, h=1.0, n=n, mc_reps=10_000, seed=9)
         for est, se in zip(estimates, errors):
             ok = ok and abs(est - 1.0) < 4 * se
         details.append(

@@ -1,16 +1,20 @@
 """Diagnostics tests: TV gaps, KL/Hellinger geometry, expansions, domination."""
 
+import bisect
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from semibvm.asymptotics import (
     BvmDiagnostics,
     LanCoefficients,
+    _difference_integrals,
     bvm_gap,
     delta_n,
     estimate_un_per_zeta,
@@ -23,6 +27,7 @@ from semibvm.asymptotics import (
     misspecified_theta_star,
     tv_normals,
 )
+from semibvm.experiments import ExperimentConfig, make_components
 from semibvm.gp_prior import GpPriorSpec, prior_covariance
 from semibvm.model import (
     CovariateLaw,
@@ -31,6 +36,7 @@ from semibvm.model import (
     NuisanceFunction,
     empirical_information,
     interpolation_weights,
+    log_density_ratio,
     make_covariate_law,
     sample_dataset,
     uniform_grid,
@@ -43,6 +49,55 @@ def _truth(grid_size=41, theta=1.0, amplitude=0.5):
         lambda v: amplitude * math.sin(2 * math.pi * v), grid_size
     )
     return ModelPoint(theta=theta, eta=eta)
+
+
+# (k, grid_size) configs whose truth grids the exact integrals are checked on
+EXACT_CASES = [(0, 50), (1, 50), (2, 200), (3, 20), (4, 101)]
+
+
+def _mp_interpolant(values):
+    """The grid interpolant of `values` on uniform_grid, evaluated in mpmath."""
+    grid = [mpmath.mpf(float(x)) for x in uniform_grid(len(values))]
+    vals = [mpmath.mpf(float(x)) for x in values]
+
+    def f(v):
+        i = min(max(bisect.bisect_right(grid, v) - 1, 0), len(grid) - 2)
+        t = (v - grid[i]) / (grid[i + 1] - grid[i])
+        return (1 - t) * vals[i] + t * vals[i + 1]
+
+    return f
+
+
+def _mp_integral(f, nodes):
+    """60-digit Gauss-Legendre quadrature of f over [0, 1], cell by cell
+    between `nodes`, so each piece is smooth."""
+    with mpmath.workdps(60):
+        cells = [mpmath.mpf(float(x)) for x in nodes]
+        return sum(
+            mpmath.quad(f, [a, b], method="gauss-legendre") for a, b in zip(cells[:-1], cells[1:])
+        )
+
+
+def _mp_difference_integrals(eta, eta0):
+    """(int D^2, int D^4, int cos(2 pi v) D(v)) by quadrature, D = eta - eta0."""
+    f, f0 = _mp_interpolant(eta.values), _mp_interpolant(eta0.values)
+    nodes = np.union1d(eta.grid, eta0.grid)
+    with mpmath.workdps(60):
+        return (
+            _mp_integral(lambda v: (f(v) - f0(v)) ** 2, nodes),
+            _mp_integral(lambda v: (f(v) - f0(v)) ** 4, nodes),
+            _mp_integral(lambda v: mpmath.cos(2 * mpmath.pi * v) * (f(v) - f0(v)), nodes),
+        )
+
+
+def _assert_exact_integrals(eta, eta0):
+    got = _difference_integrals(eta, eta0)
+    sq, fourth, cos = _mp_difference_integrals(eta, eta0)
+    assert abs(got[0] - sq) <= 1e-12 * sq
+    assert abs(got[1] - fourth) <= 1e-12 * fourth
+    # |int cos D| <= ||D||_2 / sqrt(2), and it vanishes for odd D about 1/2,
+    # so its error is measured against ||D||_2
+    assert abs(got[2] - cos) <= 1e-12 * max(abs(cos), mpmath.sqrt(sq))
 
 
 def tv_by_cdf_crossings(m1, v1, m2, v2):
@@ -254,22 +309,45 @@ class TestBvmGap:
             )
 
 
+class TestDifferenceIntegrals:
+    @pytest.mark.parametrize("k, grid_size", EXACT_CASES)
+    @pytest.mark.parametrize("probe", ["cos", "sin"])
+    def test_suite_probes_against_quadrature(self, k, grid_size, probe):
+        _, truth, _ = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        grid = truth.eta.grid
+        delta = 0.1 * np.cos(2 * np.pi * grid) if probe == "cos" else 0.2 * np.sin(4 * np.pi * grid)
+        _assert_exact_integrals(NuisanceFunction(truth.eta.values + delta), truth.eta)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(EXACT_CASES),
+        size=st.integers(2, 40),
+        values=st.lists(st.floats(-3.0, 3.0), min_size=40, max_size=40),
+    )
+    def test_nuisance_on_another_grid_against_quadrature(self, case, size, values):
+        k, grid_size = case
+        _, truth, _ = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        eta = NuisanceFunction(np.asarray(values[:size]))
+        if eta.sup_norm() > 0.0:
+            _assert_exact_integrals(eta, truth.eta)
+
+    def test_zero_difference_is_zero(self):
+        truth = _truth()
+        assert _difference_integrals(truth.eta, truth.eta) == (0.0, 0.0, 0.0)
+
+
 class TestKlDivergence:
     def test_same_point_is_zero(self):
         law = make_covariate_law(0.8)
         truth = _truth()
-        assert kl_divergence(truth, truth, law, 1000, 1) == 0.0
+        assert kl_divergence(truth, truth, law) == 0.0
 
     def test_theta_shift_value(self):
         # eta = eta0, theta - theta0 = 0.5: KL = 0.125 E U^2 = 0.125
         law = make_covariate_law(0.8)
         truth = _truth()
         p = ModelPoint(theta=truth.theta + 0.5, eta=truth.eta)
-        draws = 150_000
-        est = kl_divergence(p, truth, law, draws, seed=5)
-        # X = (0.5 U)^2 / 2; Var X = (E U^4 - 1)/64
-        se = math.sqrt((law.fourth_moment_u - 1.0) / 64.0 / draws)
-        assert abs(est - 0.125) < 3 * se
+        assert kl_divergence(p, truth, law) == 0.125
 
     def test_matches_log_ratio_expectation(self):
         # independent estimator: -mean log density ratio over simulated data
@@ -280,22 +358,13 @@ class TestKlDivergence:
             eta=NuisanceFunction(truth.eta.values + 0.2),
         )
         draws = 120_000
-        est_covariate = kl_divergence(p, truth, law, draws, seed=11)
-
         ds = sample_dataset(law, truth, draws, seed=12)
-        from semibvm.model import log_density_ratio
-
         neg_log = -log_density_ratio((ds.u, ds.v, ds.y), p, truth)
-        est_data = float(neg_log.mean())
         se_data = neg_log.std(ddof=1) / math.sqrt(draws)
-
-        rng = np.random.default_rng(11)
-        u, v = law.sample_covariates(draws, rng)
-        halves = 0.5 * ((p.theta - truth.theta) * u + (p.eta(v) - truth.eta(v))) ** 2
-        se_cov = halves.std(ddof=1) / math.sqrt(draws)
-        assert abs(est_covariate - est_data) < 4 * math.hypot(se_cov, se_data)
+        assert abs(kl_divergence(p, truth, law) - float(neg_log.mean())) < 4 * se_data
 
     def test_nonnegative_up_to_mc_error(self):
+        # exact now, so nonnegative without any allowance
         law = make_covariate_law(0.9)
         truth = _truth()
         rng = np.random.default_rng(19)
@@ -304,7 +373,24 @@ class TestKlDivergence:
                 theta=truth.theta + rng.normal(scale=0.3),
                 eta=NuisanceFunction(truth.eta.values + rng.normal(scale=0.2, size=41)),
             )
-            assert kl_divergence(p, truth, law, 20_000, seed=int(rng.integers(1e6))) >= 0.0
+            assert kl_divergence(p, truth, law) >= 0.0
+
+    @pytest.mark.parametrize("k, grid_size", EXACT_CASES)
+    @pytest.mark.parametrize("sigma_w", [0.3, 0.8])
+    def test_least_favorable_curve_value(self, k, grid_size, sigma_w):
+        # along eta* = eta0 - dtheta m_h, with m_h the grid interpolant of m:
+        # KL = dtheta^2/2 (sigma_w^2 + int (m - m_h)^2)
+        law, truth, _ = make_components(ExperimentConfig(sigma_w=sigma_w, k=k, grid_size=grid_size))
+        amplitude = mpmath.mpf(law.cond_mean_amplitude)
+        m_h = _mp_interpolant(law.cond_mean(truth.eta.grid))
+        gap = _mp_integral(
+            lambda v: (amplitude * mpmath.cos(2 * mpmath.pi * v) - m_h(v)) ** 2, truth.eta.grid
+        )
+        for dtheta in (-0.5, 0.25, 2.0):
+            star = least_favorable_eta(truth.theta + dtheta, truth, law)
+            expected = 0.5 * dtheta**2 * (mpmath.mpf(sigma_w) ** 2 + gap)
+            got = kl_divergence(ModelPoint(truth.theta + dtheta, star), truth, law)
+            assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestLeastFavorableEta:
@@ -361,25 +447,21 @@ class TestLeastFavorableEta:
 
         # KL at the closed-form minimiser equals dtheta^2 I / 2
         star = least_favorable_eta(theta, truth, law)
-        p_star = ModelPoint(theta=theta, eta=star)
-        draws = 150_000
-        est = kl_divergence(p_star, truth, law, draws, seed=29)
+        est = kl_divergence(ModelPoint(theta=theta, eta=star), truth, law)
         target = 0.5 * dtheta**2 * law.efficient_info
-        se = 0.125 * math.sqrt(2.0) * law.efficient_info / math.sqrt(draws)
-        assert abs(est - target) < 3 * se + 1e-5  # 1e-5 covers grid interpolation
+        assert abs(est - target) < 1e-5  # 1e-5 covers grid interpolation
 
     def test_minimises_against_perturbations(self):
         law = make_covariate_law(0.8)
         truth = _truth()
         theta = truth.theta + 0.4
         star = least_favorable_eta(theta, truth, law)
-        kl_star = kl_divergence(ModelPoint(theta, star), truth, law, 60_000, seed=31)
+        kl_star = kl_divergence(ModelPoint(theta, star), truth, law)
         rng = np.random.default_rng(37)
         for _ in range(6):
             bump = rng.normal(scale=0.15, size=star.values.size)
             perturbed = ModelPoint(theta, NuisanceFunction(star.values + bump))
-            kl_pert = kl_divergence(perturbed, truth, law, 60_000, seed=31)
-            assert kl_pert >= kl_star - 1e-4
+            assert kl_divergence(perturbed, truth, law) > kl_star
 
 
 class TestMisspecifiedThetaStar:
@@ -401,6 +483,25 @@ class TestMisspecifiedThetaStar:
         )
         star = misspecified_theta_star(eta, truth, law)
         assert star == pytest.approx(truth.theta - value, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k, grid_size", EXACT_CASES)
+    @pytest.mark.parametrize("eta_size", [2, 37, 50])
+    def test_bits_of_the_direct_cell_form(self, k, grid_size, eta_size):
+        # theta0 - a (D0 . c0 + D1 . c1) with the cell coefficients of
+        # _difference_integrals written out in place: the same bits
+        law, truth, _ = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        eta = NuisanceFunction(np.random.default_rng(eta_size).normal(size=eta_size))
+        nodes = np.union1d(eta.grid, truth.eta.grid)
+        diff = eta(nodes) - truth.eta(nodes)
+        x0, x1 = nodes[:-1], nodes[1:]
+        width = x1 - x0
+        omega = 2.0 * math.pi
+        q = -2.0 * np.sin(0.5 * omega * (x0 + x1)) * np.sin(0.5 * omega * width)
+        q /= omega**2 * width
+        c0 = -np.sin(omega * x0) / omega - q
+        c1 = np.sin(omega * x1) / omega + q
+        value = law.cond_mean_amplitude * float(diff[:-1] @ c0 + diff[1:] @ c1)
+        assert misspecified_theta_star(eta, truth, law) == truth.theta - value
 
     def test_at_truth(self):
         law = make_covariate_law(0.8)
@@ -570,19 +671,18 @@ class TestHellinger:
             p2 = ModelPoint(truth.theta, eta2)
             draws = 60_000
             h = hellinger_distance(p1, p2, law, draws, seed=trial)
-            kl = kl_divergence(p1, ModelPoint(truth.theta, eta2), law, draws, seed=trial)
+            kl = kl_divergence(p1, ModelPoint(truth.theta, eta2), law)
             u, v = law.sample_covariates(draws, np.random.default_rng(trial))
             shift = eta1(v) - eta2(v)
             se_h = np.exp(-(shift**2) / 8.0).std(ddof=1) / math.sqrt(draws)
-            se_kl = (0.5 * shift**2).std(ddof=1) / math.sqrt(draws)
-            assert h**2 <= kl + 4 * (se_h + se_kl)
+            assert h**2 <= kl + 4 * se_h
 
 
 class TestKlNeighborhoodStats:
     def test_at_truth(self):
         law = make_covariate_law(0.8)
         truth = _truth()
-        first, second = kl_neighborhood_stats(truth.eta, truth, law, 1000, 1)
+        first, second = kl_neighborhood_stats(truth.eta, truth, law)
         assert first == 0.0
         assert second == 0.0
 
@@ -592,13 +692,24 @@ class TestKlNeighborhoodStats:
         eta = NuisanceFunction(
             truth.eta.values + 0.3 * np.cos(2 * math.pi * truth.eta.grid)
         )
-        draws = 150_000
-        first, _ = kl_neighborhood_stats(eta, truth, law, draws, seed=61)
+        first, _ = kl_neighborhood_stats(eta, truth, law)
         fine = np.linspace(0.0, 1.0, 40_001)
         target = 0.5 * np.trapezoid((eta(fine) - truth.eta(fine)) ** 2, fine)
-        sup = float(np.max(np.abs(eta.values - truth.eta.values)))
-        se = math.sqrt(sup**2 + sup**4 / 4.0) / math.sqrt(draws)
-        assert abs(first - target) < 3 * se
+        assert first == pytest.approx(target, rel=1e-8)  # the trapezoid rule is off by 4e-9
+
+    def test_moments_match_simulated_log_ratios(self):
+        # independent estimator: both moments of the log density ratio over
+        # data simulated at the truth, within 4 Monte Carlo standard errors
+        law = make_covariate_law(0.8)
+        truth = _truth()
+        eta = NuisanceFunction(truth.eta.values + 0.3 * np.sin(4 * math.pi * truth.eta.grid))
+        draws = 120_000
+        ds = sample_dataset(law, truth, draws, seed=61)
+        log_ratio = log_density_ratio((ds.u, ds.v, ds.y), ModelPoint(truth.theta, eta), truth)
+        first, second = kl_neighborhood_stats(eta, truth, law)
+        for exact, terms in ((first, -log_ratio), (second, log_ratio**2)):
+            se = terms.std(ddof=1) / math.sqrt(draws)
+            assert abs(exact - terms.mean()) < 4 * se
 
     def test_both_moments_under_class_bound(self):
         # small smooth perturbations inside a sup-norm-D class
@@ -611,13 +722,12 @@ class TestKlNeighborhoodStats:
             ("mix", 0.1 * np.cos(2 * math.pi * grid) + 0.1 * np.sin(6 * math.pi * grid)),
         ):
             eta = NuisanceFunction(truth.eta.values + delta)
-            first, second = kl_neighborhood_stats(eta, truth, law, 120_000, seed=67)
+            first, second = kl_neighborhood_stats(eta, truth, law)
             class_bound = max(eta.sup_norm(), truth.eta.sup_norm())
             sup = float(np.max(np.abs(delta)))
             cap = (0.5 + class_bound**2) * sup**2
-            margin = 3 * math.sqrt(sup**2 + sup**4 / 4.0) / math.sqrt(120_000)
-            assert first <= cap + margin, kind
-            assert second <= cap + margin, kind
+            assert first <= cap, kind
+            assert second <= cap, kind
 
 
 class TestIntegralLanCoefficients:
@@ -693,32 +803,25 @@ class TestEstimateUn:
 
     def test_unit_expectation_for_fixed_h(self):
         law = make_covariate_law(0.8)
-        truth = _truth()
         estimates, errors = estimate_un_per_zeta(
-            law, truth, self._zetas(), rho=0.5, h=1.0, n=50, mc_reps=6000, seed=83
+            law, self._zetas(), h=1.0, n=50, mc_reps=6000, seed=83
         )
         for est, se in zip(estimates, errors):
             assert abs(est - 1.0) < 4 * se
 
     def test_singleton_probe_reduces_to_single_expectation(self):
         law = make_covariate_law(0.8)
-        truth = _truth()
         # each translation draws from its own substream, so a probe's
         # estimate does not depend on the probes listed after it
         zetas = self._zetas()
-        single, _ = estimate_un_per_zeta(
-            law, truth, zetas[:1], rho=0.5, h=1.0, n=30, mc_reps=2000, seed=89
-        )
-        estimates, _ = estimate_un_per_zeta(
-            law, truth, zetas, rho=0.5, h=1.0, n=30, mc_reps=2000, seed=89
-        )
+        single, _ = estimate_un_per_zeta(law, zetas[:1], h=1.0, n=30, mc_reps=2000, seed=89)
+        estimates, _ = estimate_un_per_zeta(law, zetas, h=1.0, n=30, mc_reps=2000, seed=89)
         assert single[0] == estimates[0]
 
     def test_plugin_direction_finite_with_errors(self):
         law = make_covariate_law(0.8)
-        truth = _truth()
         estimates, errors = estimate_un_per_zeta(
-            law, truth, self._zetas(), rho=0.5, h=None, n=50, mc_reps=4000, seed=97
+            law, self._zetas(), h=None, n=50, mc_reps=4000, seed=97
         )
         assert np.all(np.isfinite(estimates))
         assert np.all(np.isfinite(errors))
@@ -729,11 +832,10 @@ class TestEstimateUn:
         # residual the noise e, its plug-in direction sqrt(n) (u.e)/(u.u)
         # clamped to [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2
         law = make_covariate_law(0.8)
-        truth = _truth()
         reps, seed = 300, 103
         zetas = self._zetas()
         for n in (3, 40, 800, 1000):
-            estimates, _ = estimate_un_per_zeta(law, truth, zetas, 0.5, None, n, reps, seed)
+            estimates, _ = estimate_un_per_zeta(law, zetas, None, n, reps, seed)
             for j in range(len(zetas)):
                 rng = np.random.default_rng([seed, j])
                 u, v = law.sample_covariates(reps * n, rng)
@@ -760,7 +862,7 @@ class TestEstimateUn:
         grid = uniform_grid(grid_size)
         zetas = [NuisanceFunction.zero(grid_size), NuisanceFunction(2.0 * np.cos(2 * math.pi * grid))]
         reps, seed = 50, 109
-        estimates, errors = estimate_un_per_zeta(law, truth, zetas, 0.5, h, n, reps, seed)
+        estimates, errors = estimate_un_per_zeta(law, zetas, h, n, reps, seed)
         rootn = math.sqrt(n)
         for j, zeta in enumerate(zetas):
             rng = np.random.default_rng([seed, j])
@@ -782,28 +884,23 @@ class TestEstimateUn:
 
     @pytest.mark.parametrize("h", [None, 1.0])
     def test_reads_only_the_drawn_noise(self, h, monkeypatch):
-        # the residual at the translated truth is the noise, so neither
-        # the truth's nor the translations' values enter, and no nuisance
-        # is evaluated
+        # the residual at the translated truth is the noise, so the
+        # translations' values do not enter and no nuisance is evaluated
         def no_evaluation(self, v):
             raise AssertionError("a nuisance function was evaluated")
 
         monkeypatch.setattr(NuisanceFunction, "__call__", no_evaluation)
         law = make_covariate_law(0.8)
-        other_truth = _truth(grid_size=7, theta=-3.0, amplitude=2.5)
         other_zetas = [NuisanceFunction(np.full(7, 1.5)), NuisanceFunction(np.linspace(-2, 2, 7))]
-        a = estimate_un_per_zeta(law, _truth(), self._zetas(), 0.5, h, 40, 300, seed=107)
-        b = estimate_un_per_zeta(law, other_truth, other_zetas, 0.1, h, 40, 300, seed=107)
+        a = estimate_un_per_zeta(law, self._zetas(), h, 40, 300, seed=107)
+        b = estimate_un_per_zeta(law, other_zetas, h, 40, 300, seed=107)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
-    def test_directions_share_one_draw(self):
-        # a tuple of directions gives, row by row, each direction's arrays
-        # alone, from one draw per translation, whose m(v) is formed once
+    def test_forms_m_once_per_translation(self):
+        # m(v) is formed once per translation's draw, for u and for w alike
         law = make_covariate_law(0.8)
-        truth = _truth()
         zetas = self._zetas()
-        directions = (1.0, None, -2.0)
         calls = []
         cond_mean = CovariateLaw.cond_mean
 
@@ -813,25 +910,18 @@ class TestEstimateUn:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CovariateLaw, "cond_mean", counting)
-            estimates, errors = estimate_un_per_zeta(
-                law, truth, zetas, 0.5, directions, 40, 300, 113
-            )
+            estimates, errors = estimate_un_per_zeta(law, zetas, None, 40, 300, 113)
         assert calls == [40 * 300] * len(zetas)
-        assert estimates.shape == errors.shape == (len(directions), len(zetas))
-        for i, h in enumerate(directions):
-            alone = estimate_un_per_zeta(law, truth, zetas, 0.5, h, 40, 300, 113)
-            assert np.array_equal(estimates[i], alone[0])
-            assert np.array_equal(errors[i], alone[1])
+        assert estimates.shape == errors.shape == (len(zetas),)
 
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)
-        truth = _truth()
-        a = estimate_un_per_zeta(law, truth, self._zetas(), 0.5, 1.0, 20, 500, seed=101)
-        b = estimate_un_per_zeta(law, truth, self._zetas(), 0.5, 1.0, 20, 500, seed=101)
+        a = estimate_un_per_zeta(law, self._zetas(), 1.0, 20, 500, seed=101)
+        b = estimate_un_per_zeta(law, self._zetas(), 1.0, 20, 500, seed=101)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_empty_probe_set_rejected(self):
         law = make_covariate_law(0.8)
         with pytest.raises(ValueError):
-            estimate_un_per_zeta(law, _truth(), [], 0.5, 1.0, 10, 100, seed=1)
+            estimate_un_per_zeta(law, [], 1.0, 10, 100, seed=1)

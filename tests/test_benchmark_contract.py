@@ -1,0 +1,72 @@
+"""The names and keywords the benchmark harness in perfbench/ binds.
+
+perfbench's tracer, oracle and self-tests import these by name and call
+them with these keywords.  perfbench sits outside the tier-1 test paths,
+so without this contract a change to src/ alone could break
+``python3 -m pytest perfbench`` with tier-1 still green.  Only
+signatures are checked here; nothing is run except one CLI launch that
+the config check rejects before any work starts.
+"""
+
+import inspect
+
+import pytest
+
+from semibvm import asymptotics, cli, experiments, gp_prior, model, posterior
+
+
+def _binds(fn, *args, **kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_cell_workers_and_dispatcher():
+    # the tracer wraps these module attributes and times a chunk per call
+    for name in ("_bvm_cell", "_coverage_cell"):
+        _binds(getattr(experiments, name), "batch")
+    _binds(experiments._run_cells, "worker", "batches")
+
+
+def test_class_methods_the_tracer_wraps():
+    # looked up in the class __dict__, so they must be defined there
+    write = experiments.RunReport.__dict__["write"]
+    _binds(write, "report", "dest")
+    _binds(write, "report", "dest", fmt="json")
+    call = model.NuisanceFunction.__dict__["__call__"]
+    _binds(call, "function", "v")  # the tracer counts np.size(args[1]) points
+
+
+def test_module_functions_the_harness_calls():
+    _binds(model.interpolation_weights, "v", 12)
+    _binds(model.make_covariate_law, 0.8)
+    _binds(model.sample_dataset, "law", "truth", 60, 5)
+    _binds(gp_prior.prior_covariance, "spec")
+    # the tracer checks that posterior binds the same object as gp_prior
+    assert posterior.prior_covariance is gp_prior.prior_covariance
+    _binds(asymptotics.tv_normals, 0.0, 1.0, 0.0, 1.0)
+
+
+def test_asymptotics_names_the_per_layer_figures_read():
+    for name in (
+        "tv_normals",
+        "delta_n",
+        "estimate_un_per_zeta",
+        "kl_neighborhood_stats",
+        "kl_divergence",
+        "hellinger_distance",
+        "hellinger_from_shift",
+    ):
+        assert inspect.isfunction(getattr(asymptotics, name)), name
+
+
+def test_runner_keywords():
+    _binds(experiments.run_coverage, "cfg", replications=2)
+    _binds(experiments.run_diagnostics_suite, "cfg", 40, 4, mc_draws=2000, un_reps=400)
+    _binds(cli.main, ["bvm-scan"])
+
+
+@pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+def test_jobs_flag_is_parsed(command, capsys):
+    # --jobs is the flag a pool launch passes; 0 is rejected by the config
+    # check, which shows the flag is known without running any cell
+    assert cli.main([command, "--jobs", "0"]) == cli.EXIT_CONFIG
+    assert "--jobs must be >= 1" in capsys.readouterr().err

@@ -432,9 +432,9 @@ class TestSnapshotsAndSuite:
 
 
     def test_diagnostics_suite_draws_each_domination_sample_once(self, monkeypatch):
-        # both directions are evaluated on one draw per translation, and the
-        # rows equal one estimate_un_per_zeta call per direction
-        law, truth, _ = make_components(SMALL)
+        # only the plug-in direction is drawn, once per translation; the h=1
+        # row is the identity E[ratio] = 1, with standard error 0
+        law, _, _ = make_components(SMALL)
         calls = []
         real = experiments.estimate_un_per_zeta
 
@@ -444,14 +444,42 @@ class TestSnapshotsAndSuite:
 
         monkeypatch.setattr(experiments, "estimate_un_per_zeta", spy)
         report = run_diagnostics_suite(SMALL, n=40, seed=3, mc_draws=5000, un_reps=400)
-        assert calls == [(1.0, None)]
-        grid = truth.eta.grid
-        zetas = [NuisanceFunction.zero(grid.size), NuisanceFunction(0.1 * np.cos(2 * np.pi * grid))]
-        for row, h in zip(report["domination"], (1.0, None)):
-            estimates, errors = real(law, truth, zetas, 0.5, h, 40, 400, 3)
-            assert row["estimates"] == estimates.tolist()
-            assert row["standard_errors"] == errors.tolist()
-            assert row["max"] == float(estimates.max())
+        assert calls == [None]
+        fixed, plugin = report["domination"]
+        assert fixed == {"h": "h=1", "estimates": [1.0, 1.0], "standard_errors": [0.0, 0.0], "max": 1.0}
+        zetas = [NuisanceFunction.zero(SMALL.grid_size)] * 2  # only their number enters
+        estimates, errors = real(law, zetas, None, 40, 400, 3)
+        assert plugin["h"] == "plugin"
+        assert plugin["estimates"] == estimates.tolist()
+        assert plugin["standard_errors"] == errors.tolist()
+        assert plugin["max"] == float(estimates.max())
+
+    @pytest.mark.parametrize("counts", [{"mc_draws": 0}, {"un_reps": 0}, {"mc_draws": -3}])
+    def test_diagnostics_suite_rejects_empty_draws_before_any_work(self, counts, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("work started despite an empty draw count")
+
+        for name in ("make_components", "kl_neighborhood_stats", "estimate_un_per_zeta", "sample_dataset"):
+            monkeypatch.setattr(experiments, name, spy)
+        with pytest.raises(ValueError, match=f"{next(iter(counts))} must be >= 1"):
+            run_diagnostics_suite(SMALL, n=40, seed=3, **counts)
+
+    def test_diagnostics_hellinger_row_against_closed_form(self):
+        # H^2 of the theta shift delta = 2/sqrt(n) is 1 - E exp(-(delta U)^2/8);
+        # with U = m(V) + sigma_w Z, s = delta sigma_w and
+        # c = delta^2 a^2/(8 + 2 s^2) it is 1 - (1 + s^2/4)^(-1/2) e^(-c/2) I0(c/2)
+        cfg = ExperimentConfig()
+        law, _, _ = make_components(cfg)
+        n, seed, draws = 800, cell_seed(0, 800, 0), 20_000
+        report = run_diagnostics_suite(cfg, n, seed, mc_draws=draws, un_reps=10)
+        delta = 2.0 / math.sqrt(n)
+        s2 = (delta * law.residual_sd) ** 2
+        c = delta**2 * law.cond_mean_amplitude**2 / (8.0 + 2.0 * s2)
+        exact = 1.0 - math.exp(-c / 2.0) * float(np.i0(c / 2.0)) / math.sqrt(1.0 + s2 / 4.0)
+        assert exact == pytest.approx(6.24453e-4, rel=1e-5)
+        u, _ = law.sample_covariates(draws, np.random.default_rng(seed))
+        se = np.exp(-((delta * u) ** 2) / 8.0).std(ddof=1) / math.sqrt(draws)
+        assert abs(report["hellinger_bound"]["hellinger_sq"] - exact) < 4 * se
 
 
 class TestCsvExports:

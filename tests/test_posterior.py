@@ -39,7 +39,6 @@ from semibvm.posterior import (
     _normal_cdf,
     _statistics,
     conditional_nuisance_mass,
-    conditioned_theta_marginal,
     conjugate_joint_posterior,
     credible_interval,
     effective_sample_size,
@@ -748,26 +747,6 @@ class TestConditionalNuisanceMass:
             medians[0] > medians[1] and medians[2] == 0.0
         )
         assert median_mass(400, 0.2, seeds=8) == 0.0
-
-
-class TestConditionedThetaMarginal:
-    def test_mechanics_and_determinism(self):
-        law, truth, _, ds = _setup(n=100, grid_size=15)
-        spec = GpPriorSpec(
-            k=1, grid_size=15, scale=2.0, holder_alpha=0.6, holder_bound=25.0
-        )
-        jp = conjugate_joint_posterior(ds, spec, 10.0)
-        mean_a, var_a, acc_a = conditioned_theta_marginal(jp, spec, draws=400, seed=8)
-        mean_b, var_b, acc_b = conditioned_theta_marginal(jp, spec, draws=400, seed=8)
-        assert (mean_a, var_a, acc_a) == (mean_b, var_b, acc_b)
-        assert 0.0 < acc_a <= 1.0
-        assert var_a > 0.0
-
-    def test_requires_ball(self):
-        law, truth, spec, ds = _setup(n=60, grid_size=12)
-        jp = conjugate_joint_posterior(ds, spec, 10.0)
-        with pytest.raises(ValueError):
-            conditioned_theta_marginal(jp, spec, draws=100, seed=1)
 
 
 class TestEffectiveSampleSize:

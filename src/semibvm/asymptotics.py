@@ -6,8 +6,8 @@ to a closed form) or seeded Monte Carlo over the covariate law with a
 reported/derivable standard error.  The KL divergence, the two KL
 neighbourhood moments and the misspecified theta* are exact: each is an
 integral over V of a nuisance difference that is linear between grid
-nodes (see :func:`_difference_integrals`).  The Hellinger distance and
-the plug-in domination statistic are seeded Monte Carlo.
+nodes (see :func:`_difference_integrals`), and the Hellinger distance is
+exact to rounding (:func:`_hellinger_sq`).  Plug-in domination is Monte Carlo.
 
 Central quantities:
 
@@ -25,6 +25,7 @@ Central quantities:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ from .model import (
     DatasetStack,
     ModelPoint,
     NuisanceFunction,
+    interpolate,
+    uniform_grid,
 )
 from .posterior import MarginalThetaPosterior, _normal_cdf, _row_dots, theta_posterior
 
@@ -51,7 +54,6 @@ __all__ = [
     "misspecified_theta_star",
     "lan_remainder",
     "hellinger_distance",
-    "hellinger_from_shift",
     "kl_neighborhood_stats",
     "integral_lan_coefficients",
     "estimate_un_per_zeta",
@@ -226,16 +228,6 @@ def kl_divergence(p: ModelPoint, truth: ModelPoint, law: CovariateLaw) -> float:
     return 0.5 * (dtheta * dtheta + cross + sq_integral)
 
 
-def _mean_shift(
-    p1: ModelPoint, p2: ModelPoint, law: CovariateLaw, mc_draws: int, seed: int
-) -> np.ndarray:
-    """(theta1 - theta2) U + (eta1 - eta2)(V) at mc_draws seeded (U, V) draws."""
-    if mc_draws < 1:
-        raise ValueError("mc_draws must be >= 1")
-    u, v = law.sample_covariates(mc_draws, np.random.default_rng(seed))
-    return (p1.theta - p2.theta) * u + (p1.eta(v) - p2.eta(v))
-
-
 def least_favorable_eta(
     theta: float, truth: ModelPoint, law: CovariateLaw
 ) -> NuisanceFunction:
@@ -296,26 +288,42 @@ def lan_remainder(
     return expansion - log_ratio
 
 
-def hellinger_from_shift(shift: np.ndarray) -> np.ndarray:
-    """Hellinger distance from per-covariate mean shifts (last axis = MC)."""
-    affinity = np.mean(np.exp(-np.asarray(shift) ** 2 / 8.0), axis=-1)
-    return np.sqrt(np.maximum(1.0 - affinity, 0.0))
+@functools.cache
+def _gauss_legendre():
+    from numpy.polynomial.legendre import leggauss  # on first use, not at start-up
+    return leggauss(16)
 
 
-def hellinger_distance(
-    p1: ModelPoint, p2: ModelPoint, law: CovariateLaw, mc_draws: int, seed: int
-) -> float:
-    """Hellinger distance between two model points.
+def _hellinger_sq(dtheta: float, values: np.ndarray, values0: np.ndarray, law: CovariateLaw):
+    """Exact H^2 between (theta0 + dtheta, eta) and (theta0, eta0); eta's
+    grid values lie on the last axis of `values` (leading axes are kept).
 
-    sqrt(1 - E exp(-D^2 / 8)) with D = (theta1 - theta2) U +
-    (eta1 - eta2)(V); the covariate expectation is seeded Monte Carlo.
+    H^2 = 1 - E exp(-S^2/8), S = dtheta U + D(V), D = eta - eta0.  Given V,
+    S ~ N(mu, s^2) with mu = dtheta m(V) + D(V), s = dtheta sigma_w, so
+    H^2 = (1 - g) + g int -expm1(-mu^2/(8 + 2 s^2)), g = (1 + s^2/4)^(-1/2),
+    and 1 - g = -expm1(-log1p(s^2/4)/2): no term cancels.  A 16-point
+    Gauss-Legendre rule is exact to rounding on each cell between the merged
+    nodes of both grids and of 64 panels (which split a 2-node grid's cell).
     """
-    return float(hellinger_from_shift(_mean_shift(p1, p2, law, mc_draws, seed)))
+    edges = functools.reduce(np.union1d, map(uniform_grid, (values.shape[-1], len(values0), 65)))
+    rule_x, rule_w = _gauss_legendre()
+    half = 0.5 * np.diff(edges)[:, None]
+    v = edges[:-1, None] + half * (rule_x + 1.0)
+    mu = dtheta * law.cond_mean(v) + (interpolate(values, v) - interpolate(values0, v))
+    s2 = (dtheta * law.residual_sd) ** 2
+    gap = -math.expm1(-0.5 * math.log1p(0.25 * s2))
+    terms = -np.expm1(-mu * mu / (8.0 + 2.0 * s2)) * (half * rule_w)
+    # one sum per row, so a value does not depend on the stack it sits in
+    tail = np.array([row.sum() for row in terms.reshape(-1, v.size)])
+    return gap + (1.0 - gap) * tail.reshape(values.shape[:-1])
 
 
-def kl_neighborhood_stats(
-    eta: NuisanceFunction, truth: ModelPoint, law: CovariateLaw
-) -> tuple[float, float]:
+def hellinger_distance(p1: ModelPoint, p2: ModelPoint, law: CovariateLaw) -> float:
+    """Hellinger distance between two model points, exact (see :func:`_hellinger_sq`)."""
+    return math.sqrt(float(_hellinger_sq(p1.theta - p2.theta, p1.eta.values, p2.eta.values, law)))
+
+
+def kl_neighborhood_stats(eta: NuisanceFunction, truth: ModelPoint) -> tuple[float, float]:
     """First two moments of the log-likelihood ratio at theta0, exact.
 
     Returns (-E0 log r, E0 (log r)^2) for r = p_{theta0, eta} /
@@ -323,8 +331,7 @@ def kl_neighborhood_stats(
     KL-type neighborhood of eta0.  Under the truth the residual is the
     noise e, so log r = e D(V) - D(V)^2/2 with D = eta - eta0, and
     E e = 0, E e^2 = 1 give (int D^2 / 2, int D^2 + int D^4 / 4); the
-    integrals are exact (see :func:`_difference_integrals`).  V is
-    uniform whatever `law` is, so `law` does not enter.
+    integrals are exact (see :func:`_difference_integrals`).
     """
     sq_integral, fourth_integral, _ = _difference_integrals(eta, truth.eta)
     return 0.5 * sq_integral, sq_integral + 0.25 * fourth_integral
@@ -389,7 +396,7 @@ def estimate_un_per_zeta(
     estimates = np.empty(len(zeta_set))
     errors = np.empty(len(zeta_set))
     for j in range(len(zeta_set)):
-        # sample_covariates' draws (v, then z), then the noise e; m(v) is
+        # the covariate law's draws (v, then z), then the noise e; m(v) is
         # formed once, for u as covariate_u forms it and for w
         rng = np.random.default_rng([seed, j])
         v = rng.uniform(0.0, 1.0, size=(mc_reps, n))

@@ -49,7 +49,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor
-from .model import CovariateLaw, Dataset, ModelPoint, interpolate, interpolation_index
+from .model import CovariateLaw, Dataset, ModelPoint, interpolation_index
 
 __all__ = [
     "JointGaussianPosterior",
@@ -492,35 +492,29 @@ def conditional_nuisance_mass(
     rho: float,
     draws: int,
     seed: int,
-    hellinger_draws: int = 4000,
 ) -> float:
     """Posterior mass outside the Hellinger ball around the KL-optimal curve.
 
     Samples the exact Gaussian conditional posterior of the nuisance
     given theta = theta_fixed, and returns the fraction of draws whose
     Hellinger distance to the KL-minimising nuisance at theta_fixed is
-    >= rho.  Distances use one covariate Monte Carlo sample shared by
-    all draws, so the result is deterministic in `seed`.
+    >= rho.  The distances are exact, so `seed` drives only the draws.
     """
-    from .asymptotics import hellinger_from_shift, least_favorable_eta
+    from .asymptotics import _hellinger_sq, least_favorable_eta
 
     if not rho > 0.0:
         raise ValueError("rho must be positive")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
-    _, v_shared = law.sample_covariates(hellinger_draws, rng)
-
     factor = prior_factor(spec)
     m, r = factor.shape
     stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
     draw_z = _nuisance_conditional(_assemble(stats, factor, 0.0)[0], r)
     eta_draws = draw_z(theta_fixed, rng.standard_normal((draws, r))) @ factor.T
 
-    eta_shared = interpolate(eta_draws, v_shared)
     target = least_favorable_eta(theta_fixed, truth, law)
-    shift = eta_shared - target(v_shared)[None, :]
-    distances = hellinger_from_shift(shift)
+    distances = np.sqrt(_hellinger_sq(0.0, eta_draws, target.values, law))
     return float(np.mean(distances >= rho))
 
 

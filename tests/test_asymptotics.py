@@ -5,6 +5,7 @@ import math
 
 import mpmath
 import numpy as np
+from mpmath.calculus.quadrature import GaussLegendre
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from semibvm.asymptotics import (
     BvmDiagnostics,
     LanCoefficients,
     _difference_integrals,
+    _hellinger_sq,
     bvm_gap,
     delta_n,
     estimate_un_per_zeta,
@@ -617,11 +619,89 @@ class TestLanRemainder:
         assert medians[0] > medians[1] > medians[2]
 
 
+# the exact Hellinger helper is checked on every combination of these
+# covariate laws, grid pairs and theta shifts
+HELLINGER_SIGMA_W = (0.05, 0.3, 0.8, 1.0)
+HELLINGER_GRIDS = [(2, 2), (2, 7), (50, 50), (41, 13), (333, 50)]
+HELLINGER_DTHETA = (0.0, 1e-3, 0.1, 1.0, 5.0)
+
+
+def _mp_hellinger_sq(values, values0, laws, dthetas):
+    """{(law, dtheta): H^2} by 60-digit quadrature in V of the normal
+    U-expectation (1 + s^2/4)^(-1/2) exp(-mu^2 / (8 + 2 s^2)).
+
+    A 12-node Gauss-Legendre rule runs on each cell between the merged
+    nodes of both grids and of 48 equal panels, where the integrand is
+    smooth; the nodes, cos(2 pi v) and D(v) are formed once and shared by
+    every (law, dtheta).
+    """
+    with mpmath.workdps(60):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(3, mpmath.mp.prec)  # 3 * 2^2 nodes
+        edges = np.union1d(np.union1d(uniform_grid(len(values)), uniform_grid(len(values0))), uniform_grid(49))
+        cells = [mpmath.mpf(float(x)) for x in edges]
+        points, weights = [], []
+        for a, b in zip(cells[:-1], cells[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            points += [mid + half * x for x, _ in rule]
+            weights += [half * w for _, w in rule]
+        f, f0 = _mp_interpolant(values), _mp_interpolant(values0)
+        diff = [f(v) - f0(v) for v in points]
+        cos = [mpmath.cos(2 * mpmath.pi * v) for v in points]
+        table = {}
+        for law in laws:
+            amplitude = mpmath.sqrt(2 * (1 - mpmath.mpf(law.residual_sd) ** 2))
+            for dtheta in dthetas:
+                shift = mpmath.mpf(dtheta)
+                s2 = (shift * mpmath.mpf(law.residual_sd)) ** 2
+                affinity = mpmath.fsum(
+                    w * mpmath.exp(-((shift * amplitude * c + d) ** 2) / (8 + 2 * s2))
+                    for w, c, d in zip(weights, cos, diff)
+                )
+                table[law, dtheta] = 1 - affinity / mpmath.sqrt(1 + s2 / 4)
+        return table
+
+
+class TestHellingerSq:
+    @pytest.mark.parametrize("sizes", HELLINGER_GRIDS)
+    def test_against_quadrature(self, sizes):
+        # small random nuisances, so H^2 runs from 1e-5 (D alone) to 0.77
+        rng = np.random.default_rng(sizes)
+        values, values0 = (0.01 * rng.standard_normal(size) for size in sizes)
+        laws = [make_covariate_law(sigma_w) for sigma_w in HELLINGER_SIGMA_W]
+        table = _mp_hellinger_sq(values, values0, laws, HELLINGER_DTHETA)
+        for (law, dtheta), exact in table.items():
+            got = float(_hellinger_sq(dtheta, values, values0, law))
+            assert abs(got - exact) <= 1e-12 * exact, (law.residual_sd, dtheta)
+
+    def test_leading_axes_match_rows(self):
+        # one call on a stack gives each row's own value, bit for bit
+        law = make_covariate_law(0.3)
+        rng = np.random.default_rng(83)
+        stack = rng.normal(scale=0.5, size=(3, 2, 41))
+        values0 = rng.normal(scale=0.5, size=13)
+        got = _hellinger_sq(0.4, stack, values0, law)
+        assert got.shape == (3, 2)
+        for index in np.ndindex(3, 2):
+            assert got[index] == _hellinger_sq(0.4, stack[index], values0, law)
+
+    def test_matches_covariate_monte_carlo(self):
+        # independent of the U-expectation's closed form: 1 - E exp(-S^2/8)
+        # over drawn (U, V), within 4 Monte Carlo standard errors
+        law = make_covariate_law(0.6)
+        truth = _truth()
+        p = ModelPoint(truth.theta + 0.7, NuisanceFunction(0.4 * np.cos(6 * math.pi * uniform_grid(13))))
+        draws = 200_000
+        u, v = law.sample_covariates(draws, np.random.default_rng(89))
+        terms = np.exp(-((0.7 * u + p.eta(v) - truth.eta(v)) ** 2) / 8.0)
+        se = terms.std(ddof=1) / math.sqrt(draws)
+        assert abs(hellinger_distance(p, truth, law) ** 2 - (1.0 - terms.mean())) < 4 * se
+
+
 class TestHellinger:
     def test_same_point_is_zero(self):
         law = make_covariate_law(0.8)
         truth = _truth()
-        assert hellinger_distance(truth, truth, law, 500, 1) == 0.0
+        assert hellinger_distance(truth, truth, law) == 0.0
 
     def test_constant_nuisance_shift_closed_form(self):
         # covariate-free shift: H = sqrt(1 - exp(-c^2/8)) exactly
@@ -629,60 +709,44 @@ class TestHellinger:
         truth = _truth()
         c = 0.9
         p = ModelPoint(truth.theta, NuisanceFunction(truth.eta.values + c))
-        expected = math.sqrt(1.0 - math.exp(-c * c / 8.0))
-        assert hellinger_distance(p, truth, law, 2000, 7) == pytest.approx(
-            expected, abs=1e-12
-        )
+        expected = math.sqrt(-math.expm1(-c * c / 8.0))
+        assert hellinger_distance(p, truth, law) == pytest.approx(expected, rel=1e-14)
 
     def test_symmetry(self):
         law = make_covariate_law(0.8)
         truth = _truth()
         p = ModelPoint(truth.theta + 0.4, NuisanceFunction(truth.eta.values - 0.3))
-        assert hellinger_distance(p, truth, law, 5000, 3) == pytest.approx(
-            hellinger_distance(truth, p, law, 5000, 3), abs=1e-14
-        )
+        assert hellinger_distance(p, truth, law) == hellinger_distance(truth, p, law)
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_local_shift_upper_bound(self, n):
         # H^2 for the theta shift M/sqrt(n) stays under
-        # M^2/(2n) E U^2 + M^3/(6 n^2) E U^4 plus 4 MC standard errors
+        # M^2/(2n) E U^2 + M^3/(6 n^2) E U^4
         law = make_covariate_law(0.8)
         truth = _truth()
         m_shift = 2.0
         p = ModelPoint(truth.theta + m_shift / math.sqrt(n), truth.eta)
-        draws = 200_000
-        h = hellinger_distance(p, truth, law, draws, seed=50 + n)
-        rng = np.random.default_rng(50 + n)
-        u, v = law.sample_covariates(draws, rng)
-        affinity_terms = np.exp(-((m_shift / math.sqrt(n) * u) ** 2) / 8.0)
-        se = affinity_terms.std(ddof=1) / math.sqrt(draws)
         bound = m_shift**2 / (2 * n) + m_shift**3 / (6 * n**2) * law.fourth_moment_u
-        assert h**2 <= bound + 4 * se
+        assert hellinger_distance(p, truth, law) ** 2 <= bound
 
     def test_squared_distance_below_kl(self):
-        # H(eta1, eta2)^2 <= KL between the same points, up to MC error
+        # H(eta1, eta2)^2 <= KL between the same points, both exact
         law = make_covariate_law(0.8)
         truth = _truth()
         rng = np.random.default_rng(59)
-        for trial in range(5):
+        for _ in range(5):
             eta1 = NuisanceFunction(truth.eta.values + rng.normal(scale=0.3, size=41))
             eta2 = NuisanceFunction(truth.eta.values + rng.normal(scale=0.3, size=41))
             p1 = ModelPoint(truth.theta, eta1)
             p2 = ModelPoint(truth.theta, eta2)
-            draws = 60_000
-            h = hellinger_distance(p1, p2, law, draws, seed=trial)
-            kl = kl_divergence(p1, ModelPoint(truth.theta, eta2), law)
-            u, v = law.sample_covariates(draws, np.random.default_rng(trial))
-            shift = eta1(v) - eta2(v)
-            se_h = np.exp(-(shift**2) / 8.0).std(ddof=1) / math.sqrt(draws)
-            assert h**2 <= kl + 4 * se_h
+            assert hellinger_distance(p1, p2, law) ** 2 <= kl_divergence(p1, p2, law)
 
 
 class TestKlNeighborhoodStats:
     def test_at_truth(self):
         law = make_covariate_law(0.8)
         truth = _truth()
-        first, second = kl_neighborhood_stats(truth.eta, truth, law)
+        first, second = kl_neighborhood_stats(truth.eta, truth)
         assert first == 0.0
         assert second == 0.0
 
@@ -692,7 +756,7 @@ class TestKlNeighborhoodStats:
         eta = NuisanceFunction(
             truth.eta.values + 0.3 * np.cos(2 * math.pi * truth.eta.grid)
         )
-        first, _ = kl_neighborhood_stats(eta, truth, law)
+        first, _ = kl_neighborhood_stats(eta, truth)
         fine = np.linspace(0.0, 1.0, 40_001)
         target = 0.5 * np.trapezoid((eta(fine) - truth.eta(fine)) ** 2, fine)
         assert first == pytest.approx(target, rel=1e-8)  # the trapezoid rule is off by 4e-9
@@ -706,7 +770,7 @@ class TestKlNeighborhoodStats:
         draws = 120_000
         ds = sample_dataset(law, truth, draws, seed=61)
         log_ratio = log_density_ratio((ds.u, ds.v, ds.y), ModelPoint(truth.theta, eta), truth)
-        first, second = kl_neighborhood_stats(eta, truth, law)
+        first, second = kl_neighborhood_stats(eta, truth)
         for exact, terms in ((first, -log_ratio), (second, log_ratio**2)):
             se = terms.std(ddof=1) / math.sqrt(draws)
             assert abs(exact - terms.mean()) < 4 * se
@@ -722,7 +786,7 @@ class TestKlNeighborhoodStats:
             ("mix", 0.1 * np.cos(2 * math.pi * grid) + 0.1 * np.sin(6 * math.pi * grid)),
         ):
             eta = NuisanceFunction(truth.eta.values + delta)
-            first, second = kl_neighborhood_stats(eta, truth, law)
+            first, second = kl_neighborhood_stats(eta, truth)
             class_bound = max(eta.sup_norm(), truth.eta.sup_norm())
             sup = float(np.max(np.abs(delta)))
             cap = (0.5 + class_bound**2) * sup**2

@@ -53,9 +53,9 @@ def test_asymptotics_names_the_per_layer_figures_read():
         "kl_neighborhood_stats",
         "kl_divergence",
         "hellinger_distance",
-        "hellinger_from_shift",
     ):
         assert inspect.isfunction(getattr(asymptotics, name)), name
+    _binds(asymptotics.hellinger_distance, "p1", "p2", "law")
 
 
 def test_runner_keywords():

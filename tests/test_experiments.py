@@ -5,6 +5,7 @@ import json
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -467,19 +468,19 @@ class TestSnapshotsAndSuite:
     def test_diagnostics_hellinger_row_against_closed_form(self):
         # H^2 of the theta shift delta = 2/sqrt(n) is 1 - E exp(-(delta U)^2/8);
         # with U = m(V) + sigma_w Z, s = delta sigma_w and
-        # c = delta^2 a^2/(8 + 2 s^2) it is 1 - (1 + s^2/4)^(-1/2) e^(-c/2) I0(c/2)
+        # c = delta^2 a^2/(8 + 2 s^2) it is 1 - (1 + s^2/4)^(-1/2) e^(-c/2) I0(c/2),
+        # taken at 40 digits: in doubles the difference from 1 loses 2e-13
         cfg = ExperimentConfig()
         law, _, _ = make_components(cfg)
-        n, seed, draws = 800, cell_seed(0, 800, 0), 20_000
-        report = run_diagnostics_suite(cfg, n, seed, mc_draws=draws, un_reps=10)
-        delta = 2.0 / math.sqrt(n)
-        s2 = (delta * law.residual_sd) ** 2
-        c = delta**2 * law.cond_mean_amplitude**2 / (8.0 + 2.0 * s2)
-        exact = 1.0 - math.exp(-c / 2.0) * float(np.i0(c / 2.0)) / math.sqrt(1.0 + s2 / 4.0)
-        assert exact == pytest.approx(6.24453e-4, rel=1e-5)
-        u, _ = law.sample_covariates(draws, np.random.default_rng(seed))
-        se = np.exp(-((delta * u) ** 2) / 8.0).std(ddof=1) / math.sqrt(draws)
-        assert abs(report["hellinger_bound"]["hellinger_sq"] - exact) < 4 * se
+        for n, value in ((50, 9.86178e-3), (800, 6.24453e-4)):
+            report = run_diagnostics_suite(cfg, n, cell_seed(0, n, 0), un_reps=10)
+            with mpmath.workdps(40):
+                delta = 2 / mpmath.sqrt(n)
+                s2 = (delta * mpmath.mpf(law.residual_sd)) ** 2
+                c = delta**2 * mpmath.mpf(law.cond_mean_amplitude) ** 2 / (8 + 2 * s2)
+                exact = 1 - mpmath.exp(-c / 2) * mpmath.besseli(0, c / 2) / mpmath.sqrt(1 + s2 / 4)
+                assert exact == pytest.approx(value, rel=1e-5)
+                assert abs(report["hellinger_bound"]["hellinger_sq"] - exact) <= 1e-13 * exact
 
 
 class TestCsvExports:

@@ -12,7 +12,13 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from semibvm.asymptotics import integral_lan_coefficients, tv_normals
+import semibvm.asymptotics
+from semibvm.asymptotics import (
+    hellinger_distance,
+    integral_lan_coefficients,
+    least_favorable_eta,
+    tv_normals,
+)
 from semibvm.experiments import ExperimentConfig, cell_seed, make_components
 from semibvm.gp_prior import (
     GpPriorSpec,
@@ -706,6 +712,31 @@ class TestConditionalNuisanceMass:
         b = conditional_nuisance_mass(ds, spec, 1.1, truth, law, 0.1, 100, seed=6)
         assert a == b
 
+    def test_counts_draws_by_their_hellinger_distance(self, monkeypatch):
+        # the mass is the fraction of its nuisance draws whose scalar
+        # hellinger_distance to the KL-optimal nuisance is >= rho; rho sits
+        # halfway between two sorted distances, so rounding cannot tip it
+        law, truth, spec, ds = _setup(n=80, grid_size=15)
+        real = semibvm.asymptotics._hellinger_sq
+        stacks = []
+
+        def spy(dtheta, values, values0, law):
+            stacks.append(values)
+            return real(dtheta, values, values0, law)
+
+        monkeypatch.setattr(semibvm.asymptotics, "_hellinger_sq", spy)
+        conditional_nuisance_mass(ds, spec, 1.1, truth, law, 1.0, 40, seed=6)
+        monkeypatch.undo()
+        target = ModelPoint(1.1, least_favorable_eta(1.1, truth, law))
+        distances = sorted(
+            hellinger_distance(ModelPoint(1.1, NuisanceFunction(row)), target, law)
+            for row in stacks[0]
+        )
+        for rank in (5, 20, 33):
+            rho = 0.5 * (distances[rank - 1] + distances[rank])
+            mass = conditional_nuisance_mass(ds, spec, 1.1, truth, law, rho, 40, seed=6)
+            assert mass == (40 - rank) / 40
+
     def test_validation(self):
         law, truth, spec, ds = _setup(n=40, grid_size=10)
         with pytest.raises(ValueError):
@@ -737,7 +768,6 @@ class TestConditionalNuisanceMass:
                         rho=rho,
                         draws=150,
                         seed=seed + 1,
-                        hellinger_draws=3000,
                     )
                 )
             return float(np.median(masses))

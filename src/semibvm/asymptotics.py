@@ -129,17 +129,18 @@ def _crossings(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float
 def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     """Total-variation distance between N(m1, v1) and N(m2, v2), closed form.
 
-    Equal variances: 2 Phi(|m1 - m2| / (2 sigma)) - 1.  Otherwise the
-    densities cross at two points lo < hi, one density dominates on
-    (lo, hi) and the other outside it, so the distance is the difference
-    of the two masses of (lo, hi).  Upper-tail masses use Phi(-x) so
+    Equal variances: 2 Phi(|m1 - m2| / (2 sigma)) - 1, taken as one erf
+    so that it keeps its relative precision as the gap shrinks to 0.
+    Otherwise the densities cross at two points lo < hi, one density
+    dominates on (lo, hi) and the other outside it, so the distance is the
+    difference of the two masses of (lo, hi).  Upper-tail masses use Phi(-x) so
     that far-right intervals keep their precision.
     """
     if not (v1 > 0.0 and v2 > 0.0):
         raise ValueError("variances must be positive")
     if abs(v1 - v2) <= 1e-14 * max(v1, v2):
         sigma = math.sqrt(0.5 * (v1 + v2))
-        return 2.0 * _normal_cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0
+        return math.erf(abs(m1 - m2) / (2.0 * math.sqrt(2.0) * sigma))
     # the distance is scale-free: x -> x / 2^e moves the larger variance
     # into [1/2, 2), so 1/v and ac stay normal floats up to variances near
     # the float maximum.  A power of two scales every step of _crossings

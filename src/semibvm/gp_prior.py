@@ -11,7 +11,9 @@ independent of W.  Its covariance function is
     c_k(s, t) = sum_{i=0}^{k} (s t)^i / (i!)^2
                 + int_0^{min(s,t)} (s-x)^k (t-x)^k / (k!)^2 dx,
 
-which this module evaluates in closed form.  The discretised covariance
+which this module evaluates in closed form, as O(k) nonnegative terms in
+which no digit cancels; the scalar kernel and the grid covariance share
+that one elementwise evaluation.  The discretised covariance
 K is factorised once per spec by :func:`prior_factor`: a plain Cholesky
 where K is numerically positive definite, else an exact eigen square
 root, so every posterior runs on K itself and never on K plus a jitter.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,10 @@ _MAX_ORDER = 98
 
 
 def _check_order(k: int) -> None:
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"integration order k must be an integer, got {k!r}") from None
     if not 0 <= k <= _MAX_ORDER:
         raise ValueError(f"integration order k must lie in [0, {_MAX_ORDER}], got {k}")
 
@@ -117,62 +124,38 @@ class PriorCovariance:
         object.__setattr__(self, "matrix", matrix)
 
 
-def kibm_kernel(s: float, t: float, k: int) -> float:
-    """Covariance c_k(s, t) of the randomly-started k-fold integrated BM.
+def _kibm(s, t, k: int):
+    """c_k(s, t) elementwise on broadcast arrays, as sums of nonnegative
+    terms: with lo = min(s, t) and hi = max(s, t), x -> lo - x turns the
+    integral part into
 
-    Exact evaluation: the polynomial part is a finite sum and the
-    integral part expands binomially into
+        sum_j C(k,j) (hi - lo)^(k-j) lo^(k+j+1) / (k+j+1) / (k!)^2,
 
-        sum_{a,b} C(k,a) C(k,b) (-1)^{a+b} s^{k-a} t^{k-b}
-                  min(s,t)^{a+b+1} / (a+b+1) / (k!)^2.
+    so no digit cancels at any order.  min, max and s t commute, so
+    c_k(s, t) and c_k(t, s) take the same steps and agree bit for bit.
     """
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    st, gap = s * t, hi - lo
+    poly = sum(st**i / math.factorial(i) ** 2 for i in range(k + 1))
+    integral = sum(
+        math.comb(k, j) * gap ** (k - j) * lo ** (k + j + 1) / (k + j + 1) for j in range(k + 1)
+    )
+    return poly + integral / math.factorial(k) ** 2
+
+
+def kibm_kernel(s: float, t: float, k: int) -> float:
+    """Covariance c_k(s, t) of the randomly-started k-fold integrated BM,
+    in the closed form of :func:`_kibm`."""
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("kernel arguments must lie in [0, 1]")
     _check_order(k)
-    poly = sum((s * t) ** i / math.factorial(i) ** 2 for i in range(k + 1))
-    mn = min(s, t)
-    acc = 0.0
-    for a in range(k + 1):
-        for b in range(k + 1):
-            acc += (
-                math.comb(k, a)
-                * math.comb(k, b)
-                * (-1.0) ** (a + b)
-                * s ** (k - a)
-                * t ** (k - b)
-                * mn ** (a + b + 1)
-                / (a + b + 1)
-            )
-    return poly + acc / math.factorial(k) ** 2
+    return float(_kibm(s, t, k))
 
 
 def prior_covariance(spec: GpPriorSpec) -> PriorCovariance:
-    """scale^2 * c_k(g_i, g_j) on the uniform grid, symmetrised exactly.
-
-    The binomial expansion of :func:`kibm_kernel` (the scalar reference),
-    evaluated on the whole grid at once; the upper triangle is mirrored.
-    """
+    """scale^2 * c_k(g_i, g_j) on the uniform grid, exactly symmetric."""
     grid = uniform_grid(spec.grid_size)
-    k = spec.k
-    s = grid[:, None]
-    t = grid[None, :]
-    mn = np.minimum(s, t)
-    poly = sum((s * t) ** i / math.factorial(i) ** 2 for i in range(k + 1))
-    acc = np.zeros((spec.grid_size, spec.grid_size))
-    for a in range(k + 1):
-        for b in range(k + 1):
-            acc += (
-                math.comb(k, a)
-                * math.comb(k, b)
-                * (-1.0) ** (a + b)
-                * s ** (k - a)
-                * t ** (k - b)
-                * mn ** (a + b + 1)
-                / (a + b + 1)
-            )
-    matrix = np.triu(poly + acc / math.factorial(k) ** 2)
-    matrix += np.triu(matrix, 1).T
-    return PriorCovariance(matrix=spec.scale**2 * matrix)
+    return PriorCovariance(matrix=spec.scale**2 * _kibm(grid[:, None], grid[None, :], spec.k))
 
 
 @functools.lru_cache(maxsize=8)

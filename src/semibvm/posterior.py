@@ -153,22 +153,10 @@ class StackNumericsError(NumericsError):
         self.index = index
 
 
-def _cholesky(precision: np.ndarray) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        if not np.isfinite(precision).all():
-            raise NumericsError("whitened posterior precision is not finite") from exc
-        raise NumericsError("whitened posterior precision is not positive definite") from exc
-    if not np.isfinite(chol).all():  # np.linalg.cholesky lets NaN through
-        raise NumericsError("whitened posterior precision is not finite")
-    return chol
-
-
 def _cholesky_stack(systems: np.ndarray) -> np.ndarray:
     """Factors of a stack of systems in one np.linalg.cholesky call.  If
     any fails, each is factorised alone to name the first that does, as
-    StackNumericsError."""
+    StackNumericsError; a single system is a stack of one."""
     try:
         chol = np.linalg.cholesky(systems)
         if np.isfinite(chol).all():
@@ -177,9 +165,15 @@ def _cholesky_stack(systems: np.ndarray) -> np.ndarray:
         pass
     for index, system in enumerate(systems):
         try:
-            _cholesky(system)
-        except NumericsError as exc:
-            raise StackNumericsError(index, str(exc)) from exc
+            if np.isfinite(np.linalg.cholesky(system)).all():
+                continue
+        except np.linalg.LinAlgError as exc:
+            if np.isfinite(system).all():
+                raise StackNumericsError(
+                    index, "whitened posterior precision is not positive definite"
+                ) from exc
+        # a non-finite system, or a factor np.linalg.cholesky let NaN into
+        raise StackNumericsError(index, "whitened posterior precision is not finite")
     raise NumericsError("stacked Cholesky failed on no single system")
 
 
@@ -205,7 +199,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _cholesky names a non-finite S
+@np.errstate(over="ignore", invalid="ignore")  # _cholesky_stack names a non-finite S
 def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
     """(diag, off, W'u, W'y, u'u, u'y, y'y) of the datasets in the rows of
     u, v, y (shape (rows, n)), one row each: W'W is tridiagonal with diagonal
@@ -237,7 +231,7 @@ def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _cholesky names a non-finite S
+@np.errstate(over="ignore", invalid="ignore")  # _cholesky_stack names a non-finite S
 def _assemble(stats: tuple, factor: np.ndarray, prior_precision: float) -> np.ndarray:
     """One posterior system per dataset of `stats` (from
     :func:`_statistics`), stacked (rows, r+2, r+2) and ordered (z, theta,
@@ -285,7 +279,7 @@ def _nuisance_conditional(system: np.ndarray, r: int):
     or (draws, r).  z | theta ~ N(B^{-1} (L'W'y - theta L'W'u), B^{-1})
     with B^{-1} = C^{-T} C^{-1}, C the factor of S's B block, so both mean
     pieces and the noise map are computed once."""
-    inv_chol = _inverse_lower(_cholesky(system[:r, :r]))
+    inv_chol = _inverse_lower(_cholesky_stack(system[None, :r, :r])[0])
     mean_u, mean_y = (inv_chol.T @ (inv_chol @ system[:r, r:])).T
 
     def draw(theta: float, normals: np.ndarray) -> np.ndarray:
@@ -390,7 +384,7 @@ def conjugate_joint_posterior(
         return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov, root=root)
 
     stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
-    chol = _cholesky(_assemble(stats, factor, prior_precision)[0])
+    chol = _cholesky_stack(_assemble(stats, factor, prior_precision))[0]
     inv_chol = _inverse_lower(chol[: r + 1, : r + 1])
     latent_mean = inv_chol.T @ chol[r + 1, : r + 1]  # (z, theta)
     root = np.empty((r + 1, m + 1))  # R with its columns mapped to (theta, eta)

@@ -1,7 +1,11 @@
-"""Prior tests: kernel against quadrature, covariance, path sampling, seminorm."""
+"""Prior tests: kernel against quadrature and exact rational arithmetic,
+covariance, path sampling, seminorm."""
 
+import functools
 import math
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +31,56 @@ def kernel_quadrature(s: float, t: float, k: int) -> float:
     return poly + integral / math.factorial(k) ** 2
 
 
+@functools.lru_cache(maxsize=None)
+def _alternating_weights(k: int) -> tuple[int, list[int]]:
+    """(q, [q w_b]): w_b = sum_a C(k,a) (-1)^a / (a+b+1), q a common denominator."""
+    weights = [
+        sum(Fraction((-1) ** a * math.comb(k, a), a + b + 1) for a in range(k + 1))
+        for b in range(k + 1)
+    ]
+    q = math.lcm(*(w.denominator for w in weights))
+    return q, [int(w * q) for w in weights]
+
+
+def kernel_exact(s: float, t: float, k: int) -> float:
+    """c_k(s, t) in exact rational arithmetic on the float inputs, rounded once.
+
+    Independent of the program's nonnegative form: (s-x)^k (t-x)^k is
+    expanded binomially and integrated term by term over [0, lo],
+
+        sum_{a,b} C(k,a) C(k,b) (-1)^(a+b) lo^(k-a) hi^(k-b) lo^(a+b+1) / (a+b+1),
+
+    with lo = min(s, t), hi = max(s, t); the sum over a is the weight w_b
+    of lo^(k+b+1) hi^(k-b).  The inputs are dyadic, lo = L/D and hi = H/D,
+    so every sum is an integer sum over one common denominator.
+    """
+    den = max(Fraction(s).denominator, Fraction(t).denominator)
+    lo, hi = sorted(int(Fraction(x) * den) for x in (s, t))
+    fact = math.factorial(k)
+    q, weights = _alternating_weights(k)
+    poly = sum(
+        (lo * hi) ** i * den ** (2 * (k - i)) * (fact // math.factorial(i)) ** 2
+        for i in range(k + 1)
+    )
+    integral = sum(
+        math.comb(k, b) * (-1) ** b * lo ** (k + b + 1) * hi ** (k - b) * weights[b]
+        for b in range(k + 1)
+    )
+    return float(Fraction(poly * q * den + integral, q * den ** (2 * k + 1) * fact**2))
+
+
+def _reference_points() -> list[tuple[float, float]]:
+    """Every pair of nodes of a 7-point grid (its diagonal included), and
+    pairs 0, 1 and 8 ulp, 1e-9 and 1e-6 apart around four points."""
+    grid = [float(x) for x in uniform_grid(7)]
+    points = [(s, t) for s in grid for t in grid]
+    for s in (1e-3, 0.3, 0.5, 1.0 - 1e-9):
+        for t in (s, math.nextafter(s, 1.0), s + 8 * math.ulp(s), s + 1e-9, s + 1e-6):
+            points += [(s, min(t, 1.0)), (min(t, 1.0), s)]
+        points.append((s, s - 1e-6))
+    return points
+
+
 class TestKernel:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
@@ -50,12 +104,27 @@ class TestKernel:
             reference = kernel_quadrature(s, t, k)
             assert abs(exact - reference) < 1e-8 * max(abs(reference), 1.0)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 10, 30, 98])
+    def test_against_exact_rational_arithmetic(self, k):
+        # every term of the closed form is nonnegative, so no digit
+        # cancels at any order the CLI accepts
+        for s, t in _reference_points():
+            exact = kernel_exact(s, t, k)
+            assert abs(kibm_kernel(s, t, k) - exact) <= 2 * math.ulp(exact), (s, t)
+
+    def test_exact_reference_against_quadrature(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            s, t = (float(x) for x in rng.uniform(0, 1, size=2))
+            k = int(rng.integers(0, 5))
+            assert kernel_exact(s, t, k) == pytest.approx(kernel_quadrature(s, t, k), rel=1e-12)
+
     def test_symmetry(self):
         rng = np.random.default_rng(67)
         for _ in range(50):
             s, t = rng.uniform(0, 1, size=2)
             k = int(rng.integers(0, 4))
-            assert kibm_kernel(s, t, k) == pytest.approx(kibm_kernel(t, s, k), abs=1e-14)
+            assert kibm_kernel(s, t, k) == kibm_kernel(t, s, k)
 
     def test_corner_closed_form_per_order(self):
         # c_k(1,1) = 1 + sum_{i=1}^k 1/(i!)^2 + 1/((2k+1) (k!)^2).  The
@@ -89,6 +158,23 @@ class TestKernel:
         with pytest.raises(ValueError, match=message):
             GpPriorSpec(k=k)
 
+    @pytest.mark.parametrize(
+        "k", [2.0, 1.5, np.float64(2.0)], ids=["float", "fraction", "numpy-float"]
+    )
+    def test_non_integer_order_is_rejected(self, k):
+        message = re.escape(f"integration order k must be an integer, got {k!r}")
+        with pytest.raises(ValueError, match=message):
+            GpPriorSpec(k=k)
+        with pytest.raises(ValueError, match=message):
+            kibm_kernel(0.5, 0.5, k)
+
+    def test_numpy_integer_order_is_accepted(self):
+        spec = GpPriorSpec(k=np.int64(2), grid_size=5)
+        np.testing.assert_array_equal(
+            prior_covariance(spec).matrix,
+            prior_covariance(GpPriorSpec(k=2, grid_size=5)).matrix,
+        )
+
     def test_largest_order_is_accepted(self):
         assert math.isfinite(kibm_kernel(1.0, 1.0, 98))
         assert GpPriorSpec(k=98).k == 98
@@ -104,8 +190,9 @@ class TestPriorCovariance:
         with pytest.raises(ValueError):
             GpPriorSpec(k=0, grid_size=1, scale=1.0)
 
-    def test_exact_symmetry(self):
-        cov = prior_covariance(GpPriorSpec(k=2, grid_size=17, scale=2.0))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_exact_symmetry(self, k):
+        cov = prior_covariance(GpPriorSpec(k=k, grid_size=17, scale=2.0))
         np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
 
     def test_positive_semidefinite(self):
@@ -139,15 +226,15 @@ class TestPriorCovariance:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("grid_size", [2, 17, 60])
     def test_every_entry_matches_kernel(self, k, grid_size):
+        # 2 ulp in c_k, one rounding each in scale^2, its product and the
+        # rounded reference
         spec = GpPriorSpec(k=k, grid_size=grid_size, scale=1.5)
         matrix = prior_covariance(spec).matrix
-        grid = uniform_grid(grid_size)
+        grid = [float(x) for x in uniform_grid(grid_size)]
         expected = np.array(
-            [[spec.scale**2 * kibm_kernel(s, t, k) for t in grid] for s in grid]
+            [[spec.scale**2 * kernel_exact(s, t, k) for t in grid] for s in grid]
         )
-        np.testing.assert_allclose(
-            matrix, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max()
-        )
+        np.testing.assert_allclose(matrix, expected, rtol=4 * np.finfo(float).eps, atol=0.0)
         np.testing.assert_array_equal(matrix, matrix.T)
 
     def test_asymmetric_matrix_rejected(self):

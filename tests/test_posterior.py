@@ -240,9 +240,12 @@ class TestWhitenedEngine:
     def test_flat_prior_without_theta_information_raises(self):
         _, _, spec, ds = _setup(n=30)
         blind = Dataset(u=np.zeros(ds.n), v=ds.v, y=ds.y)
-        with pytest.raises(NumericsError):
+        # the single-system joint posterior and the stacked marginal share
+        # one Cholesky error path and its messages
+        message = "whitened posterior precision is not positive definite"
+        with pytest.raises(NumericsError, match=message):
             conjugate_joint_posterior(blind, spec, math.inf)
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match=message):
             theta_posterior(blind, spec, math.inf)
 
     def test_lan_coefficients_against_marginal_covariance(self):
@@ -458,15 +461,16 @@ class TestSufficientStatisticEngine:
         )
         monkeypatch.setattr(semibvm.posterior, "_statistics", lambda *_: broken)
         for call in (theta_posterior, conjugate_joint_posterior):
-            with pytest.raises(NumericsError):
+            with pytest.raises(NumericsError, match="not positive definite"):
                 call(ds, spec, 10.0)
 
     def test_non_finite_nuisance_precision_raises(self, monkeypatch):
         _, _, spec, ds = _setup(n=30)
         nan_factor = np.full((spec.grid_size, spec.grid_size), np.nan)
         monkeypatch.setattr(semibvm.posterior, "prior_factor", lambda _: nan_factor)
-        with pytest.raises(NumericsError):
-            theta_posterior(ds, spec, 10.0)
+        for call in (theta_posterior, conjugate_joint_posterior):
+            with pytest.raises(NumericsError, match="not finite"):
+                call(ds, spec, 10.0)
 
     def test_gibbs_differs_from_dense_sampler_only_by_rounding(self):
         _, _, spec, ds = _setup(n=120, grid_size=20)

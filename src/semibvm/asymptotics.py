@@ -381,11 +381,11 @@ def estimate_un_per_zeta(
     |h| <= 2.  The expectation equals 1 exactly for deterministic h.
 
     At the translated truth the residual is the drawn noise e, so with
-    w = u - m(v) and s = h / sqrt(n) a replication's log ratio
-    sum[-(e - s w)^2/2 + e^2/2] is s (w.e) - s^2 (w.w)/2, and its
-    plug-in direction is sqrt(n) (u.e)/(u.u): four row dots.  Only `law`,
-    `h`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the estimates;
-    the values of the truth and of the translations do not.
+    w = u - m(v) = sigma_w z and s = h / sqrt(n) a replication's log ratio
+    sum[-(e - s w)^2/2 + e^2/2] is s sigma_w (z.e) - s^2 sigma_w^2 (z.z)/2,
+    and its plug-in direction is sqrt(n) (u.e)/(u.u): four row dots.
+    Only `law`, `h`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the
+    estimates; the values of the truth and of the translations do not.
     """
     if mc_reps < 1:
         raise ValueError("mc_reps must be >= 1")
@@ -397,16 +397,13 @@ def estimate_un_per_zeta(
     estimates = np.empty(len(zeta_set))
     errors = np.empty(len(zeta_set))
     for j in range(len(zeta_set)):
-        # the covariate law's draws (v, then z), then the noise e; m(v) is
-        # formed once, for u as covariate_u forms it and for w
+        # the covariate law's draws (v, then z), then the noise e
         rng = np.random.default_rng([seed, j])
         v = rng.uniform(0.0, 1.0, size=(mc_reps, n))
         z = rng.standard_normal((mc_reps, n))
         e = rng.standard_normal((mc_reps, n))
-        m = law.cond_mean(v)
-        u = m + law.residual_sd * z
-        w = u - m
         if h is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
+            u = law.covariate_u(v, z)
             uu = _row_dots(u, u)
             h_rep = np.divide(
                 rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0
@@ -415,7 +412,8 @@ def estimate_un_per_zeta(
         else:
             h_rep = np.full(mc_reps, float(h))
         shift = h_rep / rootn
-        ratios = np.exp(shift * _row_dots(w, e) - 0.5 * shift**2 * _row_dots(w, w))
+        we, ww = law.residual_sd * _row_dots(z, e), law.residual_sd**2 * _row_dots(z, z)
+        ratios = np.exp(shift * we - 0.5 * shift**2 * ww)
         estimates[j] = ratios.mean()
         errors[j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
     return estimates, errors

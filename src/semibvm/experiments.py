@@ -42,9 +42,8 @@ from .asymptotics import (
     estimate_un_per_zeta,
     kl_neighborhood_stats,
     lan_remainder,
-    tv_normals,
 )
-from .gp_prior import GpPriorSpec, NumericsError, PriorCovariance
+from .gp_prior import GpPriorSpec, NumericsError, PriorCovariance, _check_integer
 from .model import (
     CovariateLaw,
     Dataset,
@@ -114,13 +113,13 @@ class ExperimentConfig:
                 f"eta0_family must be one of {tuple(_ETA0_FAMILIES)}, "
                 f"got {self.eta0_family!r}"
             )
-        ladder = tuple(int(n) for n in self.n_ladder)
+        ladder = tuple(_check_integer("n_ladder entry", n) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("n_ladder must be nonempty and strictly increasing")
         if any(n < 1 for n in ladder):
             raise ValueError("n_ladder entries must be >= 1")
         object.__setattr__(self, "n_ladder", ladder)
-        if self.seeds < 1:
+        if _check_integer("seeds", self.seeds) < 1:
             raise ValueError("seeds must be >= 1")
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
@@ -354,7 +353,7 @@ def _coverage_cell(batch: _Batch) -> list[dict]:
 
 def run_coverage(cfg: ExperimentConfig, replications: int) -> RunReport:
     """Frequentist coverage of the level-credible interval, per ladder n."""
-    if replications < 1:
+    if _check_integer("replications", replications) < 1:
         raise ValueError("replications must be >= 1")
     rows = _run_cells(_coverage_cell, _batches(cfg, make_components(cfg), replications))
     aggregates = []
@@ -393,18 +392,8 @@ def run_parametric_baseline(
     else:
         post_mean = n * xbar * prior_var / (n * prior_var + 1.0)
         post_var = prior_var / (n * prior_var + 1.0)
-    loc_mean = math.sqrt(n) * (post_mean - theta0)
-    loc_var = n * post_var
-    delta = math.sqrt(n) * (xbar - theta0)
-    gap = tv_normals(loc_mean, loc_var, delta, 1.0)
-    return BvmDiagnostics(
-        n=n,
-        delta_n=delta,
-        info_tilde=1.0,
-        localized_post_mean=loc_mean,
-        localized_post_var=loc_var,
-        tv_gap=gap,
-    )
+    mp = MarginalThetaPosterior(mean=post_mean, variance=post_var)
+    return bvm_gap(mp, math.sqrt(n) * (xbar - theta0), 1.0, n, theta0)
 
 
 def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:

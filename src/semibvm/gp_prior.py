@@ -53,11 +53,16 @@ class NumericsError(RuntimeError):
 _MAX_ORDER = 98
 
 
-def _check_order(k: int) -> None:
+def _check_integer(name: str, value) -> int:
+    """operator.index(value), or ValueError naming `name` (2.0 included)."""
     try:
-        operator.index(k)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"integration order k must be an integer, got {k!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_order(k: int) -> None:
+    _check_integer("integration order k", k)
     if not 0 <= k <= _MAX_ORDER:
         raise ValueError(f"integration order k must lie in [0, {_MAX_ORDER}], got {k}")
 
@@ -82,7 +87,7 @@ class GpPriorSpec:
 
     def __post_init__(self) -> None:
         _check_order(self.k)
-        if self.grid_size < 2:
+        if _check_integer("grid_size", self.grid_size) < 2:
             raise ValueError("grid_size must be >= 2")
         corner = kibm_kernel(1.0, 1.0, self.k)
         if not (self.scale > 0.0 and 0.0 < self.scale * self.scale * corner < math.inf):

@@ -31,10 +31,10 @@ arrays.  :func:`theta_posteriors` gathers the statistics of many
 equal-size datasets at once and reads their theta marginals off the
 pivots of stacked chol(S), assembled and factorised in sub-stacks of at
 most a given working set, and :func:`theta_posterior` is its stack of
-one; the joint reads its mean and covariance root off the same factor,
-and the Gibbs sampler and the conditional nuisance draws factorise S's
-B block once per call.  The package needs numpy and the standard
-library only.
+one.  :func:`_solve` factorises a single dataset's S: the joint reads
+its mean and covariance root off that chol(S), and the Gibbs sampler and
+the conditional nuisance draws read z | theta off it.  The package needs
+numpy and the standard library only.
 
 A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
 propagated here: every posterior uses the unrestricted prior.
@@ -274,13 +274,23 @@ def _assemble(stats: tuple, factor: np.ndarray, prior_precision: float) -> np.nd
     return systems
 
 
-def _nuisance_conditional(system: np.ndarray, r: int):
+def _solve(ds: Dataset, spec: GpPriorSpec, prior_precision: float):
+    """(L, S, chol(S)) of one dataset: the prior factor of `spec`, the
+    system of :func:`_assemble` and its factor, a stack of one."""
+    factor = prior_factor(spec)
+    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], factor.shape[0])
+    systems = _assemble(stats, factor, prior_precision)
+    return factor, systems[0], _cholesky_stack(systems)[0]
+
+
+def _nuisance_conditional(chol: np.ndarray, r: int):
     """draw(theta, normals) -> z | theta, data for normals of shape (r,)
     or (draws, r).  z | theta ~ N(B^{-1} (L'W'y - theta L'W'u), B^{-1})
-    with B^{-1} = C^{-T} C^{-1}, C the factor of S's B block, so both mean
-    pieces and the noise map are computed once."""
-    inv_chol = _inverse_lower(_cholesky_stack(system[None, :r, :r])[0])
-    mean_u, mean_y = (inv_chol.T @ (inv_chol @ system[:r, r:])).T
+    with B = C C', C = chol[:r, :r]; rows r and r+1 of chol(S) hold
+    (C^{-1} L'W'u)' and (C^{-1} L'W'y)', so each mean piece is its row
+    times C^{-1}."""
+    inv_chol = _inverse_lower(chol[:r, :r])
+    mean_u, mean_y = chol[r : r + 2, :r] @ inv_chol
 
     def draw(theta: float, normals: np.ndarray) -> np.ndarray:
         return mean_y - theta * mean_u + normals @ inv_chol
@@ -370,11 +380,11 @@ def conjugate_joint_posterior(
     theta prior with u = 0).
     """
     prior_precision = _prior_precision(theta_prior_var)
-    factor = prior_factor(spec)
-    m, r = factor.shape
     if ds.n == 0:
         if math.isinf(theta_prior_var):
             raise ValueError("flat theta prior with no data is improper")
+        factor = prior_factor(spec)
+        m, r = factor.shape
         cov = np.zeros((m + 1, m + 1))
         cov[0, 0] = theta_prior_var
         cov[1:, 1:] = prior_covariance(spec).matrix
@@ -383,8 +393,8 @@ def conjugate_joint_posterior(
         root[1:, 1:] = factor.T
         return JointGaussianPosterior(mean=np.zeros(m + 1), covariance=cov, root=root)
 
-    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
-    chol = _cholesky_stack(_assemble(stats, factor, prior_precision))[0]
+    factor, _, chol = _solve(ds, spec, prior_precision)
+    m, r = factor.shape
     inv_chol = _inverse_lower(chol[: r + 1, : r + 1])
     latent_mean = inv_chol.T @ chol[r + 1, : r + 1]  # (z, theta)
     root = np.empty((r + 1, m + 1))  # R with its columns mapped to (theta, eta)
@@ -413,24 +423,20 @@ def gibbs_chain(
 ) -> GibbsChain:
     """Blocked Gibbs sampler alternating exact conditional draws.
 
-    The chain runs in z, eta = L z, on the system S of :func:`_assemble`:
+    The chain runs in z, eta = L z, on the system S of :func:`_solve`:
     theta | z, data is univariate normal with mean (u'y - (L'W'u)'z) /
     precision, O(r) per step; z | theta, data is multivariate normal with
-    the theta-independent precision B, so its factor is computed once.
-    The states map to eta with one matmul at the end.  Deterministic in
-    `seed`.
+    the theta-independent precision B, read off chol(S) once.  The states
+    map to eta with one matmul at the end.  Deterministic in `seed`;
+    NumericsError if S is not positive definite (e.g. flat prior, u = 0).
     """
     if not (iterations > burn_in >= 0):
         raise ValueError("need iterations > burn_in >= 0")
-    factor = prior_factor(spec)
-    m, r = factor.shape
-    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
-    system = _assemble(stats, factor, _prior_precision(theta_prior_var))[0]
-    draw_z = _nuisance_conditional(system, r)
+    factor, system, chol = _solve(ds, spec, _prior_precision(theta_prior_var))
+    r = factor.shape[1]
+    draw_z = _nuisance_conditional(chol, r)
 
-    theta_precision = float(system[r, r])
-    if not theta_precision > 0.0:
-        raise NumericsError("theta conditional has zero precision")
+    theta_precision = float(system[r, r])  # > 0, as chol(S) exists
     theta_sd = 1.0 / math.sqrt(theta_precision)
     load_u, uy = system[r, :r], float(system[r, r + 1])
 
@@ -501,10 +507,11 @@ def conditional_nuisance_mass(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
-    factor = prior_factor(spec)
-    m, r = factor.shape
-    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], m)
-    draw_z = _nuisance_conditional(_assemble(stats, factor, 0.0)[0], r)
+    # z | theta reads chol(S)[:r+2, :r], which never reads S[r, r]; a unit
+    # theta precision keeps S positive definite even where u = 0
+    factor, _, chol = _solve(ds, spec, 1.0)
+    r = factor.shape[1]
+    draw_z = _nuisance_conditional(chol, r)
     eta_draws = draw_z(theta_fixed, rng.standard_normal((draws, r))) @ factor.T
 
     target = least_favorable_eta(theta_fixed, truth, law)

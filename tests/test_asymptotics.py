@@ -908,7 +908,8 @@ class TestEstimateUn:
     def test_plugin_direction_equals_per_replication_loop(self):
         # reference: each replication on its own from the same draws, its
         # residual the noise e, its plug-in direction sqrt(n) (u.e)/(u.u)
-        # clamped to [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2
+        # clamped to [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2 with
+        # w = u - m(v) = sigma_w z, so w.e = sigma_w (z.e), w.w = sigma_w^2 (z.z)
         law = make_covariate_law(0.8)
         reps, seed = 300, 103
         zetas = self._zetas()
@@ -916,15 +917,17 @@ class TestEstimateUn:
             estimates, _ = estimate_un_per_zeta(law, zetas, None, n, reps, seed)
             for j in range(len(zetas)):
                 rng = np.random.default_rng([seed, j])
-                u, v = law.sample_covariates(reps * n, rng)
+                v = rng.uniform(0.0, 1.0, reps * n)
+                z = rng.standard_normal(reps * n)
                 e = rng.standard_normal(reps * n)
-                u, v, e = (a.reshape(reps, n) for a in (u, v, e))
-                w = u - law.cond_mean(v)
+                u = law.covariate_u(v, z)
+                u, z, e = (a.reshape(reps, n) for a in (u, z, e))
+                sd = law.residual_sd
                 ratios = np.empty(reps)
                 for i in range(reps):
                     h = math.sqrt(n) * float(u[i] @ e[i]) / float(u[i] @ u[i])
                     shift = max(-2.0, min(2.0, h)) / math.sqrt(n)
-                    we, ww = float(w[i] @ e[i]), float(w[i] @ w[i])
+                    we, ww = sd * float(z[i] @ e[i]), sd**2 * float(z[i] @ z[i])
                     ratios[i] = np.exp(shift * we - 0.5 * shift**2 * ww)
                 assert estimates[j] == ratios.mean()
 

@@ -81,6 +81,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n_ladder=())
 
+    def test_non_integer_ladder_entry_is_rejected(self):
+        with pytest.raises(ValueError, match="n_ladder entry must be an integer, got 50.7"):
+            ExperimentConfig(n_ladder=(50.7,))
+
+    def test_non_integer_seeds_are_rejected(self):
+        with pytest.raises(ValueError, match="seeds must be an integer, got 2.5"):
+            ExperimentConfig(seeds=2.5)
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(level=1.0)
@@ -365,6 +373,10 @@ class TestCoverage:
     def test_replication_validation(self):
         with pytest.raises(ValueError):
             run_coverage(SMALL, replications=0)
+
+    def test_non_integer_replications_are_rejected(self):
+        with pytest.raises(ValueError, match="replications must be an integer, got 2.5"):
+            run_coverage(SMALL, 2.5)
 
 
 class TestParametricBaseline:

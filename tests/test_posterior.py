@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -43,6 +43,8 @@ from semibvm.posterior import (
     _assemble,
     _inverse_lower,
     _normal_cdf,
+    _nuisance_conditional,
+    _solve,
     _statistics,
     conditional_nuisance_mass,
     conjugate_joint_posterior,
@@ -477,6 +479,54 @@ class TestSufficientStatisticEngine:
         chain = gibbs_chain(ds, spec, 10.0, iterations=300, burn_in=50, seed=13)
         reference = _dense_gibbs_reference(ds, spec, 10.0, iterations=300, seed=13)
         np.testing.assert_allclose(chain.thetas, reference, rtol=0.0, atol=1e-9)
+
+
+class TestOneSolve:
+    def test_each_single_dataset_view_factorises_one_system(self, monkeypatch):
+        # the joint, the Gibbs chain and the conditional nuisance draws each
+        # factorise the full (r+2)x(r+2) system once, and nothing else
+        law, truth, spec, ds = _setup(n=60, grid_size=12)
+        r = prior_factor(spec).shape[1]
+        real = semibvm.posterior._cholesky_stack
+        shapes = []
+
+        def spy(systems):
+            shapes.append(systems.shape)
+            return real(systems)
+
+        monkeypatch.setattr(semibvm.posterior, "_cholesky_stack", spy)
+        views = {
+            "joint": lambda: conjugate_joint_posterior(ds, spec, 10.0),
+            "gibbs": lambda: gibbs_chain(ds, spec, 10.0, iterations=5, burn_in=1, seed=2),
+            "conditional": lambda: conditional_nuisance_mass(
+                ds, spec, 1.0, truth, law, rho=0.1, draws=5, seed=3
+            ),
+        }
+        for name, view in views.items():
+            shapes.clear()
+            view()
+            assert shapes == [(1, r + 2, r + 2)], name
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid_size", [12, 50, 200])
+    def test_nuisance_conditional_against_cho_solve(self, k, grid_size):
+        # z | theta ~ N(B^{-1} (L'W'y - theta L'W'u), B^{-1}), read off
+        # chol(S), against scipy's solves with S's own B block.  The draw
+        # is affine in theta and in the normals, and a power-of-two scale
+        # s keeps each piece's precision when it is taken back out
+        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        ds = sample_dataset(law, truth, 800, cell_seed(6, 800, k))
+        factor, system, chol = _solve(ds, spec, 1.0)
+        r = factor.shape[1]
+        b_factor = cho_factor(system[:r, :r], lower=True)
+        references = (*cho_solve(b_factor, system[:r, r:]).T, cho_solve(b_factor, np.eye(r)))
+        draw, s = _nuisance_conditional(chol, r), 2.0**40
+        mean_y = draw(0.0, np.zeros(r))
+        noise = (draw(0.0, s * np.eye(r)) - mean_y) / s
+        pieces = ((draw(-s, np.zeros(r)) - mean_y) / s, mean_y, noise.T @ noise)
+        for piece, reference in zip(pieces, references):
+            scale = np.abs(reference).max()
+            np.testing.assert_allclose(piece, reference, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestEngineProperties:

@@ -38,6 +38,7 @@ from .model import (
     DatasetStack,
     ModelPoint,
     NuisanceFunction,
+    _check_integer,
     interpolate,
     uniform_grid,
 )
@@ -112,16 +113,22 @@ def delta_n(
     return float(delta) if delta.ndim == 0 else delta
 
 
-def _crossings(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
-    # roots of log phi1 - log phi2 = a x^2 + b x + c = 0; two real roots
-    # whenever v1 != v2.  q/a and c/q never subtract near-equal terms, so
-    # the finite root keeps its precision as a -> 0; b = 0 forces disc > 0
-    # (with the larger variance in [1/2, 2), ac is at least of order 1e-29)
-    a = 0.5 * (1.0 / v2 - 1.0 / v1)
-    b = m1 / v1 - m2 / v2
-    c = 0.5 * (m2 * m2 / v2 - m1 * m1 / v1) - 0.5 * math.log(v1 / v2)
-    disc = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
-    q = -0.5 * (b + math.copysign(disc, b))
+def _crossings(delta: float, v: float, w: float) -> tuple[float, float]:
+    """Offsets x - m, in increasing order, of the two points where the
+    densities of N(m, v) and N(m - delta, w) cross, v != w.
+
+    In d = x - m, log phi_v - log phi_w = a d^2 + b d + c with a =
+    (1/w - 1/v)/2, b = delta/w and c = delta^2/(2w) - log(v/w)/2, whose
+    discriminant b^2 - 4ac is delta^2/(v w) + (1/w - 1/v) log(v/w): two
+    nonnegative terms, the second positive, so no digit cancels and the
+    roots are real.  q/a and c/q never subtract near-equal terms either,
+    so each root keeps its precision as a -> 0 or c -> 0.
+    """
+    a = 0.5 * (1.0 / w - 1.0 / v)
+    b = delta / w
+    c = 0.5 * (delta * b - math.log(v / w))
+    disc = delta * delta / (v * w) + 2.0 * a * math.log(v / w)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     r1, r2 = q / a, c / q
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
@@ -133,30 +140,45 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     so that it keeps its relative precision as the gap shrinks to 0.
     Otherwise the densities cross at two points lo < hi, one density
     dominates on (lo, hi) and the other outside it, so the distance is the
-    difference of the two masses of (lo, hi).  Upper-tail masses use Phi(-x) so
-    that far-right intervals keep their precision.
+    difference of the two masses of (lo, hi).  The crossings are found as
+    offsets d from the narrower normal's mean (:func:`_crossings`), and
+    the wider normal's offsets are d + (difference of the means), so each
+    mass is read from offsets to its own mean: a narrow normal whose
+    crossings lie within rounding of its mean still sees them at their
+    true standardised distance.  Both masses share the two points, where
+    the distance is stationary, so an error in the points moves it only
+    to second order.  Upper-tail masses use Phi(-x) so that far-right
+    intervals keep their precision.
     """
     if not (v1 > 0.0 and v2 > 0.0):
         raise ValueError("variances must be positive")
-    if abs(v1 - v2) <= 1e-14 * max(v1, v2):
+    if v1 > v2:  # the distance is symmetric; N(m1, v1) is the narrower
+        m1, v1, m2, v2 = m2, v2, m1, v1
+    if v2 - v1 <= 1e-14 * v2:
         sigma = math.sqrt(0.5 * (v1 + v2))
         return math.erf(abs(m1 - m2) / (2.0 * math.sqrt(2.0) * sigma))
+    # 1 - TV is at most the Bhattacharyya coefficient, itself at most
+    # sqrt(2) (v1 / v2)^(1/4) exp(-z^2 / 8) with z = (m1 - m2) / sqrt(v2);
+    # where that is below 2^-54, TV rounds to 1.  Past this line z^2 < 303
+    # and v1 / v2 > 2^-219, so nothing below overflows or underflows
+    z = (m1 - m2) / math.sqrt(v2)
+    if 0.25 * (math.log(v1) - math.log(v2)) - 0.125 * z * z < -54.5 * math.log(2.0):
+        return 1.0
     # the distance is scale-free: x -> x / 2^e moves the larger variance
-    # into [1/2, 2), so 1/v and ac stay normal floats up to variances near
-    # the float maximum.  A power of two scales every step of _crossings
+    # into [1/2, 2).  A power of two scales every step of _crossings
     # exactly, so a rescaled pair gives the same bits
-    e = math.frexp(max(v1, v2))[1] // 2
-    m1, m2 = math.ldexp(m1, -e), math.ldexp(m2, -e)
+    e = math.frexp(v2)[1] // 2
+    delta = math.ldexp(m1 - m2, -e)
     v1, v2 = math.ldexp(v1, -2 * e), math.ldexp(v2, -2 * e)
-    lo, hi = _crossings(m1, v1, m2, v2)
+    lo, hi = _crossings(delta, v1, v2)
 
-    def mass(mean: float, var: float) -> float:
-        a, b = (lo - mean) / math.sqrt(var), (hi - mean) / math.sqrt(var)
+    def mass(lo: float, hi: float, var: float) -> float:
+        a, b = lo / math.sqrt(var), hi / math.sqrt(var)
         if a > 0.0:
             return _normal_cdf(-a) - _normal_cdf(-b)
         return _normal_cdf(b) - _normal_cdf(a)
 
-    return float(min(abs(mass(m1, v1) - mass(m2, v2)), 1.0))
+    return float(min(abs(mass(lo, hi, v1) - mass(lo + delta, hi + delta, v2)), 1.0))
 
 
 def bvm_gap(
@@ -387,9 +409,9 @@ def estimate_un_per_zeta(
     Only `law`, `h`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the
     estimates; the values of the truth and of the translations do not.
     """
-    if mc_reps < 1:
+    if _check_integer("mc_reps", mc_reps) < 1:
         raise ValueError("mc_reps must be >= 1")
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError("need n >= 1")
     if not zeta_set:
         raise ValueError("zeta_set must be nonempty")

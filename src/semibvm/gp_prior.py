@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NuisanceFunction, uniform_grid
+from .model import NuisanceFunction, _check_integer, uniform_grid
 
 __all__ = [
     "GpPriorSpec",
@@ -51,14 +50,6 @@ class NumericsError(RuntimeError):
 
 # c_k divides by (k!)^2 as a float: 98!^2 is about 9e307, 99!^2 overflows
 _MAX_ORDER = 98
-
-
-def _check_integer(name: str, value) -> int:
-    """operator.index(value), or ValueError naming `name` (2.0 included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_order(k: int) -> None:
@@ -108,7 +99,7 @@ class GpPriorSpec:
         return self.holder_bound is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorCovariance:
     """Symmetric covariance matrix on the grid.
 

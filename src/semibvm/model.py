@@ -18,6 +18,7 @@ is e * (U - m(V)) and the efficient information is sigma_w^2.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -42,6 +43,14 @@ __all__ = [
     "interpolate",
     "interpolation_weights",
 ]
+
+
+def _check_integer(name: str, value) -> int:
+    """operator.index(value), or ValueError naming `name` (2.0 included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:
@@ -148,7 +157,7 @@ def make_covariate_law(residual_sd: float) -> CovariateLaw:
     return CovariateLaw(residual_sd=residual_sd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuisanceFunction:
     """Regression function on [0, 1]: grid values with linear interpolation."""
 
@@ -188,7 +197,7 @@ class NuisanceFunction:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelPoint:
     """A model point (theta, eta).  Noise standard deviation is fixed at 1."""
 
@@ -206,7 +215,7 @@ def _store_finite(obj, names: Sequence[str]) -> None:
         object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n observed triplets; e keeps the true noise when simulated."""
 
@@ -229,7 +238,7 @@ class Dataset:
         return self.u.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetStack:
     """Simulated datasets of one size n, as the rows of (r, n) arrays."""
 
@@ -261,7 +270,7 @@ def sample_datasets(
     are formed once for the whole stack.  The realised noise is kept for
     score-based diagnostics.
     """
-    if n < 0:
+    if _check_integer("n", n) < 0:
         raise ValueError("n must be >= 0")
     v, z, e = (np.empty((len(seeds), n)) for _ in range(3))
     for row, seed in enumerate(seeds):

@@ -280,6 +280,54 @@ class TestTvNormals:
         assert max(errors) <= 1e-15
         assert tv_normals(3.0, 1.0, 0.0, 1.0 + 2e-14) == pytest.approx(0.8663855975, abs=1e-10)
 
+    def test_extreme_variance_ratios_against_mpmath(self):
+        # each normal's mass comes from the crossings' offsets from its own
+        # mean: a narrow normal's crossings used to round onto its mean
+        # (0.5 at a ratio of 1e-80, NaN at 1e-200), and b^2 - 4ac to cancel
+        # (0.0 at 1e-20).  The reference carries enough digits for b^2 - 4ac
+        def reference(m1, v1, m2, v2):
+            digits = 40 + 2 * round(abs(math.log10(v1 / v2)))
+            with mpmath.workdps(digits):
+                m1, v1, m2, v2 = (mpmath.mpf(x) for x in (m1, v1, m2, v2))
+                a = (1 / v2 - 1 / v1) / 2
+                b = m1 / v1 - m2 / v2
+                c = (m2**2 / v2 - m1**2 / v1) / 2 - mpmath.log(v1 / v2) / 2
+                disc = mpmath.sqrt(b * b - 4 * a * c)
+                lo, hi = sorted(((-b - disc) / (2 * a), (-b + disc) / (2 * a)))
+
+                def mass(mean, var):
+                    sd = mpmath.sqrt(var)
+                    return mpmath.ncdf(hi, mean, sd) - mpmath.ncdf(lo, mean, sd)
+
+                return float(abs(mass(m1, v1) - mass(m2, v2)))
+
+        assert tv_normals(0.3, 1e-20, 0.1, 1.5625) == pytest.approx(0.99999999956, abs=1e-11)
+        errors = []
+        for exponent in (-300, -200, -80, -20, -5, -1, 1, 5, 20, 80, 200, 300):
+            for wide in (1.5625, 1e4):
+                for gap in (0.0, 1e-3, 0.3, 1.0, 5.0, 40.0):
+                    for m1 in (0.0, -7.0):
+                        v1 = wide * 10.0**exponent
+                        m2 = m1 - gap * math.sqrt(max(v1, wide))
+                        params = (m1, v1, m2, wide)
+                        got = tv_normals(*params)
+                        assert 0.0 <= got <= 1.0, params
+                        errors.append(abs(got - reference(*params)))
+        assert max(errors) <= 1e-15
+
+    def test_beyond_float_range_stays_in_unit_interval(self):
+        # variance ratios and mean gaps whose squares overflow: the
+        # Bhattacharyya bound sends them to 1 before anything overflows
+        for params in (
+            (0.0, 1e-300, 0.0, 1e300),
+            (1e300, 1e-300, -1e300, 1e300),
+            (0.0, 1e-300, 1e10, 1.0),
+            (1.7e308, 1.0, -1.7e308, 2.0),
+            (0.0, 5e-324, 0.0, 1.0),
+        ):
+            assert tv_normals(*params) == 1.0, params
+            assert tv_normals(params[2], params[3], params[0], params[1]) == 1.0, params
+
     def test_variance_validation(self):
         with pytest.raises(ValueError):
             tv_normals(0.0, 0.0, 0.0, 1.0)

@@ -3,12 +3,15 @@
 perfbench's tracer, oracle and self-tests import these by name and call
 them with these keywords.  perfbench sits outside the tier-1 test paths,
 so without this contract a change to src/ alone could break
-``python3 -m pytest perfbench`` with tier-1 still green.  Only
-signatures are checked here; nothing is run except one CLI launch that
-the config check rejects before any work starts.
+``python3 -m pytest perfbench`` with tier-1 still green.  Signatures are
+bound without a call; the attributes the oracle and the self-tests read
+are read off tiny objects (a 3-node prior, a 4-point dataset), and one
+CLI launch is rejected by the config check before any work starts.
 """
 
+import dataclasses
 import inspect
+import json
 
 import pytest
 
@@ -43,6 +46,28 @@ def test_module_functions_the_harness_calls():
     # the tracer checks that posterior binds the same object as gp_prior
     assert posterior.prior_covariance is gp_prior.prior_covariance
     _binds(asymptotics.tv_normals, 0.0, 1.0, 0.0, 1.0)
+
+
+def test_attributes_the_oracle_and_self_tests_read():
+    # perfbench/oracle.py and perfbench/test_perfbench.py read these off
+    # the objects the program returns
+    spec = gp_prior.GpPriorSpec(k=1, grid_size=3)
+    assert gp_prior.prior_covariance(spec).matrix.shape == (3, 3)
+    assert json.loads(experiments.RunReport(kind="k", config={}).to_json_text())["kind"] == "k"
+    assert isinstance(experiments.cell_seed(4, 40, 0), int)
+    config = {"k": 0, "grid_size": 12, "n_ladder": (40, 160), "seeds": 2, "master_seed": 11}
+    cfg = experiments.ExperimentConfig(**config)
+    fields = {field.name for field in dataclasses.fields(cfg)}
+    assert fields >= {
+        "theta0", "level", "theta_prior_var", "master_seed", "n_ladder", "sigma_w",
+        "grid_size", "eta0_amplitude", "eta0_family", "k", "scale",
+    }
+    law = model.make_covariate_law(cfg.sigma_w)
+    truth = model.ModelPoint(theta=1.0, eta=model.NuisanceFunction([0.0, 0.5, 0.0]))
+    ds = model.sample_dataset(law, truth, 4, 5)
+    assert ds.n == 4
+    assert all(getattr(ds, name).shape == (4,) for name in ("u", "v", "y", "e"))
+    assert law.cond_mean(ds.v).shape == (4,) and law.efficient_info > 0.0
 
 
 def test_asymptotics_names_the_per_layer_figures_read():

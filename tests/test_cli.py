@@ -246,6 +246,25 @@ class TestExitCodes:
         assert "theta_prior_var" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau2, theta0", [("1e-20", "1"), ("1e-300", "1"), ("1e-300", "1e30")])
+    def test_tiny_theta_prior_var_scans_to_a_gap_near_one(self, tau2, theta0, tmp_path):
+        # the posterior collapses on theta = 0, far from N(delta_n, 1/I):
+        # the scan read 5e-7 at 1e-20 and exited 2 ("tv_gap must lie in
+        # [0, 1]") at 1e-300; at theta0 = 1e30 the localized mean's square
+        # over the variances overflows
+        path = tmp_path / "tiny.cfg"
+        path.write_text(f"theta_prior_var = {tau2}\ntheta0 = {theta0}\nn_ladder = 50\nseeds = 3\n")
+        out = tmp_path / "scan.json"
+        assert cli.main(["bvm-scan", "--config", str(path), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 3
+        assert all(row["tv_gap"] > 0.999 for row in rows)
+
+    def test_baseline_huge_prior_var_runs(self, capsys):
+        # n * prior_var overflowed and exited 2 ("variance must be strictly positive")
+        assert cli.main(["baseline", "--n", "10", "--prior-var", "1e308"]) == 0
+        assert json.loads(capsys.readouterr().out)["tv_gap"] <= 1e-14
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
     def test_nonpositive_jobs_exits_2_before_any_work(

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibvm import experiments, posterior
-from semibvm.asymptotics import bvm_gap, delta_n
+from semibvm.asymptotics import bvm_gap, delta_n, estimate_un_per_zeta
 from semibvm.experiments import (
     ExperimentConfig,
     RunReport,
@@ -35,6 +35,7 @@ from semibvm.model import NuisanceFunction, sample_dataset
 from semibvm.posterior import credible_interval, theta_posterior
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
+_LAW, _ZETA = make_components(SMALL)[0], NuisanceFunction.zero(SMALL.grid_size)
 
 
 class TestSeedDerivation:
@@ -59,8 +60,8 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("master", [0, 1, -1, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 50, 2**63])
     def test_chunk_seeds_equal_cell_seed(self, master, n):
-        # the uint64 array fold wraps as cell_seed's masks do, without the
-        # overflow warning of numpy's scalar arithmetic
+        # the shared (master, n) prefix folds each rep as cell_seed does,
+        # masked to 64 bits for negative and oversized words
         seeds = _cell_seeds(master, n, range(1000))
         assert seeds == [cell_seed(master, n, rep) for rep in range(1000)]
         assert all(type(seed) is int for seed in seeds)
@@ -413,6 +414,19 @@ class TestParametricBaseline:
         diag = run_parametric_baseline(n, theta0, tau2, seed)
         assert diag.tv_gap == pytest.approx(expected, abs=1e-9)
 
+    def test_huge_prior_variance_does_not_overflow(self):
+        # post_var = 1 / (n + 1/tau^2): n tau^2 overflowed at tau^2 = 1e308
+        flat = run_parametric_baseline(10, 1.0, math.inf, seed=4)
+        for tau2 in (1e300, 1e308, 1.7e308):
+            diag = run_parametric_baseline(10, 1.0, tau2, seed=4)
+            assert diag.localized_post_var == pytest.approx(1.0, rel=1e-15)
+            assert diag.tv_gap <= 1e-14
+            assert diag.localized_post_mean == pytest.approx(flat.localized_post_mean, abs=1e-14)
+
+    def test_tiny_prior_variance_gap_near_one(self):
+        # the posterior collapses on 0 while the limit sits near xbar = 1
+        assert run_parametric_baseline(1000, 1.0, 1e-30, seed=2).tv_gap > 0.999
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_parametric_baseline(0, 0.0, 1.0, 1)
@@ -476,6 +490,23 @@ class TestSnapshotsAndSuite:
             monkeypatch.setattr(experiments, name, spy)
         with pytest.raises(ValueError, match=f"{next(iter(counts))} must be >= 1"):
             run_diagnostics_suite(SMALL, n=40, seed=3, **counts)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: run_diagnostics_suite(SMALL, 50, 1, un_reps=2.5), "un_reps"),
+            (lambda: run_diagnostics_suite(SMALL, 50, 1, mc_draws=2.5), "mc_draws"),
+            (lambda: run_diagnostics_suite(SMALL, 50.5, 1), "n"),
+            (lambda: run_posterior_snapshot(SMALL, 40.5, 3), "n"),
+            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], None, 40, 2.5, 3), "mc_reps"),
+            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], None, 40.5, 10, 3), "n"),
+        ],
+        ids=["suite-un_reps", "suite-mc_draws", "suite-n", "snapshot-n", "un-mc_reps", "un-n"],
+    )
+    def test_non_integer_counts_rejected(self, call, name):
+        # numpy used to raise "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
     def test_diagnostics_hellinger_row_against_closed_form(self):
         # H^2 of the theta shift delta = 2/sqrt(n) is 1 - E exp(-(delta U)^2/8);

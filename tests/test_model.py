@@ -106,6 +106,12 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             sample_dataset(make_covariate_law(0.8), _truth(), -1, 1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integer_n_rejected(self, n):
+        # numpy's empty() used to raise a TypeError, or truncate
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            sample_datasets(make_covariate_law(0.8), _truth(), n, [1])
+
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)
         a = sample_dataset(law, _truth(), 500, 42)

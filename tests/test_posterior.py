@@ -23,12 +23,14 @@ from semibvm.experiments import ExperimentConfig, cell_seed, make_components
 from semibvm.gp_prior import (
     GpPriorSpec,
     NumericsError,
+    PriorCovariance,
     prior_covariance,
     prior_factor,
     sample_prior_path,
 )
 from semibvm.model import (
     Dataset,
+    DatasetStack,
     ModelPoint,
     NuisanceFunction,
     interpolate,
@@ -39,6 +41,8 @@ from semibvm.model import (
 )
 import semibvm.posterior
 from semibvm.posterior import (
+    GibbsChain,
+    JointGaussianPosterior,
     MarginalThetaPosterior,
     _assemble,
     _inverse_lower,
@@ -126,13 +130,43 @@ def mpmath_theta_marginal(ds, spec, tau2, digits=50):
         return float(mean), float(1 / precision)
 
 
+def test_array_holding_records_compare_and_hash_by_identity():
+    # a generated __eq__ compared arrays (and raised on any two distinct
+    # instances) and the generated __hash__ raised "unhashable"; these
+    # records hold arrays, so equality is identity
+    law, truth, spec, ds = _setup(n=20)
+    stack = sample_datasets(law, truth, 20, [1, 2])
+    jp = conjugate_joint_posterior(ds, spec, 10.0)
+    records = [
+        (truth.eta, NuisanceFunction(truth.eta.values)),
+        (truth, ModelPoint(theta=truth.theta, eta=truth.eta)),
+        (ds, Dataset(u=ds.u, v=ds.v, y=ds.y, e=ds.e)),
+        (stack, DatasetStack(u=stack.u, v=stack.v, y=stack.y, e=stack.e)),
+        (prior_covariance(spec), PriorCovariance(prior_covariance(spec).matrix)),
+        (jp, JointGaussianPosterior(mean=jp.mean, root=jp.root)),
+        (
+            gibbs_chain(ds, spec, 10.0, 3, 1, seed=0),
+            GibbsChain(thetas=np.zeros(3), etas=np.zeros((3, 25)), iterations=3, burn_in=1, seed=0),
+        ),
+    ]
+    for record, twin in records:
+        assert record == record and hash(record) == hash(record)
+        assert record != twin and not (record == twin)
+        assert len({record, twin}) == 2
+    # records of scalars keep value equality; a spec keys prior_factor's cache
+    assert GpPriorSpec(k=2, grid_size=9) == GpPriorSpec(k=2, grid_size=9)
+    assert hash(GpPriorSpec(k=2, grid_size=9)) == hash(GpPriorSpec(k=2, grid_size=9))
+    assert MarginalThetaPosterior(0.5, 2.0) == MarginalThetaPosterior(0.5, 2.0)
+
+
 class TestConjugatePosterior:
     def test_no_data_returns_prior(self):
+        # the engine's S = diag(I, 1/tau^2, 1): tau^2 back to 2 ulp
         _, _, spec, _ = _setup()
         empty = Dataset(u=np.array([]), v=np.array([]), y=np.array([]))
         jp = conjugate_joint_posterior(empty, spec, theta_prior_var=7.0)
         np.testing.assert_array_equal(jp.mean, np.zeros(spec.grid_size + 1))
-        assert jp.covariance[0, 0] == 7.0
+        assert abs(jp.covariance[0, 0] - 7.0) <= 2.0 * np.spacing(7.0)
         np.testing.assert_allclose(
             jp.covariance[1:, 1:], prior_covariance(spec).matrix, atol=1e-12
         )
@@ -400,11 +434,17 @@ class TestSufficientStatisticEngine:
                 mp = theta_posterior(ds, spec, tau2)
                 assert mp.variance == pytest.approx(joint.variance, rel=1e-10)
                 assert abs(mp.mean - joint.mean) <= 1e-10 * mp.sd
-                if n == 0:  # the prior's root: block_diag(tau, L')
-                    root = np.zeros((grid_size + 1, grid_size + 1))
-                    root[0, 0] = math.sqrt(tau2)
-                    root[1:, 1:] = prior_factor(spec).T
+                if n == 0:  # the prior's root in the engine's (z, theta) rows
+                    factor = prior_factor(spec)
+                    r = factor.shape[1]
+                    root = np.zeros((r + 1, grid_size + 1))
+                    root[:r, 1:] = factor.T
+                    root[r, 0] = 1.0 / math.sqrt(1.0 / tau2)
                     np.testing.assert_array_equal(jp.root, root)
+                    assert abs(jp.covariance[0, 0] - tau2) <= 2.0 * np.spacing(tau2)
+                    matrix = prior_covariance(spec).matrix
+                    gap = np.linalg.norm(jp.covariance[1:, 1:] - matrix)
+                    assert gap <= 2e-14 * np.linalg.norm(matrix)
                 else:
                     scale = np.abs(jp.covariance).max()
                     gap = np.abs(jp.root.T @ jp.root - jp.covariance).max()
@@ -434,8 +474,16 @@ class TestSufficientStatisticEngine:
     def test_no_data_is_the_theta_prior(self):
         _, _, spec, _ = _setup()
         empty = Dataset(u=np.array([]), v=np.array([]), y=np.array([]))
-        mp = theta_posterior(empty, spec, 7.0)
-        assert (mp.mean, mp.variance) == (0.0, 7.0)
+        # S = diag(I, 1/tau^2, 1) gives 1 / sqrt(1/tau^2)^2: four roundings,
+        # 2 ulp at these tau^2 and at most 3 over a log-uniform sweep
+        for tau2 in (7.0, 10.0, 1e-300, 1e300):
+            mp = theta_posterior(empty, spec, tau2)
+            assert mp.mean == 0.0
+            assert abs(mp.variance - tau2) <= 2.0 * np.spacing(tau2)
+        for tau2 in 10.0 ** np.random.default_rng(0).uniform(-300.0, 300.0, 200):
+            mp = theta_posterior(empty, spec, tau2)
+            assert mp.mean == 0.0
+            assert abs(mp.variance - tau2) <= 3.0 * np.spacing(tau2)
 
     def test_flat_prior_without_data_rejected(self):
         _, _, spec, _ = _setup()

@@ -2,9 +2,9 @@
 
 The prior on the regression function is a degree-k random polynomial
 plus a k-fold integrated Brownian motion, discretised to a grid.  Higher
-k gives smoother paths.  An optional Hoelder-ball restriction keeps only
-paths whose sup norm plus Hoelder seminorm stays under a bound, by
-rejection.
+k gives smoother paths.  The sampler's `ball` keyword restricts the
+draws to a Hoelder ball: by rejection, it keeps only paths whose sup norm
+plus Hoelder seminorm stays under a bound.
 """
 
 import numpy as np
@@ -39,19 +39,17 @@ for seed in range(4):
     )
 
 # Restricting to a Hoelder ball: every accepted path obeys the bound.
-restricted = GpPriorSpec(
-    k=1, grid_size=50, scale=1.0, holder_alpha=0.6, holder_bound=6.0
-)
+ball = (0.6, 6.0)  # (alpha, bound)
 print("\nrejection-restricted draws (sup + seminorm < 6):")
 accepted = 0
 for seed in range(200):
     try:
-        path = sample_prior_path(restricted, seed, max_attempts=1)
+        path = sample_prior_path(spec, seed, max_attempts=1, ball=ball)
         accepted += 1
     except ValueError:
         continue
 print(f"  single-attempt acceptance rate ~ {accepted / 200:.2f}")
-path = sample_prior_path(restricted, 11)
+path = sample_prior_path(spec, 11, ball=ball)
 print(
     f"  one accepted path: sup = {path.sup_norm():.2f}, "
     f"seminorm = {holder_seminorm(path, 0.6):.2f}, "

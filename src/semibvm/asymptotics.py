@@ -150,8 +150,8 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     to second order.  Upper-tail masses use Phi(-x) so that far-right
     intervals keep their precision.
     """
-    if not (v1 > 0.0 and v2 > 0.0):
-        raise ValueError("variances must be positive")
+    if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
+        raise ValueError(f"variances must be positive and finite, got {v1} and {v2}")
     if v1 > v2:  # the distance is symmetric; N(m1, v1) is the narrower
         m1, v1, m2, v2 = m2, v2, m1, v1
     if v2 - v1 <= 1e-14 * v2:

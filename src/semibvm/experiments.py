@@ -59,6 +59,7 @@ from .model import (
 from .posterior import (
     MarginalThetaPosterior,
     StackNumericsError,
+    _prior_precision,
     credible_bounds,
     credible_interval,
     theta_posterior,
@@ -128,8 +129,7 @@ class ExperimentConfig:
             raise ValueError("format must be 'csv' or 'json'")
         if not math.isfinite(self.theta0):
             raise ValueError(f"theta0 must be finite, got {self.theta0}")
-        if not self.theta_prior_var > 0.0:
-            raise ValueError("theta_prior_var must be positive (inf allowed)")
+        _prior_precision(self.theta_prior_var)
         make_components(self)  # the law and the prior spec check their own fields
 
 
@@ -381,8 +381,7 @@ def run_parametric_baseline(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if not prior_var > 0.0:
-        raise ValueError("prior_var must be positive (math.inf allowed)")
+    _prior_precision(prior_var, "prior_var")
     rng = np.random.default_rng(seed)
     xbar = float(np.mean(theta0 + rng.standard_normal(n)))
     if math.isinf(prior_var):

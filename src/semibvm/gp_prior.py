@@ -17,9 +17,10 @@ that one elementwise evaluation.  The discretised covariance
 K is factorised once per spec by :func:`prior_factor`: a plain Cholesky
 where K is numerically positive definite, else an exact eigen square
 root, so every posterior runs on K itself and never on K plus a jitter.
-Sample paths have smoothness k + 1/2; an optional Hoelder-ball
-restriction (sup norm plus Hoelder seminorm below a bound) is applied by
-rejection sampling.
+Sample paths have smoothness k + 1/2.  A spec is the unrestricted prior
+and nothing else; a Hoelder-ball restriction (sup norm plus Hoelder
+seminorm below a bound) is a keyword of :func:`sample_prior_path`, which
+applies it by rejection, so no posterior can be handed a ball it ignores.
 """
 
 from __future__ import annotations
@@ -60,21 +61,17 @@ def _check_order(k: int) -> None:
 
 @dataclass(frozen=True)
 class GpPriorSpec:
-    """Prior configuration: integration order, grid, scale, optional ball.
+    """Prior configuration: integration order, grid and scale, the values
+    that determine K.
 
     `scale` multiplies the standard deviation of the process; it must be
     positive with K's largest entry, scale^2 * c_k(1, 1), finite and
-    nonzero.  With
-    `holder_alpha` and `holder_bound` set, both or neither, the prior is
-    restricted by rejection to paths with sup norm + discrete Hoelder
-    seminorm below the bound.
+    nonzero.
     """
 
     k: int = 1
     grid_size: int = 50
     scale: float = 3.0
-    holder_alpha: float | None = None
-    holder_bound: float | None = None
 
     def __post_init__(self) -> None:
         _check_order(self.k)
@@ -86,17 +83,6 @@ class GpPriorSpec:
                 "scale must be positive with K's largest entry, scale^2 * c_k(1, 1), "
                 f"finite and nonzero, got {self.scale}"
             )
-        if (self.holder_alpha is None) != (self.holder_bound is None):
-            raise ValueError("holder_alpha and holder_bound are set together or not at all")
-        if self.conditioned:
-            if not self.holder_bound > 0.0:
-                raise ValueError("holder_bound must be positive")
-            if not (0.0 < self.holder_alpha <= 1.0):
-                raise ValueError("holder_alpha must lie in (0, 1]")
-
-    @property
-    def conditioned(self) -> bool:
-        return self.holder_bound is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,31 +179,35 @@ def holder_seminorm(eta: NuisanceFunction, alpha: float) -> float:
     return float(np.max(dv[off] / dt[off] ** alpha))
 
 
-def _ball_norm(values: np.ndarray, alpha: float) -> float:
-    eta = NuisanceFunction(values)
-    return eta.sup_norm() + holder_seminorm(eta, alpha)
-
-
 def sample_prior_path(
-    spec: GpPriorSpec, seed: int, max_attempts: int = 100_000
+    spec: GpPriorSpec,
+    seed: int,
+    max_attempts: int = 100_000,
+    *,
+    ball: tuple[float, float] | None = None,
 ) -> NuisanceFunction:
-    """Draw one path from the (optionally restricted) discretised prior.
+    """Draw one path from the discretised prior, restricted to a Hoelder
+    ball when `ball` = (alpha, bound) is given.
 
-    Deterministic in `seed`.  With a Hoelder ball configured, draws are
-    rejected until sup norm + seminorm < holder_bound; exceeding
-    `max_attempts` raises ValueError (bound too small for the chosen
-    order and exponent).
+    Deterministic in `seed`.  With a ball, draws are rejected until
+    sup norm + alpha-seminorm < bound (bound > 0, alpha in (0, 1]);
+    exceeding `max_attempts` raises ValueError (bound too small for the
+    chosen order and exponent).
     """
+    if ball is not None:
+        alpha, bound = ball
+        if not (0.0 < alpha <= 1.0 and bound > 0.0):  # a NaN fails too
+            raise ValueError(f"ball needs alpha in (0, 1] and bound > 0, got {ball}")
     factor = prior_factor(spec)
     rng = np.random.default_rng(seed)
-    if not spec.conditioned:
+    if ball is None:
         return NuisanceFunction(factor @ rng.standard_normal(spec.grid_size))
     for _ in range(max_attempts):
-        values = factor @ rng.standard_normal(spec.grid_size)
-        if _ball_norm(values, spec.holder_alpha) < spec.holder_bound:
-            return NuisanceFunction(values)
+        path = NuisanceFunction(factor @ rng.standard_normal(spec.grid_size))
+        if path.sup_norm() + holder_seminorm(path, alpha) < bound:
+            return path
     raise ValueError(
         f"rejection sampler exceeded {max_attempts} attempts; "
-        f"holder_bound={spec.holder_bound} is too small for k={spec.k}, "
-        f"alpha={spec.holder_alpha}, scale={spec.scale}"
+        f"ball bound={bound} is too small for k={spec.k}, "
+        f"alpha={alpha}, scale={spec.scale}"
     )

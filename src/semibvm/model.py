@@ -108,6 +108,9 @@ class CovariateLaw:
                 else "must be positive (information would vanish)"
             )
             raise ValueError(f"residual_sd {reason}, got {sd}")
+        info = self.efficient_info  # below sd of about 2^-512, 1/info overflows
+        if not (info > 0.0 and 1.0 / info < math.inf):
+            raise ValueError(f"residual_sd must have a finite 1/residual_sd^2, got {sd}")
 
     @property
     def cond_mean_amplitude(self) -> float:

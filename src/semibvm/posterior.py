@@ -36,9 +36,6 @@ its mean and covariance root off that chol(S), and the Gibbs sampler and
 the conditional nuisance draws read z | theta off it.  An empty dataset
 takes the same path, as S = diag(I, 1/tau^2, 1) is the prior's system.
 The package needs numpy and the standard library only.
-
-A Hoelder-ball restriction on the prior destroys conjugacy and is NOT
-propagated here: every posterior uses the unrestricted prior.
 """
 
 from __future__ import annotations
@@ -191,10 +188,14 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _prior_precision(theta_prior_var: float) -> float:
-    if not theta_prior_var > 0.0:
-        raise ValueError("theta_prior_var must be positive (math.inf allowed)")
-    return 0.0 if math.isinf(theta_prior_var) else 1.0 / theta_prior_var
+def _prior_precision(variance: float, name: str = "theta_prior_var") -> float:
+    """1/variance of a theta prior: 0 for the flat limit variance = inf;
+    ValueError naming `name` unless variance > 0 and 1/variance is finite."""
+    if not (variance > 0.0 and 1.0 / variance < math.inf):  # a NaN fails too
+        raise ValueError(
+            f"{name} must be positive with a finite reciprocal (inf allowed), got {variance}"
+        )
+    return 1.0 / variance
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -333,6 +333,11 @@ class TestTvNormals:
             tv_normals(0.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             tv_normals(0.0, 1.0, 0.0, -2.0)
+        # inf - 1 <= 1e-14 inf once sent (1, inf) down the equal-variance
+        # branch, which read 0.0 where the true distance is 1
+        for v1, v2 in ((1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                tv_normals(0.0, v1, 0.0, v2)
 
 
 class TestBvmGap:

@@ -265,6 +265,80 @@ class TestExitCodes:
         assert cli.main(["baseline", "--n", "10", "--prior-var", "1e308"]) == 0
         assert json.loads(capsys.readouterr().out)["tv_gap"] <= 1e-14
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # 1/sigma_w^2 overflows: the gaps read 0.0 where they are 1
+            ("sigma_w = 1e-160", "residual_sd must have a finite 1/residual_sd^2, got 1e-160"),
+            # sigma_w^2 underflows to 0: exit 2 only after the first posteriors
+            ("sigma_w = 1e-300", "residual_sd must have a finite 1/residual_sd^2, got 1e-300"),
+            # 1/tau^2 overflows: exit 3 at the first cell
+            (
+                "theta_prior_var = 1e-320",
+                "theta_prior_var must be positive with a finite reciprocal (inf allowed), "
+                "got 1e-320",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage", "posterior"])
+    def test_field_without_finite_reciprocal_exits_2_before_any_posterior(
+        self, command, line, message, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a posterior was computed")
+
+        monkeypatch.setattr(semibvm.experiments, "theta_posteriors", spy)
+        monkeypatch.setattr(semibvm.experiments, "theta_posterior", spy)
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
+    def test_baseline_prior_var_without_finite_precision_exits_2_before_any_posterior(
+        self, monkeypatch, capsys
+    ):
+        # 1/prior_var overflowed to a zero posterior variance, and the gap
+        # rejected it with a message that names no field
+        def spy(*args, **kwargs):
+            raise AssertionError("a posterior was compared")
+
+        monkeypatch.setattr(semibvm.experiments, "bvm_gap", spy)
+        assert cli.main(["baseline", "--n", "5", "--prior-var", "1e-310"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: prior_var must be positive with a finite reciprocal "
+            "(inf allowed), got 1e-310\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("bvm-scan", "sigma_w = 1e-150"),
+            ("coverage", "sigma_w = 1e-150"),
+            ("bvm-scan", "theta_prior_var = 1e-300"),
+            ("posterior", "theta_prior_var = 1e-300"),
+            ("bvm-scan", "theta_prior_var = inf"),
+            ("posterior", "theta_prior_var = inf"),
+        ],
+    )
+    def test_smallest_values_with_finite_reciprocals_run(self, command, line, tmp_path):
+        path = tmp_path / "edge.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        out = tmp_path / "r.json"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        assert cli.main(argv + (["--replications", "2"] if command == "coverage" else [])) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("prior_var", ["1e-300", "inf"])
+    def test_baseline_prior_var_with_finite_precision_runs(self, prior_var, capsys):
+        assert cli.main(["baseline", "--n", "5", "--prior-var", prior_var]) == 0
+        assert 0.0 <= json.loads(capsys.readouterr().out)["tv_gap"] <= 1.0
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
     def test_nonpositive_jobs_exits_2_before_any_work(

@@ -114,6 +114,9 @@ class TestConfig:
             ("scale", 1e200),  # its square overflows
             ("scale", 1e-200),  # its square underflows: the zero prior
             ("sigma_w", math.nan),
+            ("sigma_w", 1e-160),  # 1/sigma_w^2 overflows
+            ("sigma_w", 1e-300),  # sigma_w^2 underflows to 0
+            ("theta_prior_var", 1e-320),  # 1/theta_prior_var overflows
         ],
     )
     def test_bad_model_field_rejected_up_front(self, field, value):
@@ -426,10 +429,15 @@ class TestParametricBaseline:
     def test_tiny_prior_variance_gap_near_one(self):
         # the posterior collapses on 0 while the limit sits near xbar = 1
         assert run_parametric_baseline(1000, 1.0, 1e-30, seed=2).tv_gap > 0.999
+        assert run_parametric_baseline(5, 1.0, 1e-300, seed=1).tv_gap == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             run_parametric_baseline(0, 0.0, 1.0, 1)
+        # 1/prior_var overflows to a zero posterior variance, which the gap
+        # rejected as "variance must be strictly positive", naming no field
+        with pytest.raises(ValueError, match="prior_var"):
+            run_parametric_baseline(5, 1.0, 1e-310, seed=1)
         with pytest.raises(ValueError):
             run_parametric_baseline(10, 0.0, 0.0, 1)
 

@@ -1,6 +1,7 @@
 """Prior tests: kernel against quadrature and exact rational arithmetic,
 covariance, path sampling, seminorm."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -308,29 +309,62 @@ class TestSamplePriorPath:
         assert np.all(np.abs(empirical - target) < 5 * se)
 
     def test_conditioned_paths_inside_ball(self):
-        spec = GpPriorSpec(k=1, grid_size=30, scale=1.0, holder_alpha=0.6, holder_bound=10.0)
+        spec = GpPriorSpec(k=1, grid_size=30, scale=1.0)
         for seed in range(25):
-            path = sample_prior_path(spec, seed)
+            path = sample_prior_path(spec, seed, ball=(0.6, 10.0))
             assert holder_seminorm(path, 0.6) < 10.0
             assert path.sup_norm() + holder_seminorm(path, 0.6) < 10.0
 
     def test_conditioned_determinism(self):
-        spec = GpPriorSpec(k=1, grid_size=20, scale=1.0, holder_alpha=0.6, holder_bound=8.0)
-        a = sample_prior_path(spec, 3)
-        b = sample_prior_path(spec, 3)
+        spec = GpPriorSpec(k=1, grid_size=20, scale=1.0)
+        a = sample_prior_path(spec, 3, ball=(0.6, 8.0))
+        b = sample_prior_path(spec, 3, ball=(0.6, 8.0))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_attempt_cap_raises(self):
-        spec = GpPriorSpec(k=1, grid_size=20, scale=1.0, holder_alpha=0.6, holder_bound=0.01)
+        spec = GpPriorSpec(k=1, grid_size=20, scale=1.0)
         with pytest.raises(ValueError, match="attempts"):
-            sample_prior_path(spec, 1, max_attempts=20)
+            sample_prior_path(spec, 1, max_attempts=20, ball=(0.6, 0.01))
 
     def test_ball_requires_alpha(self):
-        with pytest.raises(ValueError):
-            GpPriorSpec(k=1, grid_size=10, scale=1.0, holder_bound=5.0)
-        # and the reverse: an alpha without a bound would restrict nothing
-        with pytest.raises(ValueError, match="together"):
-            GpPriorSpec(k=1, grid_size=10, scale=1.0, holder_alpha=0.6)
+        # the ball is (alpha, bound): alpha in (0, 1] and bound > 0, NaN in
+        # neither slot; it is checked before any draw
+        spec = GpPriorSpec(k=1, grid_size=10, scale=1.0)
+        for ball in [
+            (0.6, 0.0),
+            (0.6, -5.0),
+            (0.0, 5.0),
+            (1.5, 5.0),
+            (math.nan, 5.0),
+            (0.6, math.nan),
+        ]:
+            with pytest.raises(ValueError, match="ball needs alpha in"):
+                sample_prior_path(spec, 1, ball=ball)
+        assert sample_prior_path(spec, 1, ball=(1.0, 1e6)).grid_size == 10
+
+    def test_draws_equal_the_reference_paths(self):
+        spec = GpPriorSpec(k=1, grid_size=50, scale=1.0)
+        for seed in range(4):
+            np.testing.assert_array_equal(
+                sample_prior_path(spec, seed).values, _REFERENCE_PATHS[seed]
+            )
+        np.testing.assert_array_equal(
+            sample_prior_path(spec, 11, ball=(0.6, 6.0)).values, _REFERENCE_PATHS["ball"]
+        )
+
+
+class TestGpPriorSpec:
+    def test_fields_are_the_values_that_determine_the_covariance(self):
+        assert [f.name for f in dataclasses.fields(GpPriorSpec)] == ["k", "grid_size", "scale"]
+        with pytest.raises(TypeError):
+            GpPriorSpec(holder_bound=1.0)
+
+    def test_equal_specs_share_one_cached_factor(self):
+        prior_factor.cache_clear()
+        a = prior_factor(GpPriorSpec(k=2, grid_size=23, scale=1.5))
+        b = prior_factor(GpPriorSpec(k=2, grid_size=23, scale=1.5))
+        assert a is b
+        assert prior_factor.cache_info().misses == 1
 
 
 class TestHolderSeminorm:
@@ -380,3 +414,86 @@ class TestHolderSeminorm:
             holder_seminorm(eta, 0.0)
         with pytest.raises(ValueError):
             holder_seminorm(eta, 1.5)
+
+
+# sample_prior_path(GpPriorSpec(k=1, grid_size=50, scale=1.0), seed) as drawn
+# while the Hoelder ball was a field of the spec: seeds 0..3 unrestricted and
+# seed 11 restricted to alpha 0.6, bound 6.  Moving the ball to the sampler's
+# `ball` keyword changed no seeded draw
+_REFERENCE_PATHS = {
+    0: [
+        0.1257302210933933, 0.12302504888988508, 0.12183459192722436, 0.1212671945963617,
+        0.11953237645020008, 0.11829902612864933, 0.12028680235536625, 0.125255647520607,
+        0.1291898666213739, 0.12978086938797104, 0.1281591138676442, 0.1262483769490134,
+        0.11901705474774855, 0.10985018630540155, 0.09768374030396104, 0.08306594439571398,
+        0.0667455542418448, 0.049362559058811206, 0.03273116935845351, 0.01875048560473272,
+        0.005116556677213689, -0.005454593270406302, -0.016713366510105757, -0.027573728446962438,
+        -0.03614013328262297, -0.04393373673327787, -0.053378979349680944, -0.0654016615095516,
+        -0.07904469489355131, -0.0924634321504266, -0.10806796547923345, -0.12477549881304988,
+        -0.14197801991551529, -0.15803505046608832, -0.17326528675427116, -0.18754614569590317,
+        -0.20311143401441253, -0.21937757741544997, -0.2339209471270638, -0.24454739112165058,
+        -0.2571487463218186, -0.2670447890335872, -0.27291346084473567, -0.2761564247314334,
+        -0.27830994224841465, -0.2810223433401309, -0.28057566291022035, -0.2747233760203817,
+        -0.2635207802461284, -0.24818430725504084,
+    ],
+    1: [
+        0.345584192064786, 0.3624088456643761, 0.38007659815165595, 0.39493756191262064,
+        0.41107962040443763, 0.4288057621110378, 0.4455722736746829, 0.4633441553751096,
+        0.48231234577059023, 0.5021814638589419, 0.5222971517000689, 0.5436874321490147,
+        0.5637211849661121, 0.5829266168322331, 0.6009231203134598, 0.6199995401734222,
+        0.6395362484708393, 0.6584249710582292, 0.6753356319980224, 0.6911731797443751,
+        0.7068709911032907, 0.721940112918894, 0.7398149321292908, 0.7608018396690621,
+        0.7761751012830125, 0.7855345033587511, 0.7933282090090897, 0.8000434751043461,
+        0.8069898653574044, 0.8145675806334884, 0.8271488302895735, 0.8384779775133344,
+        0.8482537564636325, 0.862493925633339, 0.8794796545901157, 0.8983884331638868,
+        0.9165238523579095, 0.9305530959404547, 0.9439520072092116, 0.9577047556935437,
+        0.9687025634823139, 0.9773732170802618, 0.9854572763888871, 0.9913246396769302,
+        0.9963839779237511, 1.0016023196750958, 1.006961314245424, 1.0111780948671618,
+        1.0164481767255102, 1.024133170971906,
+    ],
+    2: [
+        0.18905338179353307, 0.1783488209008527, 0.16662523147673935, 0.14902861894532737,
+        0.1340702118054782, 0.12285129307691334, 0.11158903507028103, 0.10190552976131496,
+        0.09334537263442957, 0.08368504205627078, 0.07593126134699005, 0.0680656907942698,
+        0.0592527046225077, 0.048415709365506765, 0.03813677187035355, 0.027910046957553225,
+        0.018876011942093096, 0.008781804334251075, -0.0013948740229389744, -0.01354505813160467,
+        -0.024310161170585487, -0.03412447391732354, -0.04306284023808393, -0.05085364940985193,
+        -0.06071562366317618, -0.06939953031956336, -0.07287184517042816, -0.07884435365061254,
+        -0.0898028314120825, -0.10528693822190555, -0.11976337910731061, -0.1334254292518316,
+        -0.1445286960462996, -0.15330647060462615, -0.16115497297849768, -0.16822063895978534,
+        -0.17550164477122254, -0.18089035215357152, -0.18834160079781737, -0.19745887462769574,
+        -0.2062774587393581, -0.21080427941649327, -0.2159789975272618, -0.22410583933830563,
+        -0.23419268964395434, -0.24239789477725693, -0.25054628266394274, -0.25579432927161505,
+        -0.26453202606966747, -0.2718285389323337,
+    ],
+    3: [
+        2.0409191213851825, 1.9885855900378602, 1.9370701019518175, 1.8844949389254395,
+        1.8305298237891205, 1.7757901372088334, 1.7162729733332092, 1.6549779895329855,
+        1.5915506876038175, 1.5352310418173942, 1.4814778820732797, 1.4270530115006632,
+        1.371764105805326, 1.3147658281906063, 1.2549298077, 1.1935451150172967,
+        1.1330278053677034, 1.0722589089737968, 1.0135452550406665, 0.9549622695018313,
+        0.8963119654728768, 0.8412309824835829, 0.7883557766225158, 0.7346547194802506,
+        0.6802219773585287, 0.6269194402195091, 0.5783993585223313, 0.5304515490438537,
+        0.48177759917490226, 0.43525825516534233, 0.3873181673428481, 0.33816115962679905,
+        0.290853681945602, 0.24542436768661302, 0.2005630398365481, 0.15729889681755882,
+        0.10794469089566694, 0.05919636915444748, 0.008870728357255109, -0.04588288846690847,
+        -0.10102891044307194, -0.1543938181474036, -0.2083497884775234, -0.2650548111188251,
+        -0.3223629454613901, -0.37977626832477585, -0.43399013490584926, -0.4856194535607412,
+        -0.5363426396444121, -0.5843903868572721,
+    ],
+    "ball": [
+        0.03419276725318417, 0.06203694466037099, 0.09288935406810736, 0.1232947634263106,
+        0.15270126241599502, 0.1807115586493716, 0.2097069317618231, 0.2389244057740582,
+        0.2698246853482985, 0.2969374907706253, 0.3265141807461805, 0.35683430239059294,
+        0.38865943585587254, 0.420589742538634, 0.4515642315083656, 0.4833700047721635,
+        0.5173569442436887, 0.5513861867390663, 0.5849393410212658, 0.6199750198666774,
+        0.6534319498561209, 0.6828705672196392, 0.712284360918618, 0.7403996441151235,
+        0.7636862622815244, 0.7839179545030417, 0.8025729343329473, 0.8181962403601302,
+        0.8296527169177581, 0.8402739182967294, 0.8529807775827777, 0.8657043879081586,
+        0.8765745804350281, 0.887871871253084, 0.9010555317825497, 0.9139912589630917,
+        0.9279945262518252, 0.9447312973580597, 0.9616347277197923, 0.9765400982496513,
+        0.991743624236515, 1.0077305332723778, 1.026396506092878, 1.0427857720388416,
+        1.0568623221609532, 1.0686040130888868, 1.0758422057298866, 1.0823027754456627,
+        1.090054846104156, 1.0964333681538199,
+    ],
+}

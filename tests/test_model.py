@@ -46,6 +46,13 @@ class TestMakeCovariateLaw:
         with pytest.raises(ValueError):
             make_covariate_law(-0.3)
 
+    @pytest.mark.parametrize("sd", [1e-160, 2.0**-512, 1e-300, 5e-324])
+    def test_residual_sd_without_finite_information_reciprocal_rejected(self, sd):
+        # 1/sigma_w^2 overflows (or sigma_w^2 underflows to 0), so the
+        # sampling variance 1/I~ of every gap would be infinite
+        with pytest.raises(ValueError, match="residual_sd"):
+            make_covariate_law(sd)
+
     def test_unstandardisable_rejected(self):
         with pytest.raises(ValueError):
             make_covariate_law(1.2)

@@ -491,10 +491,12 @@ class TestSufficientStatisticEngine:
         with pytest.raises(ValueError):
             theta_posterior(empty, spec, math.inf)
 
-    @pytest.mark.parametrize("tau2", [0.0, -1.0, math.nan])
+    # at 1e-320 and 5e-324, 1/tau^2 overflows: the system was assembled with
+    # an inf pivot and failed as a numeric error instead
+    @pytest.mark.parametrize("tau2", [0.0, -1.0, math.nan, 1e-320, 5e-324])
     def test_invalid_prior_var_rejected(self, tau2):
         _, _, spec, ds = _setup(n=30)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta_prior_var"):
             theta_posterior(ds, spec, tau2)
 
     def test_indefinite_nuisance_precision_raises(self, monkeypatch):

@@ -11,7 +11,8 @@ exact to rounding (:func:`_hellinger_sq`).  Plug-in domination is Monte Carlo.
 
 Central quantities:
 
-* the score-based centering  delta = I^{-1} n^{-1/2} sum e_i (u_i - m(v_i)),
+* the score-based centering  delta = I^{-1} n^{-1/2} sum e_i w_i, from the
+  drawn noise e and covariate residual w = u - m(v) a simulated dataset keeps,
 * the total-variation gap between the localized marginal posterior and
   its normal limit N(delta, 1/I),
 * Kullback-Leibler and Hellinger geometry of nuisance perturbations,
@@ -95,21 +96,18 @@ class LanCoefficients:
             raise ValueError("quadratic coefficient must be <= 0")
 
 
-def delta_n(
-    ds: Dataset | DatasetStack, law: CovariateLaw, truth: ModelPoint
-) -> float | np.ndarray:
-    """Score-based centering: I^{-1} n^{-1/2} sum e_i (u_i - m(v_i)).
+def delta_n(ds: Dataset | DatasetStack, law: CovariateLaw) -> float | np.ndarray:
+    """Score-based centering: I^{-1} n^{-1/2} sum e_i w_i, w = u - m(v).
 
-    Uses the stored true residuals, so the dataset must carry simulation
-    provenance.  For a DatasetStack, one value per row.
+    Reads the drawn noise e and covariate residual w that a simulated
+    dataset carries, so w keeps every digit at any sigma_w (u - m(v)
+    would cancel them away).  For a DatasetStack, one value per row.
     """
     if ds.n < 1:
         raise ValueError("need n >= 1")
     if ds.e is None:
         raise ValueError("dataset lacks stored residuals")
-    info = law.efficient_info
-    score_sum = np.sum(ds.e * (ds.u - law.cond_mean(ds.v)), axis=-1)
-    delta = score_sum / (info * math.sqrt(ds.n))
+    delta = np.sum(ds.e * ds.w, axis=-1) / (law.efficient_info * math.sqrt(ds.n))
     return float(delta) if delta.ndim == 0 else delta
 
 
@@ -273,42 +271,25 @@ def misspecified_theta_star(
     return truth.theta - law.cond_mean_amplitude * cos_integral
 
 
-def lan_remainder(
-    ds: Dataset,
-    h: float,
-    zeta: NuisanceFunction,
-    truth: ModelPoint,
-    law: CovariateLaw,
-) -> float:
+def lan_remainder(ds: Dataset, h: float, zeta: NuisanceFunction, law: CovariateLaw) -> float:
     """Gap between the idealized quadratic expansion and the exact log ratio.
 
-    Along the submodel theta -> (theta, eta*(theta) + zeta), the exact
-    log-likelihood ratio at h and its quadratic approximation
-    h n^{-1/2} sum g_zeta(x_i) - h^2 I / 2 differ by exactly
-    (h^2 / 2) ((1/n) sum (u_i - m(v_i))^2 - I); the signed value returned
-    here is that quadratic deficit (expansion minus log ratio).
-
-    The residuals are formed from the stored noise, not from y: with
-    data drawn at `truth`, y - theta0 u - (eta0 + zeta)(v) = e - zeta(v)
-    and the perturbed residual is that minus (h/sqrt(n)) (u - m(v)), so
-    no term of size theta0 u cancels and the value does not depend on
-    theta0.  The dataset must carry simulation provenance.
+    Along the submodel theta -> (theta, eta*(theta) + zeta), data drawn at
+    the truth have residual r = e - zeta(v) at h = 0 and r - s w at h,
+    with s = h / sqrt(n) and w = u - m(v).  The exact log ratio
+    sum[-(r - s w)^2/2 + r^2/2] = s (r.w) - s^2 (w.w)/2 and the quadratic
+    approximation s (r.w) - h^2 I / 2 share their score term, so the
+    signed value returned here (expansion minus log ratio) is exactly the
+    quadratic deficit (h^2 / 2) ((w.w)/n - I), for any zeta and theta0.
+    It is taken from the drawn w of the dataset's provenance, coefficient
+    by coefficient: subtracting the two sides as numbers would cancel the
+    score term, of order sigma_w, against a deficit of order sigma_w^2.
     """
-    n = ds.n
-    if n < 1:
+    if ds.n < 1:
         raise ValueError("need n >= 1")
     if ds.e is None:
         raise ValueError("dataset lacks stored residuals")
-    rootn = math.sqrt(n)
-    w = ds.u - law.cond_mean(ds.v)
-
-    r_ref = ds.e - zeta(ds.v)
-    r_pert = r_ref - (h / rootn) * w
-    log_ratio = float(np.sum(-0.5 * r_pert**2 + 0.5 * r_ref**2))
-
-    score_sum = float(np.sum(r_ref * w))
-    expansion = (h / rootn) * score_sum - 0.5 * h * h * law.efficient_info
-    return expansion - log_ratio
+    return 0.5 * h * h * (float(ds.w @ ds.w) / ds.n - law.efficient_info)
 
 
 @functools.cache
@@ -387,7 +368,6 @@ def integral_lan_coefficients(
 def estimate_un_per_zeta(
     law: CovariateLaw,
     zeta_set: list[NuisanceFunction],
-    h: float | None,
     n: int,
     mc_reps: int,
     seed: int,
@@ -398,15 +378,14 @@ def estimate_un_per_zeta(
     the zeta-translated truth, of the n-fold likelihood ratio between
     the h-perturbed and unperturbed submodel points is estimated over
     `mc_reps` independent replications (each zeta gets its own seeded
-    substream), giving arrays of shape (len(zeta_set),).  `h = None`
-    uses the per-replication plug-in least-squares direction clamped to
-    |h| <= 2.  The expectation equals 1 exactly for deterministic h.
+    substream), giving arrays of shape (len(zeta_set),).  h is each
+    replication's plug-in least-squares direction, clamped to |h| <= 2.
 
     At the translated truth the residual is the drawn noise e, so with
     w = u - m(v) = sigma_w z and s = h / sqrt(n) a replication's log ratio
     sum[-(e - s w)^2/2 + e^2/2] is s sigma_w (z.e) - s^2 sigma_w^2 (z.z)/2,
     and its plug-in direction is sqrt(n) (u.e)/(u.u): four row dots.
-    Only `law`, `h`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the
+    Only `law`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the
     estimates; the values of the truth and of the translations do not.
     """
     if _check_integer("mc_reps", mc_reps) < 1:
@@ -424,16 +403,10 @@ def estimate_un_per_zeta(
         v = rng.uniform(0.0, 1.0, size=(mc_reps, n))
         z = rng.standard_normal((mc_reps, n))
         e = rng.standard_normal((mc_reps, n))
-        if h is None:  # least-squares direction sqrt(n) (u.e)/(u.u), clamped
-            u = law.covariate_u(v, z)
-            uu = _row_dots(u, u)
-            h_rep = np.divide(
-                rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0
-            )
-            h_rep = np.clip(h_rep, -2.0, 2.0)
-        else:
-            h_rep = np.full(mc_reps, float(h))
-        shift = h_rep / rootn
+        u = law.covariate_u(v, z)
+        uu = _row_dots(u, u)
+        h = np.divide(rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0)
+        shift = np.clip(h, -2.0, 2.0) / rootn
         we, ww = law.residual_sd * _row_dots(z, e), law.residual_sd**2 * _row_dots(z, z)
         ratios = np.exp(shift * we - 0.5 * shift**2 * ww)
         estimates[j] = ratios.mean()

@@ -294,9 +294,9 @@ def _solve_batch(batch: _Batch):
 def _bvm_cell(batch: _Batch) -> list[dict]:
     """Gap rows of one chunk of cells; a row is the same whatever else
     is in its chunk."""
-    cfg, (law, truth, _), n, reps = batch
+    cfg, (law, _, _), n, reps = batch
     seeds, data, means, variances = _solve_batch(batch)
-    deltas = delta_n(data, law, truth)
+    deltas = delta_n(data, law)
     rows = []
     for rep, seed, mean, variance, delta in zip(reps, seeds, means, variances, deltas):
         mp = MarginalThetaPosterior(mean=float(mean), variance=float(variance))
@@ -401,7 +401,7 @@ def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     ds = sample_dataset(law, truth, n, seed)
     mp = theta_posterior(ds, spec, cfg.theta_prior_var)
     lo, hi = credible_interval(mp, cfg.level)
-    diag = bvm_gap(mp, delta_n(ds, law, truth), law.efficient_info, n, cfg.theta0)
+    diag = bvm_gap(mp, delta_n(ds, law), law.efficient_info, n, cfg.theta0)
     return {
         "n": n,
         "seed": seed,
@@ -459,7 +459,7 @@ def run_diagnostics_suite(
         )
 
     zeta_set = [NuisanceFunction.zero(grid.size), zeta]
-    estimates, errors = estimate_un_per_zeta(law, zeta_set, h=None, n=n, mc_reps=un_reps, seed=seed)
+    estimates, errors = estimate_un_per_zeta(law, zeta_set, n=n, mc_reps=un_reps, seed=seed)
     ones = np.ones(len(zeta_set))
     un_rows = [
         {
@@ -472,8 +472,8 @@ def run_diagnostics_suite(
     ]
 
     ds = sample_dataset(law, truth, n, seed)
-    remainder = lan_remainder(ds, 1.0, zeta, truth, law)
-    identity_value = 0.5 * (empirical_information(ds, law) - law.efficient_info)
+    remainder = lan_remainder(ds, 1.0, zeta, law)
+    identity_value = 0.5 * (float(np.mean(ds.w**2)) - law.efficient_info)
 
     # H^2 of theta0 + m_shift/sqrt(n) from theta0, from the increment itself:
     # (theta0 + increment) - theta0 rounds it away as |theta0| grows

@@ -220,19 +220,23 @@ def _store_finite(obj, names: Sequence[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """n observed triplets; e keeps the true noise when simulated."""
+    """n observed triplets; a simulated one keeps its provenance, the
+    drawn noise e and covariate residual w = u - m(v), both or neither."""
 
     u: np.ndarray
     v: np.ndarray
     y: np.ndarray
     e: np.ndarray | None = field(default=None)
+    w: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        _store_finite(self, ("u", "v", "y") + (() if self.e is None else ("e",)))
+        if (self.e is None) != (self.w is None):
+            raise ValueError("e and w must be given together")
+        _store_finite(self, ("u", "v", "y") + (() if self.e is None else ("e", "w")))
         if not (self.u.shape == self.v.shape == self.y.shape) or self.u.ndim != 1:
             raise ValueError("u, v, y must be 1-d arrays of equal length")
-        if self.e is not None and self.e.shape != self.u.shape:
-            raise ValueError("e must match the length of u, v, y")
+        if self.e is not None and not (self.e.shape == self.w.shape == self.u.shape):
+            raise ValueError("e and w must match the length of u, v, y")
         if self.v.size and (self.v.min() < 0.0 or self.v.max() > 1.0):
             raise ValueError("v entries must lie in [0, 1]")
 
@@ -243,22 +247,24 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class DatasetStack:
-    """Simulated datasets of one size n, as the rows of (r, n) arrays."""
+    """Simulated datasets of one size n, as the rows of (r, n) arrays,
+    each with its provenance e and w."""
 
     u: np.ndarray
     v: np.ndarray
     y: np.ndarray
     e: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_finite(self, ("u", "v", "y", "e"))
+        _store_finite(self, ("u", "v", "y", "e", "w"))
 
     @property
     def n(self) -> int:
         return self.u.shape[1]
 
     def __getitem__(self, row: int) -> Dataset:
-        return Dataset(u=self.u[row], v=self.v[row], y=self.y[row], e=self.e[row])
+        return Dataset(u=self.u[row], v=self.v[row], y=self.y[row], e=self.e[row], w=self.w[row])
 
 
 def sample_datasets(
@@ -268,23 +274,25 @@ def sample_datasets(
 
     Row i is fully determined by seeds[i], whatever the other seeds are:
     default_rng(seeds[i]) draws n uniforms v, then n normals z, then the
-    n noises e, and u = m(v) + sigma_w z (:meth:`CovariateLaw.covariate_u`),
-    y = theta u + eta(v) + e.  Per row only the generator runs; u and y
-    are formed once for the whole stack.  The realised noise is kept for
-    score-based diagnostics.
+    n noises e; w = sigma_w z and u = m(v) + w, bit for bit
+    :meth:`CovariateLaw.covariate_u`, and y = theta u + eta(v) + e.  Per
+    row only the generator runs; w, u and y are formed once for the whole
+    stack.  The drawn e and w are kept for score-based diagnostics: u - m(v)
+    loses w's digits to m(v) as sigma_w shrinks.
     """
     if _check_integer("n", n) < 0:
         raise ValueError("n must be >= 0")
-    v, z, e = (np.empty((len(seeds), n)) for _ in range(3))
+    v, w, e = (np.empty((len(seeds), n)) for _ in range(3))
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         rng.random(out=v[row])  # uniform(0, 1) bit for bit: 0 + 1 x = x
-        rng.standard_normal(out=z[row])
+        rng.standard_normal(out=w[row])  # z, scaled to w below
         rng.standard_normal(out=e[row])
-    u = law.covariate_u(v, z)
+    w *= law.residual_sd
+    u = law.cond_mean(v) + w
     with np.errstate(over="ignore"):  # DatasetStack rejects an overflowed y
         y = truth.theta * u + truth.eta(v) + e
-    return DatasetStack(u=u, v=v, y=y, e=e)
+    return DatasetStack(u=u, v=v, y=y, e=e, w=w)
 
 
 def sample_dataset(

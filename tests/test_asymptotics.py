@@ -144,35 +144,34 @@ class TestDeltaN:
         law = make_covariate_law(0.8)
         truth = _truth()
         v = np.array([0.1, 0.4, 0.9])
-        u = np.asarray(law.cond_mean(v)) + 0.3
+        w = np.full(3, 0.3)
+        u = np.asarray(law.cond_mean(v)) + w
         y = truth.theta * u + truth.eta(v)
-        ds = Dataset(u=u, v=v, y=y, e=np.zeros(3))
-        assert delta_n(ds, law, truth) == 0.0
+        ds = Dataset(u=u, v=v, y=y, e=np.zeros(3), w=w)
+        assert delta_n(ds, law) == 0.0
 
     def test_cancellation(self):
         # alternating residuals with equal projections cancel exactly
         law = make_covariate_law(1.0)  # m = 0, information 1
-        truth = ModelPoint(theta=0.0, eta=NuisanceFunction.zero(4))
         u = np.ones(4)
         v = np.full(4, 0.5)
         e = np.array([1.0, -1.0, 1.0, -1.0])
-        ds = Dataset(u=u, v=v, y=u * 0.0 + e, e=e)
-        assert delta_n(ds, law, truth) == 0.0
+        ds = Dataset(u=u, v=v, y=u * 0.0 + e, e=e, w=u)
+        assert delta_n(ds, law) == 0.0
 
     def test_arithmetic(self):
         law = make_covariate_law(1.0)
-        truth = ModelPoint(theta=0.0, eta=NuisanceFunction.zero(4))
         u = np.ones(2)
         v = np.full(2, 0.5)
         e = np.ones(2)
-        ds = Dataset(u=u, v=v, y=e.copy(), e=e)
-        assert delta_n(ds, law, truth) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        ds = Dataset(u=u, v=v, y=e.copy(), e=e, w=u)
+        assert delta_n(ds, law) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_missing_provenance_rejected(self):
         law = make_covariate_law(0.8)
         ds = Dataset(u=np.ones(3), v=np.full(3, 0.2), y=np.ones(3))
         with pytest.raises(ValueError):
-            delta_n(ds, law, _truth())
+            delta_n(ds, law)
 
 
 class TestTvNormals:
@@ -638,7 +637,7 @@ class TestLanRemainder:
         truth = _truth()
         ds = sample_dataset(law, truth, 60, 3)
         zeta = NuisanceFunction(0.2 * np.cos(2 * math.pi * uniform_grid(41)))
-        assert lan_remainder(ds, 0.0, zeta, truth, law) == 0.0
+        assert lan_remainder(ds, 0.0, zeta, law) == 0.0
 
     @pytest.mark.parametrize("h", [-1.5, 0.7, 2.0])
     @pytest.mark.parametrize("n", [50, 400])
@@ -648,7 +647,7 @@ class TestLanRemainder:
         truth = _truth()
         ds = sample_dataset(law, truth, n, seed=1000 + n)
         zeta = NuisanceFunction(0.3 * np.sin(4 * math.pi * uniform_grid(41)))
-        rem = lan_remainder(ds, h, zeta, truth, law)
+        rem = lan_remainder(ds, h, zeta, law)
         identity = 0.5 * h * h * (empirical_information(ds, law) - law.efficient_info)
         assert rem == pytest.approx(identity, abs=1e-10)
 
@@ -658,19 +657,18 @@ class TestLanRemainder:
         ds = sample_dataset(law, truth, 30, 4)
         bare = Dataset(u=ds.u, v=ds.v, y=ds.y)
         with pytest.raises(ValueError, match="stored residuals"):
-            lan_remainder(bare, 1.0, NuisanceFunction.zero(41), truth, law)
+            lan_remainder(bare, 1.0, NuisanceFunction.zero(41), law)
 
     @pytest.mark.parametrize("theta0", [1.0, 1e10, 1e14, 1e200])
     def test_identity_holds_at_any_theta0(self, theta0):
-        # the residuals come from the drawn noise, so no theta0 u term cancels
+        # the deficit is read off the drawn w, so no theta0 u term cancels
         law = make_covariate_law(0.8)
         truth = _truth(theta=theta0)
         ds = sample_dataset(law, truth, 50, 7)
         zeta = NuisanceFunction(0.1 * np.cos(2 * math.pi * uniform_grid(41)))
-        rem = lan_remainder(ds, 1.0, zeta, truth, law)
+        rem = lan_remainder(ds, 1.0, zeta, law)
         identity = 0.5 * (empirical_information(ds, law) - law.efficient_info)
         assert abs(rem - identity) < 1e-10
-        assert rem == lan_remainder(ds, 1.0, zeta, _truth(), law)
 
     def test_median_magnitude_shrinks_with_n(self):
         law = make_covariate_law(0.8)
@@ -679,7 +677,7 @@ class TestLanRemainder:
         medians = []
         for n in (100, 400, 1600):
             values = [
-                abs(lan_remainder(sample_dataset(law, truth, n, 5000 + r), 1.0, zeta, truth, law))
+                abs(lan_remainder(sample_dataset(law, truth, n, 5000 + r), 1.0, zeta, law))
                 for r in range(50)
             ]
             medians.append(float(np.median(values)))
@@ -932,27 +930,19 @@ class TestEstimateUn:
             NuisanceFunction(0.1 * np.cos(2 * math.pi * grid)),
         ]
 
-    def test_unit_expectation_for_fixed_h(self):
-        law = make_covariate_law(0.8)
-        estimates, errors = estimate_un_per_zeta(
-            law, self._zetas(), h=1.0, n=50, mc_reps=6000, seed=83
-        )
-        for est, se in zip(estimates, errors):
-            assert abs(est - 1.0) < 4 * se
-
     def test_singleton_probe_reduces_to_single_expectation(self):
         law = make_covariate_law(0.8)
         # each translation draws from its own substream, so a probe's
         # estimate does not depend on the probes listed after it
         zetas = self._zetas()
-        single, _ = estimate_un_per_zeta(law, zetas[:1], h=1.0, n=30, mc_reps=2000, seed=89)
-        estimates, _ = estimate_un_per_zeta(law, zetas, h=1.0, n=30, mc_reps=2000, seed=89)
+        single, _ = estimate_un_per_zeta(law, zetas[:1], n=30, mc_reps=2000, seed=89)
+        estimates, _ = estimate_un_per_zeta(law, zetas, n=30, mc_reps=2000, seed=89)
         assert single[0] == estimates[0]
 
     def test_plugin_direction_finite_with_errors(self):
         law = make_covariate_law(0.8)
         estimates, errors = estimate_un_per_zeta(
-            law, self._zetas(), h=None, n=50, mc_reps=4000, seed=97
+            law, self._zetas(), n=50, mc_reps=4000, seed=97
         )
         assert np.all(np.isfinite(estimates))
         assert np.all(np.isfinite(errors))
@@ -967,7 +957,7 @@ class TestEstimateUn:
         reps, seed = 300, 103
         zetas = self._zetas()
         for n in (3, 40, 800, 1000):
-            estimates, _ = estimate_un_per_zeta(law, zetas, None, n, reps, seed)
+            estimates, _ = estimate_un_per_zeta(law, zetas, n, reps, seed)
             for j in range(len(zetas)):
                 rng = np.random.default_rng([seed, j])
                 v = rng.uniform(0.0, 1.0, reps * n)
@@ -987,16 +977,16 @@ class TestEstimateUn:
     @pytest.mark.parametrize("sigma_w", [0.3, 0.8, 1.0])
     @pytest.mark.parametrize("grid_size", [2, 21, 200])
     @pytest.mark.parametrize("n", [1, 40, 800])
-    @pytest.mark.parametrize("h", [None, 1.0, -2.0])
-    def test_matches_rebuilt_residual_reference(self, sigma_w, grid_size, n, h):
+    @pytest.mark.parametrize("theta0", [-1.5, 0.0, 2.5])
+    def test_matches_rebuilt_residual_reference(self, sigma_w, grid_size, n, theta0):
         # reference: y rebuilt at the translated truth and the residual
         # subtracted back out of it, summed term by term
         law = make_covariate_law(sigma_w)
-        truth = _truth(grid_size=grid_size, theta=-1.5, amplitude=3.0)
+        truth = _truth(grid_size=grid_size, theta=theta0, amplitude=3.0)
         grid = uniform_grid(grid_size)
         zetas = [NuisanceFunction.zero(grid_size), NuisanceFunction(2.0 * np.cos(2 * math.pi * grid))]
         reps, seed = 50, 109
-        estimates, errors = estimate_un_per_zeta(law, zetas, h, n, reps, seed)
+        estimates, errors = estimate_un_per_zeta(law, zetas, n, reps, seed)
         rootn = math.sqrt(n)
         for j, zeta in enumerate(zetas):
             rng = np.random.default_rng([seed, j])
@@ -1006,18 +996,14 @@ class TestEstimateUn:
             y = truth.theta * u + truth.eta(v) + zeta(v) + e
             r = y - truth.theta * u - truth.eta(v) - zeta(v)
             w = u - law.cond_mean(v)
-            if h is None:
-                h_rep = np.clip(rootn * np.sum(u * r, axis=1) / np.sum(u * u, axis=1), -2.0, 2.0)
-            else:
-                h_rep = np.full(reps, h)
+            h_rep = np.clip(rootn * np.sum(u * r, axis=1) / np.sum(u * u, axis=1), -2.0, 2.0)
             shift = h_rep[:, None] / rootn
             ratios = np.exp(np.sum(-0.5 * (r - shift * w) ** 2 + 0.5 * r**2, axis=1))
             assert estimates[j] == pytest.approx(ratios.mean(), rel=1e-12, abs=0.0)
             se = ratios.std(ddof=1) / math.sqrt(reps)
             assert errors[j] == pytest.approx(se, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("h", [None, 1.0])
-    def test_reads_only_the_drawn_noise(self, h, monkeypatch):
+    def test_reads_only_the_drawn_noise(self, monkeypatch):
         # the residual at the translated truth is the noise, so the
         # translations' values do not enter and no nuisance is evaluated
         def no_evaluation(self, v):
@@ -1026,8 +1012,8 @@ class TestEstimateUn:
         monkeypatch.setattr(NuisanceFunction, "__call__", no_evaluation)
         law = make_covariate_law(0.8)
         other_zetas = [NuisanceFunction(np.full(7, 1.5)), NuisanceFunction(np.linspace(-2, 2, 7))]
-        a = estimate_un_per_zeta(law, self._zetas(), h, 40, 300, seed=107)
-        b = estimate_un_per_zeta(law, other_zetas, h, 40, 300, seed=107)
+        a = estimate_un_per_zeta(law, self._zetas(), 40, 300, seed=107)
+        b = estimate_un_per_zeta(law, other_zetas, 40, 300, seed=107)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
@@ -1044,18 +1030,18 @@ class TestEstimateUn:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CovariateLaw, "cond_mean", counting)
-            estimates, errors = estimate_un_per_zeta(law, zetas, None, 40, 300, 113)
+            estimates, errors = estimate_un_per_zeta(law, zetas, 40, 300, 113)
         assert calls == [40 * 300] * len(zetas)
         assert estimates.shape == errors.shape == (len(zetas),)
 
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)
-        a = estimate_un_per_zeta(law, self._zetas(), 1.0, 20, 500, seed=101)
-        b = estimate_un_per_zeta(law, self._zetas(), 1.0, 20, 500, seed=101)
+        a = estimate_un_per_zeta(law, self._zetas(), 20, 500, seed=101)
+        b = estimate_un_per_zeta(law, self._zetas(), 20, 500, seed=101)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_empty_probe_set_rejected(self):
         law = make_covariate_law(0.8)
         with pytest.raises(ValueError):
-            estimate_un_per_zeta(law, [], 1.0, 10, 100, seed=1)
+            estimate_un_per_zeta(law, [], 10, 100, seed=1)

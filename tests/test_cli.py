@@ -711,13 +711,52 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("theta0", ["1", "1e10", "1e14", "1e200"])
     def test_diagnostics_lan_identity_at_any_theta0(self, theta0, tmp_path):
-        # the remainder's residuals come from the drawn noise, not from y
+        # the remainder is read off the drawn w, not from y
         config = tmp_path / "theta0.txt"
         config.write_text(f"theta0 = {theta0}\n")
         out = tmp_path / "diag.json"
         code = cli.main(["diagnostics", "--config", str(config), "--n", "50", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["lan_remainder"]["identity_residual"] < 1e-10
+
+    def test_scan_centering_reads_the_drawn_w_at_tiny_sigma_w(self, tmp_path):
+        # u = m(v) + sigma_w z rounds to m(v) here, so u - m(v) would read 0;
+        # reference: sum e sigma_w z / (sigma_w^2 sqrt(n)) from each cell's stream
+        sigma_w = 1e-100
+        config = tmp_path / "tiny.txt"
+        config.write_text(f"sigma_w = {sigma_w}\nn_ladder = 50, 200\nseeds = 4\n")
+        out = tmp_path / "scan.json"
+        assert cli.main(["bvm-scan", "--config", str(config), "--seed", "10070179", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 8
+        for row in rows:
+            n = row["n"]
+            assert row["seed"] == cell_seed(10070179, n, row["rep"])
+            rng = np.random.default_rng(row["seed"])
+            rng.uniform(0.0, 1.0, n)
+            z = rng.standard_normal(n)
+            e = rng.standard_normal(n)
+            reference = float(np.sum(e * (sigma_w * z))) / (sigma_w**2 * math.sqrt(n))
+            assert abs(reference) > 1e98
+            assert row["delta_n"] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_diagnostics_remainder_reads_the_drawn_w_at_tiny_sigma_w(self, tmp_path):
+        # the deficit (mean W^2 - sigma_w^2)/2 is of order sigma_w^2 = 1e-200,
+        # far below the rounding of u or of the score term
+        sigma_w = 1e-100
+        config = tmp_path / "tiny.txt"
+        config.write_text(f"sigma_w = {sigma_w}\n")
+        out = tmp_path / "diag.json"
+        argv = ["diagnostics", "--config", str(config), "--n", "200", "--seed", "10070179", "--out", str(out)]
+        assert cli.main(argv) == 0
+        lan = json.loads(out.read_text())["lan_remainder"]
+        rng = np.random.default_rng(cell_seed(10070179, 200, 0))
+        rng.uniform(0.0, 1.0, 200)
+        w = sigma_w * rng.standard_normal(200)
+        reference = 0.5 * (float(np.mean(w**2)) - sigma_w**2)
+        assert abs(reference) > 1e-203
+        assert lan["remainder"] == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert lan["identity_residual"] <= 1e-12 * abs(lan["identity_value"])
 
     def test_diagnostics_hellinger_at_any_theta0(self, tmp_path):
         # the theta shift 2/sqrt(n) is not rounded away as |theta0| grows

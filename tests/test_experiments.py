@@ -310,7 +310,7 @@ class TestBatchedCells:
             ds = sample_dataset(law, truth, n, seed)
             mp = theta_posterior(ds, spec, theta_prior_var)
             lo, hi = credible_interval(mp, cfg.level)
-            diag = bvm_gap(mp, delta_n(ds, law, truth), law.efficient_info, n, cfg.theta0)
+            diag = bvm_gap(mp, delta_n(ds, law), law.efficient_info, n, cfg.theta0)
             expected = {"rep": rep, "seed": seed, **vars(diag)}
             assert scan[rep].keys() == expected.keys()
             for key, value in expected.items():
@@ -467,23 +467,23 @@ class TestSnapshotsAndSuite:
 
 
     def test_diagnostics_suite_draws_each_domination_sample_once(self, monkeypatch):
-        # only the plug-in direction is drawn, once per translation; the h=1
-        # row is the identity E[ratio] = 1, with standard error 0
+        # the domination sample is drawn once, for the plug-in direction; the
+        # h=1 row is the identity E[ratio] = 1, with standard error 0
         law, _, _ = make_components(SMALL)
         calls = []
         real = experiments.estimate_un_per_zeta
 
         def spy(*args, **kwargs):
-            calls.append(kwargs["h"])
+            calls.append(args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "estimate_un_per_zeta", spy)
         report = run_diagnostics_suite(SMALL, n=40, seed=3, mc_draws=5000, un_reps=400)
-        assert calls == [None]
+        assert len(calls) == 1
         fixed, plugin = report["domination"]
         assert fixed == {"h": "h=1", "estimates": [1.0, 1.0], "standard_errors": [0.0, 0.0], "max": 1.0}
         zetas = [NuisanceFunction.zero(SMALL.grid_size)] * 2  # only their number enters
-        estimates, errors = real(law, zetas, None, 40, 400, 3)
+        estimates, errors = real(law, zetas, 40, 400, 3)
         assert plugin["h"] == "plugin"
         assert plugin["estimates"] == estimates.tolist()
         assert plugin["standard_errors"] == errors.tolist()
@@ -506,8 +506,8 @@ class TestSnapshotsAndSuite:
             (lambda: run_diagnostics_suite(SMALL, 50, 1, mc_draws=2.5), "mc_draws"),
             (lambda: run_diagnostics_suite(SMALL, 50.5, 1), "n"),
             (lambda: run_posterior_snapshot(SMALL, 40.5, 3), "n"),
-            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], None, 40, 2.5, 3), "mc_reps"),
-            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], None, 40.5, 10, 3), "n"),
+            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], 40, 2.5, 3), "mc_reps"),
+            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], 40.5, 10, 3), "n"),
         ],
         ids=["suite-un_reps", "suite-mc_draws", "suite-n", "snapshot-n", "un-mc_reps", "un-n"],
     )

@@ -108,6 +108,7 @@ class TestSampleDataset:
         ds = sample_dataset(law, _truth(), 0, 1)
         assert ds.n == 0
         assert ds.e is not None and ds.e.size == 0
+        assert ds.w is not None and ds.w.size == 0
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +124,7 @@ class TestSampleDataset:
         law = make_covariate_law(0.8)
         a = sample_dataset(law, _truth(), 500, 42)
         b = sample_dataset(law, _truth(), 500, 42)
-        for name in ("u", "v", "y", "e"):
+        for name in ("u", "v", "y", "e", "w"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_sensitivity(self):
@@ -151,26 +152,39 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             Dataset(u=np.ones(2), v=np.array([0.5, 1.5]), y=np.ones(2))
 
-    @pytest.mark.parametrize("name", ["u", "v", "y", "e"])
+    @pytest.mark.parametrize("name", ["u", "v", "y", "e", "w"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entries_rejected(self, name, bad):
-        fields = {key: np.full(3, 0.5) for key in ("u", "v", "y", "e")}
+        fields = {key: np.full(3, 0.5) for key in ("u", "v", "y", "e", "w")}
         fields[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             Dataset(**fields)
 
-    @pytest.mark.parametrize("name", ["u", "v", "y", "e"])
+    @pytest.mark.parametrize("name", ["u", "v", "y", "e", "w"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_stack_nonfinite_entries_rejected(self, name, bad):
-        fields = {key: np.full((2, 3), 0.5) for key in ("u", "v", "y", "e")}
+        fields = {key: np.full((2, 3), 0.5) for key in ("u", "v", "y", "e", "w")}
         fields[name][1, 2] = bad
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             DatasetStack(**fields)
 
+    @pytest.mark.parametrize("given", ["e", "w"])
+    def test_provenance_comes_in_pairs(self, given):
+        fields = {key: np.full(3, 0.5) for key in ("u", "v", "y", given)}
+        with pytest.raises(ValueError, match="e and w must be given together"):
+            Dataset(**fields)
+
+    @pytest.mark.parametrize("name", ["e", "w"])
+    def test_provenance_length_checked(self, name):
+        fields = {key: np.full(3, 0.5) for key in ("u", "v", "y", "e", "w")}
+        fields[name] = np.full(4, 0.5)
+        with pytest.raises(ValueError, match="e and w must match the length"):
+            Dataset(**fields)
+
     @pytest.mark.parametrize("n", [0, 1, 7, 800])
     def test_rows_follow_the_seed_contract(self, n):
         # reference: default_rng(seed) draws uniform(0, 1, n), then n normals
-        # z and n noises e; u = m(v) + sigma_w z and y = theta u + eta(v) + e
+        # z and n noises e; w = sigma_w z, u = m(v) + w and y = theta u + eta(v) + e
         law, truth = make_covariate_law(0.6), _truth(grid_size=23, theta=-1.3)
         seeds = [0, 1, 2**64 - 1]
         data = sample_datasets(law, truth, n, seeds)
@@ -179,11 +193,12 @@ class TestSampleDataset:
             v = rng.uniform(0.0, 1.0, n)
             z = rng.standard_normal(n)
             e = rng.standard_normal(n)
-            u = law.cond_mean(v) + law.residual_sd * z
+            u = law.covariate_u(v, z)
             y = truth.theta * u + truth.eta(v) + e
             alone = sample_dataset(law, truth, n, seed)
-            for name, reference in (("u", u), ("v", v), ("y", y), ("e", e)):
+            for name, reference in (("u", u), ("v", v), ("y", y), ("e", e), ("w", law.residual_sd * z)):
                 assert np.array_equal(getattr(data, name)[row], reference), name
+                assert np.array_equal(getattr(data[row], name), reference), name
                 assert np.array_equal(getattr(alone, name), reference), name
 
     def test_covariates_follow_the_same_formula(self):

@@ -140,8 +140,8 @@ def test_array_holding_records_compare_and_hash_by_identity():
     records = [
         (truth.eta, NuisanceFunction(truth.eta.values)),
         (truth, ModelPoint(theta=truth.theta, eta=truth.eta)),
-        (ds, Dataset(u=ds.u, v=ds.v, y=ds.y, e=ds.e)),
-        (stack, DatasetStack(u=stack.u, v=stack.v, y=stack.y, e=stack.e)),
+        (ds, Dataset(u=ds.u, v=ds.v, y=ds.y, e=ds.e, w=ds.w)),
+        (stack, DatasetStack(u=stack.u, v=stack.v, y=stack.y, e=stack.e, w=stack.w)),
         (prior_covariance(spec), PriorCovariance(prior_covariance(spec).matrix)),
         (jp, JointGaussianPosterior(mean=jp.mean, root=jp.root)),
         (

@@ -34,12 +34,13 @@ import numpy as np
 
 from .gp_prior import GpPriorSpec
 from .model import (
+    _BATCH_BUDGET,
     CovariateLaw,
     Dataset,
-    DatasetStack,
     ModelPoint,
     NuisanceFunction,
     _check_integer,
+    _draws,
     interpolate,
     uniform_grid,
 )
@@ -96,12 +97,12 @@ class LanCoefficients:
             raise ValueError("quadratic coefficient must be <= 0")
 
 
-def delta_n(ds: Dataset | DatasetStack, law: CovariateLaw) -> float | np.ndarray:
+def delta_n(ds: Dataset, law: CovariateLaw) -> float | np.ndarray:
     """Score-based centering: I^{-1} n^{-1/2} sum e_i w_i, w = u - m(v).
 
     Reads the drawn noise e and covariate residual w that a simulated
     dataset carries, so w keeps every digit at any sigma_w (u - m(v)
-    would cancel them away).  For a DatasetStack, one value per row.
+    would cancel them away).  For a stack of datasets, one value per row.
     """
     if ds.n < 1:
         raise ValueError("need n >= 1")
@@ -383,10 +384,15 @@ def estimate_un_per_zeta(
 
     At the translated truth the residual is the drawn noise e, so with
     w = u - m(v) = sigma_w z and s = h / sqrt(n) a replication's log ratio
-    sum[-(e - s w)^2/2 + e^2/2] is s sigma_w (z.e) - s^2 sigma_w^2 (z.z)/2,
-    and its plug-in direction is sqrt(n) (u.e)/(u.u): four row dots.
-    Only `law`, `n`, `mc_reps`, `seed` and len(zeta_set) enter the
-    estimates; the values of the truth and of the translations do not.
+    sum[-(e - s w)^2/2 + e^2/2] is s (w.e) - s^2 (w.w)/2, and its plug-in
+    direction is sqrt(n) (u.e)/(u.u): four row dots.  Translation j draws
+    its replications one after another from default_rng([seed, j]), each
+    in the order of :func:`semibvm.model.sample_datasets` (v, z, e), in
+    chunks of max(1, budget // 2n) rows (see ``_BATCH_BUDGET``) of which
+    only each replication's ratio is kept; the estimates do not depend on
+    the chunk size.  Only `law`, `n`, `mc_reps`, `seed` and len(zeta_set)
+    enter the estimates; the values of the truth and of the translations
+    do not.
     """
     if _check_integer("mc_reps", mc_reps) < 1:
         raise ValueError("mc_reps must be >= 1")
@@ -395,20 +401,19 @@ def estimate_un_per_zeta(
     if not zeta_set:
         raise ValueError("zeta_set must be nonempty")
     rootn = math.sqrt(n)
+    size = max(1, _BATCH_BUDGET // (2 * n))
     estimates = np.empty(len(zeta_set))
     errors = np.empty(len(zeta_set))
+    ratios = np.empty(mc_reps)
     for j in range(len(zeta_set)):
-        # the covariate law's draws (v, then z), then the noise e
         rng = np.random.default_rng([seed, j])
-        v = rng.uniform(0.0, 1.0, size=(mc_reps, n))
-        z = rng.standard_normal((mc_reps, n))
-        e = rng.standard_normal((mc_reps, n))
-        u = law.covariate_u(v, z)
-        uu = _row_dots(u, u)
-        h = np.divide(rootn * _row_dots(u, e), uu, out=np.zeros(mc_reps), where=uu != 0.0)
-        shift = np.clip(h, -2.0, 2.0) / rootn
-        we, ww = law.residual_sd * _row_dots(z, e), law.residual_sd**2 * _row_dots(z, z)
-        ratios = np.exp(shift * we - 0.5 * shift**2 * ww)
+        for start in range(0, mc_reps, size):
+            part = ratios[start : start + size]
+            u, _, w, e = _draws(law, [rng] * part.size, n)
+            uu = _row_dots(u, u)
+            h = np.divide(rootn * _row_dots(u, e), uu, out=np.zeros(part.size), where=uu != 0.0)
+            shift = np.clip(h, -2.0, 2.0) / rootn
+            part[:] = np.exp(shift * _row_dots(w, e) - 0.5 * shift**2 * _row_dots(w, w))
         estimates[j] = ratios.mean()
         errors[j] = ratios.std(ddof=1) / math.sqrt(mc_reps) if mc_reps > 1 else np.inf
     return estimates, errors

@@ -15,11 +15,12 @@ stacked Cholesky calls, in sub-stacks (see
 :func:`semibvm.posterior.theta_posteriors`).  Only the generator runs
 per cell: :func:`semibvm.model.sample_datasets` forms u and y once for
 the whole chunk.  Each stage's stack is sized by its own working set
-against one fixed budget (see ``_BATCH_BUDGET``): a chunk takes as many
-replications as fit the budget at two doubles per entry of its widest
-row, n data points or m grid statistics, a sub-stack as many (r+2)^2
-systems as fit it.  A row does not depend on which other cells share
-its chunk or sub-stack, so the reports are the same for any budget.
+against one fixed budget (see ``semibvm.model._BATCH_BUDGET``): a
+chunk takes as many replications as fit the budget at two doubles per
+entry of its widest row, n data points or m grid statistics, a
+sub-stack as many (r+2)^2 systems as fit it.  A row does not depend on
+which other cells share its chunk or sub-stack, so the reports are the
+same for any budget.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from .asymptotics import (
 )
 from .gp_prior import GpPriorSpec, NumericsError, PriorCovariance
 from .model import (
+    _BATCH_BUDGET,
     CovariateLaw,
     Dataset,
     ModelPoint,
     NuisanceFunction,
     _check_integer,
-    empirical_information,
     make_covariate_law,
     sample_dataset,
     sample_datasets,
@@ -235,36 +236,6 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 _Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
 _Batch = tuple[ExperimentConfig, _Components, int, range]
 
-# Working-set budget of one stage's stack, in doubles.  Each stage is
-# sized by its own working set against it: a data chunk at sample size n
-# on a grid of m nodes takes max(1, budget // 2 max(n, m)) replications
-# (14 chunks for the 300 default coverage cells, where m <= n), and
-# theta_posteriors assembles and factorises its (r+2)^2 systems in
-# sub-stacks of max(1, budget // (r+2)^2) (6 on the default grid).  The
-# O(n) stages (generator, u and y, the bincounts) thus pay their
-# per-call overhead once per chunk, not once per 4-5 replications as
-# when one divisor, n + (m+2)^2, sized every stage.
-#
-# Why these divisors: the allocator.  A chunk's (rows, n) samples and
-# its (rows, m) statistics (diag, off, W'u, W'y and their bincounts) stay
-# at half the budget, 64 KiB, and a sub-stack's (rows, m, m) and (rows,
-# r+2, r+2) arrays at most at the budget, so all stay under glibc's
-# 128 KiB mmap threshold and freed memory is reused.  Above it every
-# stack is handed fresh pages, returned to the kernel on free and
-# faulted in again.  Per cold `coverage --replications 100` launch on a
-# 2-vCPU VM (getrusage around cli.main, 6 launches each): one divisor
-# took 158-161 minor faults and 37.7-37.8 MiB peak RSS, these two take
-# 592-594 faults and 38.1-38.2 MiB, 0-4 ms system time either way.  Of
-# the added faults about 300 are heap trims (with MALLOC_TRIM_THRESHOLD_
-# raised: 194 and 301), since freeing several 64 KiB arrays at once
-# leaves more than 128 KiB free at the top of the heap.  A data divisor
-# of n, with arrays right at 128 KiB, faulted about 2390 times per
-# launch.  A budget of 2^15 under the single divisor took 3762-3808
-# faults and was no faster end to end than 2^14, and one batch per n
-# raised the peak RSS of a coverage run by 8 MiB.  A change of the
-# budget or a divisor should measure page faults as well as wall time.
-_BATCH_BUDGET = 2**14
-
 
 def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
     """The (cfg, components, n, reps) chunks that cover every cell, in
@@ -282,9 +253,7 @@ def _solve_batch(batch: _Batch):
     seeds = _cell_seeds(cfg.master_seed, n, reps)
     data = sample_datasets(law, truth, n, seeds)
     try:
-        means, variances = theta_posteriors(
-            data.u, data.v, data.y, spec, cfg.theta_prior_var, _BATCH_BUDGET
-        )
+        means, variances = theta_posteriors(data, spec, cfg.theta_prior_var, _BATCH_BUDGET)
     except StackNumericsError as exc:
         rep, seed = reps[exc.index], seeds[exc.index]
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
@@ -394,7 +363,9 @@ def run_parametric_baseline(
 
 
 def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    """One simulated dataset, its exact posterior and gap diagnostics."""
+    """One simulated dataset, its exact posterior and gap diagnostics.
+    The empirical information is the mean of the drawn w^2, which u - m(v)
+    would cancel away as sigma_w shrinks."""
     if _check_integer("n", n) < 1:
         raise ValueError("need n >= 1")
     law, truth, spec = make_components(cfg)
@@ -410,7 +381,7 @@ def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
         "level": cfg.level,
         "interval_lo": lo,
         "interval_hi": hi,
-        "empirical_information": empirical_information(ds, law),
+        "empirical_information": float(np.mean(ds.w**2)),
         **asdict(diag),
     }
 

@@ -30,7 +30,6 @@ __all__ = [
     "NuisanceFunction",
     "ModelPoint",
     "Dataset",
-    "DatasetStack",
     "make_covariate_law",
     "sample_dataset",
     "sample_datasets",
@@ -121,17 +120,6 @@ class CovariateLaw:
         """m(v) = E[U | V = v]."""
         return self.cond_mean_amplitude * np.cos(2.0 * np.pi * np.asarray(v))
 
-    def covariate_u(self, v: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """u = m(v) + sigma_w z, the covariate U of the uniform draws v and
-        the standard normals z."""
-        return self.cond_mean(v) + self.residual_sd * z
-
-    def sample_covariates(self, n: int, rng: np.random.Generator):
-        """Draw n i.i.d. pairs (u, v): v ~ Uniform[0, 1] first, then the
-        n normals z of :meth:`covariate_u`."""
-        v = rng.uniform(0.0, 1.0, size=n)
-        return self.covariate_u(v, rng.standard_normal(n)), v
-
     @property
     def efficient_info(self) -> float:
         """E[(U - m(V))^2] = sigma_w^2."""
@@ -220,8 +208,12 @@ def _store_finite(obj, names: Sequence[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """n observed triplets; a simulated one keeps its provenance, the
-    drawn noise e and covariate residual w = u - m(v), both or neither."""
+    """Observed triplets (u, v, y) as arrays of one shape (..., n): one
+    dataset of size n, or a (rows, n) stack of them, one per row.  A
+    simulated one keeps its provenance, the drawn noise e and covariate
+    residual w = u - m(v), both or neither, of that same shape.  ds[key]
+    indexes every array alike: ds[row] is one dataset of a stack and
+    ds[None] is a stack of one."""
 
     u: np.ndarray
     v: np.ndarray
@@ -232,67 +224,91 @@ class Dataset:
     def __post_init__(self) -> None:
         if (self.e is None) != (self.w is None):
             raise ValueError("e and w must be given together")
-        _store_finite(self, ("u", "v", "y") + (() if self.e is None else ("e", "w")))
-        if not (self.u.shape == self.v.shape == self.y.shape) or self.u.ndim != 1:
-            raise ValueError("u, v, y must be 1-d arrays of equal length")
+        _store_finite(self, self._fields())
+        if not (self.u.shape == self.v.shape == self.y.shape) or self.u.ndim < 1:
+            raise ValueError("u, v, y must be arrays of one shape (..., n)")
         if self.e is not None and not (self.e.shape == self.w.shape == self.u.shape):
-            raise ValueError("e and w must match the length of u, v, y")
+            raise ValueError("e and w must match the shape of u, v, y")
         if self.v.size and (self.v.min() < 0.0 or self.v.max() > 1.0):
             raise ValueError("v entries must lie in [0, 1]")
 
-    @property
-    def n(self) -> int:
-        return self.u.size
-
-
-@dataclass(frozen=True, eq=False)
-class DatasetStack:
-    """Simulated datasets of one size n, as the rows of (r, n) arrays,
-    each with its provenance e and w."""
-
-    u: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-    e: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        _store_finite(self, ("u", "v", "y", "e", "w"))
+    def _fields(self) -> tuple[str, ...]:
+        return ("u", "v", "y") + (() if self.e is None else ("e", "w"))
 
     @property
     def n(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
-    def __getitem__(self, row: int) -> Dataset:
-        return Dataset(u=self.u[row], v=self.v[row], y=self.y[row], e=self.e[row], w=self.w[row])
+    def __getitem__(self, key) -> "Dataset":
+        return Dataset(**{name: getattr(self, name)[key] for name in self._fields()})
 
 
-def sample_datasets(
-    law: CovariateLaw, truth: ModelPoint, n: int, seeds: Sequence[int]
-) -> DatasetStack:
-    """Simulate one dataset of n i.i.d. triplets per seed, stacked as rows.
+# Working-set budget of one stage's stack, in doubles.  Each stage is
+# sized by its own working set against it: a data chunk at sample size n
+# on a grid of m nodes takes max(1, budget // 2 max(n, m)) replications
+# (14 chunks for the 300 default coverage cells, where m <= n), the
+# domination estimate of semibvm.asymptotics draws max(1, budget // 2n)
+# replications at a time, and theta_posteriors assembles and factorises
+# its (r+2)^2 systems in sub-stacks of max(1, budget // (r+2)^2) (6 on
+# the default grid).  The O(n) stages (generator, u and y, the
+# bincounts) thus pay their per-call overhead once per chunk, not once
+# per 4-5 replications as when one divisor, n + (m+2)^2, sized every
+# stage.
+#
+# Why these divisors: the allocator.  A chunk's (rows, n) samples and
+# its (rows, m) statistics (diag, off, W'u, W'y and their bincounts) stay
+# at half the budget, 64 KiB, and a sub-stack's (rows, m, m) and (rows,
+# r+2, r+2) arrays at most at the budget, so all stay under glibc's
+# 128 KiB mmap threshold and freed memory is reused.  Above it every
+# stack is handed fresh pages, returned to the kernel on free and
+# faulted in again.  Per cold `coverage --replications 100` launch on a
+# 2-vCPU VM (getrusage around cli.main, 6 launches each): one divisor
+# took 158-161 minor faults and 37.7-37.8 MiB peak RSS, these two take
+# 592-594 faults and 38.1-38.2 MiB, 0-4 ms system time either way.  Of
+# the added faults about 300 are heap trims (with MALLOC_TRIM_THRESHOLD_
+# raised: 194 and 301), since freeing several 64 KiB arrays at once
+# leaves more than 128 KiB free at the top of the heap.  A data divisor
+# of n, with arrays right at 128 KiB, faulted about 2390 times per
+# launch.  A budget of 2^15 under the single divisor took 3762-3808
+# faults and was no faster end to end than 2^14, and one batch per n
+# raised the peak RSS of a coverage run by 8 MiB.  A change of the
+# budget or a divisor should measure page faults as well as wall time.
+_BATCH_BUDGET = 2**14
 
-    Row i is fully determined by seeds[i], whatever the other seeds are:
-    default_rng(seeds[i]) draws n uniforms v, then n normals z, then the
-    n noises e; w = sigma_w z and u = m(v) + w, bit for bit
-    :meth:`CovariateLaw.covariate_u`, and y = theta u + eta(v) + e.  Per
-    row only the generator runs; w, u and y are formed once for the whole
-    stack.  The drawn e and w are kept for score-based diagnostics: u - m(v)
-    loses w's digits to m(v) as sigma_w shrinks.
-    """
-    if _check_integer("n", n) < 0:
-        raise ValueError("n must be >= 0")
-    v, w, e = (np.empty((len(seeds), n)) for _ in range(3))
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+
+def _draws(law: CovariateLaw, generators: Sequence[np.random.Generator], n: int):
+    """(u, v, w, e), each of shape (len(generators), n), row i drawn by
+    generators[i] in the seed contract's order: n uniforms v, then n
+    normals z, then n noises e.  w = sigma_w z and u = m(v) + w are formed
+    once for the whole stack.  One generator may fill several rows, each
+    continuing its stream where the row before left it."""
+    v, w, e = (np.empty((len(generators), n)) for _ in range(3))
+    for row, rng in enumerate(generators):
         rng.random(out=v[row])  # uniform(0, 1) bit for bit: 0 + 1 x = x
         rng.standard_normal(out=w[row])  # z, scaled to w below
         rng.standard_normal(out=e[row])
     w *= law.residual_sd
-    u = law.cond_mean(v) + w
-    with np.errstate(over="ignore"):  # DatasetStack rejects an overflowed y
+    return law.cond_mean(v) + w, v, w, e
+
+
+def sample_datasets(
+    law: CovariateLaw, truth: ModelPoint, n: int, seeds: Sequence[int]
+) -> Dataset:
+    """Simulate one dataset of n i.i.d. triplets per seed, as the rows of
+    a (len(seeds), n) stack.
+
+    Row i is fully determined by seeds[i], whatever the other seeds are:
+    it is :func:`_draws` from default_rng(seeds[i]), and y = theta u +
+    eta(v) + e, formed once for the whole stack.  The drawn e and w are
+    kept for score-based diagnostics: u - m(v) loses w's digits to m(v)
+    as sigma_w shrinks.
+    """
+    if _check_integer("n", n) < 0:
+        raise ValueError("n must be >= 0")
+    u, v, w, e = _draws(law, [np.random.default_rng(seed) for seed in seeds], n)
+    with np.errstate(over="ignore"):  # Dataset rejects an overflowed y
         y = truth.theta * u + truth.eta(v) + e
-    return DatasetStack(u=u, v=v, y=y, e=e, w=w)
+    return Dataset(u=u, v=v, y=y, e=e, w=w)
 
 
 def sample_dataset(

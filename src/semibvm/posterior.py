@@ -204,16 +204,17 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _cholesky_stack names a non-finite S
-def _statistics(u: np.ndarray, v: np.ndarray, y: np.ndarray, grid_size: int):
+def _statistics(data: Dataset, grid_size: int):
     """(diag, off, W'u, W'y, u'u, u'y, y'y) of the datasets in the rows of
-    u, v, y (shape (rows, n)), one row each: W'W is tridiagonal with diagonal
+    the (rows, n) stack `data`, one row each: W'W is tridiagonal with diagonal
     `diag` and off-diagonal `off`.  Each point loads two neighbouring grid
     nodes, so the W statistics of every row come from one bincount per
     weight, node j of row i in bin i*m + j: O(rows n), no n x m array.  Each
     bin sums its row's points in order, and the dot products run row by
     row, so a row's statistics do not depend on the other rows."""
+    u, y = data.u, data.y
     rows, m = u.shape[0], grid_size
-    idx, t = interpolation_index(v, m)
+    idx, t = interpolation_index(data.v, m)
     s = 1.0 - t
     left = (idx + m * np.arange(rows)[:, None]).ravel()
     right = left + 1
@@ -282,7 +283,7 @@ def _solve(ds: Dataset, spec: GpPriorSpec, prior_precision: float):
     """(L, S, chol(S)) of one dataset: the prior factor of `spec`, the
     system of :func:`_assemble` and its factor, a stack of one."""
     factor = prior_factor(spec)
-    stats = _statistics(ds.u[None], ds.v[None], ds.y[None], factor.shape[0])
+    stats = _statistics(ds[None], factor.shape[0])
     systems = _assemble(stats, factor, prior_precision)
     return factor, systems[0], _cholesky_stack(systems)[0]
 
@@ -319,22 +320,15 @@ def theta_posterior(
     """
     if _prior_precision(theta_prior_var) == 0.0 and ds.n == 0:
         raise ValueError("flat theta prior with no data is improper")
-    (mean,), (variance,) = theta_posteriors(
-        ds.u[None], ds.v[None], ds.y[None], spec, theta_prior_var, budget=1
-    )
+    (mean,), (variance,) = theta_posteriors(ds[None], spec, theta_prior_var, budget=1)
     return MarginalThetaPosterior(mean=float(mean), variance=float(variance))
 
 
 def theta_posteriors(
-    u: np.ndarray,
-    v: np.ndarray,
-    y: np.ndarray,
-    spec: GpPriorSpec,
-    theta_prior_var: float,
-    budget: int,
+    data: Dataset, spec: GpPriorSpec, theta_prior_var: float, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta marginal means and variances of the datasets in the rows of
-    u, v, y (shape (rows, n), n >= 1).  The statistics of every row are
+    the (rows, n) stack `data`.  The statistics of every row are
     gathered at once; the systems are assembled and factorised by one
     np.linalg.cholesky call per sub-stack of max(1, budget // (r+2)^2)
     rows (`budget` in doubles).  Row i's result does not depend on the
@@ -343,9 +337,9 @@ def theta_posteriors(
     """
     factor = prior_factor(spec)
     m, r = factor.shape
-    stats = _statistics(u, v, y, m)
+    stats = _statistics(data, m)
     prior_precision = _prior_precision(theta_prior_var)
-    rows = u.shape[0]
+    rows = data.u.shape[0]
     size = max(1, budget // (r + 2) ** 2)
     means, variances = np.empty(rows), np.empty(rows)
     for start in range(0, rows, size):

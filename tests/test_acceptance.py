@@ -203,8 +203,8 @@ def test_06_lan_remainder_identity_and_trend():
 
 def test_07_least_favorable_recovery():
     law, truth, _ = make_components(DEFAULT)
-    rng = np.random.default_rng(7)
-    u, v = law.sample_covariates(150_000, rng)
+    covariates = sample_dataset(law, truth, 150_000, 7)
+    u, v = covariates.u, covariates.v
     b1 = np.asarray(law.cond_mean(v))
     b2 = np.cos(4 * math.pi * v)
     b3 = np.ones_like(v)
@@ -366,7 +366,8 @@ def test_13_misspecification_bias():
     grid = truth.eta.grid
     eta = NuisanceFunction(truth.eta.values - 0.4 * np.asarray(law.cond_mean(grid)) + 0.2)
     star = misspecified_theta_star(eta, truth, law)
-    u, v = law.sample_covariates(200_000, np.random.default_rng(131))
+    covariates = sample_dataset(law, truth, 200_000, 131)
+    u, v = covariates.u, covariates.v
     shift_eta = eta(v) - truth.eta(v)
     thetas = np.arange(truth.theta - 1.0, truth.theta + 1.0 + 1e-9, 0.02)
     kls = [0.5 * np.mean(((t - truth.theta) * u + shift_eta) ** 2) for t in thetas]

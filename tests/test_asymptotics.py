@@ -29,9 +29,11 @@ from semibvm.asymptotics import (
     misspecified_theta_star,
     tv_normals,
 )
+from semibvm import asymptotics
 from semibvm.experiments import ExperimentConfig, make_components
 from semibvm.gp_prior import GpPriorSpec, prior_covariance
 from semibvm.model import (
+    _BATCH_BUDGET,
     CovariateLaw,
     Dataset,
     ModelPoint,
@@ -494,8 +496,8 @@ class TestLeastFavorableEta:
         law = make_covariate_law(0.8)
         truth = _truth()
         theta = truth.theta + dtheta
-        rng = np.random.default_rng(23)
-        u, v = law.sample_covariates(150_000, rng)
+        covariates = sample_dataset(law, truth, 150_000, 23)
+        u, v = covariates.u, covariates.v
         base = dtheta * u
         b1 = np.asarray(law.cond_mean(v))
         b2 = np.cos(4 * math.pi * v)
@@ -608,8 +610,8 @@ class TestMisspecifiedThetaStar:
             truth.eta.values - 0.4 * np.asarray(law.cond_mean(grid)) + 0.2
         )
         star = misspecified_theta_star(eta, truth, law)
-        rng = np.random.default_rng(41)
-        u, v = law.sample_covariates(200_000, rng)
+        covariates = sample_dataset(law, truth, 200_000, 41)
+        u, v = covariates.u, covariates.v
         shift_eta = eta(v) - truth.eta(v)
         thetas = np.arange(truth.theta - 1.0, truth.theta + 1.0 + 1e-9, 0.02)
         kls = [
@@ -756,7 +758,8 @@ class TestHellingerSq:
         truth = _truth()
         p = ModelPoint(truth.theta + 0.7, NuisanceFunction(0.4 * np.cos(6 * math.pi * uniform_grid(13))))
         draws = 200_000
-        u, v = law.sample_covariates(draws, np.random.default_rng(89))
+        covariates = sample_dataset(law, truth, draws, 89)
+        u, v = covariates.u, covariates.v
         terms = np.exp(-((0.7 * u + p.eta(v) - truth.eta(v)) ** 2) / 8.0)
         se = terms.std(ddof=1) / math.sqrt(draws)
         assert abs(hellinger_distance(p, truth, law) ** 2 - (1.0 - terms.mean())) < 4 * se
@@ -949,10 +952,10 @@ class TestEstimateUn:
         assert np.all(estimates > 0.0)
 
     def test_plugin_direction_equals_per_replication_loop(self):
-        # reference: each replication on its own from the same draws, its
-        # residual the noise e, its plug-in direction sqrt(n) (u.e)/(u.u)
-        # clamped to [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2 with
-        # w = u - m(v) = sigma_w z, so w.e = sigma_w (z.e), w.w = sigma_w^2 (z.z)
+        # reference: each replication on its own, drawn after the one before
+        # from its translation's generator (v, then z, then e), its residual
+        # the noise e, its plug-in direction sqrt(n) (u.e)/(u.u) clamped to
+        # [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2, w = sigma_w z
         law = make_covariate_law(0.8)
         reps, seed = 300, 103
         zetas = self._zetas()
@@ -960,19 +963,43 @@ class TestEstimateUn:
             estimates, _ = estimate_un_per_zeta(law, zetas, n, reps, seed)
             for j in range(len(zetas)):
                 rng = np.random.default_rng([seed, j])
-                v = rng.uniform(0.0, 1.0, reps * n)
-                z = rng.standard_normal(reps * n)
-                e = rng.standard_normal(reps * n)
-                u = law.covariate_u(v, z)
-                u, z, e = (a.reshape(reps, n) for a in (u, z, e))
-                sd = law.residual_sd
                 ratios = np.empty(reps)
                 for i in range(reps):
-                    h = math.sqrt(n) * float(u[i] @ e[i]) / float(u[i] @ u[i])
+                    v = rng.uniform(0.0, 1.0, n)
+                    w = law.residual_sd * rng.standard_normal(n)
+                    e = rng.standard_normal(n)
+                    u = law.cond_mean(v) + w
+                    h = math.sqrt(n) * float(u @ e) / float(u @ u)
                     shift = max(-2.0, min(2.0, h)) / math.sqrt(n)
-                    we, ww = sd * float(z[i] @ e[i]), sd**2 * float(z[i] @ z[i])
-                    ratios[i] = np.exp(shift * we - 0.5 * shift**2 * ww)
+                    ratios[i] = np.exp(shift * float(w @ e) - 0.5 * shift**2 * float(w @ w))
                 assert estimates[j] == ratios.mean()
+
+    def test_chunk_size_does_not_move_the_estimates(self, monkeypatch):
+        # one replication per chunk, the default chunks and larger ones
+        # give the same bits; no drawn array exceeds half the budget
+        law = make_covariate_law(0.6)
+        zetas = self._zetas()
+        draws = asymptotics._draws
+        shapes = []
+
+        def recorded(law, generators, n):
+            shapes.append((len(generators), n))
+            return draws(law, generators, n)
+
+        monkeypatch.setattr(asymptotics, "_draws", recorded)
+        for n in (1, 40, 800):
+            reference = estimate_un_per_zeta(law, zetas, n, 301, 211)
+            assert max(rows * n for rows, _ in shapes) <= _BATCH_BUDGET // 2
+            assert sum(rows for rows, _ in shapes) == 301 * len(zetas)
+            for budget in (1, 2**16):
+                shapes.clear()
+                monkeypatch.setattr(asymptotics, "_BATCH_BUDGET", budget)
+                estimates, errors = estimate_un_per_zeta(law, zetas, n, 301, 211)
+                assert np.array_equal(estimates, reference[0])
+                assert np.array_equal(errors, reference[1])
+                assert max(rows for rows, _ in shapes) == max(1, min(301, budget // (2 * n)))
+            shapes.clear()
+            monkeypatch.setattr(asymptotics, "_BATCH_BUDGET", _BATCH_BUDGET)
 
     @pytest.mark.parametrize("sigma_w", [0.3, 0.8, 1.0])
     @pytest.mark.parametrize("grid_size", [2, 21, 200])
@@ -980,7 +1007,9 @@ class TestEstimateUn:
     @pytest.mark.parametrize("theta0", [-1.5, 0.0, 2.5])
     def test_matches_rebuilt_residual_reference(self, sigma_w, grid_size, n, theta0):
         # reference: y rebuilt at the translated truth and the residual
-        # subtracted back out of it, summed term by term
+        # subtracted back out of it, summed term by term; replication i of
+        # translation j draws its n uniforms, n normals and n noises after
+        # replication i - 1 from default_rng([seed, j])
         law = make_covariate_law(sigma_w)
         truth = _truth(grid_size=grid_size, theta=theta0, amplitude=3.0)
         grid = uniform_grid(grid_size)
@@ -990,9 +1019,12 @@ class TestEstimateUn:
         rootn = math.sqrt(n)
         for j, zeta in enumerate(zetas):
             rng = np.random.default_rng([seed, j])
-            u, v = law.sample_covariates(reps * n, rng)
-            e = rng.standard_normal(reps * n)
-            u, v, e = (a.reshape(reps, n) for a in (u, v, e))
+            v, z, e = np.empty((3, reps, n))
+            for i in range(reps):
+                v[i] = rng.uniform(0.0, 1.0, n)
+                z[i] = rng.standard_normal(n)
+                e[i] = rng.standard_normal(n)
+            u = law.cond_mean(v) + sigma_w * z
             y = truth.theta * u + truth.eta(v) + zeta(v) + e
             r = y - truth.theta * u - truth.eta(v) - zeta(v)
             w = u - law.cond_mean(v)
@@ -1017,8 +1049,8 @@ class TestEstimateUn:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
-    def test_forms_m_once_per_translation(self):
-        # m(v) is formed once per translation's draw, for u and for w alike
+    def test_forms_m_once_per_drawn_point(self):
+        # m(v) is formed once per chunk of replications, for u alone
         law = make_covariate_law(0.8)
         zetas = self._zetas()
         calls = []
@@ -1031,7 +1063,8 @@ class TestEstimateUn:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CovariateLaw, "cond_mean", counting)
             estimates, errors = estimate_un_per_zeta(law, zetas, 40, 300, 113)
-        assert calls == [40 * 300] * len(zetas)
+        size = _BATCH_BUDGET // (2 * 40)
+        assert calls == [40 * size, 40 * (300 - size)] * len(zetas)
         assert estimates.shape == errors.shape == (len(zetas),)
 
     def test_seed_determinism(self):

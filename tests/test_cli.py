@@ -4,12 +4,16 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semibvm
 import semibvm.experiments
 import semibvm.posterior
 from semibvm import cli
@@ -496,9 +500,9 @@ class TestExitCodes:
         statistics, assemble = semibvm.posterior._statistics, semibvm.posterior._assemble
         sizes = []
 
-        def recorded(u, v, y, grid_size):
-            sizes.append(u.shape[1])
-            return statistics(u, v, y, grid_size)
+        def recorded(data, grid_size):
+            sizes.append(data.n)
+            return statistics(data, grid_size)
 
         def corrupted(stats, factor, prior_precision):
             systems = assemble(stats, factor, prior_precision)
@@ -543,9 +547,9 @@ class TestExitCodes:
         statistics, assemble = semibvm.posterior._statistics, semibvm.posterior._assemble
         sizes, stacks = [], []
 
-        def recorded(u, v, y, grid_size):
-            sizes.append(u.shape[1])
-            return statistics(u, v, y, grid_size)
+        def recorded(data, grid_size):
+            sizes.append(data.n)
+            return statistics(data, grid_size)
 
         def corrupted(stats, factor, prior_precision):
             systems = assemble(stats, factor, prior_precision)
@@ -758,6 +762,21 @@ class TestSubcommands:
         assert lan["remainder"] == pytest.approx(reference, rel=1e-12, abs=0.0)
         assert lan["identity_residual"] <= 1e-12 * abs(lan["identity_value"])
 
+    def test_posterior_information_reads_the_drawn_w_at_tiny_sigma_w(self, tmp_path):
+        # mean (u - m(v))^2 cancels to 0.0 here; the drawn W keeps it
+        sigma_w = 1e-100
+        config = tmp_path / "tiny.txt"
+        config.write_text(f"sigma_w = {sigma_w}\n")
+        out = tmp_path / "posterior.json"
+        argv = ["posterior", "--config", str(config), "--n", "200", "--seed", "10070179", "--out", str(out)]
+        assert cli.main(argv) == 0
+        payload = json.loads(out.read_text())
+        rng = np.random.default_rng(cell_seed(10070179, 200, 0))
+        rng.uniform(0.0, 1.0, 200)
+        reference = float(np.mean((sigma_w * rng.standard_normal(200)) ** 2))
+        assert reference > 1e-201
+        assert payload["empirical_information"] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
     def test_diagnostics_hellinger_at_any_theta0(self, tmp_path):
         # the theta shift 2/sqrt(n) is not rounded away as |theta0| grows
         values = []
@@ -781,3 +800,39 @@ class TestSubcommands:
         assert plain.err == b""
         lines = flagged.err.decode().splitlines()
         assert len(lines) == 1 and "--jobs" in lines[0] and "ignored" in lines[0]
+
+
+# runs the CLI in a fresh interpreter and prints its exit code and peak
+# RSS in KiB.  VmHWM is the high-water mark of the interpreter's own
+# address space; getrusage's ru_maxrss would also carry the spawning test
+# process's mark across exec, and that process is larger than either run.
+_PEAK_RSS = """
+import sys
+from semibvm import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+def _peak_rss_kib(argv, out):
+    src = str(Path(semibvm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    return peak
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
+def test_diagnostics_peak_memory_stays_near_coverage(tmp_path):
+    # the domination row draws its replications in budget-sized chunks, so
+    # diagnostics holds no (reps, n) block: its peak RSS is the
+    # interpreter's and numpy's, as for a small coverage run
+    diagnostics = _peak_rss_kib(["diagnostics", "--n", "800"], tmp_path / "diag.json")
+    coverage = _peak_rss_kib(["coverage", "--replications", "4"], tmp_path / "cov.json")
+    assert diagnostics - coverage <= 5 * 1024, (diagnostics, coverage)

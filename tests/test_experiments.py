@@ -239,8 +239,8 @@ class TestBatchedCells:
             samples.append(data.u.size)
             return data
 
-        def statistics_of(u, v, y, grid_size):
-            stats = statistics(u, v, y, grid_size)
+        def statistics_of(data, grid_size):
+            stats = statistics(data, grid_size)
             gathered.append(max(a.size for a in stats[:4]))  # diag, off, W'u, W'y
             return stats
 

@@ -9,7 +9,6 @@ from scipy.stats import norm
 from semibvm.model import (
     CovariateLaw,
     Dataset,
-    DatasetStack,
     ModelPoint,
     NuisanceFunction,
     efficient_information,
@@ -70,8 +69,7 @@ class TestMakeCovariateLaw:
     def test_second_moment_monte_carlo(self):
         # E U^2 = 1 within 3 MC standard errors at 1e5 draws
         law = make_covariate_law(0.8)
-        rng = np.random.default_rng(101)
-        u, _ = law.sample_covariates(N_MC, rng)
+        u = sample_dataset(law, _truth(), N_MC, 101).u
         u2 = u**2
         se = u2.std(ddof=1) / math.sqrt(N_MC)
         assert abs(u2.mean() - 1.0) < 3 * se
@@ -79,8 +77,7 @@ class TestMakeCovariateLaw:
     @pytest.mark.parametrize("sigma_w", [0.3, 0.5, 0.8, 0.95, 1.0])
     def test_standardisation_across_laws(self, sigma_w):
         law = make_covariate_law(sigma_w)
-        rng = np.random.default_rng(7)
-        u, _ = law.sample_covariates(N_MC, rng)
+        u = sample_dataset(law, _truth(), N_MC, 7).u
         se_mean = u.std(ddof=1) / math.sqrt(N_MC)
         se_second = (u**2).std(ddof=1) / math.sqrt(N_MC)
         assert abs(u.mean()) < 3 * se_mean
@@ -88,8 +85,7 @@ class TestMakeCovariateLaw:
 
     def test_fourth_moment_analytic(self):
         law = make_covariate_law(0.8)
-        rng = np.random.default_rng(5)
-        u, _ = law.sample_covariates(N_MC, rng)
+        u = sample_dataset(law, _truth(), N_MC, 5).u
         u4 = u**4
         se = u4.std(ddof=1) / math.sqrt(N_MC)
         assert abs(u4.mean() - law.fourth_moment_u) < 4 * se
@@ -166,7 +162,7 @@ class TestSampleDataset:
         fields = {key: np.full((2, 3), 0.5) for key in ("u", "v", "y", "e", "w")}
         fields[name][1, 2] = bad
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
-            DatasetStack(**fields)
+            Dataset(**fields)
 
     @pytest.mark.parametrize("given", ["e", "w"])
     def test_provenance_comes_in_pairs(self, given):
@@ -175,41 +171,62 @@ class TestSampleDataset:
             Dataset(**fields)
 
     @pytest.mark.parametrize("name", ["e", "w"])
-    def test_provenance_length_checked(self, name):
+    @pytest.mark.parametrize("shape", [(4,), (1, 3)])
+    def test_provenance_shape_checked(self, name, shape):
         fields = {key: np.full(3, 0.5) for key in ("u", "v", "y", "e", "w")}
-        fields[name] = np.full(4, 0.5)
-        with pytest.raises(ValueError, match="e and w must match the length"):
+        fields[name] = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match="e and w must match the shape"):
             Dataset(**fields)
+
+    @pytest.mark.parametrize("name", ["u", "v", "y"])
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (6,)])
+    def test_stack_of_unequal_shapes_rejected(self, name, shape):
+        fields = {key: np.full((2, 3), 0.5) for key in ("u", "v", "y")}
+        fields[name] = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match="u, v, y must be arrays of one shape"):
+            Dataset(**fields)
+
+    def test_scalar_fields_rejected(self):
+        with pytest.raises(ValueError, match="u, v, y must be arrays of one shape"):
+            Dataset(u=0.5, v=0.5, y=0.5)
+
+    def test_stack_rows_carry_their_provenance(self):
+        rng = np.random.default_rng(19)
+        fields = {key: rng.uniform(0.0, 1.0, (3, 5)) for key in ("u", "v", "y", "e", "w")}
+        stack = Dataset(**fields)
+        assert stack.n == 5
+        for row in range(3):
+            ds = stack[row]
+            assert ds.n == 5 and ds.u.shape == (5,)
+            for name, values in fields.items():
+                assert np.array_equal(getattr(ds, name), values[row]), name
+        one = stack[1][None]
+        assert one.n == 5
+        for name, values in fields.items():
+            assert np.array_equal(getattr(one, name), values[1:2]), name
+        bare = Dataset(u=fields["u"], v=fields["v"], y=fields["y"])[2]
+        assert bare.e is None and bare.w is None
+        assert np.array_equal(bare.v, fields["v"][2])
 
     @pytest.mark.parametrize("n", [0, 1, 7, 800])
     def test_rows_follow_the_seed_contract(self, n):
         # reference: default_rng(seed) draws uniform(0, 1, n), then n normals
         # z and n noises e; w = sigma_w z, u = m(v) + w and y = theta u + eta(v) + e
         law, truth = make_covariate_law(0.6), _truth(grid_size=23, theta=-1.3)
-        seeds = [0, 1, 2**64 - 1]
+        seeds = [0, 1, 2**64 - 1, 1]  # a repeated seed repeats its row
         data = sample_datasets(law, truth, n, seeds)
         for row, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             v = rng.uniform(0.0, 1.0, n)
             z = rng.standard_normal(n)
             e = rng.standard_normal(n)
-            u = law.covariate_u(v, z)
+            u = law.cond_mean(v) + law.residual_sd * z
             y = truth.theta * u + truth.eta(v) + e
             alone = sample_dataset(law, truth, n, seed)
             for name, reference in (("u", u), ("v", v), ("y", y), ("e", e), ("w", law.residual_sd * z)):
                 assert np.array_equal(getattr(data, name)[row], reference), name
                 assert np.array_equal(getattr(data[row], name), reference), name
                 assert np.array_equal(getattr(alone, name), reference), name
-
-    def test_covariates_follow_the_same_formula(self):
-        law = make_covariate_law(0.45)
-        u, v = law.sample_covariates(300, np.random.default_rng(17))
-        rng = np.random.default_rng(17)
-        v_ref = rng.uniform(0.0, 1.0, 300)
-        z = rng.standard_normal(300)
-        assert np.array_equal(v, v_ref)
-        assert np.array_equal(u, law.covariate_u(v_ref, z))
-        assert np.array_equal(u, law.cond_mean(v_ref) + law.residual_sd * z)
 
     def test_overflowing_y_rejected_without_a_warning(self):
         # theta u overflows for |u| > 1.8; warnings are errors in this suite
@@ -298,8 +315,8 @@ class TestInformation:
 
     def test_monte_carlo_agreement(self):
         law = make_covariate_law(0.8)
-        rng = np.random.default_rng(31)
-        u, v = law.sample_covariates(N_MC, rng)
+        ds = sample_dataset(law, _truth(), N_MC, 31)
+        u, v = ds.u, ds.v
         w2 = (u - law.cond_mean(v)) ** 2
         se = w2.std(ddof=1) / math.sqrt(N_MC)
         assert abs(w2.mean() - 0.64) < 3 * se

@@ -30,7 +30,6 @@ from semibvm.gp_prior import (
 )
 from semibvm.model import (
     Dataset,
-    DatasetStack,
     ModelPoint,
     NuisanceFunction,
     interpolate,
@@ -141,7 +140,7 @@ def test_array_holding_records_compare_and_hash_by_identity():
         (truth.eta, NuisanceFunction(truth.eta.values)),
         (truth, ModelPoint(theta=truth.theta, eta=truth.eta)),
         (ds, Dataset(u=ds.u, v=ds.v, y=ds.y, e=ds.e, w=ds.w)),
-        (stack, DatasetStack(u=stack.u, v=stack.v, y=stack.y, e=stack.e, w=stack.w)),
+        (stack, Dataset(u=stack.u, v=stack.v, y=stack.y, e=stack.e, w=stack.w)),
         (prior_covariance(spec), PriorCovariance(prior_covariance(spec).matrix)),
         (jp, JointGaussianPosterior(mean=jp.mean, root=jp.root)),
         (
@@ -339,7 +338,7 @@ class TestSufficientStatisticEngine:
         v = np.concatenate([[0.0, 1.0, 0.0, 1.0], ds.v])  # v = 1 clips the index
         rng = np.random.default_rng(3)
         data = Dataset(u=rng.standard_normal(v.size), v=v, y=rng.standard_normal(v.size))
-        stats = _statistics(data.u[None], data.v[None], data.y[None], spec.grid_size)
+        stats = _statistics(data[None], spec.grid_size)
         diag, off, wu, wy, uu, uy, yy = (stat[0] for stat in stats)
         weights = interpolation_weights(data.v, spec.grid_size)
         tridiagonal = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -357,9 +356,10 @@ class TestSufficientStatisticEngine:
         v = rng.uniform(0.0, 1.0, (6, 90))
         v[2, :2] = (0.0, 1.0)
         factor, m = prior_factor(spec), spec.grid_size
-        stacked = _assemble(_statistics(u, v, y, m), factor, 0.1)
+        data = Dataset(u=u, v=v, y=y)
+        stacked = _assemble(_statistics(data, m), factor, 0.1)
         for row in range(6):
-            stats = _statistics(u[row : row + 1], v[row : row + 1], y[row : row + 1], m)
+            stats = _statistics(data[row : row + 1], m)
             np.testing.assert_array_equal(stacked[row], _assemble(stats, factor, 0.1)[0])
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -374,7 +374,7 @@ class TestSufficientStatisticEngine:
         v[1, :3] = (0.0, 1.0, 0.5)
         factor = prior_factor(GpPriorSpec(k=k, grid_size=grid_size, scale=2.0))
         m, r = factor.shape
-        systems = _assemble(_statistics(u, v, y, m), factor, precision)
+        systems = _assemble(_statistics(Dataset(u=u, v=v, y=y), m), factor, precision)
         lift = np.zeros((m + 2, r + 2))
         lift[:m, :r] = factor
         lift[m, r] = lift[m + 1, r + 1] = 1.0
@@ -399,7 +399,7 @@ class TestSufficientStatisticEngine:
         factor = prior_factor(spec)
         # two systems per sub-stack for r = m and r = m + 1: row 2 is alone
         budget = 2 * (grid_size + 3) ** 2
-        means, variances = theta_posteriors(data.u, data.v, data.y, spec, 10.0, budget)
+        means, variances = theta_posteriors(data, spec, 10.0, budget)
         jp = conjugate_joint_posterior(ds, spec, 10.0)
         rng = np.random.default_rng(k)
         signs = rng.choice([-1.0, 1.0], grid_size)
@@ -408,9 +408,7 @@ class TestSufficientStatisticEngine:
             np.hstack([factor, np.zeros((grid_size, 1))]),
         ):
             monkeypatch.setattr(semibvm.posterior, "prior_factor", lambda _: other)
-            other_means, other_variances = theta_posteriors(
-                data.u, data.v, data.y, spec, 10.0, budget
-            )
+            other_means, other_variances = theta_posteriors(data, spec, 10.0, budget)
             np.testing.assert_allclose(other_variances, variances, rtol=1e-12, atol=0.0)
             assert np.all(np.abs(other_means - means) <= 1e-12 * np.sqrt(variances))
             other_jp = conjugate_joint_posterior(ds, spec, 10.0)
@@ -463,7 +461,7 @@ class TestSufficientStatisticEngine:
         identity = np.eye(grid_size)
         for n in (200, 20_000):
             ds = sample_dataset(law, truth, n, cell_seed(4, n, k))
-            stats = _statistics(ds.u[None], ds.v[None], ds.y[None], grid_size)
+            stats = _statistics(ds[None], grid_size)
             system = _assemble(stats, prior_factor(spec), 0.1)[0]
             chol = np.linalg.cholesky(system[:grid_size, :grid_size])
             reference = solve_triangular(chol, identity, lower=True)

@@ -4,110 +4,78 @@ The package provides the data-generating model, the integrated Brownian
 motion nuisance prior, exact and MCMC posteriors, the efficiency
 diagnostics (total-variation gaps, KL/Hellinger geometry, likelihood
 expansions) and an experiment harness with a CLI.
+
+The exported names load lazily (PEP 562): ``import semibvm`` imports no
+submodule and so no numpy, which leaves :mod:`semibvm.cli` free to choose
+the process's BLAS thread count before numpy loads.  Each lookup of an
+exported name reads it off its submodule afresh and nothing is stored
+here, so the package namespace never holds a second binding of a
+submodule's function.
 """
 
-from .asymptotics import (
-    BvmDiagnostics,
-    LanCoefficients,
-    bvm_gap,
-    delta_n,
-    estimate_un_per_zeta,
-    hellinger_distance,
-    integral_lan_coefficients,
-    kl_divergence,
-    kl_neighborhood_stats,
-    lan_remainder,
-    least_favorable_eta,
-    misspecified_theta_star,
-    tv_normals,
-)
-from .experiments import (
-    ExperimentConfig,
-    RunReport,
-    cell_seed,
-    run_bvm_scan,
-    run_coverage,
-    run_parametric_baseline,
-)
-from .gp_prior import (
-    GpPriorSpec,
-    NumericsError,
-    PriorCovariance,
-    holder_seminorm,
-    kibm_kernel,
-    prior_covariance,
-    sample_prior_path,
-)
-from .model import (
-    CovariateLaw,
-    Dataset,
-    ModelPoint,
-    NuisanceFunction,
-    efficient_information,
-    efficient_score,
-    empirical_information,
-    log_density_ratio,
-    make_covariate_law,
-    sample_dataset,
-)
-from .posterior import (
-    GibbsChain,
-    JointGaussianPosterior,
-    MarginalThetaPosterior,
-    conditional_nuisance_mass,
-    conjugate_joint_posterior,
-    credible_interval,
-    gibbs_chain,
-    posterior_mass_h_ball,
-    theta_posterior,
-)
-
-__all__ = [
-    "BvmDiagnostics",
-    "LanCoefficients",
-    "bvm_gap",
-    "delta_n",
-    "estimate_un_per_zeta",
-    "hellinger_distance",
-    "integral_lan_coefficients",
-    "kl_divergence",
-    "kl_neighborhood_stats",
-    "lan_remainder",
-    "least_favorable_eta",
-    "misspecified_theta_star",
-    "tv_normals",
-    "ExperimentConfig",
-    "RunReport",
-    "cell_seed",
-    "run_bvm_scan",
-    "run_coverage",
-    "run_parametric_baseline",
-    "GpPriorSpec",
-    "NumericsError",
-    "PriorCovariance",
-    "holder_seminorm",
-    "kibm_kernel",
-    "prior_covariance",
-    "sample_prior_path",
-    "CovariateLaw",
-    "Dataset",
-    "ModelPoint",
-    "NuisanceFunction",
-    "efficient_information",
-    "efficient_score",
-    "empirical_information",
-    "log_density_ratio",
-    "make_covariate_law",
-    "sample_dataset",
-    "GibbsChain",
-    "JointGaussianPosterior",
-    "MarginalThetaPosterior",
-    "conditional_nuisance_mass",
-    "conjugate_joint_posterior",
-    "credible_interval",
-    "gibbs_chain",
-    "posterior_mass_h_ball",
-    "theta_posterior",
-]
+import importlib
 
 __version__ = "0.1.0"
+
+# every exported name -> the submodule that defines it
+_EXPORTS = {
+    "BvmDiagnostics": "asymptotics",
+    "LanCoefficients": "asymptotics",
+    "bvm_gap": "asymptotics",
+    "delta_n": "asymptotics",
+    "estimate_un_per_zeta": "asymptotics",
+    "hellinger_distance": "asymptotics",
+    "integral_lan_coefficients": "asymptotics",
+    "kl_divergence": "asymptotics",
+    "kl_neighborhood_stats": "asymptotics",
+    "lan_remainder": "asymptotics",
+    "least_favorable_eta": "asymptotics",
+    "misspecified_theta_star": "asymptotics",
+    "tv_normals": "asymptotics",
+    "ExperimentConfig": "experiments",
+    "RunReport": "experiments",
+    "cell_seed": "experiments",
+    "run_bvm_scan": "experiments",
+    "run_coverage": "experiments",
+    "run_parametric_baseline": "experiments",
+    "GpPriorSpec": "gp_prior",
+    "NumericsError": "gp_prior",
+    "PriorCovariance": "gp_prior",
+    "holder_seminorm": "gp_prior",
+    "kibm_kernel": "gp_prior",
+    "prior_covariance": "gp_prior",
+    "sample_prior_path": "gp_prior",
+    "CovariateLaw": "model",
+    "Dataset": "model",
+    "ModelPoint": "model",
+    "NuisanceFunction": "model",
+    "efficient_information": "model",
+    "efficient_score": "model",
+    "empirical_information": "model",
+    "log_density_ratio": "model",
+    "make_covariate_law": "model",
+    "sample_dataset": "model",
+    "GibbsChain": "posterior",
+    "JointGaussianPosterior": "posterior",
+    "MarginalThetaPosterior": "posterior",
+    "conditional_nuisance_mass": "posterior",
+    "conjugate_joint_posterior": "posterior",
+    "credible_interval": "posterior",
+    "gibbs_chain": "posterior",
+    "posterior_mass_h_ball": "posterior",
+    "theta_posterior": "posterior",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -14,6 +14,15 @@ either way.
 
 Exit codes: 0 success, 2 config error (including --jobs < 1), 3 numeric
 failure (the offending cell is printed to standard error).
+
+BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads, unless numpy is already loaded or the caller has set
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
+The CLI's linear algebra is one Cholesky of an (m+2)x(m+2) system per
+dataset, m a few hundred at most, where a second BLAS thread never pays:
+OpenBLAS's worker spins after start-up and can stall small calls.  One
+thread also makes a report's bits independent of the machine's core
+count.  A caller who wants BLAS threads sets the variable OpenBLAS reads.
 """
 
 from __future__ import annotations
@@ -21,10 +30,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import typing
 
-from .experiments import (
+# before the first import that loads numpy (see the module docstring)
+if "numpy" not in sys.modules and not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .experiments import (  # noqa: E402
     ExperimentConfig,
     _opened,
     cell_seed,
@@ -37,8 +53,8 @@ from .experiments import (
     run_parametric_baseline,
     run_posterior_snapshot,
 )
-from .gp_prior import NumericsError, prior_covariance
-from .model import sample_dataset
+from .gp_prior import NumericsError, prior_covariance  # noqa: E402
+from .model import sample_dataset  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -4,7 +4,9 @@ Reports are figure-ready data, not figures.  Every replication cell
 (n, rep) derives its own 64-bit seed from the master seed through a
 documented splitmix64 fold (see :func:`cell_seed`) and draws its dataset
 from its own generator, so any single cell can be recomputed in
-isolation and reports are bit-reproducible.
+isolation and reports are bit-reproducible on one numpy/OpenBLAS build
+at one BLAS thread count: the CLI's default of one thread (see
+:mod:`semibvm.cli`) makes them independent of the machine's core count.
 
 Scans and coverage studies solve the replications of one n in chunks,
 in one process: a chunk's datasets are stacked as rows, their seeds
@@ -52,6 +54,7 @@ from .model import (
     ModelPoint,
     NuisanceFunction,
     _check_integer,
+    empirical_information,
     make_covariate_law,
     sample_dataset,
     sample_datasets,
@@ -128,6 +131,8 @@ class ExperimentConfig:
             raise ValueError("level must lie in (0, 1)")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        if not 0 <= _check_integer("master_seed", self.master_seed) <= _MASK64:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if not math.isfinite(self.theta0):
             raise ValueError(f"theta0 must be finite, got {self.theta0}")
         _prior_precision(self.theta_prior_var)
@@ -348,7 +353,7 @@ def run_parametric_baseline(
     limit centered on the best-regular estimator xbar.  `prior_var =
     math.inf` selects the flat limit, where the gap is exactly zero.
     """
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError("need n >= 1")
     _prior_precision(prior_var, "prior_var")
     rng = np.random.default_rng(seed)
@@ -363,9 +368,7 @@ def run_parametric_baseline(
 
 
 def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
-    """One simulated dataset, its exact posterior and gap diagnostics.
-    The empirical information is the mean of the drawn w^2, which u - m(v)
-    would cancel away as sigma_w shrinks."""
+    """One simulated dataset, its exact posterior and gap diagnostics."""
     if _check_integer("n", n) < 1:
         raise ValueError("need n >= 1")
     law, truth, spec = make_components(cfg)
@@ -381,7 +384,7 @@ def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
         "level": cfg.level,
         "interval_lo": lo,
         "interval_hi": hi,
-        "empirical_information": float(np.mean(ds.w**2)),
+        "empirical_information": empirical_information(ds, law),
         **asdict(diag),
     }
 
@@ -444,7 +447,7 @@ def run_diagnostics_suite(
 
     ds = sample_dataset(law, truth, n, seed)
     remainder = lan_remainder(ds, 1.0, zeta, law)
-    identity_value = 0.5 * (float(np.mean(ds.w**2)) - law.efficient_info)
+    identity_value = 0.5 * (empirical_information(ds, law) - law.efficient_info)
 
     # H^2 of theta0 + m_shift/sqrt(n) from theta0, from the increment itself:
     # (theta0 + increment) - theta0 rounds it away as |theta0| grows

@@ -345,8 +345,11 @@ def efficient_information(law: CovariateLaw) -> float:
 
 
 def empirical_information(ds: Dataset, law: CovariateLaw) -> float:
-    """Sample analogue (1/n) sum (u_i - m(v_i))^2."""
+    """Sample analogue (1/n) sum w_i^2, w = u - m(v).
+
+    Reads the drawn w where the dataset carries it: u - m(v) cancels w's
+    digits away as sigma_w shrinks."""
     if ds.n == 0:
         raise ValueError("empirical information needs at least one observation")
-    w = ds.u - law.cond_mean(ds.v)
+    w = ds.u - law.cond_mean(ds.v) if ds.w is None else ds.w
     return float(np.mean(w**2))

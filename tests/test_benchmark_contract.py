@@ -12,6 +12,10 @@ CLI launch is rejected by the config check before any work starts.
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +99,27 @@ def test_jobs_flag_is_parsed(command, capsys):
     # check, which shows the flag is known without running any cell
     assert cli.main([command, "--jobs", "0"]) == cli.EXIT_CONFIG
     assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_import_loads_every_traced_module_and_no_package_binding():
+    # the tracer reads these six modules off sys.modules after importing
+    # semibvm.cli alone, and patches every binding of a traced function in
+    # each semibvm namespace: the lazy package namespace must hold none,
+    # or its restore would have to put back a binding the next lookup
+    # would not read
+    code = (
+        "import inspect, json, sys, semibvm.cli\n"
+        "names = ('cli', 'experiments', 'model', 'gp_prior', 'posterior', 'asymptotics')\n"
+        "package = vars(sys.modules['semibvm'])\n"
+        "print(json.dumps([\n"
+        "    [name for name in names if f'semibvm.{name}' not in sys.modules],\n"
+        "    sorted(key for key, value in package.items() if inspect.isfunction(value)),\n"
+        "]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    missing, functions = json.loads(done.stdout)
+    assert missing == []
+    # the PEP 562 hooks alone: no function of a submodule is bound here
+    assert functions == ["__dir__", "__getattr__"]

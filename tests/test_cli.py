@@ -359,6 +359,22 @@ class TestExitCodes:
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64)])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_master_seed_outside_64_bits_exits_2_before_any_work(
+        self, command, seed, config_path, tmp_path, monkeypatch, capsys
+    ):
+        # the cell seeds fold master_seed mod 2^64: 5 + 2^64 ran the cells of 5
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite a master seed outside 64 bits")
+
+        for name in ("make_components", "cell_seed"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", config_path, "--seed", seed, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: master_seed must lie in [0, 2^64), got {seed}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [

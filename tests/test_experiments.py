@@ -90,6 +90,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="seeds must be an integer, got 2.5"):
             ExperimentConfig(seeds=2.5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_master_seed_outside_64_bits_is_rejected(self, seed):
+        # cell_seed masks its words, so 5 + 2^64 drew the rows of 5 and -1
+        # those of 2^64 - 1, while each report echoed the seed it was given
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\^64\), got "):
+            ExperimentConfig(master_seed=seed)
+
+    def test_master_seed_range_ends_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert ExperimentConfig(master_seed=seed).master_seed == seed
+
+    def test_non_integer_master_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be an integer, got 2.5"):
+            ExperimentConfig(master_seed=2.5)
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(level=1.0)
@@ -434,6 +449,9 @@ class TestParametricBaseline:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_parametric_baseline(0, 0.0, 1.0, 1)
+        # numpy raised "expected a sequence of integers or a single integer"
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5"):
+            run_parametric_baseline(2.5, 1.0, 100.0, 1)
         # 1/prior_var overflows to a zero posterior variance, which the gap
         # rejected as "variance must be strictly positive", naming no field
         with pytest.raises(ValueError, match="prior_var"):

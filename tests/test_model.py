@@ -329,6 +329,21 @@ class TestInformation:
         band = 3 * math.sqrt(2) * law.efficient_info / math.sqrt(n)
         assert abs(empirical_information(ds, law) - law.efficient_info) < band
 
+    def test_empirical_information_reads_the_drawn_w(self):
+        # u = m(v) + sigma_w z rounds to m(v) at sigma_w = 1e-100, so the
+        # mean of (u - m(v))^2 read 0.0; the drawn w keeps it
+        sigma_w = 1e-100
+        law = make_covariate_law(sigma_w)
+        ds = sample_dataset(law, _truth(), 200, 10070179)
+        rng = np.random.default_rng(10070179)
+        rng.uniform(0.0, 1.0, 200)
+        reference = float(np.mean((sigma_w * rng.standard_normal(200)) ** 2))
+        assert reference > 1e-201
+        assert empirical_information(ds, law) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        # without the provenance it falls back on u - m(v)
+        bare = Dataset(u=ds.u, v=ds.v, y=ds.y)
+        assert empirical_information(bare, law) == float(np.mean((ds.u - law.cond_mean(ds.v)) ** 2))
+
     def test_empirical_information_empty_rejected(self):
         law = make_covariate_law(0.8)
         ds = sample_dataset(law, _truth(), 0, 1)

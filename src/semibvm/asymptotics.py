@@ -409,7 +409,7 @@ def estimate_un_per_zeta(
         rng = np.random.default_rng([seed, j])
         for start in range(0, mc_reps, size):
             part = ratios[start : start + size]
-            u, _, w, e = _draws(law, [rng] * part.size, n)
+            u, _, w, e = _draws(law, rng, n, part.size)
             uu = _row_dots(u, u)
             h = np.divide(rootn * _row_dots(u, e), uu, out=np.zeros(part.size), where=uu != 0.0)
             shift = np.clip(h, -2.0, 2.0) / rootn

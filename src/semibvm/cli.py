@@ -12,8 +12,18 @@ subcommand's parser; any other launch (help, a typo, an option placed
 first) builds them all.  Help, usage and error text are the same bytes
 either way.
 
-Exit codes: 0 success, 2 config error (including --jobs < 1), 3 numeric
-failure (the offending cell is printed to standard error).
+--format chooses between CSV and JSON for bvm-scan and coverage; the
+other subcommands write one format each (kernel and sample CSV,
+posterior, baseline and diagnostics JSON), and a --format asking one of
+them for the other exits 2 before any work starts.  The config file's
+format key applies to bvm-scan and coverage only.
+
+Exit codes: 0 success, 2 config error (including --jobs < 1 and a
+--format the subcommand does not write), 3 numeric failure (the
+offending cell is printed to standard error), 141 standard output closed
+before the report was written, e.g. by ``| head -1``: 128 + SIGPIPE, as a
+shell reports a C tool killed by the signal.  The output is then dropped
+without a traceback.
 
 BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS=1``
 before numpy loads, unless numpy is already loaded or the caller has set
@@ -29,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import typing
@@ -42,6 +51,7 @@ if "numpy" not in sys.modules and not any(
 
 from .experiments import (  # noqa: E402
     ExperimentConfig,
+    _json_text,
     _opened,
     cell_seed,
     covariance_to_csv,
@@ -59,6 +69,7 @@ from .model import sample_dataset  # noqa: E402
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 
 class ConfigError(ValueError):
@@ -148,6 +159,15 @@ _COMMANDS = {
     "diagnostics": ("KL/domination/expansion suite as JSON", (_N,)),
 }
 
+# the one format of each subcommand that --format does not choose
+_FIXED_FORMAT = {
+    "kernel": "csv",
+    "sample": "csv",
+    "posterior": "json",
+    "baseline": "json",
+    "diagnostics": "json",
+}
+
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The top-level parser with every subcommand's parser, or, given a
@@ -173,6 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
+    fixed = _FIXED_FORMAT.get(args.command)
+    if args.format is not None and fixed not in (None, args.format):
+        print(
+            f"config error: {args.command} writes {fixed} only, got --format {args.format}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     try:
         cfg = load_config(args)
     except ConfigError as exc:
@@ -212,7 +239,14 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 payload = run_diagnostics_suite(cfg, n, seed)
             with _opened(dest) as fh:
-                fh.write(json.dumps(payload, indent=2) + "\n")
+                fh.write(_json_text(payload) + "\n")
+        if dest is sys.stdout:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python's documented recipe: the rest of the output goes to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -9,20 +9,24 @@ at one BLAS thread count: the CLI's default of one thread (see
 :mod:`semibvm.cli`) makes them independent of the machine's core count.
 
 Scans and coverage studies solve the replications of one n in chunks,
-in one process: a chunk's datasets are stacked as rows, their seeds
-folded from one shared (master, n) prefix (:func:`_cell_seeds`), their
-sufficient statistics gathered by offset bincounts, and their posterior
-systems assembled by two stacked GEMMs and factorised by
-stacked Cholesky calls, in sub-stacks (see
+in one process.  The seeds of one n's cells are folded from one shared
+(master, n) prefix (:func:`_cell_seeds`), and the PCG64 state each cell's
+generator starts in, exactly the state default_rng(seed) starts in, is
+computed for all of them in one vectorised pass
+(:func:`semibvm.model._pcg64_states`), in groups of at most
+``_SEED_GROUP`` cells unless one chunk is larger.  A chunk's datasets
+are stacked as rows, their sufficient statistics gathered by offset
+bincounts, and their posterior systems assembled by two stacked GEMMs
+and factorised by stacked Cholesky calls, in sub-stacks (see
 :func:`semibvm.posterior.theta_posteriors`).  Only the generator runs
-per cell: :func:`semibvm.model.sample_datasets` forms u and y once for
-the whole chunk.  Each stage's stack is sized by its own working set
-against one fixed budget (see ``semibvm.model._BATCH_BUDGET``): a
+per cell, one Generator re-stated at each cell's state; u and y are
+formed once for the whole chunk.  Each stage's stack is sized by its
+own working set against one fixed budget (see ``semibvm.model._BATCH_BUDGET``): a
 chunk takes as many replications as fit the budget at two doubles per
 entry of its widest row, n data points or m grid statistics, a
 sub-stack as many (r+2)^2 systems as fit it.  A row does not depend on
-which other cells share its chunk or sub-stack, so the reports are the
-same for any budget.
+which other cells share its chunk, sub-stack or seeding group, so the
+reports are the same for any budget or group size.
 """
 
 from __future__ import annotations
@@ -49,15 +53,17 @@ from .asymptotics import (
 from .gp_prior import GpPriorSpec, NumericsError, PriorCovariance
 from .model import (
     _BATCH_BUDGET,
+    _MASK64,
     CovariateLaw,
     Dataset,
     ModelPoint,
     NuisanceFunction,
     _check_integer,
+    _pcg64_states,
+    _sample_rows,
     empirical_information,
     make_covariate_law,
     sample_dataset,
-    sample_datasets,
     uniform_grid,
 )
 from .posterior import (
@@ -150,9 +156,6 @@ def make_components(
     return law, truth, spec
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def splitmix64(x: int) -> int:
     """One splitmix64 step (Steele et al. mixing constants) on a Python
     int in [0, 2^64), arithmetic mod 2^64 by masks."""
@@ -189,13 +192,14 @@ class RunReport:
     aggregates: list[dict] = field(default_factory=list)
 
     def to_json_text(self) -> str:
+        """The report as :func:`_json_text`, json.dumps(..., indent=2) byte for byte."""
         payload = {
             "kind": self.kind,
             "config": self.config,
             "rows": self.rows,
             "aggregates": self.aggregates,
         }
-        return json.dumps(payload, indent=2)
+        return _json_text(payload)
 
     @classmethod
     def from_json_text(cls, text: str) -> "RunReport":
@@ -222,6 +226,49 @@ class RunReport:
                 writer.writerow([row[key] for key in header])
 
 
+# the C encoder's separators for a list of flat rows at depth 1 of a
+# payload: one row item per line at six spaces; _json_text indents the
+# row boundaries and the two ends itself
+_ROW_ITEM = ",\n      "
+_ROW_BREAK = "}" + _ROW_ITEM + "{"
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2), byte for byte, with json's C
+    encoder doing the work for the lists of rows.
+
+    indent=2 drops json to its pure-Python encoder.  A value of a
+    str-keyed payload that is a nonempty list of nonempty dicts is
+    encoded by the C encoder with one row item per line at its indent,
+    and the row boundaries and the two ends are indented in one pass.
+    The boundary "},\n      {" cannot occur inside a row: the separator
+    holds a raw newline, which the encoder never emits inside a string,
+    and the rows are flat, since their text holds no bracket and no brace
+    but each row's opening one.  A row list that holds a list, dict or
+    tuple (or a bracket or brace inside a string), and any other value,
+    is json.dumps(value, indent=2) with its lines indented; any other
+    payload is json.dumps(payload, indent=2).
+    """
+    if not (isinstance(payload, dict) and payload and all(type(k) is str for k in payload)):
+        return json.dumps(payload, indent=2)
+    items = []
+    for key, value in payload.items():
+        text = None
+        if (
+            isinstance(value, list)
+            and value
+            and all(isinstance(row, dict) and row for row in value)
+        ):
+            body = json.dumps(value, separators=(_ROW_ITEM, ": "))[2:-2]
+            if "[" not in body and body.count("{") == len(value) - 1:
+                rows = body.replace(_ROW_BREAK, "\n    },\n    {\n      ")
+                text = "[\n    {\n      " + rows + "\n    }\n  ]"
+        if text is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _opened(dest: str | TextIO):
     """A text stream as it is, or a path opened for writing; either way
     the same bytes go out (newline="" keeps csv's line ends as written)."""
@@ -239,37 +286,55 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 
 
 _Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
-_Batch = tuple[ExperimentConfig, _Components, int, range]
+_Batch = tuple[ExperimentConfig, _Components, int, range, list[int], list[tuple[int, int]]]
+
+# Largest group of one n's cells whose seeds are folded and whose
+# generator states are computed in one pass, unless one chunk is larger:
+# a group is a whole number of chunks.  One pass costs a fixed 50-80 us,
+# about default_rng's cost for a 10-cell chunk, which is why states are
+# computed per group and not per chunk, and less than a third of
+# default_rng's cost from 100 cells on.  The cap bounds a group's
+# (8, group) uint32 hash arrays at 32 KiB and its Python-int states at
+# about 150 KiB.
+_SEED_GROUP = 1024
 
 
 def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
-    """The (cfg, components, n, reps) chunks that cover every cell, in
-    (n, rep) order: max(1, budget // 2 max(n, m)) replications each."""
+    """The (cfg, components, n, reps, seeds, states) chunks that cover
+    every cell, in (n, rep) order: max(1, budget // 2 max(n, m))
+    replications each, with their seeds and PCG64 states (see
+    :func:`semibvm.model._pcg64_states`), computed once per group of
+    chunks of one n."""
     for n in cfg.n_ladder:
         size = max(1, _BATCH_BUDGET // (2 * max(n, cfg.grid_size)))
-        for start in range(0, replications, size):
-            yield cfg, components, n, range(start, min(start + size, replications))
+        group = max(1, _SEED_GROUP // size) * size
+        for first in range(0, replications, group):
+            cells = range(first, min(first + group, replications))
+            seeds = _cell_seeds(cfg.master_seed, n, cells)
+            states = _pcg64_states(seeds)
+            for start in range(0, len(cells), size):
+                part = slice(start, start + size)
+                yield cfg, components, n, cells[part], seeds[part], states[part]
 
 
 def _solve_batch(batch: _Batch):
-    """Seeds, datasets and theta marginals of one chunk's cells.  A
-    failing cell is named by its n, rep and seed."""
-    cfg, (law, truth, spec), n, reps = batch
-    seeds = _cell_seeds(cfg.master_seed, n, reps)
-    data = sample_datasets(law, truth, n, seeds)
+    """Datasets and theta marginals of one chunk's cells.  A failing cell
+    is named by its n, rep and seed."""
+    cfg, (law, truth, spec), n, reps, seeds, states = batch
+    data = _sample_rows(law, truth, n, states)
     try:
         means, variances = theta_posteriors(data, spec, cfg.theta_prior_var, _BATCH_BUDGET)
     except StackNumericsError as exc:
         rep, seed = reps[exc.index], seeds[exc.index]
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
-    return seeds, data, means, variances
+    return data, means, variances
 
 
 def _bvm_cell(batch: _Batch) -> list[dict]:
     """Gap rows of one chunk of cells; a row is the same whatever else
     is in its chunk."""
-    cfg, (law, _, _), n, reps = batch
-    seeds, data, means, variances = _solve_batch(batch)
+    cfg, (law, _, _), n, reps, seeds, _ = batch
+    data, means, variances = _solve_batch(batch)
     deltas = delta_n(data, law)
     rows = []
     for rep, seed, mean, variance, delta in zip(reps, seeds, means, variances, deltas):
@@ -313,8 +378,8 @@ def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
 
 def _coverage_cell(batch: _Batch) -> list[dict]:
     """Credible-interval rows of one chunk of cells."""
-    cfg, _, n, reps = batch
-    seeds, _, means, variances = _solve_batch(batch)
+    cfg, _, n, reps, seeds, _ = batch
+    _, means, variances = _solve_batch(batch)
     lo, hi = credible_bounds(means, np.sqrt(variances), cfg.level)
     covered = (lo <= cfg.theta0) & (cfg.theta0 <= hi)
     return [

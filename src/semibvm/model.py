@@ -13,6 +13,13 @@ standardised so that E[U] = 0 and E[U^2] = 1.  Under this family the
 conditional mean m(v) = E[U | V = v] = a cos(2 pi v) is known in closed
 form, which makes every efficiency quantity analytic: the efficient score
 is e * (U - m(V)) and the efficient information is sigma_w^2.
+
+A simulated dataset is a function of its 64-bit seed alone: it is drawn
+from exactly the state np.random.default_rng(seed) starts in (n uniforms
+v, then n normals z, then n noises e).  Those PCG64 states are computed
+for a batch of seeds at once, numpy's SeedSequence hash vectorised over
+the seeds (:func:`_pcg64_states`), and one generator is re-stated per
+dataset instead of three seeding objects being built for each.
 """
 
 from __future__ import annotations
@@ -276,14 +283,101 @@ class Dataset:
 _BATCH_BUDGET = 2**14
 
 
-def _draws(law: CovariateLaw, generators: Sequence[np.random.Generator], n: int):
-    """(u, v, w, e), each of shape (len(generators), n), row i drawn by
-    generators[i] in the seed contract's order: n uniforms v, then n
-    normals z, then n noises e.  w = sigma_w z and u = m(v) + w are formed
-    once for the whole stack.  One generator may fill several rows, each
-    continuing its stream where the row before left it."""
-    v, w, e = (np.empty((len(generators), n)) for _ in range(3))
-    for row, rng in enumerate(generators):
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding step, for _pcg64_states.  The hash constants do not depend on
+# the data: the entropy hash takes INIT_A * MULT_A^j mod 2^32, j = 0..16
+# (four pool words, then three per source word of the pool mix), and
+# generate_state takes INIT_B * MULT_B^j, j = 0..8 (eight output words).
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT16 = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^j mod 2^32 for j = 0..count, a (count + 1, 1) uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix as `count` rows: row j xors the words with
+    consts[first + j], multiplies by consts[first + j + 1], then takes
+    x ^ (x >> 16).  The words are (count, seeds) or one (seeds,) row
+    hashed `count` ways; every operand is uint32 and products wrap."""
+    x = (words ^ consts[first : first + count]) * consts[first + 1 : first + count + 1]
+    x ^= x >> _SHIFT16
+    return x
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that np.random.default_rng(seed) starts in,
+    for each seed in [0, 2^64).
+
+    numpy seeds PCG64 through SeedSequence(seed): the seed's 32-bit words,
+    low first, are hashed into a pool of four words (a seed below 2^32
+    has one word, and hashing the absent second word as 0 gives the same
+    pool), every pool word is mixed into every other, and eight hashed
+    pool words make PCG64's 128-bit initial state and stream.  The hash
+    runs for all seeds at once: a source word's three pool updates read
+    the same source, so each source is one (3, seeds) array operation.
+    PCG64's two seeding steps, state = (inc + initstate) mult + inc with
+    inc = 2 initseq + 1 mod 2^128, run per seed in Python ints.
+    """
+    seeds = [_check_integer("seed", seed) for seed in seeds]
+    if seeds and not (min(seeds) >= 0 and max(seeds) <= _MASK64):
+        raise ValueError("seeds must lie in [0, 2^64)")
+    # word splits and joins by little-endian views, as numpy's own
+    # generate_state does: every ufunc loop a new dtype needs touches
+    # about 68 KiB of numpy's code, counted in the peak RSS
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T  # low word first
+    pool = _hashmix(pool, _HASH_A, 0, 4)
+    for src, first in zip(range(4), range(4, 16, 3)):
+        dst = [i for i in range(4) if i != src]
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _HASH_A, first, 3) * _MIX_R
+        mixed ^= mixed >> _SHIFT16
+        pool[dst] = mixed
+    words = _hashmix(np.concatenate([pool, pool]), _HASH_B, 0, 8)
+    states = []  # each seed's uint64 words: initstate high, low, initseq high, low
+    for s_hi, s_lo, q_hi, q_lo in np.ascontiguousarray(words.T, dtype="<u4").view("<u8").tolist():
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _draws(
+    law: CovariateLaw,
+    rng: np.random.Generator,
+    n: int,
+    rows: int,
+    states: Sequence[tuple[int, int]] | None = None,
+):
+    """(u, v, w, e), each of shape (rows, n), drawn by rng in the seed
+    contract's order: per row n uniforms v, then n normals z, then n
+    noises e.  Each row continues rng's stream where the row before left
+    it or, given the PCG64 `states` of :func:`_pcg64_states`, starts rng
+    at states[row], the state default_rng of that row's seed starts in.
+    w = sigma_w z and u = m(v) + w are formed once for the whole stack."""
+    v, w, e = (np.empty((rows, n)) for _ in range(3))
+    bit_generator = rng.bit_generator
+    for row in range(rows):
+        if states is not None:
+            state, inc = states[row]
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
         rng.random(out=v[row])  # uniform(0, 1) bit for bit: 0 + 1 x = x
         rng.standard_normal(out=w[row])  # z, scaled to w below
         rng.standard_normal(out=e[row])
@@ -291,24 +385,35 @@ def _draws(law: CovariateLaw, generators: Sequence[np.random.Generator], n: int)
     return law.cond_mean(v) + w, v, w, e
 
 
-def sample_datasets(
-    law: CovariateLaw, truth: ModelPoint, n: int, seeds: Sequence[int]
+def _sample_rows(
+    law: CovariateLaw, truth: ModelPoint, n: int, states: Sequence[tuple[int, int]]
 ) -> Dataset:
-    """Simulate one dataset of n i.i.d. triplets per seed, as the rows of
-    a (len(seeds), n) stack.
-
-    Row i is fully determined by seeds[i], whatever the other seeds are:
-    it is :func:`_draws` from default_rng(seeds[i]), and y = theta u +
-    eta(v) + e, formed once for the whole stack.  The drawn e and w are
-    kept for score-based diagnostics: u - m(v) loses w's digits to m(v)
-    as sigma_w shrinks.
-    """
+    """One dataset of n triplets per PCG64 state of :func:`_pcg64_states`,
+    as the rows of a (len(states), n) stack: :func:`_draws` re-states one
+    generator per row, and y = theta u + eta(v) + e is formed once."""
     if _check_integer("n", n) < 0:
         raise ValueError("n must be >= 0")
-    u, v, w, e = _draws(law, [np.random.default_rng(seed) for seed in seeds], n)
+    rng = np.random.default_rng(0)  # re-stated before its first draw
+    u, v, w, e = _draws(law, rng, n, len(states), states)
     with np.errstate(over="ignore"):  # Dataset rejects an overflowed y
         y = truth.theta * u + truth.eta(v) + e
     return Dataset(u=u, v=v, y=y, e=e, w=w)
+
+
+def sample_datasets(
+    law: CovariateLaw, truth: ModelPoint, n: int, seeds: Sequence[int]
+) -> Dataset:
+    """Simulate one dataset of n i.i.d. triplets per seed in [0, 2^64),
+    as the rows of a (len(seeds), n) stack.
+
+    Row i is fully determined by seeds[i], whatever the other seeds are:
+    it is drawn from exactly the state default_rng(seeds[i]) starts in,
+    computed for all seeds at once (:func:`_pcg64_states`), and y = theta
+    u + eta(v) + e is formed once for the whole stack.  The drawn e and w
+    are kept for score-based diagnostics: u - m(v) loses w's digits to
+    m(v) as sigma_w shrinks.
+    """
+    return _sample_rows(law, truth, n, _pcg64_states(seeds))
 
 
 def sample_dataset(

@@ -982,9 +982,9 @@ class TestEstimateUn:
         draws = asymptotics._draws
         shapes = []
 
-        def recorded(law, generators, n):
-            shapes.append((len(generators), n))
-            return draws(law, generators, n)
+        def recorded(law, rng, n, rows, states=None):
+            shapes.append((rows, n))
+            return draws(law, rng, n, rows, states)
 
         monkeypatch.setattr(asymptotics, "_draws", recorded)
         for n in (1, 40, 800):

@@ -395,7 +395,7 @@ class TestExitCodes:
             calls.append(args)
             raise AssertionError("work started despite a non-finite config")
 
-        monkeypatch.setattr(semibvm.experiments, "sample_datasets", spy)
+        monkeypatch.setattr(semibvm.experiments, "_sample_rows", spy)
         monkeypatch.setattr(cli, "prior_covariance", spy)
         path = tmp_path / "bad.cfg"
         path.write_text(SMALL_CONFIG + line + "\n")
@@ -417,7 +417,7 @@ class TestExitCodes:
             calls.append(args)
             raise AssertionError("work started despite k >= 99")
 
-        monkeypatch.setattr(semibvm.experiments, "sample_datasets", spy)
+        monkeypatch.setattr(semibvm.experiments, "_sample_rows", spy)
         monkeypatch.setattr(semibvm.experiments, "sample_dataset", spy)
         monkeypatch.setattr(cli, "prior_covariance", spy)
         monkeypatch.setattr(cli, "sample_dataset", spy)
@@ -852,3 +852,82 @@ def test_diagnostics_peak_memory_stays_near_coverage(tmp_path):
     diagnostics = _peak_rss_kib(["diagnostics", "--n", "800"], tmp_path / "diag.json")
     coverage = _peak_rss_kib(["coverage", "--replications", "4"], tmp_path / "cov.json")
     assert diagnostics - coverage <= 5 * 1024, (diagnostics, coverage)
+
+
+class TestFixedFormats:
+    """--format chooses for bvm-scan and coverage; the rest write one format."""
+
+    @pytest.mark.parametrize(
+        "command, asked, written",
+        [
+            (["kernel"], "json", "csv"),
+            (["sample", "--n", "20"], "json", "csv"),
+            (["posterior", "--n", "40"], "csv", "json"),
+            (["baseline", "--n", "100"], "csv", "json"),
+            (["diagnostics", "--n", "30"], "csv", "json"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_other_format_exits_2_before_any_work(
+        self, command, asked, written, config_path, tmp_path, monkeypatch, capsys
+    ):
+        def spy(*args, **kwargs):
+            raise AssertionError("work started despite a format the command does not write")
+
+        for module, name in (
+            (cli, "prior_covariance"),
+            (cli, "sample_dataset"),
+            (cli, "run_posterior_snapshot"),
+            (cli, "run_parametric_baseline"),
+            (cli, "run_diagnostics_suite"),
+        ):
+            monkeypatch.setattr(module, name, spy)
+        out = tmp_path / "o.txt"
+        argv = [*command, "--config", config_path, "--out", str(out), "--format", asked]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {command[0]} writes {written} only, got --format {asked}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_own_format_and_the_config_key_change_nothing(self, command, config_path, tmp_path):
+        # the flag naming a command's own format is accepted, and the
+        # config file's format key applies to bvm-scan and coverage alone
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
+        plain = out.read_bytes()
+        fixed = cli._FIXED_FORMAT.get(command[0])
+        for fmt in ("csv", "json"):
+            keyed = tmp_path / f"{fmt}.cfg"
+            keyed.write_text(SMALL_CONFIG + f"format = {fmt}\n")
+            assert cli.main([*command, "--config", str(keyed), "--out", str(out)]) == 0
+            assert (out.read_bytes() == plain) == (fixed is not None or fmt == "json")
+        if fixed is not None:
+            argv = [*command, "--config", config_path, "--out", str(out), "--format", fixed]
+            assert cli.main(argv) == 0
+            assert out.read_bytes() == plain
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+def test_json_output_is_indent_2_byte_for_byte(command, config_path, tmp_path):
+    # every JSON report is json.dumps(..., indent=2) of its own content
+    out = tmp_path / "o.txt"
+    assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
+    if cli._FIXED_FORMAT.get(command[0]) != "csv":
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # the reader takes one line of a 20000-row sample and closes the pipe
+    config = tmp_path / "big.cfg"
+    config.write_text("n_ladder = 20000\n")
+    src = str(Path(semibvm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "semibvm.cli", "sample", "--config", str(config)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"u,v,y,e\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+    assert err == b""

@@ -31,11 +31,17 @@ from semibvm.experiments import (
     splitmix64,
 )
 from semibvm.gp_prior import prior_covariance
-from semibvm.model import NuisanceFunction, sample_dataset
+from semibvm.model import NuisanceFunction, _pcg64_states, sample_dataset
 from semibvm.posterior import credible_interval, theta_posterior
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
 _LAW, _ZETA = make_components(SMALL)[0], NuisanceFunction.zero(SMALL.grid_size)
+
+
+def _one_cell(cfg, n, rep):
+    """The chunk of the one cell (n, rep), seeded on its own."""
+    seeds = _cell_seeds(cfg.master_seed, n, range(rep, rep + 1))
+    return cfg, make_components(cfg), n, range(rep, rep + 1), seeds, _pcg64_states(seeds)
 
 
 class TestSeedDerivation:
@@ -169,8 +175,7 @@ class TestBvmScan:
     def test_single_cell_reproduces_row(self):
         report = run_bvm_scan(SMALL)
         row = report.rows[5]
-        reps = range(row["rep"], row["rep"] + 1)
-        again = _bvm_cell((SMALL, make_components(SMALL), row["n"], reps))
+        again = _bvm_cell(_one_cell(SMALL, row["n"], row["rep"]))
         assert again == [row]
 
     def test_rows_record_seeds(self):
@@ -178,11 +183,15 @@ class TestBvmScan:
         for row in report.rows:
             assert row["seed"] == cell_seed(SMALL.master_seed, row["n"], row["rep"])
 
+    @pytest.mark.parametrize("group", [1, 3, 10**6])
     @pytest.mark.parametrize("budget", [1, 700, 10**6])
-    def test_report_does_not_depend_on_batch_size(self, budget, monkeypatch):
-        # budget 1: one replication per batch; 10**6: one batch per n
+    def test_report_does_not_depend_on_batch_size(self, budget, group, monkeypatch):
+        # budget 1: one replication per batch; 10**6: one batch per n.
+        # seeding group 1: every chunk seeded on its own; 10**6: one
+        # seeding pass per n
         scan, coverage = run_bvm_scan(SMALL), run_coverage(SMALL, 5)
         monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
+        monkeypatch.setattr(experiments, "_SEED_GROUP", group)
         assert run_bvm_scan(SMALL).to_json_text() == scan.to_json_text()
         assert run_coverage(SMALL, 5).to_json_text() == coverage.to_json_text()
 
@@ -217,17 +226,41 @@ class TestBatchedCells:
     def test_single_coverage_cell_reproduces_row(self):
         report = run_coverage(SMALL, 4)
         row = report.rows[6]
-        reps = range(row["rep"], row["rep"] + 1)
-        assert _coverage_cell((SMALL, make_components(SMALL), row["n"], reps)) == [row]
+        assert _coverage_cell(_one_cell(SMALL, row["n"], row["rep"])) == [row]
 
-    def test_batches_cover_every_cell_in_order(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "group, passes",
+        [
+            # one seeding pass per n; groups of whole chunks of at most 5
+            # cells, 3 at n = 10, 4 at n = 20 and 5 at n = 60; a chunk per
+            # group, whatever its size
+            (1024, [7, 7, 7]),
+            (5, [3, 3, 1, 4, 3, 5, 2]),
+            (1, [3, 3, 1, 2, 2, 2, 1, *[1] * 7]),
+        ],
+    )
+    def test_batches_cover_every_cell_in_order(self, group, passes, monkeypatch):
         # a chunk takes budget // 2 max(n, m) replications (at least one):
         # 3 at n = 10, where the grid of 15 nodes is the wider row, 2 at
-        # n = 20 and 1 at n = 60
-        cfg = ExperimentConfig(n_ladder=(10, 20, 60), grid_size=15)
+        # n = 20 and 1 at n = 60.  Seeds are folded and seeded once per
+        # group of whole chunks of one n, at most `group` cells unless a
+        # chunk is larger; each chunk carries its cells' seeds and states
+        cfg = ExperimentConfig(n_ladder=(10, 20, 60), grid_size=15, master_seed=5)
+        seeded = []
+
+        def states_of(seeds):
+            seeded.append(len(seeds))
+            return _pcg64_states(seeds)
+
         monkeypatch.setattr(experiments, "_BATCH_BUDGET", 100)
+        monkeypatch.setattr(experiments, "_SEED_GROUP", group)
+        monkeypatch.setattr(experiments, "_pcg64_states", states_of)
         batches = list(experiments._batches(cfg, make_components(cfg), 7))
-        assert [(n, list(reps)) for _, _, n, reps in batches] == [
+        assert seeded == passes
+        for _, _, n, reps, seeds, states in batches:
+            assert seeds == [cell_seed(5, n, rep) for rep in reps]
+            assert states == _pcg64_states(seeds)
+        assert [(n, list(reps)) for _, _, n, reps, _, _ in batches] == [
             (10, [0, 1, 2]),
             (10, [3, 4, 5]),
             (10, [6]),
@@ -245,7 +278,7 @@ class TestBatchedCells:
         # bounds are reached, so the sizes are the largest the budget allows
         budget, r = 200, 4
         cfg = ExperimentConfig(n_ladder=(2, 10, 30), grid_size=r, seeds=50, master_seed=3)
-        sample, statistics = experiments.sample_datasets, posterior._statistics
+        sample, statistics = experiments._sample_rows, posterior._statistics
         assemble = posterior._assemble
         samples, gathered, stacks = [], [], []
 
@@ -265,7 +298,7 @@ class TestBatchedCells:
 
         reference = run_bvm_scan(cfg).to_json_text(), run_coverage(cfg, 50).to_json_text()
         monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
-        monkeypatch.setattr(experiments, "sample_datasets", sampled)
+        monkeypatch.setattr(experiments, "_sample_rows", sampled)
         monkeypatch.setattr(posterior, "_statistics", statistics_of)
         monkeypatch.setattr(posterior, "_assemble", assembled)
         report = run_bvm_scan(cfg), run_coverage(cfg, 50)
@@ -366,6 +399,76 @@ class TestReportSerialization:
         run_bvm_scan(cfg)
         run_coverage(cfg, replications=2)
         assert not path.exists()
+
+
+class TestJsonText:
+    """_json_text, the one JSON writer, is json.dumps(indent=2) byte for byte."""
+
+    @staticmethod
+    def _payload(report):
+        return {
+            "kind": report.kind,
+            "config": report.config,
+            "rows": report.rows,
+            "aggregates": report.aggregates,
+        }
+
+    @pytest.mark.parametrize(
+        "cfg", [SMALL, ExperimentConfig(theta_prior_var=math.inf, sigma_w=1e-100, seeds=5)]
+    )
+    def test_scan_and_coverage_reports(self, cfg):
+        for report in (run_bvm_scan(cfg), run_coverage(cfg, 6)):
+            assert report.to_json_text() == json.dumps(self._payload(report), indent=2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [{"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0}],
+            [{"t": True, "f": False, "none": None, "big": 2**64 - 1, "neg": -(2**70)}] * 3,
+            [{"q": 'say "hi"', "b": "back\\slash", "nl": "two\nlines", "u": "\u00e9\u4e2d\U0001f600"}],
+            [{"end": "}", "x": 1}, {"end": "},", "x": 2}, {"y": ",\n      "}],
+            [{"s": "{brace"}, {"s": "[bracket"}],
+            [{"a": 1}, {"list": [1, 2.5, "x"]}],
+            [{"a": 1}, {"nested": {"b": [{"c": 2}]}}],
+            [{"tuple": (1, 2)}, {"empty": []}, {"empty": {}}],
+            [{"a": 1}, {}],
+            [{1: "int key", 2.5: "float key", None: "null key", True: "bool key"}],
+            [1, "two", [3]],
+            [{"a": 1}, 2],
+        ],
+    )
+    def test_rows_of_every_kind(self, rows):
+        # NaN, infinities, bools, wide ints, strings needing escapes and
+        # strings holding the separator or a brace; lists, dicts and
+        # tuples in a row, empty rows and non-dict rows take indent=2
+        payload = {"kind": "k", "config": {"n_ladder": [1, 2], "x": None}, "rows": rows, "aggregates": rows[:1]}
+        report = RunReport(**payload)
+        assert report.to_json_text() == json.dumps(payload, indent=2)
+        assert experiments._json_text(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, [], [{"a": 1}], {1: [{"a": 1}]}, {"k": []}, {"k": {}}, {"k": [{"a": 1}], "v": 3.5}, 7, "s"],
+    )
+    def test_any_payload(self, payload):
+        assert experiments._json_text(payload) == json.dumps(payload, indent=2)
+
+    def test_flat_rows_skip_the_python_encoder(self):
+        # indent=2 encodes in pure Python; the rows and aggregates of a
+        # report go to the C encoder, only the kind and the config do not
+        report = run_coverage(SMALL, 4)
+        with mock.patch.object(experiments.json, "dumps", wraps=json.dumps) as dumps:
+            report.to_json_text()
+        indented = [call.args[0] for call in dumps.call_args_list if "indent" in call.kwargs]
+        assert indented == ["coverage", report.config]
+
+    def test_unserialisable_rows_raise_as_json_does(self):
+        for rows in ([{"a": {1, 2}}], [{"a": np.float32(1.0)}]):
+            with pytest.raises(TypeError):
+                json.dumps(rows, indent=2)
+            with pytest.raises(TypeError):
+                experiments._json_text({"rows": rows})
 
 
 class TestCoverage:

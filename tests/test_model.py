@@ -11,6 +11,8 @@ from semibvm.model import (
     Dataset,
     ModelPoint,
     NuisanceFunction,
+    _draws,
+    _pcg64_states,
     efficient_information,
     efficient_score,
     empirical_information,
@@ -232,6 +234,85 @@ class TestSampleDataset:
         # theta u overflows for |u| > 1.8; warnings are errors in this suite
         with pytest.raises(ValueError, match="y entries must be finite"):
             sample_datasets(make_covariate_law(0.8), _truth(theta=1e308), 50, [1, 2])
+
+
+class TestGeneratorStates:
+    """_pcg64_states against numpy's own seeding, and the re-stated generator."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def _reference(seed):
+        state = np.random.default_rng(seed).bit_generator.state
+        assert state["has_uint32"] == 0 and state["uinteger"] == 0
+        return state["state"]["state"], state["state"]["inc"]
+
+    def test_states_equal_default_rng_on_edge_and_random_seeds(self):
+        # every 32-bit word boundary, and 2000 seeds over the whole 64-bit
+        # range; warnings are errors in this suite, so no operand promotes
+        # or overflows with a warning under either numpy's rules
+        random = np.random.default_rng(20261020).integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
+        small = [int(x) >> 32 for x in random[:200]]  # one-word seeds
+        seeds = self.EDGE_SEEDS + [int(x) for x in random] + small
+        assert _pcg64_states(seeds) == [self._reference(seed) for seed in seeds]
+
+    def test_a_seed_does_not_depend_on_its_batch(self):
+        seeds = self.EDGE_SEEDS[::-1] + [7, 7]
+        states = _pcg64_states(seeds)
+        assert states == [_pcg64_states([seed])[0] for seed in seeds]
+        assert _pcg64_states(np.array(seeds, dtype=np.uint64)) == states
+        assert _pcg64_states([]) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seeds_outside_64_bits_are_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\^64\)"):
+            _pcg64_states([3, seed])
+        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\^64\)"):
+            sample_dataset(make_covariate_law(0.8), _truth(), 5, seed)
+
+    def test_non_integer_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            _pcg64_states([1.0])
+
+    def test_restated_generator_draws_the_bits_of_a_fresh_one(self):
+        # one generator re-stated row after row, each row left mid-stream
+        # and with a cached half word (a uint32 draw), gives every draw a
+        # fresh default_rng(seed) gives
+        seeds = [5, 2**64 - 1, 0, 5, 123456789012345]
+        rng = np.random.default_rng(99)
+        for seed, (state, inc) in zip(seeds, _pcg64_states(seeds)):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            fresh = np.random.default_rng(seed)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+            assert np.array_equal(rng.random(7), fresh.random(7))
+            assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
+            assert rng.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 33])
+    def test_draws_restate_per_row_or_continue_one_stream(self, n):
+        law, seeds = make_covariate_law(0.7), [11, 12, 11]
+        restated = _draws(law, np.random.default_rng(0), n, 3, _pcg64_states(seeds))
+        continued = _draws(law, np.random.default_rng(11), n, 2)
+        stream = np.random.default_rng(11)
+        for row, seed in enumerate(seeds):
+            fresh = np.random.default_rng(seed)
+            v = fresh.random(n)
+            z = fresh.standard_normal(n)
+            e = fresh.standard_normal(n)
+            for got, want in zip(restated, (law.cond_mean(v) + 0.7 * z, v, 0.7 * z, e)):
+                assert np.array_equal(got[row], want)
+        for row in range(2):
+            v = stream.random(n)
+            z = stream.standard_normal(n)
+            e = stream.standard_normal(n)
+            for got, want in zip(continued, (law.cond_mean(v) + 0.7 * z, v, 0.7 * z, e)):
+                assert np.array_equal(got[row], want)
 
 
 class TestLogDensityRatio:

@@ -34,13 +34,13 @@ import numpy as np
 
 from .gp_prior import GpPriorSpec
 from .model import (
-    _BATCH_BUDGET,
     CovariateLaw,
     Dataset,
     ModelPoint,
     NuisanceFunction,
     _check_integer,
     _draws,
+    _stack_rows,
     interpolate,
     uniform_grid,
 )
@@ -388,11 +388,11 @@ def estimate_un_per_zeta(
     direction is sqrt(n) (u.e)/(u.u): four row dots.  Translation j draws
     its replications one after another from default_rng([seed, j]), each
     in the order of :func:`semibvm.model.sample_datasets` (v, z, e), in
-    chunks of max(1, budget // 2n) rows (see ``_BATCH_BUDGET``) of which
-    only each replication's ratio is kept; the estimates do not depend on
-    the chunk size.  Only `law`, `n`, `mc_reps`, `seed` and len(zeta_set)
-    enter the estimates; the values of the truth and of the translations
-    do not.
+    chunks of rows of 2n doubles sized by ``semibvm.model._stack_rows``,
+    of which only each replication's ratio is kept; the estimates do not
+    depend on the chunk size.  Only `law`, `n`, `mc_reps`, `seed` and
+    len(zeta_set) enter the estimates; the values of the truth and of the
+    translations do not.
     """
     if _check_integer("mc_reps", mc_reps) < 1:
         raise ValueError("mc_reps must be >= 1")
@@ -401,7 +401,7 @@ def estimate_un_per_zeta(
     if not zeta_set:
         raise ValueError("zeta_set must be nonempty")
     rootn = math.sqrt(n)
-    size = max(1, _BATCH_BUDGET // (2 * n))
+    size = _stack_rows(2 * n)
     estimates = np.empty(len(zeta_set))
     errors = np.empty(len(zeta_set))
     ratios = np.empty(mc_reps)

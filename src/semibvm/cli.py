@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: kernel, sample, posterior, bvm-scan, coverage, baseline,
-diagnostics, listed once with their help text and extra flags in
-``_COMMANDS``.  Common flags: --config (key = value text file mirroring the
-experiment config), --seed, --out, --format, and the deprecated --jobs,
-which is checked (>= 1) and otherwise ignored: replications run as
-stacked batches in one process.
+diagnostics, listed once with their help text, extra flags and format
+in ``_COMMANDS``.  Common flags: --config (key = value text file
+mirroring the experiment config), --seed, --out, --format, and the
+deprecated --jobs, which is checked (>= 1) and otherwise ignored:
+replications run as stacked batches in one process.
 
 A launch whose first argument names a subcommand builds only that
 subcommand's parser; any other launch (help, a typo, an option placed
@@ -18,8 +18,9 @@ posterior, baseline and diagnostics JSON), and a --format asking one of
 them for the other exits 2 before any work starts.  The config file's
 format key applies to bvm-scan and coverage only.
 
-Exit codes: 0 success, 2 config error (including --jobs < 1 and a
---format the subcommand does not write), 3 numeric failure (the
+Exit codes: 0 success, 2 config error (including --jobs < 1, a
+--format the subcommand does not write and an output path that cannot
+be written), 3 numeric failure (the
 offending cell is printed to standard error), 141 standard output closed
 before the report was written, e.g. by ``| head -1``: 128 + SIGPIPE, as a
 shell reports a C tool killed by the signal.  The output is then dropped
@@ -121,9 +122,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.format is not None:
         overrides["format"] = args.format
     try:
-        return ExperimentConfig(**overrides)
+        cfg = ExperimentConfig(**overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    path = cfg.output_path  # checked, not opened: the output waits for the work
+    if path and os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output path {path}: no directory {os.path.dirname(path)}")
+    return cfg
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -139,15 +146,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # the --n of the commands that size one dataset
 _N = ("--n", {"type": int, "help": "sample size (default: first ladder entry)"})
 
-# every subcommand: name -> (help text, extra arguments as (flag, keywords))
+# every subcommand: name -> (help text, extra arguments as (flag,
+# keywords), the one format it writes or None where --format chooses)
 _COMMANDS = {
-    "kernel": ("dump the prior covariance matrix as CSV", ()),
-    "sample": ("simulate a dataset and write CSV (u,v,y,e)", (_N,)),
-    "posterior": ("one-shot posterior diagnostics as JSON", (_N,)),
-    "bvm-scan": ("gap scan over the n ladder", ()),
+    "kernel": ("dump the prior covariance matrix as CSV", (), "csv"),
+    "sample": ("simulate a dataset and write CSV (u,v,y,e)", (_N,), "csv"),
+    "posterior": ("one-shot posterior diagnostics as JSON", (_N,), "json"),
+    "bvm-scan": ("gap scan over the n ladder", (), None),
     "coverage": (
         "credible-interval coverage study",
         (("--replications", {"type": int, "default": 1000}),),
+        None,
     ),
     "baseline": (
         "normal location-model reference gap",
@@ -155,17 +164,9 @@ _COMMANDS = {
             ("--n", {"type": int, "default": 1000}),
             ("--prior-var", {"type": float, "default": 100.0}),
         ),
+        "json",
     ),
-    "diagnostics": ("KL/domination/expansion suite as JSON", (_N,)),
-}
-
-# the one format of each subcommand that --format does not choose
-_FIXED_FORMAT = {
-    "kernel": "csv",
-    "sample": "csv",
-    "posterior": "json",
-    "baseline": "json",
-    "diagnostics": "json",
+    "diagnostics": ("KL/domination/expansion suite as JSON", (_N,), "json"),
 }
 
 
@@ -181,7 +182,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_text, extra = _COMMANDS[name]
+        help_text, extra, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         for flag, keywords in extra:
@@ -193,33 +194,23 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
-    fixed = _FIXED_FORMAT.get(args.command)
-    if args.format is not None and fixed not in (None, args.format):
-        print(
-            f"config error: {args.command} writes {fixed} only, got --format {args.format}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
+    try:  # the checks' ConfigError is a ValueError: exit 2 before any work
+        fixed, asked = _COMMANDS[args.command][2], args.format
+        if asked is not None and fixed not in (None, asked):
+            raise ConfigError(f"{args.command} writes {fixed} only, got --format {asked}")
         cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.jobs < 1:
-        print(f"config error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.jobs > 1:
-        print(
-            "warning: --jobs is deprecated and ignored; replications run as "
-            "stacked batches in one process",
-            file=sys.stderr,
-        )
-
-    n = getattr(args, "n", None)  # kernel, bvm-scan and coverage take no --n
-    n = cfg.n_ladder[0] if n is None else n
-    seed = cell_seed(cfg.master_seed, n, 0)
-    dest = cfg.output_path or sys.stdout
-    try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.jobs > 1:
+            print(
+                "warning: --jobs is deprecated and ignored; replications run as "
+                "stacked batches in one process",
+                file=sys.stderr,
+            )
+        n = getattr(args, "n", None)  # kernel, bvm-scan and coverage take no --n
+        n = cfg.n_ladder[0] if n is None else n
+        seed = cell_seed(cfg.master_seed, n, 0)
+        dest = cfg.output_path or sys.stdout
         if args.command == "kernel":
             _, _, spec = make_components(cfg)
             covariance_to_csv(prior_covariance(spec), dest)
@@ -250,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the output, opened after the work
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

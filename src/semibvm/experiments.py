@@ -20,13 +20,11 @@ bincounts, and their posterior systems assembled by two stacked GEMMs
 and factorised by stacked Cholesky calls, in sub-stacks (see
 :func:`semibvm.posterior.theta_posteriors`).  Only the generator runs
 per cell, one Generator re-stated at each cell's state; u and y are
-formed once for the whole chunk.  Each stage's stack is sized by its
-own working set against one fixed budget (see ``semibvm.model._BATCH_BUDGET``): a
-chunk takes as many replications as fit the budget at two doubles per
-entry of its widest row, n data points or m grid statistics, a
-sub-stack as many (r+2)^2 systems as fit it.  A row does not depend on
-which other cells share its chunk, sub-stack or seeding group, so the
-reports are the same for any budget or group size.
+formed once for the whole chunk.  Chunks and sub-stacks are sized by
+the one stack rule, ``semibvm.model._stack_rows``, whose budget comment
+states each stage's rows.  A row does not depend on which other cells
+share its chunk, sub-stack or seeding group, so the reports are the same
+for any budget or group size.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .asymptotics import (
 )
 from .gp_prior import GpPriorSpec, NumericsError, PriorCovariance
 from .model import (
-    _BATCH_BUDGET,
     _MASK64,
     CovariateLaw,
     Dataset,
@@ -61,6 +58,7 @@ from .model import (
     _check_integer,
     _pcg64_states,
     _sample_rows,
+    _stack_rows,
     empirical_information,
     make_covariate_law,
     sample_dataset,
@@ -301,12 +299,12 @@ _SEED_GROUP = 1024
 
 def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
     """The (cfg, components, n, reps, seeds, states) chunks that cover
-    every cell, in (n, rep) order: max(1, budget // 2 max(n, m))
-    replications each, with their seeds and PCG64 states (see
-    :func:`semibvm.model._pcg64_states`), computed once per group of
-    chunks of one n."""
+    every cell, in (n, rep) order, each of the replications that
+    ``semibvm.model._stack_rows`` gives rows of 2 max(n, m) doubles, with
+    their seeds and PCG64 states (see :func:`semibvm.model._pcg64_states`),
+    computed once per group of chunks of one n."""
     for n in cfg.n_ladder:
-        size = max(1, _BATCH_BUDGET // (2 * max(n, cfg.grid_size)))
+        size = _stack_rows(2 * max(n, cfg.grid_size))
         group = max(1, _SEED_GROUP // size) * size
         for first in range(0, replications, group):
             cells = range(first, min(first + group, replications))
@@ -323,7 +321,7 @@ def _solve_batch(batch: _Batch):
     cfg, (law, truth, spec), n, reps, seeds, states = batch
     data = _sample_rows(law, truth, n, states)
     try:
-        means, variances = theta_posteriors(data, spec, cfg.theta_prior_var, _BATCH_BUDGET)
+        means, variances = theta_posteriors(data, spec, cfg.theta_prior_var)
     except StackNumericsError as exc:
         rep, seed = reps[exc.index], seeds[exc.index]
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc

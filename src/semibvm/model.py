@@ -250,17 +250,17 @@ class Dataset:
         return Dataset(**{name: getattr(self, name)[key] for name in self._fields()})
 
 
-# Working-set budget of one stage's stack, in doubles.  Each stage is
-# sized by its own working set against it: a data chunk at sample size n
-# on a grid of m nodes takes max(1, budget // 2 max(n, m)) replications
-# (14 chunks for the 300 default coverage cells, where m <= n), the
-# domination estimate of semibvm.asymptotics draws max(1, budget // 2n)
-# replications at a time, and theta_posteriors assembles and factorises
-# its (r+2)^2 systems in sub-stacks of max(1, budget // (r+2)^2) (6 on
-# the default grid).  The O(n) stages (generator, u and y, the
-# bincounts) thus pay their per-call overhead once per chunk, not once
-# per 4-5 replications as when one divisor, n + (m+2)^2, sized every
-# stage.
+# Working-set budget of one stage's stack, in doubles: _stack_rows(d),
+# the one stack rule, gives a stack of rows of d doubles as many rows as
+# fit it, at least one.  The stages, with their rows on the default
+# config (m = 50 grid nodes, r = 50): a data chunk of experiments._batches,
+# d = 2 max(n, m), takes 163, 40 and 10 replications at n = 50, 200, 800
+# (the 300 default coverage cells run in 14 chunks); a sub-stack of
+# posterior.theta_posteriors, d = (r+2)^2, 6 systems; a domination chunk
+# of asymptotics.estimate_un_per_zeta, d = 2n.  The O(n) stages
+# (generator, u and y, the bincounts) thus pay their per-call overhead
+# once per chunk, not once per 4-5 replications as when one divisor,
+# n + (m+2)^2, sized every stage.
 #
 # Why these divisors: the allocator.  A chunk's (rows, n) samples and
 # its (rows, m) statistics (diag, off, W'u, W'y and their bincounts) stay
@@ -281,6 +281,11 @@ class Dataset:
 # raised the peak RSS of a coverage run by 8 MiB.  A change of the
 # budget or a divisor should measure page faults as well as wall time.
 _BATCH_BUDGET = 2**14
+
+
+def _stack_rows(doubles_per_row: int) -> int:
+    """As many rows of `doubles_per_row` doubles as fit the budget, at least one."""
+    return max(1, _BATCH_BUDGET // doubles_per_row)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's

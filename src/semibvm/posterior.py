@@ -29,13 +29,13 @@ inverted.  A stack's z blocks are built by two stacked GEMMs, L' times
 assembly is BLAS-3 work rather than elementwise passes over m x r
 arrays.  :func:`theta_posteriors` gathers the statistics of many
 equal-size datasets at once and reads their theta marginals off the
-pivots of stacked chol(S), assembled and factorised in sub-stacks of at
-most a given working set, and :func:`theta_posterior` is its stack of
-one.  :func:`_solve` factorises a single dataset's S: the joint reads
-its mean and covariance root off that chol(S), and the Gibbs sampler and
-the conditional nuisance draws read z | theta off it.  An empty dataset
-takes the same path, as S = diag(I, 1/tau^2, 1) is the prior's system.
-The package needs numpy and the standard library only.
+pivots of stacked chol(S), assembled and factorised in sub-stacks, and
+:func:`theta_posterior` is its stack of one.  :func:`_solve` factorises
+a single dataset's S: the joint reads its mean and covariance root off
+that chol(S), and the Gibbs sampler and the conditional nuisance draws
+read z | theta off it.  An empty dataset takes the same path, as S =
+diag(I, 1/tau^2, 1) is the prior's system.  The package needs numpy and
+the standard library only.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 # prior_covariance is bound here, uncalled, for perfbench's tracer
 from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor  # noqa: F401
-from .model import CovariateLaw, Dataset, ModelPoint, interpolation_index
+from .model import CovariateLaw, Dataset, ModelPoint, _stack_rows, interpolation_index
 
 __all__ = [
     "JointGaussianPosterior",
@@ -198,6 +198,14 @@ def _prior_precision(variance: float, name: str = "theta_prior_var") -> float:
     return 1.0 / variance
 
 
+def _theta_precision(theta_prior_var: float, n: int) -> float:
+    """:func:`_prior_precision` for datasets of n points; ValueError if a
+    flat prior and no data make the posterior improper."""
+    if _prior_precision(theta_prior_var) == 0.0 and n == 0:
+        raise ValueError("flat theta prior with no data is improper")
+    return 1.0 / theta_prior_var
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i for each row i of two (rows, n) arrays, whatever the others."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -279,9 +287,10 @@ def _assemble(stats: tuple, factor: np.ndarray, prior_precision: float) -> np.nd
     return systems
 
 
-def _solve(ds: Dataset, spec: GpPriorSpec, prior_precision: float):
+def _solve(ds: Dataset, spec: GpPriorSpec, theta_prior_var: float):
     """(L, S, chol(S)) of one dataset: the prior factor of `spec`, the
     system of :func:`_assemble` and its factor, a stack of one."""
+    prior_precision = _theta_precision(theta_prior_var, ds.n)
     factor = prior_factor(spec)
     stats = _statistics(ds[None], factor.shape[0])
     systems = _assemble(stats, factor, prior_precision)
@@ -318,29 +327,27 @@ def theta_posterior(
     ValueError for a flat theta prior with no data; NumericsError if the
     precision is not positive (e.g. a flat theta prior with u = 0).
     """
-    if _prior_precision(theta_prior_var) == 0.0 and ds.n == 0:
-        raise ValueError("flat theta prior with no data is improper")
-    (mean,), (variance,) = theta_posteriors(ds[None], spec, theta_prior_var, budget=1)
+    (mean,), (variance,) = theta_posteriors(ds[None], spec, theta_prior_var)
     return MarginalThetaPosterior(mean=float(mean), variance=float(variance))
 
 
 def theta_posteriors(
-    data: Dataset, spec: GpPriorSpec, theta_prior_var: float, budget: int
+    data: Dataset, spec: GpPriorSpec, theta_prior_var: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta marginal means and variances of the datasets in the rows of
     the (rows, n) stack `data`.  The statistics of every row are
     gathered at once; the systems are assembled and factorised by one
-    np.linalg.cholesky call per sub-stack of max(1, budget // (r+2)^2)
-    rows (`budget` in doubles).  Row i's result does not depend on the
-    other rows.  StackNumericsError names, by its row, the first failing
-    system or theta precision of the first sub-stack with one.
+    np.linalg.cholesky call per sub-stack (see ``model._stack_rows``).
+    Row i's result does not depend on the other rows.  StackNumericsError
+    names, by its row, the first failing system or theta precision of the
+    first sub-stack with one.
     """
+    prior_precision = _theta_precision(theta_prior_var, data.n)
     factor = prior_factor(spec)
     m, r = factor.shape
     stats = _statistics(data, m)
-    prior_precision = _prior_precision(theta_prior_var)
     rows = data.u.shape[0]
-    size = max(1, budget // (r + 2) ** 2)
+    size = _stack_rows((r + 2) ** 2)
     means, variances = np.empty(rows), np.empty(rows)
     for start in range(0, rows, size):
         part = slice(start, start + size)
@@ -378,10 +385,7 @@ def conjugate_joint_posterior(
     NumericsError if S is not positive definite (e.g. a flat theta prior
     with u = 0).
     """
-    prior_precision = _prior_precision(theta_prior_var)
-    if prior_precision == 0.0 and ds.n == 0:
-        raise ValueError("flat theta prior with no data is improper")
-    factor, _, chol = _solve(ds, spec, prior_precision)
+    factor, _, chol = _solve(ds, spec, theta_prior_var)
     m, r = factor.shape
     inv_chol = _inverse_lower(chol[: r + 1, : r + 1])
     latent_mean = inv_chol.T @ chol[r + 1, : r + 1]  # (z, theta)
@@ -416,11 +420,12 @@ def gibbs_chain(
     precision, O(r) per step; z | theta, data is multivariate normal with
     the theta-independent precision B, read off chol(S) once.  The states
     map to eta with one matmul at the end.  Deterministic in `seed`;
-    NumericsError if S is not positive definite (e.g. flat prior, u = 0).
+    ValueError for a flat prior with no data; NumericsError if S is not
+    positive definite (e.g. flat prior, u = 0).
     """
     if not (iterations > burn_in >= 0):
         raise ValueError("need iterations > burn_in >= 0")
-    factor, system, chol = _solve(ds, spec, _prior_precision(theta_prior_var))
+    factor, system, chol = _solve(ds, spec, theta_prior_var)
     r = factor.shape[1]
     draw_z = _nuisance_conditional(chol, r)
 
@@ -496,7 +501,7 @@ def conditional_nuisance_mass(
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     # z | theta reads chol(S)[:r+2, :r], which never reads S[r, r]; a unit
-    # theta precision keeps S positive definite even where u = 0
+    # theta precision (variance 1) keeps S positive definite even at u = 0
     factor, _, chol = _solve(ds, spec, 1.0)
     r = factor.shape[1]
     draw_z = _nuisance_conditional(chol, r)

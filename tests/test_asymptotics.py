@@ -29,7 +29,7 @@ from semibvm.asymptotics import (
     misspecified_theta_star,
     tv_normals,
 )
-from semibvm import asymptotics
+from semibvm import asymptotics, model
 from semibvm.experiments import ExperimentConfig, make_components
 from semibvm.gp_prior import GpPriorSpec, prior_covariance
 from semibvm.model import (
@@ -993,13 +993,13 @@ class TestEstimateUn:
             assert sum(rows for rows, _ in shapes) == 301 * len(zetas)
             for budget in (1, 2**16):
                 shapes.clear()
-                monkeypatch.setattr(asymptotics, "_BATCH_BUDGET", budget)
+                monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
                 estimates, errors = estimate_un_per_zeta(law, zetas, n, 301, 211)
                 assert np.array_equal(estimates, reference[0])
                 assert np.array_equal(errors, reference[1])
                 assert max(rows for rows, _ in shapes) == max(1, min(301, budget // (2 * n)))
             shapes.clear()
-            monkeypatch.setattr(asymptotics, "_BATCH_BUDGET", _BATCH_BUDGET)
+            monkeypatch.setattr(model, "_BATCH_BUDGET", _BATCH_BUDGET)
 
     @pytest.mark.parametrize("sigma_w", [0.3, 0.8, 1.0])
     @pytest.mark.parametrize("grid_size", [2, 21, 200])

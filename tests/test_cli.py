@@ -15,6 +15,8 @@ import pytest
 
 import semibvm
 import semibvm.experiments
+import semibvm.gp_prior
+import semibvm.model
 import semibvm.posterior
 from semibvm import cli
 from semibvm.experiments import ExperimentConfig, cell_seed, make_components
@@ -221,7 +223,7 @@ class TestParser:
             return f"`{name}`" + (f", default {keywords['default']}" if "default" in keywords else "")
 
         expected = []
-        for name, (help_text, extra) in cli._COMMANDS.items():
+        for name, (help_text, extra, _) in cli._COMMANDS.items():
             flags = "; ".join(flag(*argument) for argument in extra)
             expected.append(f"* `{name}` - {help_text}" + (f" ({flags})" if flags else ""))
         section = README.read_text().split("Subcommands:\n", 1)[1]
@@ -559,7 +561,7 @@ class TestExitCodes:
         # a budget of two (r+2)^2 systems: the n = 60 chunk is factorised in
         # sub-stacks of two, and a failure in the second is named by its
         # own replication, not by its row in the sub-stack
-        monkeypatch.setattr(semibvm.experiments, "_BATCH_BUDGET", 2 * (15 + 2) ** 2)
+        monkeypatch.setattr(semibvm.model, "_BATCH_BUDGET", 2 * (15 + 2) ** 2)
         statistics, assemble = semibvm.posterior._statistics, semibvm.posterior._assemble
         sizes, stacks = [], []
 
@@ -585,6 +587,62 @@ class TestExitCodes:
         assert message in err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["--out", "output_path"])
+    @pytest.mark.parametrize("kind", ["directory", "missing directory"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_unwritable_destination_exits_2_before_any_work(
+        self, command, kind, where, tmp_path, monkeypatch, capsys
+    ):
+        # the destination is checked, not opened, before any work: nothing
+        # is drawn, no prior is built, and nothing is created
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("work started despite an unwritable destination")
+
+        for module, name in (
+            (semibvm.model, "_sample_rows"),
+            (semibvm.experiments, "_sample_rows"),
+            (semibvm.gp_prior, "prior_covariance"),
+            (cli, "prior_covariance"),
+            (cli, "run_parametric_baseline"),
+        ):
+            monkeypatch.setattr(module, name, spy)
+        semibvm.gp_prior.prior_factor.cache_clear()
+        if kind == "directory":
+            path, message = tmp_path, f"output path {tmp_path} is a directory"
+        else:
+            path = tmp_path / "absent" / "o.txt"
+            message = f"output path {path}: no directory {path.parent}"
+        config = tmp_path / "scan.cfg"
+        config.write_text(SMALL_CONFIG + (f"output_path = {path}\n" if where == "output_path" else ""))
+        argv = [*command, "--config", str(config)] + (["--out", str(path)] if where == "--out" else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.cfg"]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_destination_failing_after_the_work_exits_2_without_a_traceback(
+        self, command, config_path, tmp_path, monkeypatch, capsys
+    ):
+        # the output directory goes away while the work runs: opening the
+        # output then fails, which exits 2 and names the path
+        folder = tmp_path / "reports"
+        folder.mkdir()
+        out = folder / "o.txt"
+        seed_of = cli.cell_seed
+
+        def remove_folder(*args):
+            folder.rmdir()
+            return seed_of(*args)
+
+        monkeypatch.setattr(cli, "cell_seed", remove_folder)
+        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
     def test_success_exit_0(self, config_path, tmp_path):
         out = tmp_path / "r.json"
@@ -896,7 +954,7 @@ class TestFixedFormats:
         out = tmp_path / "o.txt"
         assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
         plain = out.read_bytes()
-        fixed = cli._FIXED_FORMAT.get(command[0])
+        fixed = cli._COMMANDS[command[0]][2]
         for fmt in ("csv", "json"):
             keyed = tmp_path / f"{fmt}.cfg"
             keyed.write_text(SMALL_CONFIG + f"format = {fmt}\n")
@@ -913,7 +971,7 @@ def test_json_output_is_indent_2_byte_for_byte(command, config_path, tmp_path):
     # every JSON report is json.dumps(..., indent=2) of its own content
     out = tmp_path / "o.txt"
     assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
-    if cli._FIXED_FORMAT.get(command[0]) != "csv":
+    if cli._COMMANDS[command[0]][2] != "csv":
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semibvm import experiments, posterior
+from semibvm import asymptotics, experiments, model, posterior
 from semibvm.asymptotics import bvm_gap, delta_n, estimate_un_per_zeta
 from semibvm.experiments import (
     ExperimentConfig,
@@ -190,7 +190,7 @@ class TestBvmScan:
         # seeding group 1: every chunk seeded on its own; 10**6: one
         # seeding pass per n
         scan, coverage = run_bvm_scan(SMALL), run_coverage(SMALL, 5)
-        monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
+        monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
         monkeypatch.setattr(experiments, "_SEED_GROUP", group)
         assert run_bvm_scan(SMALL).to_json_text() == scan.to_json_text()
         assert run_coverage(SMALL, 5).to_json_text() == coverage.to_json_text()
@@ -252,7 +252,7 @@ class TestBatchedCells:
             seeded.append(len(seeds))
             return _pcg64_states(seeds)
 
-        monkeypatch.setattr(experiments, "_BATCH_BUDGET", 100)
+        monkeypatch.setattr(model, "_BATCH_BUDGET", 100)
         monkeypatch.setattr(experiments, "_SEED_GROUP", group)
         monkeypatch.setattr(experiments, "_pcg64_states", states_of)
         batches = list(experiments._batches(cfg, make_components(cfg), 7))
@@ -297,7 +297,7 @@ class TestBatchedCells:
             return assemble(stats, factor, prior_precision)
 
         reference = run_bvm_scan(cfg).to_json_text(), run_coverage(cfg, 50).to_json_text()
-        monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
+        monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
         monkeypatch.setattr(experiments, "_sample_rows", sampled)
         monkeypatch.setattr(posterior, "_statistics", statistics_of)
         monkeypatch.setattr(posterior, "_assemble", assembled)
@@ -306,6 +306,38 @@ class TestBatchedCells:
         assert max(samples) == max(gathered) == budget // 2
         assert max(stacks) == budget // (r + 2) ** 2 == 5
         assert sum(samples) == 2 * 50 * (2 + 10 + 30) and sum(stacks) == 2 * 3 * 50
+
+    def test_one_budget_sizes_every_stage(self, monkeypatch):
+        # model._BATCH_BUDGET, patched alone, moves all three stacks: the
+        # data chunk (2 max(n, m) doubles a replication: 360 // 24), the
+        # posterior sub-stack ((r+2)^2 a system: 360 // 36) and the
+        # domination chunk (2n a replication: 360 // 60 at n = 30)
+        budget, r = 360, 4
+        cfg = ExperimentConfig(n_ladder=(12,), grid_size=r, master_seed=3)
+        sample, assemble, draws = experiments._sample_rows, posterior._assemble, asymptotics._draws
+        chunks, stacks, drawn = [], [], []
+
+        def sampled(law, truth, n, states):
+            chunks.append(len(states))
+            return sample(law, truth, n, states)
+
+        def assembled(stats, factor, prior_precision):
+            stacks.append(stats[0].shape[0])
+            return assemble(stats, factor, prior_precision)
+
+        def recorded(law, rng, n, rows, states=None):
+            drawn.append(rows)
+            return draws(law, rng, n, rows, states)
+
+        monkeypatch.setattr(experiments, "_sample_rows", sampled)
+        monkeypatch.setattr(posterior, "_assemble", assembled)
+        monkeypatch.setattr(asymptotics, "_draws", recorded)
+        monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
+        run_coverage(cfg, 30)
+        estimate_un_per_zeta(_LAW, [_ZETA], 30, 30, 5)
+        assert chunks == [15, 15]
+        assert stacks == [10, 5, 10, 5]
+        assert drawn == [6] * 5
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -349,7 +381,7 @@ class TestBatchedCells:
             theta_prior_var=theta_prior_var,
             master_seed=k * 1000 + n,
         )
-        with mock.patch.object(experiments, "_BATCH_BUDGET", budget):
+        with mock.patch.object(model, "_BATCH_BUDGET", budget):
             scan = run_bvm_scan(cfg).rows
             coverage = run_coverage(cfg, replications).rows
         law, truth, spec = make_components(cfg)

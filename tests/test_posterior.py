@@ -28,6 +28,7 @@ from semibvm.gp_prior import (
     prior_factor,
     sample_prior_path,
 )
+import semibvm.model
 from semibvm.model import (
     Dataset,
     ModelPoint,
@@ -283,6 +284,29 @@ class TestWhitenedEngine:
         with pytest.raises(NumericsError, match=message):
             theta_posterior(blind, spec, math.inf)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda empty, spec: theta_posterior(empty, spec, math.inf),
+            lambda empty, spec: theta_posteriors(empty[None], spec, math.inf),
+            lambda empty, spec: conjugate_joint_posterior(empty, spec, math.inf),
+            lambda empty, spec: gibbs_chain(empty, spec, math.inf, 10, 2, 1),
+        ],
+        ids=["theta_posterior", "theta_posteriors", "conjugate_joint_posterior", "gibbs_chain"],
+    )
+    def test_flat_prior_without_data_is_one_value_error(self, entry):
+        # every entry point that turns theta_prior_var into the engine's
+        # precision raises the one improper-prior error, before any system
+        # is factorised; a proper prior on no data still gives the prior
+        _, _, spec, _ = _setup()
+        empty = Dataset(u=np.array([]), v=np.array([]), y=np.array([]))
+        with pytest.raises(ValueError, match="^flat theta prior with no data is improper$"):
+            entry(empty, spec)
+        chain = gibbs_chain(empty, spec, 4.0, 200, 0, 3)
+        assert chain.thetas.shape == (200,) and np.isfinite(chain.thetas).all()
+        means, variances = theta_posteriors(empty[None], spec, 4.0)
+        assert means.tolist() == [0.0] and variances.tolist() == [4.0]
+
     def test_lan_coefficients_against_marginal_covariance(self):
         # the n x n form: y | theta ~ N(theta u, S), S = W K W' + I
         law, truth, spec, ds = _setup(n=60)
@@ -398,8 +422,8 @@ class TestSufficientStatisticEngine:
         ds = data[0]
         factor = prior_factor(spec)
         # two systems per sub-stack for r = m and r = m + 1: row 2 is alone
-        budget = 2 * (grid_size + 3) ** 2
-        means, variances = theta_posteriors(data, spec, 10.0, budget)
+        monkeypatch.setattr(semibvm.model, "_BATCH_BUDGET", 2 * (grid_size + 3) ** 2)
+        means, variances = theta_posteriors(data, spec, 10.0)
         jp = conjugate_joint_posterior(ds, spec, 10.0)
         rng = np.random.default_rng(k)
         signs = rng.choice([-1.0, 1.0], grid_size)
@@ -408,7 +432,7 @@ class TestSufficientStatisticEngine:
             np.hstack([factor, np.zeros((grid_size, 1))]),
         ):
             monkeypatch.setattr(semibvm.posterior, "prior_factor", lambda _: other)
-            other_means, other_variances = theta_posteriors(data, spec, 10.0, budget)
+            other_means, other_variances = theta_posteriors(data, spec, 10.0)
             np.testing.assert_allclose(other_variances, variances, rtol=1e-12, atol=0.0)
             assert np.all(np.abs(other_means - means) <= 1e-12 * np.sqrt(variances))
             other_jp = conjugate_joint_posterior(ds, spec, 10.0)

@@ -13,7 +13,6 @@ import numpy as np
 from semibvm import (
     ModelPoint,
     NuisanceFunction,
-    efficient_information,
     efficient_score,
     empirical_information,
     make_covariate_law,
@@ -24,7 +23,7 @@ law = make_covariate_law(residual_sd=0.8)
 print("covariate law: U = a cos(2 pi V) + sigma_w Z")
 print(f"  amplitude a        = {law.cond_mean_amplitude:.6f}")
 print(f"  residual sd        = {law.residual_sd}")
-print(f"  efficient info     = {efficient_information(law):.4f}  (= sigma_w^2)")
+print(f"  efficient info     = {law.efficient_info:.4f}  (= sigma_w^2)")
 print(f"  E U^4 (analytic)   = {law.fourth_moment_u:.4f}")
 
 truth = ModelPoint(
@@ -38,13 +37,13 @@ print("\nsimulated sample, n = 100000:")
 print(f"  mean U     = {ds.u.mean():+.4f}   (target 0)")
 print(f"  mean U^2   = {(ds.u**2).mean():.4f}   (target 1)")
 print(f"  empirical information = {empirical_information(ds, law):.4f}"
-      f"   (target {efficient_information(law):.4f})")
+      f"   (target {law.efficient_info:.4f})")
 
 # The efficient score e (U - m(V)) is centred with variance = information.
 scores = efficient_score((ds.u, ds.v, ds.y), law, truth)
 print("\nefficient score over the sample:")
 print(f"  mean       = {scores.mean():+.5f}   (target 0)")
-print(f"  variance   = {scores.var(ddof=1):.4f}   (target {efficient_information(law):.4f})")
+print(f"  variance   = {scores.var(ddof=1):.4f}   (target {law.efficient_info:.4f})")
 
 # Shrinking the residual sd toward 0 starves the model of information:
 # U becomes a function of V and theta is no longer identifiable apart

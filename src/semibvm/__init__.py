@@ -49,10 +49,8 @@ _EXPORTS = {
     "Dataset": "model",
     "ModelPoint": "model",
     "NuisanceFunction": "model",
-    "efficient_information": "model",
     "efficient_score": "model",
     "empirical_information": "model",
-    "log_density_ratio": "model",
     "make_covariate_law": "model",
     "sample_dataset": "model",
     "GibbsChain": "posterior",

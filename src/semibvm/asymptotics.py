@@ -20,7 +20,7 @@ Central quantities:
   and the KL-minimising theta for a fixed nuisance,
 * the exact quadratic expansion of the nuisance-integrated likelihood in
   the local parameter h = sqrt(n)(theta - theta0),
-* a likelihood-ratio domination statistic over a finite set of nuisance
+* a likelihood-ratio domination statistic over a number of nuisance
   translations.
 """
 
@@ -272,19 +272,21 @@ def misspecified_theta_star(
     return truth.theta - law.cond_mean_amplitude * cos_integral
 
 
-def lan_remainder(ds: Dataset, h: float, zeta: NuisanceFunction, law: CovariateLaw) -> float:
+def lan_remainder(ds: Dataset, h: float, law: CovariateLaw) -> float:
     """Gap between the idealized quadratic expansion and the exact log ratio.
 
-    Along the submodel theta -> (theta, eta*(theta) + zeta), data drawn at
-    the truth have residual r = e - zeta(v) at h = 0 and r - s w at h,
-    with s = h / sqrt(n) and w = u - m(v).  The exact log ratio
-    sum[-(r - s w)^2/2 + r^2/2] = s (r.w) - s^2 (w.w)/2 and the quadratic
-    approximation s (r.w) - h^2 I / 2 share their score term, so the
-    signed value returned here (expansion minus log ratio) is exactly the
-    quadratic deficit (h^2 / 2) ((w.w)/n - I), for any zeta and theta0.
-    It is taken from the drawn w of the dataset's provenance, coefficient
-    by coefficient: subtracting the two sides as numbers would cancel the
-    score term, of order sigma_w, against a deficit of order sigma_w^2.
+    Along the submodel theta -> (theta, eta*(theta) + zeta), data have
+    residual r at h = 0 and r - s w at h, with s = h / sqrt(n) and
+    w = u - m(v): r = e when they are drawn at the translated truth
+    (theta0, eta0 + zeta), r = e - zeta(v) when drawn at the truth.  The
+    exact log ratio sum[-(r - s w)^2/2 + r^2/2] = s (r.w) - s^2 (w.w)/2
+    and the quadratic approximation s (r.w) - h^2 I / 2 share their score
+    term, so the signed value returned here (expansion minus log ratio) is
+    exactly the quadratic deficit (h^2 / 2) ((w.w)/n - I): neither zeta
+    nor theta0 enters it.  It is taken from the drawn w of the dataset's
+    provenance, coefficient by coefficient: subtracting the two sides as
+    numbers would cancel the score term, of order sigma_w, against a
+    deficit of order sigma_w^2.
     """
     if ds.n < 1:
         raise ValueError("need n >= 1")
@@ -368,44 +370,45 @@ def integral_lan_coefficients(
 
 def estimate_un_per_zeta(
     law: CovariateLaw,
-    zeta_set: list[NuisanceFunction],
+    translations: int,
     n: int,
     mc_reps: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-translation domination estimates with standard errors.
 
-    For each nuisance translation zeta the expectation, under data from
-    the zeta-translated truth, of the n-fold likelihood ratio between
-    the h-perturbed and unperturbed submodel points is estimated over
-    `mc_reps` independent replications (each zeta gets its own seeded
-    substream), giving arrays of shape (len(zeta_set),).  h is each
-    replication's plug-in least-squares direction, clamped to |h| <= 2.
+    For each of `translations` nuisance translations zeta the expectation,
+    under data from the zeta-translated truth, of the n-fold likelihood
+    ratio between the h-perturbed and unperturbed submodel points is
+    estimated over `mc_reps` independent replications (each translation
+    gets its own seeded substream), giving arrays of shape
+    (translations,).  h is each replication's plug-in least-squares
+    direction, clamped to |h| <= 2.
 
     At the translated truth the residual is the drawn noise e, so with
     w = u - m(v) = sigma_w z and s = h / sqrt(n) a replication's log ratio
     sum[-(e - s w)^2/2 + e^2/2] is s (w.e) - s^2 (w.w)/2, and its plug-in
-    direction is sqrt(n) (u.e)/(u.u): four row dots.  Translation j draws
-    its replications one after another from default_rng([seed, j]), each
-    in the order of :func:`semibvm.model.sample_datasets` (v, z, e), in
-    chunks of rows of 2n doubles sized by ``semibvm.model._stack_rows``,
-    of which only each replication's ratio is kept; the estimates do not
-    depend on the chunk size.  Only `law`, `n`, `mc_reps`, `seed` and
-    len(zeta_set) enter the estimates; the values of the truth and of the
-    translations do not.
+    direction is sqrt(n) (u.e)/(u.u): four row dots.  Neither the truth
+    nor the translation zeta enters, so only their number is taken.
+    Translation j draws its replications one after another from
+    default_rng([seed, j]), each in the order of
+    :func:`semibvm.model.sample_datasets` (v, z, e), in chunks of rows of
+    2n doubles sized by ``semibvm.model._stack_rows``, of which only each
+    replication's ratio is kept; the estimates do not depend on the chunk
+    size.
     """
     if _check_integer("mc_reps", mc_reps) < 1:
         raise ValueError("mc_reps must be >= 1")
     if _check_integer("n", n) < 1:
         raise ValueError("need n >= 1")
-    if not zeta_set:
-        raise ValueError("zeta_set must be nonempty")
+    if _check_integer("translations", translations) < 1:
+        raise ValueError("translations must be >= 1")
     rootn = math.sqrt(n)
     size = _stack_rows(2 * n)
-    estimates = np.empty(len(zeta_set))
-    errors = np.empty(len(zeta_set))
+    estimates = np.empty(translations)
+    errors = np.empty(translations)
     ratios = np.empty(mc_reps)
-    for j in range(len(zeta_set)):
+    for j in range(translations):
         rng = np.random.default_rng([seed, j])
         for start in range(0, mc_reps, size):
             part = ratios[start : start + size]

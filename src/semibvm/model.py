@@ -1,4 +1,4 @@
-"""Partial linear regression model: data generation, densities and scores.
+"""Partial linear regression model: data generation and scores.
 
 The observation model is a triplet (U, V, Y) with
 
@@ -40,9 +40,7 @@ __all__ = [
     "make_covariate_law",
     "sample_dataset",
     "sample_datasets",
-    "log_density_ratio",
     "efficient_score",
-    "efficient_information",
     "empirical_information",
     "uniform_grid",
     "interpolation_index",
@@ -138,11 +136,6 @@ class CovariateLaw:
         a2 = self.cond_mean_amplitude**2
         s2 = self.residual_sd**2
         return 0.375 * a2 * a2 + 3.0 * a2 * s2 + 3.0 * s2 * s2
-
-    @property
-    def abs_mean_cond_mean(self) -> float:
-        """E|m(V)| = 2 a / pi."""
-        return 2.0 * self.cond_mean_amplitude / math.pi
 
 
 def make_covariate_law(residual_sd: float) -> CovariateLaw:
@@ -429,29 +422,11 @@ def sample_dataset(
     return sample_datasets(law, truth, n, [seed])[0]
 
 
-def log_density_ratio(x, p: ModelPoint, p_ref: ModelPoint):
-    """log p_{theta,eta}(x) - log p_{theta_ref,eta_ref}(x) for x = (u, v, y).
-
-    Gaussian noise with unit variance, so only the squared residuals
-    survive: -(y - theta u - eta(v))^2/2 + (y - theta_ref u - eta_ref(v))^2/2.
-    Accepts scalars or arrays.
-    """
-    u, v, y = (np.asarray(c, dtype=float) for c in x)
-    r = y - p.theta * u - p.eta(v)
-    r_ref = y - p_ref.theta * u - p_ref.eta(v)
-    return -0.5 * r**2 + 0.5 * r_ref**2
-
-
 def efficient_score(x, law: CovariateLaw, truth: ModelPoint):
     """(y - theta0 u - eta0(v)) * (u - m(v)) for x = (u, v, y)."""
     u, v, y = (np.asarray(c, dtype=float) for c in x)
     resid = y - truth.theta * u - truth.eta(v)
     return resid * (u - law.cond_mean(v))
-
-
-def efficient_information(law: CovariateLaw) -> float:
-    """Analytic efficient information sigma_w^2."""
-    return law.efficient_info
 
 
 def empirical_information(ds: Dataset, law: CovariateLaw) -> float:

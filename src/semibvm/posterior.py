@@ -48,7 +48,14 @@ import numpy as np
 
 # prior_covariance is bound here, uncalled, for perfbench's tracer
 from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor  # noqa: F401
-from .model import CovariateLaw, Dataset, ModelPoint, _stack_rows, interpolation_index
+from .model import (
+    CovariateLaw,
+    Dataset,
+    ModelPoint,
+    _check_integer,
+    _stack_rows,
+    interpolation_index,
+)
 
 __all__ = [
     "JointGaussianPosterior",
@@ -57,7 +64,6 @@ __all__ = [
     "theta_posterior",
     "theta_posteriors",
     "conjugate_joint_posterior",
-    "sample_joint_posterior",
     "gibbs_chain",
     "credible_interval",
     "credible_bounds",
@@ -75,7 +81,7 @@ class JointGaussianPosterior:
     Coordinate 0 is theta; the remaining coordinates are the grid values
     of the nuisance.  `root` has one row per coordinate of the engine's
     (z, theta) order, z the prior factor's columns, and covariance =
-    root' root; the joint is sampled through it.
+    root' root; mean + z root, z standard normal, is an exact draw.
     """
 
     mean: np.ndarray
@@ -94,10 +100,6 @@ class JointGaussianPosterior:
         """root' root, symmetrised; computed on each read."""
         cov = self.root.T @ self.root
         return 0.5 * (cov + cov.T)
-
-    @property
-    def grid_size(self) -> int:
-        return self.mean.size - 1
 
 
 @dataclass(frozen=True)
@@ -396,15 +398,6 @@ def conjugate_joint_posterior(
     return JointGaussianPosterior(mean=mean, root=root)
 
 
-def sample_joint_posterior(
-    jp: JointGaussianPosterior, size: int, seed: int
-) -> np.ndarray:
-    """Exact draws mean + z root from the joint posterior, shape (size, dim)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((size, jp.root.shape[0]))
-    return jp.mean[None, :] + z @ jp.root
-
-
 def gibbs_chain(
     ds: Dataset,
     spec: GpPriorSpec,
@@ -423,6 +416,8 @@ def gibbs_chain(
     ValueError for a flat prior with no data; NumericsError if S is not
     positive definite (e.g. flat prior, u = 0).
     """
+    iterations = _check_integer("iterations", iterations)
+    burn_in = _check_integer("burn_in", burn_in)
     if not (iterations > burn_in >= 0):
         raise ValueError("need iterations > burn_in >= 0")
     factor, system, chol = _solve(ds, spec, theta_prior_var)
@@ -466,9 +461,9 @@ def posterior_mass_h_ball(
     mp: MarginalThetaPosterior, theta0: float, M_n: float, n: int
 ) -> float:
     """Posterior mass of {|sqrt(n)(theta - theta0)| <= M_n}."""
-    if M_n < 0.0:
+    if not M_n >= 0.0:  # a NaN fails too
         raise ValueError("M_n must be >= 0")
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError("n must be >= 1")
     half = M_n / math.sqrt(n)
     lo = (theta0 - half - mp.mean) / mp.sd
@@ -497,7 +492,7 @@ def conditional_nuisance_mass(
 
     if not rho > 0.0:
         raise ValueError("rho must be positive")
-    if draws < 1:
+    if _check_integer("draws", draws) < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     # z | theta reads chol(S)[:r+2, :r], which never reads S[r, r]; a unit

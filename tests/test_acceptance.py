@@ -162,33 +162,24 @@ def test_05_kernel_against_quadrature():
 
 
 def test_06_lan_remainder_identity_and_trend():
+    # the remainder does not depend on the nuisance translation; the exact
+    # log ratio at three translations is checked in test_asymptotics.py
     law, truth, _ = make_components(DEFAULT)
-    grid = truth.eta.grid
-    zetas = [
-        NuisanceFunction.zero(grid.size),
-        NuisanceFunction(0.25 * np.cos(2 * math.pi * grid)),
-        NuisanceFunction(0.4 * np.sin(4 * math.pi * grid)),
-    ]
     rng = np.random.default_rng(6)
     worst = 0.0
-    for zeta in zetas:
-        for _ in range(3):
-            n = int(rng.integers(20, 1200))
-            h = float(rng.uniform(-2.0, 2.0))
-            ds = sample_dataset(law, truth, n, seed=int(rng.integers(2**31)))
-            rem = lan_remainder(ds, h, zeta, law)
-            identity = 0.5 * h * h * (empirical_information(ds, law) - INFO)
-            worst = max(worst, abs(rem - identity))
+    for _ in range(9):
+        n = int(rng.integers(20, 1200))
+        h = float(rng.uniform(-2.0, 2.0))
+        ds = sample_dataset(law, truth, n, seed=int(rng.integers(2**31)))
+        rem = lan_remainder(ds, h, law)
+        identity = 0.5 * h * h * (empirical_information(ds, law) - INFO)
+        worst = max(worst, abs(rem - identity))
     identity_ok = worst < 1e-10
 
     medians = []
     for n in (100, 400, 1600):
         values = [
-            abs(
-                lan_remainder(
-                    sample_dataset(law, truth, n, cell_seed(6, n, r)), 1.0, zetas[0], law
-                )
-            )
+            abs(lan_remainder(sample_dataset(law, truth, n, cell_seed(6, n, r)), 1.0, law))
             for r in range(50)
         ]
         medians.append(float(np.median(values)))
@@ -358,7 +349,8 @@ def test_13_misspecification_bias():
         bump = rng.normal(scale=rng.uniform(0.05, 1.5), size=truth.eta.values.size)
         eta = NuisanceFunction(truth.eta.values + bump)
         star = misspecified_theta_star(eta, truth, law)
-        cap = float(np.max(np.abs(bump))) * law.abs_mean_cond_mean + 1e-9
+        # sup|eta - eta0| E|m(V)|, E|m(V)| = 2 a / pi
+        cap = float(np.max(np.abs(bump))) * 2.0 * law.cond_mean_amplitude / math.pi + 1e-9
         excess = abs(star - truth.theta) - cap
         worst_excess = max(worst_excess, excess)
         bound_ok = bound_ok and excess <= 0.0

@@ -40,12 +40,25 @@ from semibvm.model import (
     NuisanceFunction,
     empirical_information,
     interpolation_weights,
-    log_density_ratio,
     make_covariate_law,
     sample_dataset,
     uniform_grid,
 )
 from semibvm.posterior import MarginalThetaPosterior
+
+
+def log_density_ratio(x, p: ModelPoint, p_ref: ModelPoint):
+    """log p_{theta,eta}(x) - log p_{theta_ref,eta_ref}(x) for x = (u, v, y).
+
+    Gaussian noise with unit variance, so only the squared residuals
+    survive: -(y - theta u - eta(v))^2/2 + (y - theta_ref u - eta_ref(v))^2/2.
+    Accepts scalars or arrays; each eta is called at v, so any function of
+    v serves as well as a grid nuisance.
+    """
+    u, v, y = (np.asarray(c, dtype=float) for c in x)
+    r = y - p.theta * u - p.eta(v)
+    r_ref = y - p_ref.theta * u - p_ref.eta(v)
+    return -0.5 * r**2 + 0.5 * r_ref**2
 
 
 def _truth(grid_size=41, theta=1.0, amplitude=0.5):
@@ -406,6 +419,43 @@ class TestDifferenceIntegrals:
         assert _difference_integrals(truth.eta, truth.eta) == (0.0, 0.0, 0.0)
 
 
+class TestLogDensityRatio:
+    def test_same_point_is_zero(self):
+        p = _truth()
+        x = (0.3, 0.6, 1.1)
+        assert log_density_ratio(x, p, p) == 0.0
+
+    def test_zero_reference_residual(self):
+        # y placed exactly on the reference regression surface
+        p_ref = _truth(theta=0.8)
+        p = ModelPoint(theta=1.3, eta=NuisanceFunction(p_ref.eta.values + 0.25))
+        u, v = 0.7, 0.35
+        y = p_ref.theta * u + p_ref.eta(v)
+        shift = (p_ref.theta - p.theta) * u + (p_ref.eta(v) - p.eta(v))
+        expected = -0.5 * shift**2
+        assert log_density_ratio((u, v, y), p, p_ref) == pytest.approx(expected, abs=1e-14)
+
+    def test_matches_gaussian_logpdf_difference(self):
+        rng = np.random.default_rng(17)
+        p = _truth(theta=1.2)
+        p_ref = ModelPoint(theta=0.4, eta=NuisanceFunction(0.3 * np.cos(2 * np.pi * uniform_grid(40))))
+        for _ in range(25):
+            u, v, y = rng.normal(), rng.uniform(), rng.normal(scale=2.0)
+            direct = norm.logpdf(y, loc=p.theta * u + p.eta(v)) - norm.logpdf(
+                y, loc=p_ref.theta * u + p_ref.eta(v)
+            )
+            assert log_density_ratio((u, v, y), p, p_ref) == pytest.approx(direct, abs=1e-12)
+
+    def test_antisymmetry(self):
+        rng = np.random.default_rng(23)
+        p = _truth(theta=0.9)
+        p_ref = _truth(theta=1.4)
+        x = (rng.normal(), rng.uniform(), rng.normal())
+        assert log_density_ratio(x, p, p_ref) == pytest.approx(
+            -log_density_ratio(x, p_ref, p), abs=1e-14
+        )
+
+
 class TestKlDivergence:
     def test_same_point_is_zero(self):
         law = make_covariate_law(0.8)
@@ -621,7 +671,7 @@ class TestMisspecifiedThetaStar:
         assert abs(brute - star) <= 0.02 + 1e-9
 
     def test_bias_bound_for_random_nuisances(self):
-        # |theta* - theta0| <= sup|eta - eta0| E|m(V)| + 1e-9
+        # |theta* - theta0| <= sup|eta - eta0| E|m(V)| + 1e-9, E|m(V)| = 2 a / pi
         law = make_covariate_law(0.8)
         truth = _truth()
         rng = np.random.default_rng(43)
@@ -630,7 +680,7 @@ class TestMisspecifiedThetaStar:
             eta = NuisanceFunction(truth.eta.values + bump)
             star = misspecified_theta_star(eta, truth, law)
             sup = float(np.max(np.abs(bump)))
-            assert abs(star - truth.theta) <= sup * law.abs_mean_cond_mean + 1e-9
+            assert abs(star - truth.theta) <= sup * 2.0 * law.cond_mean_amplitude / math.pi + 1e-9
 
 
 class TestLanRemainder:
@@ -638,8 +688,7 @@ class TestLanRemainder:
         law = make_covariate_law(0.8)
         truth = _truth()
         ds = sample_dataset(law, truth, 60, 3)
-        zeta = NuisanceFunction(0.2 * np.cos(2 * math.pi * uniform_grid(41)))
-        assert lan_remainder(ds, 0.0, zeta, law) == 0.0
+        assert lan_remainder(ds, 0.0, law) == 0.0
 
     @pytest.mark.parametrize("h", [-1.5, 0.7, 2.0])
     @pytest.mark.parametrize("n", [50, 400])
@@ -648,10 +697,36 @@ class TestLanRemainder:
         law = make_covariate_law(0.8)
         truth = _truth()
         ds = sample_dataset(law, truth, n, seed=1000 + n)
-        zeta = NuisanceFunction(0.3 * np.sin(4 * math.pi * uniform_grid(41)))
-        rem = lan_remainder(ds, h, zeta, law)
+        rem = lan_remainder(ds, h, law)
         identity = 0.5 * h * h * (empirical_information(ds, law) - law.efficient_info)
         assert rem == pytest.approx(identity, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "zeta",
+        [
+            lambda v: 0.0 * v,
+            lambda v: 0.25 * np.cos(2 * math.pi * v),
+            lambda v: 0.4 * np.sin(4 * math.pi * v),
+        ],
+        ids=["zero", "0.25cos(2pi v)", "0.4sin(4pi v)"],
+    )
+    def test_equals_expansion_minus_exact_log_ratio(self, zeta):
+        # reference: data drawn at the translated truth (theta0, eta0 + zeta);
+        # the exact log ratio between the submodel points at h and at 0,
+        # (theta0 + s, eta0 + zeta - s m) and (theta0, eta0 + zeta) with
+        # s = h / sqrt(n), subtracted from the expansion s (e.w) - h^2 I / 2.
+        # The sums of squares cancel the score term, of order 1, so the two
+        # sides agree to some n ulps (below 1e-14 here), well inside 1e-11
+        law, truth, _ = make_components(ExperimentConfig())
+        eta = NuisanceFunction(truth.eta.values + zeta(truth.eta.grid))
+        at_zero = ModelPoint(truth.theta, eta)
+        for n, h, seed in ((40, -1.5, 61), (400, 0.7, 62), (1200, 2.0, 63)):
+            ds = sample_dataset(law, at_zero, n, seed)
+            s = h / math.sqrt(n)
+            at_h = ModelPoint(truth.theta + s, lambda v: eta(v) - s * law.cond_mean(v))
+            log_ratio = float(np.sum(log_density_ratio((ds.u, ds.v, ds.y), at_h, at_zero)))
+            expansion = s * float(ds.e @ ds.w) - 0.5 * h * h * law.efficient_info
+            assert abs(expansion - log_ratio - lan_remainder(ds, h, law)) < 1e-11
 
     def test_needs_the_stored_noise(self):
         law = make_covariate_law(0.8)
@@ -659,7 +734,7 @@ class TestLanRemainder:
         ds = sample_dataset(law, truth, 30, 4)
         bare = Dataset(u=ds.u, v=ds.v, y=ds.y)
         with pytest.raises(ValueError, match="stored residuals"):
-            lan_remainder(bare, 1.0, NuisanceFunction.zero(41), law)
+            lan_remainder(bare, 1.0, law)
 
     @pytest.mark.parametrize("theta0", [1.0, 1e10, 1e14, 1e200])
     def test_identity_holds_at_any_theta0(self, theta0):
@@ -667,19 +742,17 @@ class TestLanRemainder:
         law = make_covariate_law(0.8)
         truth = _truth(theta=theta0)
         ds = sample_dataset(law, truth, 50, 7)
-        zeta = NuisanceFunction(0.1 * np.cos(2 * math.pi * uniform_grid(41)))
-        rem = lan_remainder(ds, 1.0, zeta, law)
+        rem = lan_remainder(ds, 1.0, law)
         identity = 0.5 * (empirical_information(ds, law) - law.efficient_info)
         assert abs(rem - identity) < 1e-10
 
     def test_median_magnitude_shrinks_with_n(self):
         law = make_covariate_law(0.8)
         truth = _truth()
-        zeta = NuisanceFunction.zero(41)
         medians = []
         for n in (100, 400, 1600):
             values = [
-                abs(lan_remainder(sample_dataset(law, truth, n, 5000 + r), 1.0, zeta, law))
+                abs(lan_remainder(sample_dataset(law, truth, n, 5000 + r), 1.0, law))
                 for r in range(50)
             ]
             medians.append(float(np.median(values)))
@@ -926,27 +999,17 @@ class TestIntegralLanCoefficients:
 
 
 class TestEstimateUn:
-    def _zetas(self, grid_size=21):
-        grid = uniform_grid(grid_size)
-        return [
-            NuisanceFunction.zero(grid_size),
-            NuisanceFunction(0.1 * np.cos(2 * math.pi * grid)),
-        ]
-
     def test_singleton_probe_reduces_to_single_expectation(self):
         law = make_covariate_law(0.8)
         # each translation draws from its own substream, so a probe's
-        # estimate does not depend on the probes listed after it
-        zetas = self._zetas()
-        single, _ = estimate_un_per_zeta(law, zetas[:1], n=30, mc_reps=2000, seed=89)
-        estimates, _ = estimate_un_per_zeta(law, zetas, n=30, mc_reps=2000, seed=89)
+        # estimate does not depend on the probes counted after it
+        single, _ = estimate_un_per_zeta(law, 1, n=30, mc_reps=2000, seed=89)
+        estimates, _ = estimate_un_per_zeta(law, 2, n=30, mc_reps=2000, seed=89)
         assert single[0] == estimates[0]
 
     def test_plugin_direction_finite_with_errors(self):
         law = make_covariate_law(0.8)
-        estimates, errors = estimate_un_per_zeta(
-            law, self._zetas(), n=50, mc_reps=4000, seed=97
-        )
+        estimates, errors = estimate_un_per_zeta(law, 2, n=50, mc_reps=4000, seed=97)
         assert np.all(np.isfinite(estimates))
         assert np.all(np.isfinite(errors))
         assert np.all(estimates > 0.0)
@@ -958,10 +1021,9 @@ class TestEstimateUn:
         # [-2, 2] and its log ratio s (w.e) - s^2 (w.w)/2, w = sigma_w z
         law = make_covariate_law(0.8)
         reps, seed = 300, 103
-        zetas = self._zetas()
         for n in (3, 40, 800, 1000):
-            estimates, _ = estimate_un_per_zeta(law, zetas, n, reps, seed)
-            for j in range(len(zetas)):
+            estimates, _ = estimate_un_per_zeta(law, 2, n, reps, seed)
+            for j in range(2):
                 rng = np.random.default_rng([seed, j])
                 ratios = np.empty(reps)
                 for i in range(reps):
@@ -978,7 +1040,6 @@ class TestEstimateUn:
         # one replication per chunk, the default chunks and larger ones
         # give the same bits; no drawn array exceeds half the budget
         law = make_covariate_law(0.6)
-        zetas = self._zetas()
         draws = asymptotics._draws
         shapes = []
 
@@ -988,13 +1049,13 @@ class TestEstimateUn:
 
         monkeypatch.setattr(asymptotics, "_draws", recorded)
         for n in (1, 40, 800):
-            reference = estimate_un_per_zeta(law, zetas, n, 301, 211)
+            reference = estimate_un_per_zeta(law, 2, n, 301, 211)
             assert max(rows * n for rows, _ in shapes) <= _BATCH_BUDGET // 2
-            assert sum(rows for rows, _ in shapes) == 301 * len(zetas)
+            assert sum(rows for rows, _ in shapes) == 301 * 2
             for budget in (1, 2**16):
                 shapes.clear()
                 monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
-                estimates, errors = estimate_un_per_zeta(law, zetas, n, 301, 211)
+                estimates, errors = estimate_un_per_zeta(law, 2, n, 301, 211)
                 assert np.array_equal(estimates, reference[0])
                 assert np.array_equal(errors, reference[1])
                 assert max(rows for rows, _ in shapes) == max(1, min(301, budget // (2 * n)))
@@ -1015,7 +1076,7 @@ class TestEstimateUn:
         grid = uniform_grid(grid_size)
         zetas = [NuisanceFunction.zero(grid_size), NuisanceFunction(2.0 * np.cos(2 * math.pi * grid))]
         reps, seed = 50, 109
-        estimates, errors = estimate_un_per_zeta(law, zetas, n, reps, seed)
+        estimates, errors = estimate_un_per_zeta(law, len(zetas), n, reps, seed)
         rootn = math.sqrt(n)
         for j, zeta in enumerate(zetas):
             rng = np.random.default_rng([seed, j])
@@ -1035,24 +1096,19 @@ class TestEstimateUn:
             se = ratios.std(ddof=1) / math.sqrt(reps)
             assert errors[j] == pytest.approx(se, rel=1e-12, abs=0.0)
 
-    def test_reads_only_the_drawn_noise(self, monkeypatch):
-        # the residual at the translated truth is the noise, so the
-        # translations' values do not enter and no nuisance is evaluated
+    def test_evaluates_no_nuisance(self, monkeypatch):
+        # the residual at the translated truth is the drawn noise, so no
+        # nuisance function is evaluated
         def no_evaluation(self, v):
             raise AssertionError("a nuisance function was evaluated")
 
         monkeypatch.setattr(NuisanceFunction, "__call__", no_evaluation)
-        law = make_covariate_law(0.8)
-        other_zetas = [NuisanceFunction(np.full(7, 1.5)), NuisanceFunction(np.linspace(-2, 2, 7))]
-        a = estimate_un_per_zeta(law, self._zetas(), 40, 300, seed=107)
-        b = estimate_un_per_zeta(law, other_zetas, 40, 300, seed=107)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        estimates, errors = estimate_un_per_zeta(make_covariate_law(0.8), 2, 40, 300, seed=107)
+        assert np.isfinite(estimates).all() and np.isfinite(errors).all()
 
     def test_forms_m_once_per_drawn_point(self):
         # m(v) is formed once per chunk of replications, for u alone
         law = make_covariate_law(0.8)
-        zetas = self._zetas()
         calls = []
         cond_mean = CovariateLaw.cond_mean
 
@@ -1062,19 +1118,20 @@ class TestEstimateUn:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CovariateLaw, "cond_mean", counting)
-            estimates, errors = estimate_un_per_zeta(law, zetas, 40, 300, 113)
+            estimates, errors = estimate_un_per_zeta(law, 2, 40, 300, 113)
         size = _BATCH_BUDGET // (2 * 40)
-        assert calls == [40 * size, 40 * (300 - size)] * len(zetas)
-        assert estimates.shape == errors.shape == (len(zetas),)
+        assert calls == [40 * size, 40 * (300 - size)] * 2
+        assert estimates.shape == errors.shape == (2,)
 
     def test_seed_determinism(self):
         law = make_covariate_law(0.8)
-        a = estimate_un_per_zeta(law, self._zetas(), 20, 500, seed=101)
-        b = estimate_un_per_zeta(law, self._zetas(), 20, 500, seed=101)
+        a = estimate_un_per_zeta(law, 2, 20, 500, seed=101)
+        b = estimate_un_per_zeta(law, 2, 20, 500, seed=101)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_empty_probe_set_rejected(self):
+    @pytest.mark.parametrize("translations", [0, -2])
+    def test_empty_probe_set_rejected(self, translations):
         law = make_covariate_law(0.8)
-        with pytest.raises(ValueError):
-            estimate_un_per_zeta(law, [], 10, 100, seed=1)
+        with pytest.raises(ValueError, match="translations must be >= 1"):
+            estimate_un_per_zeta(law, translations, 10, 100, seed=1)

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion against src/."""
+"""Smoke test: every narrative demo runs to completion against src/, with
+warnings raised as errors like the in-process tests (`-W error`)."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_exits_zero(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

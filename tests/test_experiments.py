@@ -31,11 +31,17 @@ from semibvm.experiments import (
     splitmix64,
 )
 from semibvm.gp_prior import prior_covariance
-from semibvm.model import NuisanceFunction, _pcg64_states, sample_dataset
-from semibvm.posterior import credible_interval, theta_posterior
+from semibvm.model import _pcg64_states, sample_dataset
+from semibvm.posterior import (
+    conditional_nuisance_mass,
+    credible_interval,
+    gibbs_chain,
+    theta_posterior,
+)
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
-_LAW, _ZETA = make_components(SMALL)[0], NuisanceFunction.zero(SMALL.grid_size)
+_LAW, _TRUTH, _SPEC = make_components(SMALL)
+_DS = sample_dataset(_LAW, _TRUTH, 30, 1)
 
 
 def _one_cell(cfg, n, rep):
@@ -334,7 +340,7 @@ class TestBatchedCells:
         monkeypatch.setattr(asymptotics, "_draws", recorded)
         monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
         run_coverage(cfg, 30)
-        estimate_un_per_zeta(_LAW, [_ZETA], 30, 30, 5)
+        estimate_un_per_zeta(_LAW, 1, 30, 30, 5)
         assert chunks == [15, 15]
         assert stacks == [10, 5, 10, 5]
         assert drawn == [6] * 5
@@ -404,14 +410,14 @@ class TestBatchedCells:
 class TestReportSerialization:
     def test_json_round_trip_exact(self):
         report = run_bvm_scan(SMALL)
-        parsed = RunReport.from_json_text(report.to_json_text())
+        parsed = RunReport(**json.loads(report.to_json_text()))
         assert parsed == report
 
     def test_write_json(self, tmp_path):
         path = tmp_path / "report.json"
         report = run_bvm_scan(SMALL)
         report.write(str(path), "json")
-        parsed = RunReport.from_json_text(path.read_text())
+        parsed = RunReport(**json.loads(path.read_text()))
         assert parsed == report
 
     def test_write_csv(self, tmp_path):
@@ -635,8 +641,7 @@ class TestSnapshotsAndSuite:
         assert len(calls) == 1
         fixed, plugin = report["domination"]
         assert fixed == {"h": "h=1", "estimates": [1.0, 1.0], "standard_errors": [0.0, 0.0], "max": 1.0}
-        zetas = [NuisanceFunction.zero(SMALL.grid_size)] * 2  # only their number enters
-        estimates, errors = real(law, zetas, 40, 400, 3)
+        estimates, errors = real(law, 2, 40, 400, 3)
         assert plugin["h"] == "plugin"
         assert plugin["estimates"] == estimates.tolist()
         assert plugin["standard_errors"] == errors.tolist()
@@ -659,13 +664,19 @@ class TestSnapshotsAndSuite:
             (lambda: run_diagnostics_suite(SMALL, 50, 1, mc_draws=2.5), "mc_draws"),
             (lambda: run_diagnostics_suite(SMALL, 50.5, 1), "n"),
             (lambda: run_posterior_snapshot(SMALL, 40.5, 3), "n"),
-            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], 40, 2.5, 3), "mc_reps"),
-            (lambda: estimate_un_per_zeta(_LAW, [_ZETA], 40.5, 10, 3), "n"),
+            (lambda: estimate_un_per_zeta(_LAW, 1, 40, 2.5, 3), "mc_reps"),
+            (lambda: estimate_un_per_zeta(_LAW, 1, 40.5, 10, 3), "n"),
+            (lambda: estimate_un_per_zeta(_LAW, 2.0, 40, 10, 3), "translations"),
+            (lambda: gibbs_chain(_DS, _SPEC, 10.0, 10.5, 2, 1), "iterations"),
+            (lambda: gibbs_chain(_DS, _SPEC, 10.0, 10, 2.5, 1), "burn_in"),
+            (lambda: conditional_nuisance_mass(_DS, _SPEC, 1.0, _TRUTH, _LAW, 0.1, 2.5, 1), "draws"),
         ],
-        ids=["suite-un_reps", "suite-mc_draws", "suite-n", "snapshot-n", "un-mc_reps", "un-n"],
+        ids=["suite-un_reps", "suite-mc_draws", "suite-n", "snapshot-n", "un-mc_reps", "un-n",
+             "un-translations", "gibbs-iterations", "gibbs-burn_in", "mass-draws"],
     )
     def test_non_integer_counts_rejected(self, call, name):
-        # numpy used to raise "'float' object cannot be interpreted as an integer"
+        # numpy used to raise "'float' object cannot be interpreted as an
+        # integer" or "expected a sequence of integers or a single integer"
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call()
 

@@ -1,10 +1,9 @@
-"""Model-layer tests: covariate law, sampling, densities, scores."""
+"""Model-layer tests: covariate law, sampling, scores."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from semibvm.model import (
     CovariateLaw,
@@ -13,13 +12,11 @@ from semibvm.model import (
     NuisanceFunction,
     _draws,
     _pcg64_states,
-    efficient_information,
     efficient_score,
     empirical_information,
     interpolate,
     interpolation_index,
     interpolation_weights,
-    log_density_ratio,
     make_covariate_law,
     sample_dataset,
     sample_datasets,
@@ -97,7 +94,7 @@ class TestMakeCovariateLaw:
         law = make_covariate_law(0.6)
         v = np.linspace(0.0, 1.0, 200_001)
         quad = np.trapezoid(np.abs(law.cond_mean(v)), v)
-        assert quad == pytest.approx(law.abs_mean_cond_mean, abs=1e-6)
+        assert quad == pytest.approx(2.0 * law.cond_mean_amplitude / math.pi, abs=1e-6)
 
 
 class TestSampleDataset:
@@ -315,43 +312,6 @@ class TestGeneratorStates:
                 assert np.array_equal(got[row], want)
 
 
-class TestLogDensityRatio:
-    def test_same_point_is_zero(self):
-        p = _truth()
-        x = (0.3, 0.6, 1.1)
-        assert log_density_ratio(x, p, p) == 0.0
-
-    def test_zero_reference_residual(self):
-        # y placed exactly on the reference regression surface
-        p_ref = _truth(theta=0.8)
-        p = ModelPoint(theta=1.3, eta=NuisanceFunction(p_ref.eta.values + 0.25))
-        u, v = 0.7, 0.35
-        y = p_ref.theta * u + p_ref.eta(v)
-        shift = (p_ref.theta - p.theta) * u + (p_ref.eta(v) - p.eta(v))
-        expected = -0.5 * shift**2
-        assert log_density_ratio((u, v, y), p, p_ref) == pytest.approx(expected, abs=1e-14)
-
-    def test_matches_gaussian_logpdf_difference(self):
-        rng = np.random.default_rng(17)
-        p = _truth(theta=1.2)
-        p_ref = ModelPoint(theta=0.4, eta=NuisanceFunction(0.3 * np.cos(2 * np.pi * uniform_grid(40))))
-        for _ in range(25):
-            u, v, y = rng.normal(), rng.uniform(), rng.normal(scale=2.0)
-            direct = norm.logpdf(y, loc=p.theta * u + p.eta(v)) - norm.logpdf(
-                y, loc=p_ref.theta * u + p_ref.eta(v)
-            )
-            assert log_density_ratio((u, v, y), p, p_ref) == pytest.approx(direct, abs=1e-12)
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(23)
-        p = _truth(theta=0.9)
-        p_ref = _truth(theta=1.4)
-        x = (rng.normal(), rng.uniform(), rng.normal())
-        assert log_density_ratio(x, p, p_ref) == pytest.approx(
-            -log_density_ratio(x, p_ref, p), abs=1e-14
-        )
-
-
 class TestEfficientScore:
     def test_zero_residual(self):
         law = make_covariate_law(0.8)
@@ -388,11 +348,8 @@ class TestEfficientScore:
 
 
 class TestInformation:
-    def test_independent_case(self):
-        assert efficient_information(make_covariate_law(1.0)) == 1.0
-
     def test_analytic_value(self):
-        assert efficient_information(make_covariate_law(0.8)) == pytest.approx(0.64)
+        assert make_covariate_law(0.8).efficient_info == pytest.approx(0.64)
 
     def test_monte_carlo_agreement(self):
         law = make_covariate_law(0.8)

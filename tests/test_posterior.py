@@ -56,7 +56,6 @@ from semibvm.posterior import (
     effective_sample_size,
     gibbs_chain,
     posterior_mass_h_ball,
-    sample_joint_posterior,
     theta_posterior,
     theta_posteriors,
 )
@@ -471,11 +470,6 @@ class TestSufficientStatisticEngine:
                     scale = np.abs(jp.covariance).max()
                     gap = np.abs(jp.root.T @ jp.root - jp.covariance).max()
                     assert gap <= 1e-12 * scale
-                # draws are mean + z root exactly, the k = 3 prior included
-                z = np.random.default_rng(n + k).standard_normal((4, grid_size + 1))
-                np.testing.assert_array_equal(
-                    sample_joint_posterior(jp, 4, seed=n + k), jp.mean + z @ jp.root
-                )
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("grid_size", [50, 200])
@@ -631,7 +625,8 @@ class TestMarginalTheta:
         _, _, spec, ds = _setup()
         jp = conjugate_joint_posterior(ds, spec, 10.0)
         mp = theta_posterior(ds, spec, 10.0)
-        draws = sample_joint_posterior(jp, 10_000, seed=77)[:, 0]
+        z = np.random.default_rng(77).standard_normal((10_000, jp.root.shape[0]))
+        draws = jp.mean[0] + z @ jp.root[:, 0]
         se_mean = mp.sd / math.sqrt(draws.size)
         assert abs(draws.mean() - mp.mean) < 4 * se_mean
         se_var = mp.variance * math.sqrt(2.0 / (draws.size - 1))
@@ -764,6 +759,10 @@ class TestPosteriorMassHBall:
             posterior_mass_h_ball(mp, 0.0, -1.0, 10)
         with pytest.raises(ValueError):
             posterior_mass_h_ball(mp, 0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="M_n must be >= 0"):
+            posterior_mass_h_ball(mp, 1.0, math.nan, 5)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            posterior_mass_h_ball(mp, 0.0, 1.0, 2.5)
 
 
 class TestNormalFunctionsAgainstScipy:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .gp_prior import GpPriorSpec
 from .model import (
+    _MASK64,
     CovariateLaw,
     Dataset,
     ModelPoint,
@@ -44,7 +45,7 @@ from .model import (
     interpolate,
     uniform_grid,
 )
-from .posterior import MarginalThetaPosterior, _normal_cdf, _row_dots, theta_posterior
+from .posterior import MarginalThetaPosterior, _normal_mass, _row_dots, theta_posterior
 
 __all__ = [
     "BvmDiagnostics",
@@ -104,8 +105,7 @@ def delta_n(ds: Dataset, law: CovariateLaw) -> float | np.ndarray:
     dataset carries, so w keeps every digit at any sigma_w (u - m(v)
     would cancel them away).  For a stack of datasets, one value per row.
     """
-    if ds.n < 1:
-        raise ValueError("need n >= 1")
+    _check_integer("n", ds.n, 1)
     if ds.e is None:
         raise ValueError("dataset lacks stored residuals")
     delta = np.sum(ds.e * ds.w, axis=-1) / (law.efficient_info * math.sqrt(ds.n))
@@ -146,8 +146,8 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     crossings lie within rounding of its mean still sees them at their
     true standardised distance.  Both masses share the two points, where
     the distance is stationary, so an error in the points moves it only
-    to second order.  Upper-tail masses use Phi(-x) so that far-right
-    intervals keep their precision.
+    to second order.  Each mass is :func:`semibvm.posterior._normal_mass`,
+    so far-right intervals keep their precision.
     """
     if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
         raise ValueError(f"variances must be positive and finite, got {v1} and {v2}")
@@ -170,14 +170,10 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     delta = math.ldexp(m1 - m2, -e)
     v1, v2 = math.ldexp(v1, -2 * e), math.ldexp(v2, -2 * e)
     lo, hi = _crossings(delta, v1, v2)
-
-    def mass(lo: float, hi: float, var: float) -> float:
-        a, b = lo / math.sqrt(var), hi / math.sqrt(var)
-        if a > 0.0:
-            return _normal_cdf(-a) - _normal_cdf(-b)
-        return _normal_cdf(b) - _normal_cdf(a)
-
-    return float(min(abs(mass(lo, hi, v1) - mass(lo + delta, hi + delta, v2)), 1.0))
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    narrow = _normal_mass(lo / s1, hi / s1)
+    wide = _normal_mass((lo + delta) / s2, (hi + delta) / s2)
+    return float(min(abs(narrow - wide), 1.0))
 
 
 def bvm_gap(
@@ -288,8 +284,7 @@ def lan_remainder(ds: Dataset, h: float, law: CovariateLaw) -> float:
     numbers would cancel the score term, of order sigma_w, against a
     deficit of order sigma_w^2.
     """
-    if ds.n < 1:
-        raise ValueError("need n >= 1")
+    _check_integer("n", ds.n, 1)
     if ds.e is None:
         raise ValueError("dataset lacks stored residuals")
     return 0.5 * h * h * (float(ds.w @ ds.w) / ds.n - law.efficient_info)
@@ -359,9 +354,7 @@ def integral_lan_coefficients(
     marginal N(mean, var), u' S^{-1} u = 1/var and u' S^{-1} (y - theta0 u)
     = (mean - theta0)/var, so the n x n matrix S is never built.
     """
-    n = ds.n
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_integer("n", ds.n, 1)
     mp = theta_posterior(ds, spec, math.inf)
     linear = (mp.mean - theta0) / mp.variance / math.sqrt(n)
     quadratic = -1.0 / (2.0 * n * mp.variance)
@@ -395,14 +388,12 @@ def estimate_un_per_zeta(
     :func:`semibvm.model.sample_datasets` (v, z, e), in chunks of rows of
     2n doubles sized by ``semibvm.model._stack_rows``, of which only each
     replication's ratio is kept; the estimates do not depend on the chunk
-    size.
+    size.  `seed` must lie in [0, 2^64).
     """
-    if _check_integer("mc_reps", mc_reps) < 1:
-        raise ValueError("mc_reps must be >= 1")
-    if _check_integer("n", n) < 1:
-        raise ValueError("need n >= 1")
-    if _check_integer("translations", translations) < 1:
-        raise ValueError("translations must be >= 1")
+    mc_reps = _check_integer("mc_reps", mc_reps, 1)
+    n = _check_integer("n", n, 1)
+    translations = _check_integer("translations", translations, 1)
+    seed = _check_integer("seed", seed, 0, _MASK64)
     rootn = math.sqrt(n)
     size = _stack_rows(2 * n)
     estimates = np.empty(translations)

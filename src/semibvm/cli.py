@@ -65,7 +65,7 @@ from .experiments import (  # noqa: E402
     run_posterior_snapshot,
 )
 from .gp_prior import NumericsError, prior_covariance  # noqa: E402
-from .model import sample_dataset  # noqa: E402
+from .model import _check_integer, sample_dataset  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -199,8 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         if asked is not None and fixed not in (None, asked):
             raise ConfigError(f"{args.command} writes {fixed} only, got --format {asked}")
         cfg = load_config(args)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        _check_integer("--jobs", args.jobs, 1)
         if args.jobs > 1:
             print(
                 "warning: --jobs is deprecated and ignored; replications run as "

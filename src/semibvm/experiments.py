@@ -123,20 +123,16 @@ class ExperimentConfig:
                 f"eta0_family must be one of {tuple(_ETA0_FAMILIES)}, "
                 f"got {self.eta0_family!r}"
             )
-        ladder = tuple(_check_integer("n_ladder entry", n) for n in self.n_ladder)
+        ladder = tuple(_check_integer("n_ladder entry", n, 1) for n in self.n_ladder)
         if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("n_ladder must be nonempty and strictly increasing")
-        if any(n < 1 for n in ladder):
-            raise ValueError("n_ladder entries must be >= 1")
         object.__setattr__(self, "n_ladder", ladder)
-        if _check_integer("seeds", self.seeds) < 1:
-            raise ValueError("seeds must be >= 1")
+        _check_integer("seeds", self.seeds, 1)
         if not (0.0 < self.level < 1.0):
             raise ValueError("level must lie in (0, 1)")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
-        if not 0 <= _check_integer("master_seed", self.master_seed) <= _MASK64:
-            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        _check_integer("master_seed", self.master_seed, 0, _MASK64)
         if not math.isfinite(self.theta0):
             raise ValueError(f"theta0 must be finite, got {self.theta0}")
         _prior_precision(self.theta_prior_var)
@@ -378,8 +374,7 @@ def _coverage_cell(batch: _Batch) -> list[dict]:
 
 def run_coverage(cfg: ExperimentConfig, replications: int) -> RunReport:
     """Frequentist coverage of the level-credible interval, per ladder n."""
-    if _check_integer("replications", replications) < 1:
-        raise ValueError("replications must be >= 1")
+    _check_integer("replications", replications, 1)
     rows = _run_cells(_coverage_cell, _batches(cfg, make_components(cfg), replications))
     aggregates = []
     for n in cfg.n_ladder:
@@ -405,9 +400,10 @@ def run_parametric_baseline(
     is compared in total variation against N(xbar, 1/n), the sampling
     limit centered on the best-regular estimator xbar.  `prior_var =
     math.inf` selects the flat limit, where the gap is exactly zero.
+    `seed` must lie in [0, 2^64).
     """
-    if _check_integer("n", n) < 1:
-        raise ValueError("need n >= 1")
+    n = _check_integer("n", n, 1)
+    seed = _check_integer("seed", seed, 0, _MASK64)
     _prior_precision(prior_var, "prior_var")
     rng = np.random.default_rng(seed)
     xbar = float(np.mean(theta0 + rng.standard_normal(n)))
@@ -422,8 +418,7 @@ def run_parametric_baseline(
 
 def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     """One simulated dataset, its exact posterior and gap diagnostics."""
-    if _check_integer("n", n) < 1:
-        raise ValueError("need n >= 1")
+    n = _check_integer("n", n, 1)
     law, truth, spec = make_components(cfg)
     ds = sample_dataset(law, truth, n, seed)
     mp = theta_posterior(ds, spec, cfg.theta_prior_var)
@@ -454,14 +449,13 @@ def run_diagnostics_suite(
     likelihood ratio has expectation exactly 1, reported with standard
     error 0, and the Hellinger row is exact: only the plug-in row (`un_reps`
     replications) is Monte Carlo.  `mc_draws` sizes nothing; it is kept
-    until the benchmark harness stops passing it.
+    until the benchmark harness stops passing it.  `seed` must lie in
+    [0, 2^64).
     """
-    if _check_integer("n", n) < 1:
-        raise ValueError("need n >= 1")
-    if _check_integer("mc_draws", mc_draws) < 1:
-        raise ValueError("mc_draws must be >= 1")
-    if _check_integer("un_reps", un_reps) < 1:
-        raise ValueError("un_reps must be >= 1")
+    n = _check_integer("n", n, 1)
+    seed = _check_integer("seed", seed, 0, _MASK64)
+    _check_integer("mc_draws", mc_draws, 1)
+    un_reps = _check_integer("un_reps", un_reps, 1)
     law, truth, _ = make_components(cfg)
     grid = truth.eta.grid
     probes = {

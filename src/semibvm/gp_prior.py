@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NuisanceFunction, _check_integer, uniform_grid
+from .model import _MASK64, NuisanceFunction, _check_integer, uniform_grid
 
 __all__ = [
     "GpPriorSpec",
@@ -53,12 +53,6 @@ class NumericsError(RuntimeError):
 _MAX_ORDER = 98
 
 
-def _check_order(k: int) -> None:
-    _check_integer("integration order k", k)
-    if not 0 <= k <= _MAX_ORDER:
-        raise ValueError(f"integration order k must lie in [0, {_MAX_ORDER}], got {k}")
-
-
 @dataclass(frozen=True)
 class GpPriorSpec:
     """Prior configuration: integration order, grid and scale, the values
@@ -74,9 +68,8 @@ class GpPriorSpec:
     scale: float = 3.0
 
     def __post_init__(self) -> None:
-        _check_order(self.k)
-        if _check_integer("grid_size", self.grid_size) < 2:
-            raise ValueError("grid_size must be >= 2")
+        _check_integer("integration order k", self.k, 0, _MAX_ORDER)
+        _check_integer("grid_size", self.grid_size, 2)
         corner = kibm_kernel(1.0, 1.0, self.k)
         if not (self.scale > 0.0 and 0.0 < self.scale * self.scale * corner < math.inf):
             raise ValueError(
@@ -130,7 +123,7 @@ def kibm_kernel(s: float, t: float, k: int) -> float:
     in the closed form of :func:`_kibm`."""
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("kernel arguments must lie in [0, 1]")
-    _check_order(k)
+    k = _check_integer("integration order k", k, 0, _MAX_ORDER)
     return float(_kibm(s, t, k))
 
 
@@ -189,11 +182,13 @@ def sample_prior_path(
     """Draw one path from the discretised prior, restricted to a Hoelder
     ball when `ball` = (alpha, bound) is given.
 
-    Deterministic in `seed`.  With a ball, draws are rejected until
-    sup norm + alpha-seminorm < bound (bound > 0, alpha in (0, 1]);
-    exceeding `max_attempts` raises ValueError (bound too small for the
-    chosen order and exponent).
+    Deterministic in `seed`, which must lie in [0, 2^64).  With a ball,
+    draws are rejected until sup norm + alpha-seminorm < bound (bound > 0,
+    alpha in (0, 1]); exceeding `max_attempts` raises ValueError (bound
+    too small for the chosen order and exponent).
     """
+    seed = _check_integer("seed", seed, 0, _MASK64)
+    max_attempts = _check_integer("max_attempts", max_attempts, 1)
     if ball is not None:
         alpha, bound = ball
         if not (0.0 < alpha <= 1.0 and bound > 0.0):  # a NaN fails too

@@ -49,19 +49,25 @@ __all__ = [
 ]
 
 
-def _check_integer(name: str, value) -> int:
-    """operator.index(value), or ValueError naming `name` (2.0 included)."""
+def _check_integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """operator.index(value) if it lies in [least, most], both ends
+    inclusive and None an open end (`most` is given with `least`); else
+    ValueError naming `name`, also for a non-integer such as 2.0.  The
+    package's one rule for a count, size or seed."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}], got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:
     """Uniform grid j/(m-1), j = 0..m-1, on [0, 1]."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    return np.linspace(0.0, 1.0, grid_size)
+    return np.linspace(0.0, 1.0, _check_integer("grid_size", grid_size, 2))
 
 
 def interpolation_index(v, grid_size: int):
@@ -69,8 +75,7 @@ def interpolation_index(v, grid_size: int):
     holding each point v in [0, 1], idx = min(floor(v (m-1)), m-2) in
     closed form (v = 1 falls in the last cell), and its offset
     t = v (m-1) - idx in [0, 1]."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _check_integer("grid_size", grid_size, 2)
     v = np.asarray(v, dtype=float)
     if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
         raise ValueError("interpolation points must lie in [0, 1]")
@@ -330,9 +335,7 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     PCG64's two seeding steps, state = (inc + initstate) mult + inc with
     inc = 2 initseq + 1 mod 2^128, run per seed in Python ints.
     """
-    seeds = [_check_integer("seed", seed) for seed in seeds]
-    if seeds and not (min(seeds) >= 0 and max(seeds) <= _MASK64):
-        raise ValueError("seeds must lie in [0, 2^64)")
+    seeds = [_check_integer("seed", seed, 0, _MASK64) for seed in seeds]
     # word splits and joins by little-endian views, as numpy's own
     # generate_state does: every ufunc loop a new dtype needs touches
     # about 68 KiB of numpy's code, counted in the peak RSS
@@ -389,8 +392,7 @@ def _sample_rows(
     """One dataset of n triplets per PCG64 state of :func:`_pcg64_states`,
     as the rows of a (len(states), n) stack: :func:`_draws` re-states one
     generator per row, and y = theta u + eta(v) + e is formed once."""
-    if _check_integer("n", n) < 0:
-        raise ValueError("n must be >= 0")
+    n = _check_integer("n", n, 0)
     rng = np.random.default_rng(0)  # re-stated before its first draw
     u, v, w, e = _draws(law, rng, n, len(states), states)
     with np.errstate(over="ignore"):  # Dataset rejects an overflowed y
@@ -434,7 +436,6 @@ def empirical_information(ds: Dataset, law: CovariateLaw) -> float:
 
     Reads the drawn w where the dataset carries it: u - m(v) cancels w's
     digits away as sigma_w shrinks."""
-    if ds.n == 0:
-        raise ValueError("empirical information needs at least one observation")
+    _check_integer("n", ds.n, 1)
     w = ds.u - law.cond_mean(ds.v) if ds.w is None else ds.w
     return float(np.mean(w**2))

@@ -49,6 +49,7 @@ import numpy as np
 # prior_covariance is bound here, uncalled, for perfbench's tracer
 from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor  # noqa: F401
 from .model import (
+    _MASK64,
     CovariateLaw,
     Dataset,
     ModelPoint,
@@ -129,8 +130,8 @@ class GibbsChain:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (self.iterations > self.burn_in >= 0):
-            raise ValueError("need iterations > burn_in >= 0")
+        _check_integer("burn_in", self.burn_in, 0)
+        _check_integer("iterations", self.iterations, self.burn_in + 1)
         if self.thetas.shape != (self.iterations,):
             raise ValueError("thetas length must equal iterations")
         if self.etas.shape[0] != self.iterations:
@@ -140,10 +141,6 @@ class GibbsChain:
     def theta_draws(self) -> np.ndarray:
         """Post-burn-in theta samples."""
         return self.thetas[self.burn_in :]
-
-    @property
-    def eta_draws(self) -> np.ndarray:
-        return self.etas[self.burn_in :]
 
 
 class StackNumericsError(NumericsError):
@@ -188,6 +185,14 @@ def _inverse_lower(chol: np.ndarray) -> np.ndarray:
 def _normal_cdf(x: float) -> float:
     """Standard normal CDF; erfc keeps the lower tail's relative precision."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _normal_mass(a: float, b: float) -> float:
+    """Standard normal mass of [a, b], a <= b: an interval right of 0
+    takes Phi(-a) - Phi(-b), so its upper tail keeps its precision."""
+    if a > 0.0:
+        return _normal_cdf(-a) - _normal_cdf(-b)
+    return _normal_cdf(b) - _normal_cdf(a)
 
 
 def _prior_precision(variance: float, name: str = "theta_prior_var") -> float:
@@ -412,14 +417,14 @@ def gibbs_chain(
     theta | z, data is univariate normal with mean (u'y - (L'W'u)'z) /
     precision, O(r) per step; z | theta, data is multivariate normal with
     the theta-independent precision B, read off chol(S) once.  The states
-    map to eta with one matmul at the end.  Deterministic in `seed`;
-    ValueError for a flat prior with no data; NumericsError if S is not
-    positive definite (e.g. flat prior, u = 0).
+    map to eta with one matmul at the end.  Needs burn_in >= 0 and
+    iterations >= burn_in + 1.  Deterministic in `seed`, which must lie
+    in [0, 2^64); ValueError for a flat prior with no data; NumericsError
+    if S is not positive definite (e.g. flat prior, u = 0).
     """
-    iterations = _check_integer("iterations", iterations)
-    burn_in = _check_integer("burn_in", burn_in)
-    if not (iterations > burn_in >= 0):
-        raise ValueError("need iterations > burn_in >= 0")
+    burn_in = _check_integer("burn_in", burn_in, 0)
+    iterations = _check_integer("iterations", iterations, burn_in + 1)
+    seed = _check_integer("seed", seed, 0, _MASK64)
     factor, system, chol = _solve(ds, spec, theta_prior_var)
     r = factor.shape[1]
     draw_z = _nuisance_conditional(chol, r)
@@ -463,12 +468,12 @@ def posterior_mass_h_ball(
     """Posterior mass of {|sqrt(n)(theta - theta0)| <= M_n}."""
     if not M_n >= 0.0:  # a NaN fails too
         raise ValueError("M_n must be >= 0")
-    if _check_integer("n", n) < 1:
-        raise ValueError("n must be >= 1")
-    half = M_n / math.sqrt(n)
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
+    half = M_n / math.sqrt(_check_integer("n", n, 1))
     lo = (theta0 - half - mp.mean) / mp.sd
     hi = (theta0 + half - mp.mean) / mp.sd
-    return _normal_cdf(hi) - _normal_cdf(lo)
+    return _normal_mass(lo, hi)
 
 
 def conditional_nuisance_mass(
@@ -486,14 +491,15 @@ def conditional_nuisance_mass(
     Samples the exact Gaussian conditional posterior of the nuisance
     given theta = theta_fixed, and returns the fraction of draws whose
     Hellinger distance to the KL-minimising nuisance at theta_fixed is
-    >= rho.  The distances are exact, so `seed` drives only the draws.
+    >= rho.  The distances are exact, so `seed`, which must lie in
+    [0, 2^64), drives only the draws.
     """
     from .asymptotics import _hellinger_sq, least_favorable_eta
 
     if not rho > 0.0:
         raise ValueError("rho must be positive")
-    if _check_integer("draws", draws) < 1:
-        raise ValueError("draws must be >= 1")
+    draws = _check_integer("draws", draws, 1)
+    seed = _check_integer("seed", seed, 0, _MASK64)
     rng = np.random.default_rng(seed)
     # z | theta reads chol(S)[:r+2, :r], which never reads S[r, r]; a unit
     # theta precision (variance 1) keeps S positive definite even at u = 0

@@ -1133,5 +1133,5 @@ class TestEstimateUn:
     @pytest.mark.parametrize("translations", [0, -2])
     def test_empty_probe_set_rejected(self, translations):
         law = make_covariate_law(0.8)
-        with pytest.raises(ValueError, match="translations must be >= 1"):
+        with pytest.raises(ValueError, match=f"translations must be >= 1, got {translations}"):
             estimate_un_per_zeta(law, translations, 10, 100, seed=1)

@@ -374,7 +374,9 @@ class TestExitCodes:
             monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "r.json"
         assert cli.main([command, "--config", config_path, "--seed", seed, "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: master_seed must lie in [0, 2^64), got {seed}\n"
+        assert capsys.readouterr().err == (
+            f"config error: master_seed must lie in [0, 18446744073709551615], got {seed}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -488,7 +490,7 @@ class TestExitCodes:
         monkeypatch.setattr(semibvm.experiments, "sample_dataset", spy)
         monkeypatch.setattr(semibvm.experiments, "kl_neighborhood_stats", spy)
         assert cli.main([command, "--n", "0"]) == cli.EXIT_CONFIG
-        assert "need n >= 1" in capsys.readouterr().err
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
         assert calls == []
 
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):

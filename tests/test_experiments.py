@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -30,7 +31,7 @@ from semibvm.experiments import (
     run_posterior_snapshot,
     splitmix64,
 )
-from semibvm.gp_prior import prior_covariance
+from semibvm.gp_prior import prior_covariance, sample_prior_path
 from semibvm.model import _pcg64_states, sample_dataset
 from semibvm.posterior import (
     conditional_nuisance_mass,
@@ -42,6 +43,27 @@ from semibvm.posterior import (
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
 _LAW, _TRUTH, _SPEC = make_components(SMALL)
 _DS = sample_dataset(_LAW, _TRUTH, 30, 1)
+
+# every public function that draws from a seed of its own: name -> (a
+# small call at `seed`, the default_rng arguments it seeds with);
+# run_diagnostics_suite's 0 is the generator its dataset re-states
+_SEEDED = {
+    "gibbs_chain": (lambda seed: gibbs_chain(_DS, _SPEC, 10.0, 3, 1, seed), lambda s: [s]),
+    "conditional_nuisance_mass": (
+        lambda seed: conditional_nuisance_mass(_DS, _SPEC, 1.0, _TRUTH, _LAW, 0.1, 3, seed),
+        lambda s: [s],
+    ),
+    "sample_prior_path": (lambda seed: sample_prior_path(_SPEC, seed), lambda s: [s]),
+    "run_parametric_baseline": (lambda seed: run_parametric_baseline(5, 1.0, 10.0, seed), lambda s: [s]),
+    "estimate_un_per_zeta": (
+        lambda seed: estimate_un_per_zeta(_LAW, 2, 5, 3, seed),
+        lambda s: [[s, 0], [s, 1]],
+    ),
+    "run_diagnostics_suite": (
+        lambda seed: run_diagnostics_suite(SMALL, 5, seed, un_reps=3),
+        lambda s: [[s, 0], [s, 1], 0],
+    ),
+}
 
 
 def _one_cell(cfg, n, rep):
@@ -106,7 +128,7 @@ class TestConfig:
     def test_master_seed_outside_64_bits_is_rejected(self, seed):
         # cell_seed masks its words, so 5 + 2^64 drew the rows of 5 and -1
         # those of 2^64 - 1, while each report echoed the seed it was given
-        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\^64\), got "):
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 18446744073709551615\], got "):
             ExperimentConfig(master_seed=seed)
 
     def test_master_seed_range_ends_are_accepted(self):
@@ -654,7 +676,8 @@ class TestSnapshotsAndSuite:
 
         for name in ("make_components", "kl_neighborhood_stats", "estimate_un_per_zeta", "sample_dataset"):
             monkeypatch.setattr(experiments, name, spy)
-        with pytest.raises(ValueError, match=f"{next(iter(counts))} must be >= 1"):
+        name, value = next(iter(counts.items()))
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
             run_diagnostics_suite(SMALL, n=40, seed=3, **counts)
 
     @pytest.mark.parametrize(
@@ -679,6 +702,40 @@ class TestSnapshotsAndSuite:
         # integer" or "expected a sequence of integers or a single integer"
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call()
+
+    @pytest.mark.parametrize("bad", [2.5, -1, 2**64])
+    @pytest.mark.parametrize("name", list(_SEEDED))
+    def test_seeds_checked_before_any_draw(self, name, bad, monkeypatch):
+        # numpy raised its own TypeError for 2.5 and ValueError for -1, and
+        # took 2^64 without a word
+        calls = []
+        real_rng, real_draws = np.random.default_rng, model._draws
+
+        def rng_spy(*args):
+            calls.append(args)
+            return real_rng(*args)
+
+        def draws_spy(*args, **kwargs):
+            calls.append("_draws")
+            return real_draws(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_spy)
+        for module in (model, asymptotics):
+            monkeypatch.setattr(module, "_draws", draws_spy)
+        call, seeded_with = _SEEDED[name]
+        if isinstance(bad, float):
+            message = f"seed must be an integer, got {bad!r}"
+        else:
+            message = f"seed must lie in [0, 18446744073709551615], got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+        assert calls == []
+        # the range's ends pass, and default_rng gets the seed as given, so
+        # the draws are those of an unchecked call
+        for seed in (0, 2**64 - 1):
+            calls.clear()
+            call(seed)
+            assert [args[0] for args in calls if args != "_draws"] == seeded_with(seed)
 
     def test_diagnostics_hellinger_row_against_closed_form(self):
         # H^2 of the theta shift delta = 2/sqrt(n) is 1 - E exp(-(delta U)^2/8);

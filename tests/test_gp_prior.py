@@ -325,6 +325,11 @@ class TestSamplePriorPath:
         spec = GpPriorSpec(k=1, grid_size=20, scale=1.0)
         with pytest.raises(ValueError, match="attempts"):
             sample_prior_path(spec, 1, max_attempts=20, ball=(0.6, 0.01))
+        # a cap of 2.5 reached range() and 0 read as a cap exceeded
+        with pytest.raises(ValueError, match=r"^max_attempts must be an integer, got 2\.5$"):
+            sample_prior_path(spec, 1, max_attempts=2.5, ball=(0.6, 8.0))
+        with pytest.raises(ValueError, match="^max_attempts must be >= 1, got 0$"):
+            sample_prior_path(spec, 1, max_attempts=0, ball=(0.6, 8.0))
 
     def test_ball_requires_alpha(self):
         # the ball is (alpha, bound): alpha in (0, 1] and bound > 0, NaN in

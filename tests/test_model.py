@@ -1,15 +1,21 @@
 """Model-layer tests: covariate law, sampling, scores."""
 
+import ast
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import semibvm
 from semibvm.model import (
+    _MASK64,
     CovariateLaw,
     Dataset,
     ModelPoint,
     NuisanceFunction,
+    _check_integer,
     _draws,
     _pcg64_states,
     efficient_score,
@@ -233,6 +239,87 @@ class TestSampleDataset:
             sample_datasets(make_covariate_law(0.8), _truth(theta=1e308), 50, [1, 2])
 
 
+class TestCheckInteger:
+    """The one rule for a count, size or seed: an integer in a range."""
+
+    def test_bounds_are_inclusive(self):
+        assert _check_integer("x", 3, 3, 5) == 3
+        assert _check_integer("x", 5, 3, 5) == 5
+        assert _check_integer("x", 0, 0) == 0
+        for value in (2, 6):
+            with pytest.raises(ValueError, match=rf"^x must lie in \[3, 5\], got {value}$"):
+                _check_integer("x", value, 3, 5)
+
+    def test_open_ends(self):
+        assert _check_integer("x", -(10**30), None, None) == -(10**30)
+        assert _check_integer("x", 10**30, 1) == 10**30
+        assert _check_integer("x", 10**30, 1, None) == 10**30
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        for value in (np.int64(-7), np.uint8(7), np.uint64(_MASK64)):
+            out = _check_integer("x", value, -7, _MASK64)
+            assert type(out) is int and out == int(value)
+
+    @pytest.mark.parametrize("value", [2.0, "3", None, np.float64(1.0)])
+    def test_non_integers_are_rejected(self, value):
+        # also where the range check alone would pass or fail otherwise
+        message = f"x must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_integer("x", value, 0)
+
+    def test_one_wording_per_failure(self):
+        cases = [
+            (("n", 0, 1), "n must be >= 1, got 0"),
+            (("n", -1, 0), "n must be >= 0, got -1"),
+            (("seed", -1, 0, _MASK64), "seed must lie in [0, 18446744073709551615], got -1"),
+            (("seed", 2**64, 0, _MASK64), "seed must lie in [0, 18446744073709551615], got 18446744073709551616"),
+            (("seeds", 2.5, 1), "seeds must be an integer, got 2.5"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as info:
+                _check_integer(*args)
+            assert str(info.value) == message
+
+    def test_the_rule_has_one_home(self):
+        # no call's result is compared by hand, _check_order stays gone, and
+        # operator.index is called in model._check_integer alone
+        for path in sorted(pathlib.Path(semibvm.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            homes = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_check_integer"
+            ]
+            assert homes == [] or path.name == "model.py"
+            inside = [node for home in homes for node in ast.walk(home) if _is_operator_index(node)]
+            assert [node for node in ast.walk(tree) if _is_operator_index(node)] == inside, path.name
+            for node in ast.walk(tree):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                if isinstance(node, ast.Compare):
+                    for operand in (node.left, *node.comparators):
+                        assert not (
+                            isinstance(operand, ast.Call) and _called_name(operand) == "_check_integer"
+                        ), f"{where} compares a _check_integer result"
+                for field in ("id", "attr", "name", "asname"):
+                    assert getattr(node, field, None) != "_check_order", where
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call's function is looked up by: f(...) or obj.f(...)."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _is_operator_index(node: ast.AST) -> bool:
+    """operator.index(...), or index(...) as `from operator import index` binds it."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "index" and isinstance(func.value, ast.Name) and func.value.id == "operator"
+    return isinstance(func, ast.Name) and func.id == "index"
+
+
 class TestGeneratorStates:
     """_pcg64_states against numpy's own seeding, and the re-stated generator."""
 
@@ -262,9 +349,10 @@ class TestGeneratorStates:
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seeds_outside_64_bits_are_rejected(self, seed):
-        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\^64\)"):
+        message = rf"seed must lie in \[0, 18446744073709551615\], got {seed}"
+        with pytest.raises(ValueError, match=message):
             _pcg64_states([3, seed])
-        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\^64\)"):
+        with pytest.raises(ValueError, match=message):
             sample_dataset(make_covariate_law(0.8), _truth(), 5, seed)
 
     def test_non_integer_seed_is_rejected(self):

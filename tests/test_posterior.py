@@ -654,8 +654,10 @@ class TestGibbs:
 
     def test_invalid_iteration_split(self):
         _, _, spec, ds = _setup(n=40, grid_size=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^iterations must be >= 11, got 10$"):
             gibbs_chain(ds, spec, 10.0, iterations=10, burn_in=10, seed=1)
+        with pytest.raises(ValueError, match="^burn_in must be >= 0, got -1$"):
+            gibbs_chain(ds, spec, 10.0, iterations=10, burn_in=-1, seed=1)
 
     def test_matches_conjugate_marginal(self):
         _, _, spec, ds = _setup(n=120, grid_size=20)
@@ -763,6 +765,23 @@ class TestPosteriorMassHBall:
             posterior_mass_h_ball(mp, 1.0, math.nan, 5)
         with pytest.raises(ValueError, match="n must be an integer"):
             posterior_mass_h_ball(mp, 0.0, 1.0, 2.5)
+        # nan returned nan and inf returned 0.0
+        with pytest.raises(ValueError, match="^theta0 must be finite, got nan$"):
+            posterior_mass_h_ball(mp, math.nan, 1.0, 5)
+        with pytest.raises(ValueError, match="^theta0 must be finite, got inf$"):
+            posterior_mass_h_ball(mp, math.inf, 1.0, 5)
+
+    def test_far_tails_keep_their_precision(self):
+        # N(0, 1) with M_n = n = 1: the mass of [theta0 - 1, theta0 + 1],
+        # exact at 40 digits from the lower tail (the mass is even in
+        # theta0).  Phi(hi) - Phi(lo) lost the upper one: 0.0 at theta0 =
+        # 10 and 7 % off at 9
+        mp = MarginalThetaPosterior(mean=0.0, variance=1.0)
+        for theta0 in (-20.0, -10.0, -9.0, 9.0, 10.0, 20.0):
+            with mpmath.workdps(40):
+                far = abs(theta0)
+                exact = float(mpmath.ncdf(1 - far) - mpmath.ncdf(-1 - far))
+            assert posterior_mass_h_ball(mp, theta0, 1.0, 1) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestNormalFunctionsAgainstScipy:

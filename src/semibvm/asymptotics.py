@@ -40,6 +40,7 @@ from .model import (
     ModelPoint,
     NuisanceFunction,
     _check_integer,
+    _check_real,
     _draws,
     _stack_rows,
     interpolate,
@@ -76,10 +77,8 @@ class BvmDiagnostics:
     tv_gap: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.tv_gap <= 1.0):
-            raise ValueError("tv_gap must lie in [0, 1]")
-        if not self.localized_post_var > 0.0:
-            raise ValueError("localized_post_var must be positive")
+        _check_real("tv_gap", self.tv_gap, ge=0, le=1)
+        _check_real("localized_post_var", self.localized_post_var, gt=0)
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ class LanCoefficients:
     quadratic: float
 
     def __post_init__(self) -> None:
-        if self.quadratic > 0.0:
-            raise ValueError("quadratic coefficient must be <= 0")
+        _check_real("quadratic", self.quadratic, le=0)
 
 
 def delta_n(ds: Dataset, law: CovariateLaw) -> float | np.ndarray:
@@ -149,8 +147,8 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     to second order.  Each mass is :func:`semibvm.posterior._normal_mass`,
     so far-right intervals keep their precision.
     """
-    if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
-        raise ValueError(f"variances must be positive and finite, got {v1} and {v2}")
+    m1, m2 = _check_real("m1", m1), _check_real("m2", m2)
+    v1, v2 = _check_real("v1", v1, gt=0), _check_real("v2", v2, gt=0)
     if v1 > v2:  # the distance is symmetric; N(m1, v1) is the narrower
         m1, v1, m2, v2 = m2, v2, m1, v1
     if v2 - v1 <= 1e-14 * v2:
@@ -185,8 +183,9 @@ def bvm_gap(
     to N(sqrt(n)(mean - theta0), n * variance); TV is invariant under
     that affine map, so the gap can be read in either coordinate system.
     """
-    if not info > 0.0:
-        raise ValueError("info must be positive")
+    n = _check_integer("n", n, 1)
+    delta, info = _check_real("delta", delta), _check_real("info", info, gt=0)
+    theta0 = _check_real("theta0", theta0)
     loc_mean = math.sqrt(n) * (mp.mean - theta0)
     loc_var = n * mp.variance
     gap = tv_normals(loc_mean, loc_var, delta, 1.0 / info)
@@ -250,7 +249,7 @@ def least_favorable_eta(
     theta: float, truth: ModelPoint, law: CovariateLaw
 ) -> NuisanceFunction:
     """KL-minimising nuisance at theta: eta0 - (theta - theta0) m, on eta0's grid."""
-    grid = truth.eta.grid
+    theta, grid = _check_real("theta", theta), truth.eta.grid
     values = truth.eta.values - (theta - truth.theta) * law.cond_mean(grid)
     return NuisanceFunction(values)
 
@@ -285,6 +284,7 @@ def lan_remainder(ds: Dataset, h: float, law: CovariateLaw) -> float:
     deficit of order sigma_w^2.
     """
     _check_integer("n", ds.n, 1)
+    h = _check_real("h", h)
     if ds.e is None:
         raise ValueError("dataset lacks stored residuals")
     return 0.5 * h * h * (float(ds.w @ ds.w) / ds.n - law.efficient_info)
@@ -355,6 +355,7 @@ def integral_lan_coefficients(
     = (mean - theta0)/var, so the n x n matrix S is never built.
     """
     n = _check_integer("n", ds.n, 1)
+    theta0 = _check_real("theta0", theta0)
     mp = theta_posterior(ds, spec, math.inf)
     linear = (mp.mean - theta0) / mp.variance / math.sqrt(n)
     quadratic = -1.0 / (2.0 * n * mp.variance)

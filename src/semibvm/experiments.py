@@ -56,6 +56,7 @@ from .model import (
     ModelPoint,
     NuisanceFunction,
     _check_integer,
+    _check_real,
     _pcg64_states,
     _sample_rows,
     _stack_rows,
@@ -128,13 +129,12 @@ class ExperimentConfig:
             raise ValueError("n_ladder must be nonempty and strictly increasing")
         object.__setattr__(self, "n_ladder", ladder)
         _check_integer("seeds", self.seeds, 1)
-        if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie in (0, 1)")
+        _check_real("level", self.level, gt=0, lt=1)
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         _check_integer("master_seed", self.master_seed, 0, _MASK64)
-        if not math.isfinite(self.theta0):
-            raise ValueError(f"theta0 must be finite, got {self.theta0}")
+        _check_real("theta0", self.theta0)
+        _check_real("eta0_amplitude", self.eta0_amplitude)
         _prior_precision(self.theta_prior_var)
         make_components(self)  # the law and the prior spec check their own fields
 
@@ -404,6 +404,7 @@ def run_parametric_baseline(
     """
     n = _check_integer("n", n, 1)
     seed = _check_integer("seed", seed, 0, _MASK64)
+    theta0 = _check_real("theta0", theta0)
     _prior_precision(prior_var, "prior_var")
     rng = np.random.default_rng(seed)
     xbar = float(np.mean(theta0 + rng.standard_normal(n)))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _MASK64, NuisanceFunction, _check_integer, uniform_grid
+from .model import _MASK64, NuisanceFunction, _check_integer, _check_real, uniform_grid
 
 __all__ = [
     "GpPriorSpec",
@@ -70,8 +70,8 @@ class GpPriorSpec:
     def __post_init__(self) -> None:
         _check_integer("integration order k", self.k, 0, _MAX_ORDER)
         _check_integer("grid_size", self.grid_size, 2)
-        corner = kibm_kernel(1.0, 1.0, self.k)
-        if not (self.scale > 0.0 and 0.0 < self.scale * self.scale * corner < math.inf):
+        scale = _check_real("scale", self.scale, gt=0)
+        if not 0.0 < scale * scale * kibm_kernel(1.0, 1.0, self.k) < math.inf:
             raise ValueError(
                 "scale must be positive with K's largest entry, scale^2 * c_k(1, 1), "
                 f"finite and nonzero, got {self.scale}"
@@ -121,8 +121,7 @@ def _kibm(s, t, k: int):
 def kibm_kernel(s: float, t: float, k: int) -> float:
     """Covariance c_k(s, t) of the randomly-started k-fold integrated BM,
     in the closed form of :func:`_kibm`."""
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise ValueError("kernel arguments must lie in [0, 1]")
+    s, t = _check_real("s", s, ge=0, le=1), _check_real("t", t, ge=0, le=1)
     k = _check_integer("integration order k", k, 0, _MAX_ORDER)
     return float(_kibm(s, t, k))
 
@@ -162,8 +161,7 @@ def holder_seminorm(eta: NuisanceFunction, alpha: float) -> float:
 
     Converges to the continuum seminorm from below as the grid refines.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = _check_real("alpha", alpha, gt=0, le=1)
     grid = eta.grid
     values = eta.values
     dt = np.abs(grid[:, None] - grid[None, :])
@@ -191,8 +189,7 @@ def sample_prior_path(
     max_attempts = _check_integer("max_attempts", max_attempts, 1)
     if ball is not None:
         alpha, bound = ball
-        if not (0.0 < alpha <= 1.0 and bound > 0.0):  # a NaN fails too
-            raise ValueError(f"ball needs alpha in (0, 1] and bound > 0, got {ball}")
+        alpha, bound = _check_real("alpha", alpha, gt=0, le=1), _check_real("bound", bound, gt=0)
     factor = prior_factor(spec)
     rng = np.random.default_rng(seed)
     if ball is None:

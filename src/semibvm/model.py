@@ -65,6 +65,39 @@ def _check_integer(name: str, value, least: int | None = None, most: int | None 
     return value
 
 
+def _check_real(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """float(value) if it is finite and within the bounds given, gt/ge a
+    lower end exclusive/inclusive and lt/le an upper one (at most one of
+    each); else ValueError naming `name`: `theta0 must be finite, got
+    nan`, `rho must be > 0, got 0.0` or `level must lie in (0, 1), got
+    1.0`.  The package's one rule for a real number; a variance whose
+    flat limit is inf is posterior._prior_precision's."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    value = float(value)
+    if (
+        (gt is not None and not value > gt)
+        or (ge is not None and not value >= ge)
+        or (lt is not None and not value < lt)
+        or (le is not None and not value <= le)
+    ):
+        # each end given as (interval end, comparison)
+        low = high = None
+        if gt is not None or ge is not None:
+            low = (f"({gt}", f"> {gt}") if gt is not None else (f"[{ge}", f">= {ge}")
+        if lt is not None or le is not None:
+            high = (f"{lt})", f"< {lt}") if lt is not None else (f"{le}]", f"<= {le}")
+        wording = f"lie in {low[0]}, {high[0]}" if low and high else f"be {(low or high)[1]}"
+        raise ValueError(f"{name} must {wording}, got {value}")
+    return value
+
+
 def uniform_grid(grid_size: int) -> np.ndarray:
     """Uniform grid j/(m-1), j = 0..m-1, on [0, 1]."""
     return np.linspace(0.0, 1.0, _check_integer("grid_size", grid_size, 2))
@@ -94,7 +127,7 @@ def interpolate(values: np.ndarray, v):
 def interpolation_weights(v: np.ndarray, grid_size: int) -> np.ndarray:
     """(n, grid_size) matrix W, at most two nonzeros a row, with W @ values
     the :func:`interpolate` of the grid values at the n points v."""
-    return interpolate(np.eye(grid_size), np.atleast_1d(v)).T
+    return interpolate(np.eye(_check_integer("grid_size", grid_size, 2)), np.atleast_1d(v)).T
 
 
 @dataclass(frozen=True)
@@ -109,14 +142,8 @@ class CovariateLaw:
     residual_sd: float
 
     def __post_init__(self) -> None:
-        sd = self.residual_sd
-        if not (0.0 < sd <= 1.0):  # a NaN fails too
-            reason = (
-                "must be <= 1 to allow E[U^2] = 1"
-                if sd > 1.0
-                else "must be positive (information would vanish)"
-            )
-            raise ValueError(f"residual_sd {reason}, got {sd}")
+        # above 1 no amplitude gives E[U^2] = 1; at 0 the information vanishes
+        sd = _check_real("residual_sd", self.residual_sd, gt=0, le=1)
         info = self.efficient_info  # below sd of about 2^-512, 1/info overflows
         if not (info > 0.0 and 1.0 / info < math.inf):
             raise ValueError(f"residual_sd must have a finite 1/residual_sd^2, got {sd}")
@@ -176,7 +203,7 @@ class NuisanceFunction:
 
     @classmethod
     def zero(cls, grid_size: int) -> "NuisanceFunction":
-        return cls(np.zeros(grid_size))
+        return cls(np.zeros(_check_integer("grid_size", grid_size, 2)))
 
     @property
     def grid_size(self) -> int:
@@ -199,6 +226,9 @@ class ModelPoint:
 
     theta: float
     eta: NuisanceFunction
+
+    def __post_init__(self) -> None:
+        _check_real("theta", self.theta)
 
 
 def _store_finite(obj, names: Sequence[str]) -> None:

@@ -54,6 +54,7 @@ from .model import (
     Dataset,
     ModelPoint,
     _check_integer,
+    _check_real,
     _stack_rows,
     interpolation_index,
 )
@@ -111,8 +112,8 @@ class MarginalThetaPosterior:
     variance: float
 
     def __post_init__(self) -> None:
-        if not self.variance > 0.0:
-            raise ValueError("variance must be strictly positive")
+        _check_real("mean", self.mean)
+        _check_real("variance", self.variance, gt=0)
 
     @property
     def sd(self) -> float:
@@ -456,8 +457,7 @@ def credible_interval(mp: MarginalThetaPosterior, level: float) -> tuple[float, 
 def credible_bounds(mean, sd, level: float):
     """(mean - z sd, mean + z sd) with z = z_{(1+level)/2}, for floats or
     arrays of means and standard deviations."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
+    level = _check_real("level", level, gt=0, lt=1)
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return (mean - z * sd, mean + z * sd)
 
@@ -466,10 +466,7 @@ def posterior_mass_h_ball(
     mp: MarginalThetaPosterior, theta0: float, M_n: float, n: int
 ) -> float:
     """Posterior mass of {|sqrt(n)(theta - theta0)| <= M_n}."""
-    if not M_n >= 0.0:  # a NaN fails too
-        raise ValueError("M_n must be >= 0")
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be finite, got {theta0}")
+    M_n, theta0 = _check_real("M_n", M_n, ge=0), _check_real("theta0", theta0)
     half = M_n / math.sqrt(_check_integer("n", n, 1))
     lo = (theta0 - half - mp.mean) / mp.sd
     hi = (theta0 + half - mp.mean) / mp.sd
@@ -496,8 +493,7 @@ def conditional_nuisance_mass(
     """
     from .asymptotics import _hellinger_sq, least_favorable_eta
 
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
+    theta_fixed, rho = _check_real("theta_fixed", theta_fixed), _check_real("rho", rho, gt=0)
     draws = _check_integer("draws", draws, 1)
     seed = _check_integer("seed", seed, 0, _MASK64)
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -352,6 +353,18 @@ class TestTvNormals:
         for v1, v2 in ((1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 tv_normals(0.0, v1, 0.0, v2)
+        with pytest.raises(ValueError, match=r"^v1 must be > 0, got 0\.0$"):
+            tv_normals(0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^v2 must be > 0, got -2\.0$"):
+            tv_normals(0.0, 1.0, 0.0, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_means_rejected(self, bad):
+        # both returned nan
+        with pytest.raises(ValueError, match=f"^m1 must be finite, got {bad}$"):
+            tv_normals(bad, 1.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match=f"^m2 must be finite, got {bad}$"):
+            tv_normals(0.0, 1.0, bad, 2.0)
 
 
 class TestBvmGap:
@@ -380,16 +393,40 @@ class TestBvmGap:
         with pytest.raises(ValueError):
             bvm_gap(mp, 0.0, 0.0, 10, 0.0)
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (2.5, "n must be an integer, got 2.5"),  # read the gap at sqrt(2.5)
+            (0, "n must be >= 1, got 0"),  # blamed the variances
+            (-3, "n must be >= 1, got -3"),
+        ],
+    )
+    def test_n_follows_the_integer_rule(self, n, message):
+        mp = MarginalThetaPosterior(mean=0.0, variance=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bvm_gap(mp, 0.0, 1.0, n, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta", "info", "theta0"])
+    def test_nonfinite_inputs_are_named(self, name, bad):
+        # a NaN delta or theta0 was blamed on tv_gap
+        mp = MarginalThetaPosterior(mean=0.0, variance=1.0)
+        args = {"delta": 0.0, "info": 1.0, "theta0": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+            bvm_gap(mp, args["delta"], args["info"], 10, args["theta0"])
+
     def test_diagnostics_validation(self):
-        with pytest.raises(ValueError):
-            BvmDiagnostics(
-                n=5,
-                delta_n=0.0,
-                info_tilde=1.0,
-                localized_post_mean=0.0,
-                localized_post_var=1.0,
-                tv_gap=1.5,
-            )
+        fields = dict(
+            n=5, delta_n=0.0, info_tilde=1.0, localized_post_mean=0.0, localized_post_var=1.0
+        )
+        for field, value, message in [
+            ("tv_gap", 1.5, "tv_gap must lie in [0, 1], got 1.5"),
+            ("tv_gap", math.nan, "tv_gap must be finite, got nan"),
+            ("localized_post_var", 0.0, "localized_post_var must be > 0, got 0.0"),
+            ("localized_post_var", math.inf, "localized_post_var must be finite, got inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BvmDiagnostics(**{**fields, "tv_gap": 0.5, field: value})
 
 
 class TestDifferenceIntegrals:
@@ -514,6 +551,12 @@ class TestKlDivergence:
 
 
 class TestLeastFavorableEta:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_theta_rejected(self, bad):
+        # was blamed on the nuisance: "values must be finite"
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {bad}$"):
+            least_favorable_eta(bad, _truth(), make_covariate_law(0.8))
+
     def test_at_truth(self):
         law = make_covariate_law(0.8)
         truth = _truth()
@@ -736,6 +779,14 @@ class TestLanRemainder:
         with pytest.raises(ValueError, match="stored residuals"):
             lan_remainder(bare, 1.0, law)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_h_rejected(self, bad):
+        # returned nan
+        law = make_covariate_law(0.8)
+        ds = sample_dataset(law, _truth(), 30, 4)
+        with pytest.raises(ValueError, match=f"^h must be finite, got {bad}$"):
+            lan_remainder(ds, bad, law)
+
     @pytest.mark.parametrize("theta0", [1.0, 1e10, 1e14, 1e200])
     def test_identity_holds_at_any_theta0(self, theta0):
         # the deficit is read off the drawn w, so no theta0 u term cancels
@@ -948,6 +999,17 @@ class TestIntegralLanCoefficients:
     def test_validation(self):
         with pytest.raises(ValueError):
             LanCoefficients(linear=0.0, quadratic=0.1)
+        with pytest.raises(ValueError, match="^quadratic must be finite, got nan$"):
+            LanCoefficients(linear=0.0, quadratic=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_theta0_rejected(self, bad):
+        # gave linear=nan
+        law = make_covariate_law(0.8)
+        ds = sample_dataset(law, _truth(grid_size=25), 40, 71)
+        spec = GpPriorSpec(k=1, grid_size=25, scale=2.0)
+        with pytest.raises(ValueError, match=f"^theta0 must be finite, got {bad}$"):
+            integral_lan_coefficients(ds, spec, bad)
 
     @pytest.mark.parametrize("h", [-1.0, 1.0])
     def test_small_n_against_prior_monte_carlo(self, h):

@@ -409,6 +409,42 @@ class TestExitCodes:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (f.name, value)
+            for f in dataclasses.fields(ExperimentConfig)
+            if cli._HINTS[f.name] is float
+            for value in ("nan", "inf", "-inf")
+            if (f.name, value) != ("theta_prior_var", "inf")  # the flat prior
+        ],
+    )
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
+    def test_nonfinite_real_key_exits_2_naming_it_before_any_cell(
+        self, command, key, value, tmp_path, monkeypatch, capsys
+    ):
+        # eta0_amplitude = nan was blamed on the nuisance ("values must be
+        # finite"), and inf raised numpy's RuntimeWarning first
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a cell ran despite a non-finite config value")
+
+        monkeypatch.setattr(semibvm.experiments, "_sample_rows", spy)
+        monkeypatch.setattr(semibvm.experiments, "theta_posteriors", spy)
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+        out = tmp_path / "r.json"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        if key == "theta_prior_var":
+            message = f"theta_prior_var must be positive with a finite reciprocal (inf allowed), got {value}"
+        else:
+            message = f"{'residual_sd' if key == 'sigma_w' else key} must be finite, got {value}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_overflowing_integration_order_exits_2_with_one_line(
         self, command, tmp_path, monkeypatch, capsys

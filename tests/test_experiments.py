@@ -173,6 +173,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_eta0_amplitude_is_named(self, bad):
+        # was blamed on the nuisance ("values must be finite"), after
+        # numpy's RuntimeWarning for inf
+        with pytest.raises(ValueError, match=f"^eta0_amplitude must be finite, got {bad}$"):
+            ExperimentConfig(eta0_amplitude=bad)
+
     def test_flat_theta_prior_accepted(self):
         assert ExperimentConfig(theta_prior_var=math.inf).theta_prior_var == math.inf
 
@@ -621,6 +628,12 @@ class TestParametricBaseline:
             run_parametric_baseline(5, 1.0, 1e-310, seed=1)
         with pytest.raises(ValueError):
             run_parametric_baseline(10, 0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_theta0_is_named(self, bad):
+        # was blamed on tv_gap
+        with pytest.raises(ValueError, match=f"^theta0 must be finite, got {bad}$"):
+            run_parametric_baseline(10, bad, 1.0, 1)
 
 
 class TestSnapshotsAndSuite:

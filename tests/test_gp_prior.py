@@ -332,18 +332,19 @@ class TestSamplePriorPath:
             sample_prior_path(spec, 1, max_attempts=0, ball=(0.6, 8.0))
 
     def test_ball_requires_alpha(self):
-        # the ball is (alpha, bound): alpha in (0, 1] and bound > 0, NaN in
-        # neither slot; it is checked before any draw
+        # the ball is (alpha, bound): alpha in (0, 1] and bound > 0, both
+        # finite; it is checked before any draw
         spec = GpPriorSpec(k=1, grid_size=10, scale=1.0)
-        for ball in [
-            (0.6, 0.0),
-            (0.6, -5.0),
-            (0.0, 5.0),
-            (1.5, 5.0),
-            (math.nan, 5.0),
-            (0.6, math.nan),
+        for ball, message in [
+            ((0.6, 0.0), "bound must be > 0, got 0.0"),
+            ((0.6, -5.0), "bound must be > 0, got -5.0"),
+            ((0.0, 5.0), "alpha must lie in (0, 1], got 0.0"),
+            ((1.5, 5.0), "alpha must lie in (0, 1], got 1.5"),
+            ((math.nan, 5.0), "alpha must be finite, got nan"),
+            ((0.6, math.nan), "bound must be finite, got nan"),
+            ((0.6, math.inf), "bound must be finite, got inf"),
         ]:
-            with pytest.raises(ValueError, match="ball needs alpha in"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 sample_prior_path(spec, 1, ball=ball)
         assert sample_prior_path(spec, 1, ball=(1.0, 1e6)).grid_size == 10
 

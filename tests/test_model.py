@@ -16,6 +16,7 @@ from semibvm.model import (
     ModelPoint,
     NuisanceFunction,
     _check_integer,
+    _check_real,
     _draws,
     _pcg64_states,
     efficient_score,
@@ -61,6 +62,19 @@ class TestMakeCovariateLaw:
         with pytest.raises(ValueError):
             make_covariate_law(1.2)
 
+    @pytest.mark.parametrize(
+        "sd, message",
+        [
+            (0.0, "residual_sd must lie in (0, 1], got 0.0"),
+            (1.2, "residual_sd must lie in (0, 1], got 1.2"),
+            (math.nan, "residual_sd must be finite, got nan"),
+            (math.inf, "residual_sd must be finite, got inf"),
+        ],
+    )
+    def test_residual_sd_follows_the_real_rule(self, sd, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_covariate_law(sd)
+
     def test_amplitude_standardisation(self):
         law = make_covariate_law(0.8)
         assert law.cond_mean_amplitude == pytest.approx(math.sqrt(0.72), abs=1e-15)
@@ -101,6 +115,14 @@ class TestMakeCovariateLaw:
         v = np.linspace(0.0, 1.0, 200_001)
         quad = np.trapezoid(np.abs(law.cond_mean(v)), v)
         assert quad == pytest.approx(2.0 * law.cond_mean_amplitude / math.pi, abs=1e-6)
+
+
+class TestModelPoint:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_theta_rejected(self, bad):
+        # was accepted; the simulator then failed with "y entries must be finite"
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {bad}$"):
+            ModelPoint(theta=bad, eta=NuisanceFunction.zero(5))
 
 
 class TestSampleDataset:
@@ -304,6 +326,125 @@ class TestCheckInteger:
                     assert getattr(node, field, None) != "_check_order", where
 
 
+class TestCheckReal:
+    """The one rule for a real input: a finite float within bounds."""
+
+    def test_returns_the_float(self):
+        for value in (0.25, 3, np.float64(-1.5), np.float32(0.5), np.int64(7), 10**300):
+            out = _check_real("x", value)
+            assert type(out) is float and out == float(value)
+
+    def test_ends_are_inclusive_or_exclusive_as_given(self):
+        assert _check_real("x", 0.0, ge=0, le=1) == 0.0
+        assert _check_real("x", 1.0, ge=0, le=1) == 1.0
+        assert _check_real("x", 1e-300, gt=0) == 1e-300
+        assert _check_real("x", -1e300, lt=0) == -1e300
+        cases = [
+            ({"gt": 0}, 0.0, "x must be > 0, got 0.0"),
+            ({"ge": 0}, -1e-300, "x must be >= 0, got -1e-300"),
+            ({"lt": 1}, 1.0, "x must be < 1, got 1.0"),
+            ({"le": 0}, 0.5, "x must be <= 0, got 0.5"),
+            ({"gt": 0, "lt": 1}, 1.0, "x must lie in (0, 1), got 1.0"),
+            ({"gt": 0, "le": 1}, 0.0, "x must lie in (0, 1], got 0.0"),
+            ({"ge": 0, "le": 1}, 1.5, "x must lie in [0, 1], got 1.5"),
+            ({"ge": 0.5, "lt": 2}, 0.25, "x must lie in [0.5, 2), got 0.25"),
+        ]
+        for bounds, value, message in cases:
+            with pytest.raises(ValueError) as info:
+                _check_real("x", value, **bounds)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"), 10**400])
+    def test_nonfinite_values_are_rejected_before_the_bounds(self, value):
+        for bounds in ({}, {"gt": 0}, {"ge": 0, "le": 1}):
+            with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(str(value))}$"):
+                _check_real("x", value, **bounds)
+
+    @pytest.mark.parametrize("value", ["0.5", None, [0.5], 1j])
+    def test_non_reals_are_rejected(self, value):
+        message = f"x must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_real("x", value)
+
+    # every scalar real input checked by the rule, by module and by the
+    # function or class that takes it
+    CHECKED = {
+        "model.py": {"CovariateLaw": {"residual_sd"}, "ModelPoint": {"theta"}},
+        "gp_prior.py": {
+            "GpPriorSpec": {"scale"},
+            "kibm_kernel": {"s", "t"},
+            "holder_seminorm": {"alpha"},
+            "sample_prior_path": {"alpha", "bound"},
+        },
+        "posterior.py": {
+            "MarginalThetaPosterior": {"mean", "variance"},
+            "credible_bounds": {"level"},
+            "posterior_mass_h_ball": {"M_n", "theta0"},
+            "conditional_nuisance_mass": {"rho", "theta_fixed"},
+        },
+        "asymptotics.py": {
+            "BvmDiagnostics": {"tv_gap", "localized_post_var"},
+            "LanCoefficients": {"quadratic"},
+            "tv_normals": {"m1", "v1", "m2", "v2"},
+            "bvm_gap": {"delta", "info", "theta0"},
+            "least_favorable_eta": {"theta"},
+            "lan_remainder": {"h"},
+            "integral_lan_coefficients": {"theta0"},
+        },
+        "experiments.py": {
+            "ExperimentConfig": {"level", "theta0", "eta0_amplitude"},
+            "run_parametric_baseline": {"theta0"},
+        },
+    }
+
+    def test_the_rule_has_one_home(self):
+        # math.isfinite is called in model._check_real alone, each input
+        # above goes through a call of it, and no such input is compared
+        # with a number by hand in the function or class that takes it
+        for path in sorted(pathlib.Path(semibvm.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            scopes = {
+                node.name: node
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            }
+            home = [scopes["_check_real"]] if path.name == "model.py" else []
+            inside = [node for scope in home for node in ast.walk(scope) if _is_math_isfinite(node)]
+            assert [node for node in ast.walk(tree) if _is_math_isfinite(node)] == inside, path.name
+            assert inside or path.name != "model.py"
+            for name, inputs in self.CHECKED.get(path.name, {}).items():
+                calls = [
+                    node
+                    for node in ast.walk(scopes[name])
+                    if isinstance(node, ast.Call) and _called_name(node) == "_check_real"
+                ]
+                assert {call.args[0].value for call in calls} == inputs, f"{path.name}:{name}"
+                for node in ast.walk(scopes[name]):
+                    if isinstance(node, ast.Compare):
+                        operands = [node.left, *node.comparators]
+                        assert not (
+                            any(isinstance(op, ast.Constant) for op in operands)
+                            and any(_bare_name(op) in inputs for op in operands)
+                        ), f"{path.name}:{node.lineno} compares {inputs} by hand"
+
+
+def _bare_name(node: ast.AST) -> str | None:
+    """x or obj.x as the name x; None for any other expression."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_math_isfinite(node: ast.AST) -> bool:
+    """math.isfinite(...), or isfinite(...) as `from math import isfinite` binds it."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "isfinite" and isinstance(func.value, ast.Name) and func.value.id == "math"
+    return isinstance(func, ast.Name) and func.id == "isfinite"
+
+
 def _called_name(call: ast.Call) -> str | None:
     """The name a call's function is looked up by: f(...) or obj.f(...)."""
     func = call.func
@@ -500,6 +641,15 @@ class TestNuisanceFunction:
         eta = NuisanceFunction(np.array([0.5, -1.5, 0.25]))
         assert eta.sup_norm() == 1.5
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [(2.5, "grid_size must be an integer, got 2.5"), (1, "grid_size must be >= 2, got 1")],
+    )
+    def test_zero_checks_its_size_first(self, size, message):
+        # 2.5 raised numpy's TypeError from np.zeros
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NuisanceFunction.zero(size)
+
 
 class TestInterpolationWeights:
     def test_reproduces_interp(self):
@@ -519,6 +669,15 @@ class TestInterpolationWeights:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             interpolation_weights(np.array([1.2]), 5)
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [(2.5, "grid_size must be an integer, got 2.5"), (1, "grid_size must be >= 2, got 1")],
+    )
+    def test_size_is_checked_first(self, size, message):
+        # 2.5 raised numpy's TypeError from np.eye
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interpolation_weights(np.array([0.5]), size)
 
 
 class TestInterpolationIndex:

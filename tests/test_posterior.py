@@ -633,8 +633,16 @@ class TestMarginalTheta:
         assert abs(draws.var(ddof=1) - mp.variance) < 4 * se_var
 
     def test_degenerate_variance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variance must be > 0, got 0\.0$"):
             MarginalThetaPosterior(mean=0.0, variance=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_fields_rejected(self, bad):
+        # a non-finite mean was accepted, and so was an infinite variance
+        with pytest.raises(ValueError, match=f"^mean must be finite, got {bad}$"):
+            MarginalThetaPosterior(mean=bad, variance=1.0)
+        with pytest.raises(ValueError, match=f"^variance must be finite, got {bad}$"):
+            MarginalThetaPosterior(mean=0.0, variance=bad)
 
 
 class TestGibbs:
@@ -726,10 +734,10 @@ class TestCredibleInterval:
         lo95, hi95 = credible_interval(mp, 0.95)
         assert lo95 < lo50 < hi50 < hi95
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.2, 1.4])
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.2, 1.4, math.nan, math.inf])
     def test_level_validation(self, level):
         mp = MarginalThetaPosterior(mean=0.0, variance=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^level must "):
             credible_interval(mp, level)
 
 
@@ -761,7 +769,9 @@ class TestPosteriorMassHBall:
             posterior_mass_h_ball(mp, 0.0, -1.0, 10)
         with pytest.raises(ValueError):
             posterior_mass_h_ball(mp, 0.0, 1.0, 0)
-        with pytest.raises(ValueError, match="M_n must be >= 0"):
+        with pytest.raises(ValueError, match=r"^M_n must be >= 0, got -1\.0$"):
+            posterior_mass_h_ball(mp, 1.0, -1.0, 5)
+        with pytest.raises(ValueError, match="^M_n must be finite, got nan$"):
             posterior_mass_h_ball(mp, 1.0, math.nan, 5)
         with pytest.raises(ValueError, match="n must be an integer"):
             posterior_mass_h_ball(mp, 0.0, 1.0, 2.5)
@@ -883,10 +893,20 @@ class TestConditionalNuisanceMass:
 
     def test_validation(self):
         law, truth, spec, ds = _setup(n=40, grid_size=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rho must be > 0, got 0\.0$"):
             conditional_nuisance_mass(ds, spec, 1.0, truth, law, 0.0, 10, seed=1)
         with pytest.raises(ValueError):
             conditional_nuisance_mass(ds, spec, 1.0, truth, law, 0.1, 0, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_reals_are_named(self, bad):
+        # a non-finite theta_fixed was blamed on the nuisance ("values must
+        # be finite"), and rho = inf read a mass of 0
+        law, truth, spec, ds = _setup(n=40, grid_size=10)
+        with pytest.raises(ValueError, match=f"^theta_fixed must be finite, got {bad}$"):
+            conditional_nuisance_mass(ds, spec, bad, truth, law, 0.1, 10, seed=1)
+        with pytest.raises(ValueError, match=f"^rho must be finite, got {bad}$"):
+            conditional_nuisance_mass(ds, spec, 1.0, truth, law, bad, 10, seed=1)
 
     def test_mass_decreases_along_n_ladder(self):
         # outside-ball mass at fixed radius drains as n grows; the fixed

@@ -1,30 +1,26 @@
 """Command-line interface.
 
 Subcommands: kernel, sample, posterior, bvm-scan, coverage, baseline,
-diagnostics, listed once with their help text, extra flags and format
-in ``_COMMANDS``.  Common flags: --config (key = value text file
-mirroring the experiment config), --seed, --out, --format, and the
-deprecated --jobs, which is checked (>= 1) and otherwise ignored:
-replications run as stacked batches in one process.
+diagnostics, listed once with their help text and extra flags in
+``_COMMANDS``.  Common flags: --config (key = value text file mirroring
+the experiment config), --seed (overrides the config's master_seed),
+--out (the output path; standard output when absent) and the deprecated
+--jobs, which is checked (>= 1) and otherwise ignored: replications run
+as stacked batches in one process.  bvm-scan and coverage also take
+--format csv|json (default json); kernel and sample write CSV, and
+posterior, baseline and diagnostics JSON.
 
 A launch whose first argument names a subcommand builds only that
 subcommand's parser; any other launch (help, a typo, an option placed
 first) builds them all.  Help, usage and error text are the same bytes
 either way.
 
---format chooses between CSV and JSON for bvm-scan and coverage; the
-other subcommands write one format each (kernel and sample CSV,
-posterior, baseline and diagnostics JSON), and a --format asking one of
-them for the other exits 2 before any work starts.  The config file's
-format key applies to bvm-scan and coverage only.
-
-Exit codes: 0 success, 2 config error (including --jobs < 1, a
---format the subcommand does not write and an output path that cannot
-be written), 3 numeric failure (the
-offending cell is printed to standard error), 141 standard output closed
-before the report was written, e.g. by ``| head -1``: 128 + SIGPIPE, as a
-shell reports a C tool killed by the signal.  The output is then dropped
-without a traceback.
+Exit codes: 0 success, 2 config error (including --jobs < 1, a flag the
+subcommand does not take and an output path that cannot be written),
+3 numeric failure (the offending cell is printed to standard error), 141
+standard output closed before the report was written, e.g. by
+``| head -1``: 128 + SIGPIPE, as a shell reports a C tool killed by the
+signal.  The output is then dropped without a traceback.
 
 BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS=1``
 before numpy loads, unless numpy is already loaded or the caller has set
@@ -83,14 +79,16 @@ def _int_list(value: str) -> tuple[int, ...]:
 
 # each key's parser, by the type its ExperimentConfig field declares;
 # float() reads 'inf' and 'Infinity' as math.inf
-_PARSERS = {int: int, float: float, str: str, str | None: str, tuple[int, ...]: _int_list}
+_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _int_list}
 _HINTS = typing.get_type_hints(ExperimentConfig)
 _KEY_PARSERS = {f.name: _PARSERS[_HINTS[f.name]] for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse a key = value config file; '#' starts a comment."""
+    """Parse a key = value config file; '#' starts a comment, and a key
+    may be given once."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -106,6 +104,11 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _KEY_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} given twice, first on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             values[key] = _KEY_PARSERS[key](value.strip())
         except ValueError as exc:
@@ -117,27 +120,24 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = parse_config_file(args.config) if args.config else {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.format is not None:
-        overrides["format"] = args.format
     try:
-        cfg = ExperimentConfig(**overrides)
+        return ExperimentConfig(**overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    path = cfg.output_path  # checked, not opened: the output waits for the work
+
+
+def _check_destination(path: str | None) -> None:
+    """Checked, not opened: the output waits for the work."""
     if path and os.path.isdir(path):
         raise ConfigError(f"output path {path} is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"output path {path}: no directory {os.path.dirname(path)}")
-    return cfg
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", help="output path")
-    parser.add_argument("--format", choices=("csv", "json"), help="report format")
     parser.add_argument(
         "--jobs", type=int, default=1, help="deprecated and ignored (must be >= 1)"
     )
@@ -145,18 +145,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 # the --n of the commands that size one dataset
 _N = ("--n", {"type": int, "help": "sample size (default: first ladder entry)"})
+# the --format of the commands whose report is rows, as CSV or JSON
+_FORMAT = ("--format", {"choices": ("csv", "json"), "default": "json", "help": "report format"})
 
-# every subcommand: name -> (help text, extra arguments as (flag,
-# keywords), the one format it writes or None where --format chooses)
+# every subcommand: name -> (help text, extra arguments as (flag, keywords))
 _COMMANDS = {
-    "kernel": ("dump the prior covariance matrix as CSV", (), "csv"),
-    "sample": ("simulate a dataset and write CSV (u,v,y,e)", (_N,), "csv"),
-    "posterior": ("one-shot posterior diagnostics as JSON", (_N,), "json"),
-    "bvm-scan": ("gap scan over the n ladder", (), None),
+    "kernel": ("dump the prior covariance matrix as CSV", ()),
+    "sample": ("simulate a dataset and write CSV (u,v,y,e)", (_N,)),
+    "posterior": ("one-shot posterior diagnostics as JSON", (_N,)),
+    "bvm-scan": ("gap scan over the n ladder", (_FORMAT,)),
     "coverage": (
         "credible-interval coverage study",
-        (("--replications", {"type": int, "default": 1000}),),
-        None,
+        (("--replications", {"type": int, "default": 1000}), _FORMAT),
     ),
     "baseline": (
         "normal location-model reference gap",
@@ -164,9 +164,8 @@ _COMMANDS = {
             ("--n", {"type": int, "default": 1000}),
             ("--prior-var", {"type": float, "default": 100.0}),
         ),
-        "json",
     ),
-    "diagnostics": ("KL/domination/expansion suite as JSON", (_N,), "json"),
+    "diagnostics": ("KL/domination/expansion suite as JSON", (_N,)),
 }
 
 
@@ -182,7 +181,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_text, extra, _ = _COMMANDS[name]
+        help_text, extra = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         for flag, keywords in extra:
@@ -195,10 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:  # the checks' ConfigError is a ValueError: exit 2 before any work
-        fixed, asked = _COMMANDS[args.command][2], args.format
-        if asked is not None and fixed not in (None, asked):
-            raise ConfigError(f"{args.command} writes {fixed} only, got --format {asked}")
         cfg = load_config(args)
+        _check_destination(args.out)
         _check_integer("--jobs", args.jobs, 1)
         if args.jobs > 1:
             print(
@@ -209,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         n = getattr(args, "n", None)  # kernel, bvm-scan and coverage take no --n
         n = cfg.n_ladder[0] if n is None else n
         seed = cell_seed(cfg.master_seed, n, 0)
-        dest = cfg.output_path or sys.stdout
+        dest = args.out or sys.stdout
         if args.command == "kernel":
             _, _, spec = make_components(cfg)
             covariance_to_csv(prior_covariance(spec), dest)
@@ -217,9 +214,9 @@ def main(argv: list[str] | None = None) -> int:
             law, truth, _ = make_components(cfg)
             dataset_to_csv(sample_dataset(law, truth, n, seed), dest)
         elif args.command == "bvm-scan":
-            run_bvm_scan(cfg).write(dest, cfg.format)
+            run_bvm_scan(cfg).write(dest, args.format)
         elif args.command == "coverage":
-            run_coverage(cfg, args.replications).write(dest, cfg.format)
+            run_coverage(cfg, args.replications).write(dest, args.format)
         else:  # posterior, baseline, diagnostics: one JSON object
             if args.command == "posterior":
                 payload = run_posterior_snapshot(cfg, n, seed)

@@ -115,8 +115,6 @@ class ExperimentConfig:
     seeds: int = 100
     level: float = 0.95
     master_seed: int = 0
-    output_path: str | None = None
-    format: str = "json"
 
     def __post_init__(self) -> None:
         if self.eta0_family not in _ETA0_FAMILIES:
@@ -130,8 +128,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_ladder", ladder)
         _check_integer("seeds", self.seeds, 1)
         _check_real("level", self.level, gt=0, lt=1)
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
         _check_integer("master_seed", self.master_seed, 0, _MASK64)
         _check_real("theta0", self.theta0)
         _check_real("eta0_amplitude", self.eta0_amplitude)
@@ -262,9 +258,8 @@ def _opened(dest: str | TextIO):
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    """Every field but output_path: a report is the same bytes wherever it goes."""
+    """Every field, with the ladder as a JSON list."""
     out = asdict(cfg)
-    del out["output_path"]
     out["n_ladder"] = list(cfg.n_ladder)
     return out
 

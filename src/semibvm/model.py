@@ -201,14 +201,6 @@ class NuisanceFunction:
         grid = uniform_grid(grid_size)
         return cls(np.asarray([f(t) for t in grid], dtype=float))
 
-    @classmethod
-    def zero(cls, grid_size: int) -> "NuisanceFunction":
-        return cls(np.zeros(_check_integer("grid_size", grid_size, 2)))
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.size
-
     @property
     def grid(self) -> np.ndarray:
         return uniform_grid(self.values.size)

@@ -56,6 +56,7 @@ from .model import (
     _check_integer,
     _check_real,
     _stack_rows,
+    _store_finite,
     interpolation_index,
 )
 
@@ -90,12 +91,10 @@ class JointGaussianPosterior:
     root: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        root = np.asarray(self.root, dtype=float)
+        _store_finite(self, ("mean", "root"))
+        mean, root = self.mean, self.root
         if mean.ndim != 1 or root.ndim != 2 or root.shape[1] != mean.size:
             raise ValueError("mean and root dimensions are inconsistent")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "root", root)
 
     @property
     def covariance(self) -> np.ndarray:
@@ -456,8 +455,13 @@ def credible_interval(mp: MarginalThetaPosterior, level: float) -> tuple[float, 
 
 def credible_bounds(mean, sd, level: float):
     """(mean - z sd, mean + z sd) with z = z_{(1+level)/2}, for floats or
-    arrays of means and standard deviations."""
+    arrays of means and standard deviations; one check of each covers a
+    whole array."""
     level = _check_real("level", level, gt=0, lt=1)
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    if not (np.isfinite(sd) & np.greater(sd, 0.0)).all():
+        raise ValueError("sd must be finite and > 0")
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return (mean - z * sd, mean + z * sd)
 
@@ -512,6 +516,8 @@ def conditional_nuisance_mass(
 def effective_sample_size(x: np.ndarray) -> float:
     """ESS from the autocorrelation sum truncated at the first negative lag."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x entries must be finite")
     n = x.size
     if n < 2:
         return float(n)

@@ -1136,7 +1136,7 @@ class TestEstimateUn:
         law = make_covariate_law(sigma_w)
         truth = _truth(grid_size=grid_size, theta=theta0, amplitude=3.0)
         grid = uniform_grid(grid_size)
-        zetas = [NuisanceFunction.zero(grid_size), NuisanceFunction(2.0 * np.cos(2 * math.pi * grid))]
+        zetas = [NuisanceFunction(np.zeros(grid_size)), NuisanceFunction(2.0 * np.cos(2 * math.pi * grid))]
         reps, seed = 50, 109
         estimates, errors = estimate_un_per_zeta(law, len(zetas), n, reps, seed)
         rootn = math.sqrt(n)

@@ -46,8 +46,6 @@ NON_DEFAULT = {
     "seeds": 7,
     "level": 0.9,
     "master_seed": 12345,
-    "output_path": "report.csv",
-    "format": "csv",
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -69,6 +67,28 @@ def config_path(tmp_path):
     path = tmp_path / "scan.cfg"
     path.write_text(SMALL_CONFIG)
     return str(path)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """The calls that reach any subcommand's work, each of which fails
+    the test: nothing is drawn, no prior is built and no baseline runs."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started")
+
+    for module, name in (
+        (semibvm.model, "_sample_rows"),
+        (semibvm.experiments, "_sample_rows"),
+        (semibvm.gp_prior, "prior_covariance"),
+        (cli, "prior_covariance"),
+        (cli, "run_parametric_baseline"),
+    ):
+        monkeypatch.setattr(module, name, spy)
+    semibvm.gp_prior.prior_factor.cache_clear()
+    return calls
 
 
 class TestConfigParsing:
@@ -134,6 +154,14 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match=f"^{re.escape(str(path))}:2: {message}"):
             cli.parse_config_file(str(path))
 
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        # the later value silently won: seeds = 3 then seeds = 2 ran 2 seeds
+        path = tmp_path / "c.cfg"
+        path.write_text("seeds = 3\n# again\nseeds = 2\n")
+        message = f"{path}:3: key 'seeds' given twice, first on line 1"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+            cli.parse_config_file(str(path))
+
     def test_readme_block_documents_every_key(self, tmp_path):
         # README's '### Config file' block lists ExperimentConfig's fields,
         # in order, and is itself a valid config file
@@ -159,6 +187,8 @@ PARSE_ONLY = [
     ["coverage", "--replications", "x"],
     ["coverage", "--rep", "x"],
     ["kernel", "--n", "5"],
+    ["kernel", "--format", "csv"],
+    ["bvm-scan", "--format", "xml"],
     ["baseline", "--prior-var", "nope"],
 ]
 
@@ -223,7 +253,7 @@ class TestParser:
             return f"`{name}`" + (f", default {keywords['default']}" if "default" in keywords else "")
 
         expected = []
-        for name, (help_text, extra, _) in cli._COMMANDS.items():
+        for name, (help_text, extra) in cli._COMMANDS.items():
             flags = "; ".join(flag(*argument) for argument in extra)
             expected.append(f"* `{name}` - {help_text}" + (f" ({flags})" if flags else ""))
         section = README.read_text().split("Subcommands:\n", 1)[1]
@@ -626,41 +656,44 @@ class TestExitCodes:
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["--out", "output_path"])
     @pytest.mark.parametrize("kind", ["directory", "missing directory"])
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_unwritable_destination_exits_2_before_any_work(
-        self, command, kind, where, tmp_path, monkeypatch, capsys
+        self, command, kind, config_path, tmp_path, no_work, capsys
     ):
         # the destination is checked, not opened, before any work: nothing
         # is drawn, no prior is built, and nothing is created
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("work started despite an unwritable destination")
-
-        for module, name in (
-            (semibvm.model, "_sample_rows"),
-            (semibvm.experiments, "_sample_rows"),
-            (semibvm.gp_prior, "prior_covariance"),
-            (cli, "prior_covariance"),
-            (cli, "run_parametric_baseline"),
-        ):
-            monkeypatch.setattr(module, name, spy)
-        semibvm.gp_prior.prior_factor.cache_clear()
         if kind == "directory":
             path, message = tmp_path, f"output path {tmp_path} is a directory"
         else:
             path = tmp_path / "absent" / "o.txt"
             message = f"output path {path}: no directory {path.parent}"
-        config = tmp_path / "scan.cfg"
-        config.write_text(SMALL_CONFIG + (f"output_path = {path}\n" if where == "output_path" else ""))
-        argv = [*command, "--config", str(config)] + (["--out", str(path)] if where == "--out" else [])
-        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert cli.main([*command, "--config", config_path, "--out", str(path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
-        assert calls == []
+        assert no_work == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.cfg"]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # the destination and the format are launch flags, not config keys
+            ("output_path = o.txt", "unknown key 'output_path'"),
+            ("format = csv", "unknown key 'format'"),
+            # SMALL_CONFIG gives seeds on its line 5
+            ("seeds = 2", "key 'seeds' given twice, first on line 5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_rejected_config_key_exits_2_before_any_work(
+        self, command, line, message, tmp_path, no_work, capsys
+    ):
+        config = tmp_path / "scan.cfg"
+        config.write_text(SMALL_CONFIG + line + "\n")
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {config}:7: {message}\n"
+        assert no_work == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_destination_failing_after_the_work_exits_2_without_a_traceback(
@@ -760,20 +793,6 @@ class TestSubcommands:
         capsysbinary.readouterr()
         assert cli.main([*command, "--config", config_path]) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
-
-    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
-    def test_output_path_in_config(self, command, config_path, tmp_path, capsysbinary):
-        # output_path in the config file, no --out: that file gets the
-        # bytes --out would, and nothing goes to stdout
-        out = tmp_path / "o.txt"
-        path = tmp_path / "out.cfg"
-        path.write_text(SMALL_CONFIG + f"output_path = {out}\n")
-        assert cli.main([*command, "--config", str(path)]) == 0
-        assert capsysbinary.readouterr().out == b""
-        written = out.read_bytes()
-        out.unlink()
-        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
-        assert out.read_bytes() == written
 
     @pytest.mark.parametrize(
         "command, rows", [(["bvm-scan"], 6), (["coverage", "--replications", "2"], 4)]
@@ -950,58 +969,43 @@ def test_diagnostics_peak_memory_stays_near_coverage(tmp_path):
     assert diagnostics - coverage <= 5 * 1024, (diagnostics, coverage)
 
 
-class TestFixedFormats:
-    """--format chooses for bvm-scan and coverage; the rest write one format."""
+# the subcommands whose report is rows, which --format writes as CSV or JSON
+ROW_REPORTS = ("bvm-scan", "coverage")
 
+
+class TestFormatFlag:
+    """--format is a flag of bvm-scan and coverage alone, default json."""
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_only_the_row_reports_offer_it(self, name, capsys):
+        out, _, code = _outcome(cli.main, [name, "-h"], capsys)
+        assert code == 0
+        assert ("--format" in out) == (name in ROW_REPORTS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "command, asked, written",
-        [
-            (["kernel"], "json", "csv"),
-            (["sample", "--n", "20"], "json", "csv"),
-            (["posterior", "--n", "40"], "csv", "json"),
-            (["baseline", "--n", "100"], "csv", "json"),
-            (["diagnostics", "--n", "30"], "csv", "json"),
-        ],
-        ids=lambda value: value[0] if isinstance(value, list) else value,
+        "command",
+        [command for command in COMMANDS if command[0] not in ROW_REPORTS],
+        ids=lambda command: command[0],
     )
-    def test_other_format_exits_2_before_any_work(
-        self, command, asked, written, config_path, tmp_path, monkeypatch, capsys
+    def test_elsewhere_it_exits_2_before_any_work(
+        self, command, fmt, config_path, tmp_path, no_work, capsys
     ):
-        def spy(*args, **kwargs):
-            raise AssertionError("work started despite a format the command does not write")
-
-        for module, name in (
-            (cli, "prior_covariance"),
-            (cli, "sample_dataset"),
-            (cli, "run_posterior_snapshot"),
-            (cli, "run_parametric_baseline"),
-            (cli, "run_diagnostics_suite"),
-        ):
-            monkeypatch.setattr(module, name, spy)
         out = tmp_path / "o.txt"
-        argv = [*command, "--config", config_path, "--out", str(out), "--format", asked]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == f"config error: {command[0]} writes {written} only, got --format {asked}\n"
+        argv = [*command, "--config", config_path, "--out", str(out), "--format", fmt]
+        _, err, code = _outcome(cli.main, argv, capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.endswith(f"error: unrecognized arguments: --format {fmt}\n")
+        assert no_work == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
-    def test_own_format_and_the_config_key_change_nothing(self, command, config_path, tmp_path):
-        # the flag naming a command's own format is accepted, and the
-        # config file's format key applies to bvm-scan and coverage alone
-        out = tmp_path / "o.txt"
-        assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
-        plain = out.read_bytes()
-        fixed = cli._COMMANDS[command[0]][2]
-        for fmt in ("csv", "json"):
-            keyed = tmp_path / f"{fmt}.cfg"
-            keyed.write_text(SMALL_CONFIG + f"format = {fmt}\n")
-            assert cli.main([*command, "--config", str(keyed), "--out", str(out)]) == 0
-            assert (out.read_bytes() == plain) == (fixed is not None or fmt == "json")
-        if fixed is not None:
-            argv = [*command, "--config", config_path, "--out", str(out), "--format", fixed]
-            assert cli.main(argv) == 0
-            assert out.read_bytes() == plain
+    @pytest.mark.parametrize("command", [["bvm-scan"], ["coverage", "--replications", "2"]])
+    def test_json_is_the_default(self, command, config_path, tmp_path):
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert cli.main([*command, "--config", config_path, "--out", str(plain)]) == 0
+        argv = [*command, "--config", config_path, "--out", str(flagged), "--format", "json"]
+        assert cli.main(argv) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
@@ -1009,7 +1013,7 @@ def test_json_output_is_indent_2_byte_for_byte(command, config_path, tmp_path):
     # every JSON report is json.dumps(..., indent=2) of its own content
     out = tmp_path / "o.txt"
     assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
-    if cli._COMMANDS[command[0]][2] != "csv":
+    if command[0] not in ("kernel", "sample"):  # the two CSV writers
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 

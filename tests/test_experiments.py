@@ -1,5 +1,6 @@
 """Harness tests: seed derivation, reports, scans, coverage, baseline."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -457,15 +458,13 @@ class TestReportSerialization:
         assert len(lines) == 1 + len(report.rows)
         assert lines[0].split(",")[:2] == ["rep", "seed"]
 
-    def test_output_path_is_left_to_the_caller(self, tmp_path):
-        # the runs return their reports; only the CLI writes output_path
-        path = tmp_path / "auto.json"
-        cfg = ExperimentConfig(
-            n_ladder=(30,), seeds=2, grid_size=12, output_path=str(path)
-        )
-        run_bvm_scan(cfg)
-        run_coverage(cfg, replications=2)
-        assert not path.exists()
+    def test_config_echo_is_every_field(self):
+        # the experiment alone: its twelve fields, the ladder as a list
+        cfg = ExperimentConfig(n_ladder=(30,), seeds=2, grid_size=12)
+        echo = {**dataclasses.asdict(cfg), "n_ladder": [30]}
+        assert len(echo) == 12
+        assert run_bvm_scan(cfg).config == echo
+        assert run_coverage(cfg, replications=2).config == echo
 
 
 class TestJsonText:

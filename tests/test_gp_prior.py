@@ -346,7 +346,7 @@ class TestSamplePriorPath:
         ]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 sample_prior_path(spec, 1, ball=ball)
-        assert sample_prior_path(spec, 1, ball=(1.0, 1e6)).grid_size == 10
+        assert sample_prior_path(spec, 1, ball=(1.0, 1e6)).values.size == 10
 
     def test_draws_equal_the_reference_paths(self):
         spec = GpPriorSpec(k=1, grid_size=50, scale=1.0)

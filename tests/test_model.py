@@ -122,7 +122,7 @@ class TestModelPoint:
     def test_nonfinite_theta_rejected(self, bad):
         # was accepted; the simulator then failed with "y entries must be finite"
         with pytest.raises(ValueError, match=f"^theta must be finite, got {bad}$"):
-            ModelPoint(theta=bad, eta=NuisanceFunction.zero(5))
+            ModelPoint(theta=bad, eta=NuisanceFunction(np.zeros(5)))
 
 
 class TestSampleDataset:
@@ -560,7 +560,7 @@ class TestEfficientScore:
     def test_arithmetic(self):
         # residual 2, projection residual 0.5 -> score 1
         law = make_covariate_law(1.0)  # m = 0, so u - m(v) = u
-        truth = ModelPoint(theta=0.0, eta=NuisanceFunction.zero(5))
+        truth = ModelPoint(theta=0.0, eta=NuisanceFunction(np.zeros(5)))
         x = (0.5, 0.3, 2.0)
         assert efficient_score(x, law, truth) == pytest.approx(1.0, abs=1e-14)
 
@@ -645,10 +645,10 @@ class TestNuisanceFunction:
         "size, message",
         [(2.5, "grid_size must be an integer, got 2.5"), (1, "grid_size must be >= 2, got 1")],
     )
-    def test_zero_checks_its_size_first(self, size, message):
-        # 2.5 raised numpy's TypeError from np.zeros
+    def test_from_callable_checks_its_size_first(self, size, message):
+        # the size goes through _check_integer before any grid is built
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NuisanceFunction.zero(size)
+            NuisanceFunction.from_callable(math.sin, size)
 
 
 class TestInterpolationWeights:

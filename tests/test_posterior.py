@@ -1,6 +1,7 @@
 """Posterior tests: conjugate closed form, Gibbs cross-check, intervals, masses."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -52,6 +53,7 @@ from semibvm.posterior import (
     _statistics,
     conditional_nuisance_mass,
     conjugate_joint_posterior,
+    credible_bounds,
     credible_interval,
     effective_sample_size,
     gibbs_chain,
@@ -220,6 +222,16 @@ class TestConjugatePosterior:
             var_2k = joint_theta(conjugate_joint_posterior(dbl, spec, 10.0)).variance
             assert var_2k <= var_k + 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean", "root"])
+    def test_record_rejects_nonfinite_entries(self, field, bad):
+        # JointGaussianPosterior(mean=[nan], root=[[inf]]) built, and its
+        # covariance read [[inf]]
+        arrays = {"mean": np.zeros(2), "root": np.eye(2)}
+        arrays[field][-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} entries must be finite$"):
+            JointGaussianPosterior(**arrays)
+
 
 class TestWhitenedEngine:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -242,7 +254,7 @@ class TestWhitenedEngine:
         # K at k = 3 and 4 is singular to rounding: the prior factor is
         # its eigen square root, and the marginal still holds to 1e-12
         law = make_covariate_law(0.8)
-        truth = ModelPoint(theta=1.0, eta=NuisanceFunction.zero(8))
+        truth = ModelPoint(theta=1.0, eta=NuisanceFunction(np.zeros(8)))
         spec = GpPriorSpec(k=k, grid_size=grid_size, scale=3.0)
         ds = sample_dataset(law, truth, 12, seed=5)
         for tau2 in (10.0, math.inf):
@@ -701,7 +713,7 @@ class TestGibbs:
         # scale -> 0 reduces theta-draws to the known-nuisance posterior;
         # KS statistic below the 1% critical value at 5000 draws
         law = make_covariate_law(0.8)
-        truth = ModelPoint(theta=1.0, eta=NuisanceFunction.zero(15))
+        truth = ModelPoint(theta=1.0, eta=NuisanceFunction(np.zeros(15)))
         spec = GpPriorSpec(k=1, grid_size=15, scale=1e-6)
         ds = sample_dataset(law, truth, 80, 31)
         tau2 = 10.0
@@ -739,6 +751,23 @@ class TestCredibleInterval:
         mp = MarginalThetaPosterior(mean=0.0, variance=1.0)
         with pytest.raises(ValueError, match="^level must "):
             credible_interval(mp, level)
+
+    @pytest.mark.parametrize("shape", ["float", "array"])
+    @pytest.mark.parametrize(
+        "mean, sd, message",
+        [(bad, 1.0, "mean must be finite") for bad in (math.nan, math.inf, -math.inf)]
+        + [
+            (0.0, bad, "sd must be finite and > 0")
+            for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)
+        ],
+    )
+    def test_bounds_reject_a_bad_mean_or_sd(self, mean, sd, message, shape):
+        # NaN gave (nan, nan), sd = inf (-inf, inf) and sd = -1 an inverted
+        # interval; an array is checked whole, so a bad last entry counts
+        if shape == "array":
+            mean, sd = np.array([0.5, mean]), np.array([2.0, sd])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            credible_bounds(mean, sd, 0.95)
 
 
 class TestPosteriorMassHBall:
@@ -944,6 +973,14 @@ class TestConditionalNuisanceMass:
 
 
 class TestEffectiveSampleSize:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_draw_rejected(self, bad):
+        # a NaN draw returned nan
+        x = np.random.default_rng(59).standard_normal(100)
+        x[17] = bad
+        with pytest.raises(ValueError, match="^x entries must be finite$"):
+            effective_sample_size(x)
+
     def test_iid_close_to_n(self):
         rng = np.random.default_rng(55)
         x = rng.standard_normal(20_000)

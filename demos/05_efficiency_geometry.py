@@ -28,10 +28,12 @@ from semibvm import (
     sample_dataset,
     theta_posterior,
 )
-from semibvm.experiments import cell_seed, make_components
+from semibvm.experiments import cell_seed
 
+# the default config and the model objects it builds: covariate law,
+# true model point and nuisance prior
 cfg = ExperimentConfig()
-law, truth, spec = make_components(cfg)
+law, truth, spec = cfg.law, cfg.truth, cfg.spec
 grid = truth.eta.grid
 
 # (1) the least-favorable curve: moving theta while re-optimising eta

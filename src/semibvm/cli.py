@@ -10,13 +10,16 @@ as stacked batches in one process.  bvm-scan and coverage also take
 --format csv|json (default json); kernel and sample write CSV, and
 posterior, baseline and diagnostics JSON.
 
-A launch whose first argument names a subcommand builds only that
-subcommand's parser; any other launch (help, a typo, an option placed
-first) builds them all.  Help, usage and error text are the same bytes
+A launch whose first argument names a subcommand is parsed by that
+subcommand's parser alone, built standalone as ``semibvm <name>``, so a
+flag it does not take is reported against it; any other launch (help, a
+typo, an option placed first) builds the full parser with them all.  A
+subcommand's help and its errors on a flag's value are the same bytes
 either way.
 
-Exit codes: 0 success, 2 config error (including --jobs < 1, a flag the
-subcommand does not take and an output path that cannot be written),
+Exit codes: 0 success, 2 config error (including a malformed value such
+as an empty n_ladder entry, --jobs < 1, a flag the subcommand does not
+take and an output path that cannot be written),
 3 numeric failure (the offending cell is printed to standard error), 141
 standard output closed before the report was written, e.g. by
 ``| head -1``: 128 + SIGPIPE, as a shell reports a C tool killed by the
@@ -53,7 +56,6 @@ from .experiments import (  # noqa: E402
     cell_seed,
     covariance_to_csv,
     dataset_to_csv,
-    make_components,
     run_bvm_scan,
     run_coverage,
     run_diagnostics_suite,
@@ -74,7 +76,8 @@ class ConfigError(ValueError):
 
 
 def _int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+    """Comma-separated integers; an empty entry, as in '30,,60', is a bad value."""
+    return tuple(int(tok) for tok in value.split(","))
 
 
 # each key's parser, by the type its ExperimentConfig field declares;
@@ -134,13 +137,16 @@ def _check_destination(path: str | None) -> None:
         raise ConfigError(f"output path {path}: no directory {os.path.dirname(path)}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """The common flags, then the extra ones of `command`."""
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", help="output path")
     parser.add_argument(
         "--jobs", type=int, default=1, help="deprecated and ignored (must be >= 1)"
     )
+    for flag, keywords in _COMMANDS[command][1]:
+        parser.add_argument(flag, **keywords)
 
 
 # the --n of the commands that size one dataset
@@ -169,30 +175,26 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand's parser, or, given a
-    `command` of ``_COMMANDS``, with that one's alone."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="semibvm",
         description="Posterior-normality experiments for partial linear regression",
     )
-    # usage lists every name either way; the full parser keeps the default
-    # metavar, which words its errors as "argument command: ..."
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, extra = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        for flag, keywords in extra:
-            p.add_argument(flag, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"semibvm {argv[0]}")
+        _add_flags(parser, argv[0])
+        args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = build_parser().parse_args(argv)
     try:  # the checks' ConfigError is a ValueError: exit 2 before any work
         cfg = load_config(args)
         _check_destination(args.out)
@@ -208,11 +210,9 @@ def main(argv: list[str] | None = None) -> int:
         seed = cell_seed(cfg.master_seed, n, 0)
         dest = args.out or sys.stdout
         if args.command == "kernel":
-            _, _, spec = make_components(cfg)
-            covariance_to_csv(prior_covariance(spec), dest)
+            covariance_to_csv(prior_covariance(cfg.spec), dest)
         elif args.command == "sample":
-            law, truth, _ = make_components(cfg)
-            dataset_to_csv(sample_dataset(law, truth, n, seed), dest)
+            dataset_to_csv(sample_dataset(cfg.law, cfg.truth, n, seed), dest)
         elif args.command == "bvm-scan":
             run_bvm_scan(cfg).write(dest, args.format)
         elif args.command == "coverage":

@@ -1,5 +1,11 @@
 """Experiment harness: convergence scans, coverage studies, baselines, I/O.
 
+A config is the experiment: :class:`ExperimentConfig` builds the model
+objects its fields imply (the covariate law ``law``, the true model point
+``truth`` and the prior spec ``spec``) once, when it is built, and
+carries them as read-only attributes; building them is part of its
+validation.  Every runner, and every chunk of cells, reads them there.
+
 Reports are figure-ready data, not figures.  Every replication cell
 (n, rep) derives its own 64-bit seed from the master seed through a
 documented splitmix64 fold (see :func:`cell_seed`) and draws its dataset
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import statistics
@@ -80,7 +87,6 @@ __all__ = [
     "RunReport",
     "splitmix64",
     "cell_seed",
-    "make_components",
     "run_bvm_scan",
     "run_coverage",
     "run_parametric_baseline",
@@ -101,7 +107,12 @@ _ETA0_FAMILIES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a scan needs; mirrors the key = value config file."""
+    """Everything a scan needs; mirrors the key = value config file.
+
+    The twelve fields are the config: they alone are echoed in reports
+    and compared and hashed.  ``law``, ``truth`` and ``spec`` are built
+    from them with the config and are not fields.
+    """
 
     sigma_w: float = 0.8
     theta0: float = 1.0
@@ -132,18 +143,24 @@ class ExperimentConfig:
         _check_real("theta0", self.theta0)
         _check_real("eta0_amplitude", self.eta0_amplitude)
         _prior_precision(self.theta_prior_var)
-        make_components(self)  # the law and the prior spec check their own fields
+        # built once here: the law and the prior spec check their own fields
+        _ = self.law, self.spec, self.truth
 
+    @functools.cached_property
+    def law(self) -> CovariateLaw:
+        """The covariate law of sigma_w."""
+        return make_covariate_law(self.sigma_w)
 
-def make_components(
-    cfg: ExperimentConfig,
-) -> tuple[CovariateLaw, ModelPoint, GpPriorSpec]:
-    """Law, true model point and prior spec implied by a config."""
-    law = make_covariate_law(cfg.sigma_w)
-    spec = GpPriorSpec(k=cfg.k, grid_size=cfg.grid_size, scale=cfg.scale)
-    eta0 = _ETA0_FAMILIES[cfg.eta0_family](cfg.eta0_amplitude, uniform_grid(cfg.grid_size))
-    truth = ModelPoint(theta=cfg.theta0, eta=NuisanceFunction(eta0))
-    return law, truth, spec
+    @functools.cached_property
+    def spec(self) -> GpPriorSpec:
+        """The nuisance prior of k, grid_size and scale."""
+        return GpPriorSpec(k=self.k, grid_size=self.grid_size, scale=self.scale)
+
+    @functools.cached_property
+    def truth(self) -> ModelPoint:
+        """The true model point (theta0, eta0), eta0 on the prior's grid."""
+        eta0 = _ETA0_FAMILIES[self.eta0_family](self.eta0_amplitude, uniform_grid(self.grid_size))
+        return ModelPoint(theta=self.theta0, eta=NuisanceFunction(eta0))
 
 
 def splitmix64(x: int) -> int:
@@ -182,14 +199,9 @@ class RunReport:
     aggregates: list[dict] = field(default_factory=list)
 
     def to_json_text(self) -> str:
-        """The report as :func:`_json_text`, json.dumps(..., indent=2) byte for byte."""
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-        }
-        return _json_text(payload)
+        """The report as :func:`_json_text`, json.dumps(..., indent=2) byte
+        for byte, of the instance's fields in their order."""
+        return _json_text(vars(self))
 
     def write(self, dest: str | TextIO, fmt: str = "json") -> None:
         """JSON text, or the rows as CSV, to a path or a text stream."""
@@ -259,13 +271,10 @@ def _opened(dest: str | TextIO):
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
     """Every field, with the ladder as a JSON list."""
-    out = asdict(cfg)
-    out["n_ladder"] = list(cfg.n_ladder)
-    return out
+    return {**asdict(cfg), "n_ladder": list(cfg.n_ladder)}
 
 
-_Components = tuple[CovariateLaw, ModelPoint, GpPriorSpec]
-_Batch = tuple[ExperimentConfig, _Components, int, range, list[int], list[tuple[int, int]]]
+_Batch = tuple[ExperimentConfig, int, range, list[int], list[tuple[int, int]]]
 
 # Largest group of one n's cells whose seeds are folded and whose
 # generator states are computed in one pass, unless one chunk is larger:
@@ -278,12 +287,13 @@ _Batch = tuple[ExperimentConfig, _Components, int, range, list[int], list[tuple[
 _SEED_GROUP = 1024
 
 
-def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
-    """The (cfg, components, n, reps, seeds, states) chunks that cover
-    every cell, in (n, rep) order, each of the replications that
+def _batches(cfg: ExperimentConfig, replications: int):
+    """The (cfg, n, reps, seeds, states) chunks that cover every cell, in
+    (n, rep) order, each of the replications that
     ``semibvm.model._stack_rows`` gives rows of 2 max(n, m) doubles, with
     their seeds and PCG64 states (see :func:`semibvm.model._pcg64_states`),
-    computed once per group of chunks of one n."""
+    computed once per group of chunks of one n.  A chunk reads the model
+    objects off its config."""
     for n in cfg.n_ladder:
         size = _stack_rows(2 * max(n, cfg.grid_size))
         group = max(1, _SEED_GROUP // size) * size
@@ -293,16 +303,16 @@ def _batches(cfg: ExperimentConfig, components: _Components, replications: int):
             states = _pcg64_states(seeds)
             for start in range(0, len(cells), size):
                 part = slice(start, start + size)
-                yield cfg, components, n, cells[part], seeds[part], states[part]
+                yield cfg, n, cells[part], seeds[part], states[part]
 
 
 def _solve_batch(batch: _Batch):
     """Datasets and theta marginals of one chunk's cells.  A failing cell
     is named by its n, rep and seed."""
-    cfg, (law, truth, spec), n, reps, seeds, states = batch
-    data = _sample_rows(law, truth, n, states)
+    cfg, n, reps, seeds, states = batch
+    data = _sample_rows(cfg.law, cfg.truth, n, states)
     try:
-        means, variances = theta_posteriors(data, spec, cfg.theta_prior_var)
+        means, variances = theta_posteriors(data, cfg.spec, cfg.theta_prior_var)
     except StackNumericsError as exc:
         rep, seed = reps[exc.index], seeds[exc.index]
         raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
@@ -312,13 +322,13 @@ def _solve_batch(batch: _Batch):
 def _bvm_cell(batch: _Batch) -> list[dict]:
     """Gap rows of one chunk of cells; a row is the same whatever else
     is in its chunk."""
-    cfg, (law, _, _), n, reps, seeds, _ = batch
+    cfg, n, reps, seeds, _ = batch
     data, means, variances = _solve_batch(batch)
-    deltas = delta_n(data, law)
+    deltas = delta_n(data, cfg.law)
     rows = []
     for rep, seed, mean, variance, delta in zip(reps, seeds, means, variances, deltas):
         mp = MarginalThetaPosterior(mean=float(mean), variance=float(variance))
-        diag = bvm_gap(mp, float(delta), law.efficient_info, n, cfg.theta0)
+        diag = bvm_gap(mp, float(delta), cfg.law.efficient_info, n, cfg.theta0)
         rows.append({"rep": rep, "seed": seed, **vars(diag)})  # the fields, not a deep copy
     return rows
 
@@ -338,7 +348,7 @@ def _iqr(values: list[float]) -> float:
 
 def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
     """Convergence scan: per-cell gap diagnostics plus per-n medians."""
-    rows = _run_cells(_bvm_cell, _batches(cfg, make_components(cfg), cfg.seeds))
+    rows = _run_cells(_bvm_cell, _batches(cfg, cfg.seeds))
     aggregates = []
     for n in cfg.n_ladder:
         gaps = [r["tv_gap"] for r in rows if r["n"] == n]
@@ -357,7 +367,7 @@ def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
 
 def _coverage_cell(batch: _Batch) -> list[dict]:
     """Credible-interval rows of one chunk of cells."""
-    cfg, _, n, reps, seeds, _ = batch
+    cfg, n, reps, seeds, _ = batch
     _, means, variances = _solve_batch(batch)
     lo, hi = credible_bounds(means, np.sqrt(variances), cfg.level)
     covered = (lo <= cfg.theta0) & (cfg.theta0 <= hi)
@@ -370,7 +380,7 @@ def _coverage_cell(batch: _Batch) -> list[dict]:
 def run_coverage(cfg: ExperimentConfig, replications: int) -> RunReport:
     """Frequentist coverage of the level-credible interval, per ladder n."""
     _check_integer("replications", replications, 1)
-    rows = _run_cells(_coverage_cell, _batches(cfg, make_components(cfg), replications))
+    rows = _run_cells(_coverage_cell, _batches(cfg, replications))
     aggregates = []
     for n in cfg.n_ladder:
         hits = np.array([r["covered"] for r in rows if r["n"] == n], dtype=float)
@@ -415,11 +425,10 @@ def run_parametric_baseline(
 def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     """One simulated dataset, its exact posterior and gap diagnostics."""
     n = _check_integer("n", n, 1)
-    law, truth, spec = make_components(cfg)
-    ds = sample_dataset(law, truth, n, seed)
-    mp = theta_posterior(ds, spec, cfg.theta_prior_var)
+    ds = sample_dataset(cfg.law, cfg.truth, n, seed)
+    mp = theta_posterior(ds, cfg.spec, cfg.theta_prior_var)
     lo, hi = credible_interval(mp, cfg.level)
-    diag = bvm_gap(mp, delta_n(ds, law), law.efficient_info, n, cfg.theta0)
+    diag = bvm_gap(mp, delta_n(ds, cfg.law), cfg.law.efficient_info, n, cfg.theta0)
     return {
         "n": n,
         "seed": seed,
@@ -428,7 +437,7 @@ def run_posterior_snapshot(cfg: ExperimentConfig, n: int, seed: int) -> dict:
         "level": cfg.level,
         "interval_lo": lo,
         "interval_hi": hi,
-        "empirical_information": empirical_information(ds, law),
+        "empirical_information": empirical_information(ds, cfg.law),
         **asdict(diag),
     }
 
@@ -452,7 +461,7 @@ def run_diagnostics_suite(
     seed = _check_integer("seed", seed, 0, _MASK64)
     _check_integer("mc_draws", mc_draws, 1)
     un_reps = _check_integer("un_reps", un_reps, 1)
-    law, truth, _ = make_components(cfg)
+    law, truth = cfg.law, cfg.truth
     grid = truth.eta.grid
     probes = {
         "0.1*cos(2pi v)": 0.1 * np.cos(2.0 * np.pi * grid),
@@ -516,13 +525,12 @@ def run_diagnostics_suite(
     }
 
 
-def covariance_to_csv(cov: PriorCovariance | np.ndarray, dest: str | TextIO) -> None:
+def covariance_to_csv(cov: PriorCovariance, dest: str | TextIO) -> None:
     """Full covariance matrix, row-major, one row per CSV line, to a path
     or a text stream."""
-    matrix = cov.matrix if isinstance(cov, PriorCovariance) else np.asarray(cov)
     with _opened(dest) as fh:
         writer = csv.writer(fh)
-        for row in matrix:
+        for row in cov.matrix:
             writer.writerow([repr(float(x)) for x in row])
 
 

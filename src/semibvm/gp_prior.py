@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _MASK64, NuisanceFunction, _check_integer, _check_real, uniform_grid
+from .model import (
+    _MASK64,
+    NuisanceFunction,
+    _check_integer,
+    _check_real,
+    _store_finite,
+    uniform_grid,
+)
 
 __all__ = [
     "GpPriorSpec",
@@ -89,12 +96,12 @@ class PriorCovariance:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
+        _store_finite(self, ("matrix",))  # first: np.allclose takes inf as close to inf
+        matrix = self.matrix.copy()
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("covariance must be a square matrix")
         if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
             raise ValueError("covariance must be symmetric to 1e-12")
-        matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 

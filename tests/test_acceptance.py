@@ -23,7 +23,6 @@ from semibvm.asymptotics import (
 from semibvm.experiments import (
     ExperimentConfig,
     cell_seed,
-    make_components,
     run_bvm_scan,
     run_coverage,
     run_parametric_baseline,
@@ -164,7 +163,7 @@ def test_05_kernel_against_quadrature():
 def test_06_lan_remainder_identity_and_trend():
     # the remainder does not depend on the nuisance translation; the exact
     # log ratio at three translations is checked in test_asymptotics.py
-    law, truth, _ = make_components(DEFAULT)
+    law, truth = DEFAULT.law, DEFAULT.truth
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(9):
@@ -193,7 +192,7 @@ def test_06_lan_remainder_identity_and_trend():
 
 
 def test_07_least_favorable_recovery():
-    law, truth, _ = make_components(DEFAULT)
+    law, truth = DEFAULT.law, DEFAULT.truth
     covariates = sample_dataset(law, truth, 150_000, 7)
     u, v = covariates.u, covariates.v
     b1 = np.asarray(law.cond_mean(v))
@@ -229,7 +228,7 @@ def test_07_least_favorable_recovery():
 
 
 def test_08_integral_expansion():
-    law, truth, _ = make_components(DEFAULT)
+    law, truth = DEFAULT.law, DEFAULT.truth
     spec = GpPriorSpec(k=1, grid_size=30, scale=2.0)
     truth30 = ModelPoint(
         theta=truth.theta,
@@ -262,7 +261,7 @@ def test_08_integral_expansion():
         mc_ok = mc_ok and gap < 4 * se
         mc_details.append(f"h={h:+.0f}: |gap| {gap:.4f} vs 4SE {4 * se:.4f}")
 
-    _, truth50, spec50 = make_components(DEFAULT)
+    truth50, spec50 = DEFAULT.truth, DEFAULT.spec
     curvature = []
     for rep in range(50):
         ds800 = sample_dataset(law, truth50, 800, cell_seed(8, 800, rep))
@@ -281,7 +280,7 @@ def test_09_domination_statistic_normalised():
     # a fixed direction h = 1: at the (translated) truth the residual is the
     # drawn noise e, so a dataset's likelihood ratio is exp(s e.w - s^2 w.w / 2)
     # with s = 1/sqrt(n), whatever the translation, and its expectation is 1
-    law, truth, _ = make_components(DEFAULT)
+    law, truth = DEFAULT.law, DEFAULT.truth
     ok = True
     details = []
     for n in (10, 100):
@@ -295,7 +294,7 @@ def test_09_domination_statistic_normalised():
 
 
 def test_10_local_hellinger_bound():
-    law, truth, _ = make_components(DEFAULT)
+    law, truth = DEFAULT.law, DEFAULT.truth
     m_shift = 2.0
     ok = True
     details = []
@@ -309,7 +308,7 @@ def test_10_local_hellinger_bound():
 
 
 def test_11_root_n_concentration():
-    law, truth, spec = make_components(DEFAULT)
+    law, truth, spec = DEFAULT.law, DEFAULT.truth, DEFAULT.spec
     n = 800
     radius = math.log(n)
     masses = []
@@ -341,7 +340,7 @@ def test_12_location_model_baseline():
 
 
 def test_13_misspecification_bias():
-    law, truth, _ = make_components(DEFAULT)
+    law, truth = DEFAULT.law, DEFAULT.truth
     rng = np.random.default_rng(13)
     bound_ok = True
     worst_excess = -np.inf

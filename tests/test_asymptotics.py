@@ -31,7 +31,7 @@ from semibvm.asymptotics import (
     tv_normals,
 )
 from semibvm import asymptotics, model
-from semibvm.experiments import ExperimentConfig, make_components
+from semibvm.experiments import ExperimentConfig
 from semibvm.gp_prior import GpPriorSpec, prior_covariance
 from semibvm.model import (
     _BATCH_BUDGET,
@@ -433,7 +433,7 @@ class TestDifferenceIntegrals:
     @pytest.mark.parametrize("k, grid_size", EXACT_CASES)
     @pytest.mark.parametrize("probe", ["cos", "sin"])
     def test_suite_probes_against_quadrature(self, k, grid_size, probe):
-        _, truth, _ = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        truth = ExperimentConfig(k=k, grid_size=grid_size).truth
         grid = truth.eta.grid
         delta = 0.1 * np.cos(2 * np.pi * grid) if probe == "cos" else 0.2 * np.sin(4 * np.pi * grid)
         _assert_exact_integrals(NuisanceFunction(truth.eta.values + delta), truth.eta)
@@ -446,7 +446,7 @@ class TestDifferenceIntegrals:
     )
     def test_nuisance_on_another_grid_against_quadrature(self, case, size, values):
         k, grid_size = case
-        _, truth, _ = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        truth = ExperimentConfig(k=k, grid_size=grid_size).truth
         eta = NuisanceFunction(np.asarray(values[:size]))
         if eta.sup_norm() > 0.0:
             _assert_exact_integrals(eta, truth.eta)
@@ -537,7 +537,8 @@ class TestKlDivergence:
     def test_least_favorable_curve_value(self, k, grid_size, sigma_w):
         # along eta* = eta0 - dtheta m_h, with m_h the grid interpolant of m:
         # KL = dtheta^2/2 (sigma_w^2 + int (m - m_h)^2)
-        law, truth, _ = make_components(ExperimentConfig(sigma_w=sigma_w, k=k, grid_size=grid_size))
+        cfg = ExperimentConfig(sigma_w=sigma_w, k=k, grid_size=grid_size)
+        law, truth = cfg.law, cfg.truth
         amplitude = mpmath.mpf(law.cond_mean_amplitude)
         m_h = _mp_interpolant(law.cond_mean(truth.eta.grid))
         gap = _mp_integral(
@@ -652,7 +653,8 @@ class TestMisspecifiedThetaStar:
     def test_bits_of_the_direct_cell_form(self, k, grid_size, eta_size):
         # theta0 - a (D0 . c0 + D1 . c1) with the cell coefficients of
         # _difference_integrals written out in place: the same bits
-        law, truth, _ = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth = cfg.law, cfg.truth
         eta = NuisanceFunction(np.random.default_rng(eta_size).normal(size=eta_size))
         nodes = np.union1d(eta.grid, truth.eta.grid)
         diff = eta(nodes) - truth.eta(nodes)
@@ -760,7 +762,8 @@ class TestLanRemainder:
         # s = h / sqrt(n), subtracted from the expansion s (e.w) - h^2 I / 2.
         # The sums of squares cancel the score term, of order 1, so the two
         # sides agree to some n ulps (below 1e-14 here), well inside 1e-11
-        law, truth, _ = make_components(ExperimentConfig())
+        cfg = ExperimentConfig()
+        law, truth = cfg.law, cfg.truth
         eta = NuisanceFunction(truth.eta.values + zeta(truth.eta.grid))
         at_zero = ModelPoint(truth.theta, eta)
         for n, h, seed in ((40, -1.5, 61), (400, 0.7, 62), (1200, 2.0, 63)):

@@ -19,7 +19,7 @@ import semibvm.gp_prior
 import semibvm.model
 import semibvm.posterior
 from semibvm import cli
-from semibvm.experiments import ExperimentConfig, cell_seed, make_components
+from semibvm.experiments import ExperimentConfig, cell_seed
 from semibvm.gp_prior import NumericsError, prior_covariance
 
 
@@ -192,6 +192,15 @@ PARSE_ONLY = [
     ["baseline", "--prior-var", "nope"],
 ]
 
+# the launches of PARSE_ONLY with arguments their subcommand does not
+# take, which the full parser reports against itself: argv -> the extras
+UNRECOGNIZED = {
+    "bvm-scan --bogus": "--bogus",
+    "bvm-scan kernel": "kernel",
+    "kernel --n 5": "--n 5",
+    "kernel --format csv": "--format csv",
+}
+
 
 def _break_system(systems: np.ndarray, row: int, kind: str) -> None:
     """Make system `row` of an assembled (z, theta, y) stack fail: an
@@ -221,30 +230,41 @@ def _outcome(call, argv, capsys):
 class TestParser:
     @pytest.mark.parametrize("argv", PARSE_ONLY, ids=lambda argv: " ".join(argv) or "no-args")
     def test_main_matches_the_full_parser(self, argv, capsys):
-        # a launch builds one command's parser where it can; what it
-        # prints and its exit code are those of the parser with them all
-        full = _outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
-        assert _outcome(cli.main, argv, capsys) == full
+        # what a launch prints and its exit code are those of the parser
+        # with every subcommand, but for arguments the named subcommand
+        # does not take: main reports them against that subcommand, with
+        # its usage, the first paragraph of its help
+        full = _outcome(cli.build_parser().parse_args, argv, capsys)
         assert full[2] in (0, 2) and full[0] + full[1]
+        extra = UNRECOGNIZED.get(" ".join(argv))
+        if extra is None:
+            assert _outcome(cli.main, argv, capsys) == full
+            return
+        assert full[1].endswith(f"\nsemibvm: error: unrecognized arguments: {extra}\n")
+        usage = _outcome(cli.build_parser().parse_args, [argv[0], "-h"], capsys)[0].split("\n\n")[0]
+        error = f"semibvm {argv[0]}: error: unrecognized arguments: {extra}"
+        assert _outcome(cli.main, argv, capsys) == ("", f"{usage}\n{error}\n", 2)
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
-    def test_a_command_builds_its_own_subparser_alone(
+    def test_a_command_builds_its_own_parser_alone(
         self, command, config_path, tmp_path, monkeypatch
     ):
+        # a launch naming a subcommand builds that one's parser, standalone
+        # and named after it, and no other; the full parser builds them all
         built = []
-        add_parser = argparse._SubParsersAction.add_parser
+        init = argparse.ArgumentParser.__init__
 
-        def spy(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
+        def spy(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         out = tmp_path / "o.txt"
         assert cli.main([*command, "--config", config_path, "--out", str(out)]) == 0
-        assert built == [command[0]]
+        assert built == [f"semibvm {command[0]}"]
         built.clear()
         cli.build_parser()
-        assert built == list(cli._COMMANDS)
+        assert built == ["semibvm", *(f"semibvm {name}" for name in cli._COMMANDS)]
 
     def test_readme_lists_every_subcommand(self):
         # README's "Subcommands" bullets are the _COMMANDS table: each
@@ -400,7 +420,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started despite a master seed outside 64 bits")
 
-        for name in ("make_components", "cell_seed"):
+        for name in ("cell_seed", "prior_covariance", "sample_dataset"):
             monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "r.json"
         assert cli.main([command, "--config", config_path, "--seed", seed, "--out", str(out)]) == cli.EXIT_CONFIG
@@ -695,6 +715,44 @@ class TestExitCodes:
         assert no_work == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("ladder", ["30,,60", "30,60,", ",30"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_ladder_with_an_empty_entry_exits_2_before_any_work(
+        self, command, ladder, tmp_path, no_work, capsys
+    ):
+        # empty entries were dropped: n_ladder = 30,,60, ran as (30, 60)
+        config = tmp_path / "scan.cfg"
+        config.write_text(f"grid_size = 15\nseeds = 2\nn_ladder = {ladder}\n")
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {config}:3: bad value for 'n_ladder': "
+            "invalid literal for int() with base 10: ''\n"
+        )
+        assert no_work == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("grid_size = 1", "grid_size must be >= 2, got 1"),
+            ("scale = 0", "scale must be > 0, got 0.0"),
+            ("sigma_w = 2", "residual_sd must lie in (0, 1], got 2.0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_bad_model_object_value_exits_2_before_any_work(
+        self, command, line, message, tmp_path, no_work, capsys
+    ):
+        # the config's law and prior spec check these when the config is built
+        config = tmp_path / "scan.cfg"
+        config.write_text(f"n_ladder = 30\nseeds = 2\n{line}\n")
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert no_work == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_destination_failing_after_the_work_exits_2_without_a_traceback(
         self, command, config_path, tmp_path, monkeypatch, capsys
@@ -727,7 +785,7 @@ class TestSubcommands:
         out = tmp_path / "cov.csv"
         assert cli.main(["kernel", "--config", config_path, "--out", str(out)]) == 0
         loaded = np.loadtxt(out, delimiter=",")
-        _, _, spec = make_components(ExperimentConfig(grid_size=15))
+        spec = ExperimentConfig(grid_size=15).spec
         np.testing.assert_array_equal(loaded, prior_covariance(spec).matrix)
 
     def test_sample_deterministic_csv(self, config_path, tmp_path):

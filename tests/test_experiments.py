@@ -24,7 +24,6 @@ from semibvm.experiments import (
     cell_seed,
     covariance_to_csv,
     dataset_to_csv,
-    make_components,
     run_bvm_scan,
     run_coverage,
     run_diagnostics_suite,
@@ -32,8 +31,8 @@ from semibvm.experiments import (
     run_posterior_snapshot,
     splitmix64,
 )
-from semibvm.gp_prior import prior_covariance, sample_prior_path
-from semibvm.model import _pcg64_states, sample_dataset
+from semibvm.gp_prior import GpPriorSpec, prior_covariance, sample_prior_path
+from semibvm.model import CovariateLaw, ModelPoint, _pcg64_states, sample_dataset
 from semibvm.posterior import (
     conditional_nuisance_mass,
     credible_interval,
@@ -42,7 +41,7 @@ from semibvm.posterior import (
 )
 
 SMALL = ExperimentConfig(n_ladder=(30, 60), seeds=4, grid_size=15, master_seed=7)
-_LAW, _TRUTH, _SPEC = make_components(SMALL)
+_LAW, _TRUTH, _SPEC = SMALL.law, SMALL.truth, SMALL.spec
 _DS = sample_dataset(_LAW, _TRUTH, 30, 1)
 
 # every public function that draws from a seed of its own: name -> (a
@@ -70,7 +69,7 @@ _SEEDED = {
 def _one_cell(cfg, n, rep):
     """The chunk of the one cell (n, rep), seeded on its own."""
     seeds = _cell_seeds(cfg.master_seed, n, range(rep, rep + 1))
-    return cfg, make_components(cfg), n, range(rep, rep + 1), seeds, _pcg64_states(seeds)
+    return cfg, n, range(rep, rep + 1), seeds, _pcg64_states(seeds)
 
 
 class TestSeedDerivation:
@@ -192,8 +191,62 @@ class TestConfig:
             ("zero", 0.0),
         ):
             cfg = ExperimentConfig(eta0_family=family, eta0_amplitude=0.5, grid_size=41)
-            _, truth, _ = make_components(cfg)
-            assert truth.eta(0.25) == pytest.approx(value_at_quarter, abs=1e-12)
+            assert cfg.truth.eta(0.25) == pytest.approx(value_at_quarter, abs=1e-12)
+
+
+class TestConfigModelObjects:
+    """A config builds its covariate law, truth and prior spec once, when
+    it is built, and carries them as read-only attributes, not fields."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: run_bvm_scan(cfg),
+            lambda cfg: run_coverage(cfg, 3),
+            lambda cfg: run_posterior_snapshot(cfg, 30, 1),
+        ],
+        ids=["bvm_scan", "coverage", "posterior_snapshot"],
+    )
+    def test_a_config_and_its_run_build_each_object_once(self, run, monkeypatch):
+        built = []
+        for cls in (CovariateLaw, GpPriorSpec, ModelPoint):
+            def counted(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        cfg = ExperimentConfig(n_ladder=(30, 60), seeds=2, grid_size=15)
+        assert sorted(built) == ["CovariateLaw", "GpPriorSpec", "ModelPoint"]
+        run(cfg)
+        assert sorted(built) == ["CovariateLaw", "GpPriorSpec", "ModelPoint"]
+
+    def test_replace_builds_the_objects_of_the_new_values(self):
+        cfg = ExperimentConfig()
+        new = dataclasses.replace(cfg, k=3, sigma_w=0.5, grid_size=20, theta0=-1.0)
+        assert new.spec.k == 3
+        assert new.spec == GpPriorSpec(k=3, grid_size=20, scale=cfg.scale)
+        assert new.law.residual_sd == 0.5
+        assert (new.truth.theta, new.truth.eta.values.size) == (-1.0, 20)
+        assert (cfg.spec.k, cfg.law.residual_sd, cfg.truth.theta) == (1, 0.8, 1.0)
+
+    def test_equality_and_hash_read_the_twelve_fields_alone(self):
+        a, b = ExperimentConfig(), ExperimentConfig()
+        # each config builds its own nuisance, which compares by identity
+        assert a.truth is not b.truth and a.truth.eta != b.truth.eta
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(a, k=2)
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert len(names) == 12 and not {"law", "spec", "truth"} & set(names)
+        assert list(experiments._config_dict(a)) == names
+
+    @pytest.mark.parametrize("name", ["law", "spec", "truth"])
+    def test_the_objects_are_read_only(self, name):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(cfg, name)
 
 
 class TestBvmScan:
@@ -291,12 +344,12 @@ class TestBatchedCells:
         monkeypatch.setattr(model, "_BATCH_BUDGET", 100)
         monkeypatch.setattr(experiments, "_SEED_GROUP", group)
         monkeypatch.setattr(experiments, "_pcg64_states", states_of)
-        batches = list(experiments._batches(cfg, make_components(cfg), 7))
+        batches = list(experiments._batches(cfg, 7))
         assert seeded == passes
-        for _, _, n, reps, seeds, states in batches:
+        for _, n, reps, seeds, states in batches:
             assert seeds == [cell_seed(5, n, rep) for rep in reps]
             assert states == _pcg64_states(seeds)
-        assert [(n, list(reps)) for _, _, n, reps, _, _ in batches] == [
+        assert [(n, list(reps)) for _, n, reps, _, _ in batches] == [
             (10, [0, 1, 2]),
             (10, [3, 4, 5]),
             (10, [6]),
@@ -420,7 +473,7 @@ class TestBatchedCells:
         with mock.patch.object(model, "_BATCH_BUDGET", budget):
             scan = run_bvm_scan(cfg).rows
             coverage = run_coverage(cfg, replications).rows
-        law, truth, spec = make_components(cfg)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         for rep in range(replications):
             seed = cell_seed(cfg.master_seed, n, rep)
             ds = sample_dataset(law, truth, n, seed)
@@ -662,7 +715,7 @@ class TestSnapshotsAndSuite:
     def test_diagnostics_suite_draws_each_domination_sample_once(self, monkeypatch):
         # the domination sample is drawn once, for the plug-in direction; the
         # h=1 row is the identity E[ratio] = 1, with standard error 0
-        law, _, _ = make_components(SMALL)
+        law = SMALL.law
         calls = []
         real = experiments.estimate_un_per_zeta
 
@@ -686,7 +739,7 @@ class TestSnapshotsAndSuite:
         def spy(*args, **kwargs):
             raise AssertionError("work started despite an empty draw count")
 
-        for name in ("make_components", "kl_neighborhood_stats", "estimate_un_per_zeta", "sample_dataset"):
+        for name in ("NuisanceFunction", "kl_neighborhood_stats", "estimate_un_per_zeta", "sample_dataset"):
             monkeypatch.setattr(experiments, name, spy)
         name, value = next(iter(counts.items()))
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
@@ -755,7 +808,7 @@ class TestSnapshotsAndSuite:
         # c = delta^2 a^2/(8 + 2 s^2) it is 1 - (1 + s^2/4)^(-1/2) e^(-c/2) I0(c/2),
         # taken at 40 digits: in doubles the difference from 1 loses 2e-13
         cfg = ExperimentConfig()
-        law, _, _ = make_components(cfg)
+        law = cfg.law
         for n, value in ((50, 9.86178e-3), (800, 6.24453e-4)):
             report = run_diagnostics_suite(cfg, n, cell_seed(0, n, 0), un_reps=10)
             with mpmath.workdps(40):
@@ -769,16 +822,14 @@ class TestSnapshotsAndSuite:
 
 class TestCsvExports:
     def test_covariance_round_trip(self, tmp_path):
-        _, _, spec = make_components(SMALL)
-        cov = prior_covariance(spec)
+        cov = prior_covariance(SMALL.spec)
         path = tmp_path / "cov.csv"
         covariance_to_csv(cov, str(path))
         loaded = np.loadtxt(path, delimiter=",")
         np.testing.assert_array_equal(loaded, cov.matrix)
 
     def test_dataset_round_trip(self, tmp_path):
-        law, truth, _ = make_components(SMALL)
-        ds = sample_dataset(law, truth, 25, 3)
+        ds = sample_dataset(SMALL.law, SMALL.truth, 25, 3)
         path = tmp_path / "data.csv"
         dataset_to_csv(ds, str(path))
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -242,6 +242,22 @@ class TestPriorCovariance:
         with pytest.raises(ValueError):
             PriorCovariance(matrix=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["one", "diagonal", "non-square"])
+    def test_nonfinite_entry_rejected_before_shape_and_symmetry(self, bad, shape):
+        # [[inf]] was accepted and [[nan]] blamed on the symmetry, since
+        # np.allclose takes inf as close to inf; a non-square matrix holding
+        # one is named by its entry too
+        from semibvm.gp_prior import PriorCovariance
+
+        matrix = {
+            "one": [[bad]],
+            "diagonal": [[1.0, 0.0], [0.0, bad]],
+            "non-square": [[1.0, bad, 0.0], [bad, 1.0, 0.0]],
+        }[shape]
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            PriorCovariance(matrix=matrix)
+
     def test_non_psd_matrix_rejected_where_it_is_factorised(self, monkeypatch):
         # construction checks shape and symmetry only; prior_factor, the
         # one place K is factorised, checks PSD once per spec

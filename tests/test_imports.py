@@ -142,11 +142,12 @@ def test_jobs_flag_loads_no_pool_module(tmp_path):
 def test_every_posterior_path_runs_without_scipy():
     code = (
         "import json, math, sys\n"
-        "from semibvm.experiments import ExperimentConfig, make_components\n"
+        "from semibvm.experiments import ExperimentConfig\n"
         "from semibvm.model import sample_dataset\n"
         "from semibvm.posterior import (conditional_nuisance_mass, conjugate_joint_posterior,\n"
         "    gibbs_chain)\n"
-        "law, truth, spec = make_components(ExperimentConfig(k=3, grid_size=15))\n"
+        "cfg = ExperimentConfig(k=3, grid_size=15)\n"
+        "law, truth, spec = cfg.law, cfg.truth, cfg.spec\n"
         "ds = sample_dataset(law, truth, 60, 1)\n"
         "conjugate_joint_posterior(ds, spec, 10.0)\n"
         "gibbs_chain(ds, spec, math.inf, 20, 5, 3)\n"

@@ -20,7 +20,7 @@ from semibvm.asymptotics import (
     least_favorable_eta,
     tv_normals,
 )
-from semibvm.experiments import ExperimentConfig, cell_seed, make_components
+from semibvm.experiments import ExperimentConfig, cell_seed
 from semibvm.gp_prior import (
     GpPriorSpec,
     NumericsError,
@@ -238,7 +238,7 @@ class TestWhitenedEngine:
     @pytest.mark.parametrize("grid_size", [50, 200])
     def test_theta_marginal_against_eigen_solve(self, k, grid_size):
         cfg = ExperimentConfig(k=k, grid_size=grid_size)
-        law, truth, spec = make_components(cfg)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         ds = sample_dataset(law, truth, 200, cell_seed(0, 200, k))
         for tau2 in (cfg.theta_prior_var, math.inf):
             mean, var = eigen_theta_marginal(ds, spec, tau2)
@@ -270,7 +270,8 @@ class TestWhitenedEngine:
     def test_joint_against_observation_space_solve(self, k):
         # Gaussian conditioning on y = [u, W] x + e with x ~ N(0, P),
         # P = block_diag(tau^2, K): an n x n solve that never inverts K
-        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=25))
+        cfg = ExperimentConfig(k=k, grid_size=25)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         ds = sample_dataset(law, truth, 60, cell_seed(5, 60, k))
         prior = np.zeros((26, 26))
         prior[0, 0] = 10.0
@@ -428,7 +429,7 @@ class TestSufficientStatisticEngine:
         # any square root of K gives the same posterior: L P for a signed
         # permutation P, and [L, 0] with one column more than the grid
         cfg = ExperimentConfig(k=k, grid_size=grid_size)
-        law, truth, spec = make_components(cfg)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         data = sample_datasets(law, truth, 400, [cell_seed(6, 400, rep) for rep in range(3)])
         ds = data[0]
         factor = prior_factor(spec)
@@ -456,7 +457,7 @@ class TestSufficientStatisticEngine:
     @pytest.mark.parametrize("grid_size", [50, 200])
     def test_theta_posterior_matches_joint_marginal(self, k, grid_size):
         cfg = ExperimentConfig(k=k, grid_size=grid_size)
-        law, truth, spec = make_components(cfg)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         for n in (0, 200, 2000):
             ds = sample_dataset(law, truth, n, cell_seed(2, n, k))
             for tau2 in (10.0, math.inf):
@@ -487,7 +488,7 @@ class TestSufficientStatisticEngine:
     @pytest.mark.parametrize("grid_size", [50, 200])
     def test_inverse_lower_against_triangular_solve(self, k, grid_size):
         cfg = ExperimentConfig(k=k, grid_size=grid_size)
-        law, truth, spec = make_components(cfg)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         identity = np.eye(grid_size)
         for n in (200, 20_000):
             ds = sample_dataset(law, truth, n, cell_seed(4, n, k))
@@ -592,7 +593,8 @@ class TestOneSolve:
         # chol(S), against scipy's solves with S's own B block.  The draw
         # is affine in theta and in the normals, and a power-of-two scale
         # s keeps each piece's precision when it is taken back out
-        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         ds = sample_dataset(law, truth, 800, cell_seed(6, 800, k))
         factor, system, chol = _solve(ds, spec, 1.0)
         r = factor.shape[1]
@@ -617,7 +619,8 @@ class TestEngineProperties:
     )
     def test_engine_invariants(self, k, grid_size, n, tau2):
         assume(n > 0 or not math.isinf(tau2))  # flat prior, no data: improper
-        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         ds = sample_dataset(law, truth, n, cell_seed(9, n, k))
         matrix = prior_covariance(spec).matrix
         factor = prior_factor(spec)
@@ -700,7 +703,8 @@ class TestGibbs:
         # Monte Carlo errors of the post-burn-in mean and variance from the
         # chain's ESS: sd/sqrt(ESS) and var*sqrt(2/ESS) (normal draws); the
         # chain must land within 5 of them of the exact theta marginal
-        law, truth, spec = make_components(ExperimentConfig(k=k, grid_size=grid_size))
+        cfg = ExperimentConfig(k=k, grid_size=grid_size)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
         ds = sample_dataset(law, truth, n, cell_seed(11, n, k))
         mp = theta_posterior(ds, spec, tau2)
         chain = gibbs_chain(ds, spec, tau2, iterations=2200, burn_in=200, seed=grid_size)
@@ -944,7 +948,7 @@ class TestConditionalNuisanceMass:
         # this ladder (every mass 0), so the strict trend is read off at
         # 0.06 where the start of the ladder is still diffuse.
         cfg = ExperimentConfig(grid_size=40)
-        law, truth, spec = make_components(cfg)
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
 
         def median_mass(n, rho, seeds):
             masses = []

@@ -19,10 +19,10 @@ from semibvm import (
     sample_dataset,
 )
 
-law = make_covariate_law(residual_sd=0.8)
+law = make_covariate_law(sigma_w=0.8)
 print("covariate law: U = a cos(2 pi V) + sigma_w Z")
 print(f"  amplitude a        = {law.cond_mean_amplitude:.6f}")
-print(f"  residual sd        = {law.residual_sd}")
+print(f"  sigma_w            = {law.sigma_w}")
 print(f"  efficient info     = {law.efficient_info:.4f}  (= sigma_w^2)")
 print(f"  E U^4 (analytic)   = {law.fourth_moment_u:.4f}")
 

@@ -312,7 +312,7 @@ def _hellinger_sq(dtheta: float, values: np.ndarray, values0: np.ndarray, law: C
     half = 0.5 * np.diff(edges)[:, None]
     v = edges[:-1, None] + half * (rule_x + 1.0)
     mu = dtheta * law.cond_mean(v) + (interpolate(values, v) - interpolate(values0, v))
-    s2 = (dtheta * law.residual_sd) ** 2
+    s2 = (dtheta * law.sigma_w) ** 2
     gap = -math.expm1(-0.5 * math.log1p(0.25 * s2))
     terms = -np.expm1(-mu * mu / (8.0 + 2.0 * s2)) * (half * rule_w)
     # one sum per row, so a value does not depend on the stack it sits in

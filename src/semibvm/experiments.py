@@ -36,11 +36,9 @@ for any budget or group size.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import math
-import statistics
 from dataclasses import asdict, dataclass, field
 from typing import TextIO
 
@@ -211,6 +209,8 @@ class RunReport:
             if fmt == "json":
                 fh.write(self.to_json_text() + "\n")
                 return
+            import csv  # on CSV output only, not on every launch
+
             writer = csv.writer(fh)
             header = list(self.rows[0].keys()) if self.rows else []
             writer.writerow(header)
@@ -338,12 +338,26 @@ def _run_cells(worker, batches) -> list[dict]:
     return [row for batch in batches for row in worker(batch)]
 
 
+def _median(values: list[float]) -> float:
+    """Median of sorted, nonempty `values` by statistics.median's formula."""
+    half = len(values) // 2
+    if len(values) % 2:
+        return values[half]
+    return (values[half - 1] + values[half]) / 2
+
+
 def _iqr(values: list[float]) -> float:
-    """Interquartile range by numpy's default (linear) percentile rule."""
+    """Interquartile range of sorted `values` by numpy's default (linear)
+    percentile rule, in the formula of statistics.quantiles(values, n=4,
+    method="inclusive"); 0 below two values."""
     if len(values) < 2:
         return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
+
+    def quartile(i: int) -> float:
+        j, delta = divmod(i * (len(values) - 1), 4)
+        return (values[j] * (4 - delta) + values[j + 1] * delta) / 4
+
+    return quartile(3) - quartile(1)
 
 
 def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
@@ -351,14 +365,14 @@ def run_bvm_scan(cfg: ExperimentConfig) -> RunReport:
     rows = _run_cells(_bvm_cell, _batches(cfg, cfg.seeds))
     aggregates = []
     for n in cfg.n_ladder:
-        gaps = [r["tv_gap"] for r in rows if r["n"] == n]
-        variances = [r["localized_post_var"] for r in rows if r["n"] == n]
+        gaps = sorted(r["tv_gap"] for r in rows if r["n"] == n)
+        variances = sorted(r["localized_post_var"] for r in rows if r["n"] == n)
         aggregates.append(
             {
                 "n": n,
-                "median_tv_gap": statistics.median(gaps),
+                "median_tv_gap": _median(gaps),
                 "iqr_tv_gap": _iqr(gaps),
-                "median_localized_post_var": statistics.median(variances),
+                "median_localized_post_var": _median(variances),
                 "iqr_localized_post_var": _iqr(variances),
             }
         )
@@ -528,6 +542,8 @@ def run_diagnostics_suite(
 def covariance_to_csv(cov: PriorCovariance, dest: str | TextIO) -> None:
     """Full covariance matrix, row-major, one row per CSV line, to a path
     or a text stream."""
+    import csv
+
     with _opened(dest) as fh:
         writer = csv.writer(fh)
         for row in cov.matrix:
@@ -537,6 +553,8 @@ def covariance_to_csv(cov: PriorCovariance, dest: str | TextIO) -> None:
 def dataset_to_csv(ds: Dataset, dest: str | TextIO) -> None:
     """Columns u, v, y, e (e blank when the dataset has no provenance), to
     a path or a text stream."""
+    import csv
+
     with _opened(dest) as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v", "y", "e"])

@@ -134,24 +134,24 @@ def interpolation_weights(v: np.ndarray, grid_size: int) -> np.ndarray:
 class CovariateLaw:
     """Joint law of (U, V) with known conditional mean m(v) = a cos(2 pi v).
 
-    sigma_w = residual_sd is the law's one free number: the amplitude
-    a = sqrt(2 (1 - sigma_w^2)) follows from the standardisation
-    a^2/2 + sigma_w^2 = 1, so E[U^2] = 1.
+    sigma_w, the residual sd of U given V, is the law's one free number:
+    the amplitude a = sqrt(2 (1 - sigma_w^2)) follows from the
+    standardisation a^2/2 + sigma_w^2 = 1, so E[U^2] = 1.
     """
 
-    residual_sd: float
+    sigma_w: float
 
     def __post_init__(self) -> None:
         # above 1 no amplitude gives E[U^2] = 1; at 0 the information vanishes
-        sd = _check_real("residual_sd", self.residual_sd, gt=0, le=1)
+        sd = _check_real("sigma_w", self.sigma_w, gt=0, le=1)
         info = self.efficient_info  # below sd of about 2^-512, 1/info overflows
         if not (info > 0.0 and 1.0 / info < math.inf):
-            raise ValueError(f"residual_sd must have a finite 1/residual_sd^2, got {sd}")
+            raise ValueError(f"sigma_w must have a finite 1/sigma_w^2, got {sd}")
 
     @property
     def cond_mean_amplitude(self) -> float:
         """a = sqrt(2 (1 - sigma_w^2))."""
-        return math.sqrt(2.0 * (1.0 - self.residual_sd**2))
+        return math.sqrt(2.0 * (1.0 - self.sigma_w**2))
 
     def cond_mean(self, v: np.ndarray | float) -> np.ndarray | float:
         """m(v) = E[U | V = v]."""
@@ -160,24 +160,24 @@ class CovariateLaw:
     @property
     def efficient_info(self) -> float:
         """E[(U - m(V))^2] = sigma_w^2."""
-        return self.residual_sd**2
+        return self.sigma_w**2
 
     @property
     def fourth_moment_u(self) -> float:
         """E[U^4], analytic: (3/8) a^4 + 3 a^2 sigma_w^2 + 3 sigma_w^4."""
         a2 = self.cond_mean_amplitude**2
-        s2 = self.residual_sd**2
+        s2 = self.sigma_w**2
         return 0.375 * a2 * a2 + 3.0 * a2 * s2 + 3.0 * s2 * s2
 
 
-def make_covariate_law(residual_sd: float) -> CovariateLaw:
+def make_covariate_law(sigma_w: float) -> CovariateLaw:
     """Build the standardised covariate law from the residual scale.
 
-    residual_sd = 1 gives U independent of V (amplitude 0); values
-    outside (0, 1] are rejected because either the efficient information
-    would vanish or no standardising amplitude exists.
+    sigma_w = 1 gives U independent of V (amplitude 0); values outside
+    (0, 1] are rejected because either the efficient information would
+    vanish or no standardising amplitude exists.
     """
-    return CovariateLaw(residual_sd=residual_sd)
+    return CovariateLaw(sigma_w=sigma_w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +404,7 @@ def _draws(
         rng.random(out=v[row])  # uniform(0, 1) bit for bit: 0 + 1 x = x
         rng.standard_normal(out=w[row])  # z, scaled to w below
         rng.standard_normal(out=e[row])
-    w *= law.residual_sd
+    w *= law.sigma_w
     return law.cond_mean(v) + w, v, w, e
 
 

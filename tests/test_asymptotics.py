@@ -843,10 +843,10 @@ def _mp_hellinger_sq(values, values0, laws, dthetas):
         cos = [mpmath.cos(2 * mpmath.pi * v) for v in points]
         table = {}
         for law in laws:
-            amplitude = mpmath.sqrt(2 * (1 - mpmath.mpf(law.residual_sd) ** 2))
+            amplitude = mpmath.sqrt(2 * (1 - mpmath.mpf(law.sigma_w) ** 2))
             for dtheta in dthetas:
                 shift = mpmath.mpf(dtheta)
-                s2 = (shift * mpmath.mpf(law.residual_sd)) ** 2
+                s2 = (shift * mpmath.mpf(law.sigma_w)) ** 2
                 affinity = mpmath.fsum(
                     w * mpmath.exp(-((shift * amplitude * c + d) ** 2) / (8 + 2 * s2))
                     for w, c, d in zip(weights, cos, diff)
@@ -865,7 +865,7 @@ class TestHellingerSq:
         table = _mp_hellinger_sq(values, values0, laws, HELLINGER_DTHETA)
         for (law, dtheta), exact in table.items():
             got = float(_hellinger_sq(dtheta, values, values0, law))
-            assert abs(got - exact) <= 1e-12 * exact, (law.residual_sd, dtheta)
+            assert abs(got - exact) <= 1e-12 * exact, (law.sigma_w, dtheta)
 
     def test_leading_axes_match_rows(self):
         # one call on a stack gives each row's own value, bit for bit
@@ -1093,7 +1093,7 @@ class TestEstimateUn:
                 ratios = np.empty(reps)
                 for i in range(reps):
                     v = rng.uniform(0.0, 1.0, n)
-                    w = law.residual_sd * rng.standard_normal(n)
+                    w = law.sigma_w * rng.standard_normal(n)
                     e = rng.standard_normal(n)
                     u = law.cond_mean(v) + w
                     h = math.sqrt(n) * float(u @ e) / float(u @ u)

@@ -325,9 +325,9 @@ class TestExitCodes:
         "line, message",
         [
             # 1/sigma_w^2 overflows: the gaps read 0.0 where they are 1
-            ("sigma_w = 1e-160", "residual_sd must have a finite 1/residual_sd^2, got 1e-160"),
+            ("sigma_w = 1e-160", "sigma_w must have a finite 1/sigma_w^2, got 1e-160"),
             # sigma_w^2 underflows to 0: exit 2 only after the first posteriors
-            ("sigma_w = 1e-300", "residual_sd must have a finite 1/residual_sd^2, got 1e-300"),
+            ("sigma_w = 1e-300", "sigma_w must have a finite 1/sigma_w^2, got 1e-300"),
             # 1/tau^2 overflows: exit 3 at the first cell
             (
                 "theta_prior_var = 1e-320",
@@ -490,7 +490,7 @@ class TestExitCodes:
         if key == "theta_prior_var":
             message = f"theta_prior_var must be positive with a finite reciprocal (inf allowed), got {value}"
         else:
-            message = f"{'residual_sd' if key == 'sigma_w' else key} must be finite, got {value}"
+            message = f"{key} must be finite, got {value}"
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert calls == []
         assert not out.exists()
@@ -737,7 +737,7 @@ class TestExitCodes:
         [
             ("grid_size = 1", "grid_size must be >= 2, got 1"),
             ("scale = 0", "scale must be > 0, got 0.0"),
-            ("sigma_w = 2", "residual_sd must lie in (0, 1], got 2.0"),
+            ("sigma_w = 2", "sigma_w must lie in (0, 1], got 2.0"),
         ],
     )
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
@@ -752,6 +752,55 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert no_work == []
         assert not out.exists()
+
+    # one value per ExperimentConfig field that parses but is out of range
+    BAD_VALUES = {
+        "sigma_w": "2",
+        "theta0": "nan",
+        "eta0_family": "bogus",
+        "eta0_amplitude": "inf",
+        "k": "99",
+        "grid_size": "1",
+        "scale": "0",
+        "theta_prior_var": "0",
+        "n_ladder": "60, 30",
+        "seeds": "0",
+        "level": "1",
+        "master_seed": "-1",
+    }
+
+    def test_bad_values_cover_every_config_field(self):
+        assert list(self.BAD_VALUES) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+    @pytest.mark.parametrize("key", list(BAD_VALUES))
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_every_config_error_names_its_key(self, command, key, tmp_path, no_work, capsys):
+        # the message's subject is the key the config file wrote, not the
+        # name of a field of a model object built from it
+        config = tmp_path / "scan.cfg"
+        config.write_text(f"{key} = {self.BAD_VALUES[key]}\n")
+        out = tmp_path / "o.txt"
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: (?:[a-z]+ )*{key} must [^\n]+\n", err), err
+        assert no_work == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["coverage", "--replications", "3"], ["posterior"]])
+    def test_largest_level_below_one_gives_finite_bounds(self, command, tmp_path):
+        # (1 + level)/2 rounded to 1 here, and the quantile exited 2 with
+        # "p must be in the range 0.0 < p < 1.0" (coverage after its first chunk)
+        config = tmp_path / "scan.cfg"
+        config.write_text("level = 0.9999999999999999\nn_ladder = 30\nseeds = 2\ngrid_size = 15\n")
+        out = tmp_path / "r.json"
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if command[0] == "coverage":
+            bounds = [(row["lo"], row["hi"]) for row in report["rows"]]
+        else:
+            bounds = [(report["interval_lo"], report["interval_hi"])]
+        assert len(bounds) == {"coverage": 3, "posterior": 1}[command[0]]
+        assert all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in bounds)
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
     def test_destination_failing_after_the_work_exits_2_without_a_traceback(

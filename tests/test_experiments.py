@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+import statistics
 from unittest import mock
 
 import mpmath
@@ -21,6 +22,8 @@ from semibvm.experiments import (
     _bvm_cell,
     _cell_seeds,
     _coverage_cell,
+    _iqr,
+    _median,
     cell_seed,
     covariance_to_csv,
     dataset_to_csv,
@@ -225,9 +228,9 @@ class TestConfigModelObjects:
         new = dataclasses.replace(cfg, k=3, sigma_w=0.5, grid_size=20, theta0=-1.0)
         assert new.spec.k == 3
         assert new.spec == GpPriorSpec(k=3, grid_size=20, scale=cfg.scale)
-        assert new.law.residual_sd == 0.5
+        assert new.law.sigma_w == 0.5
         assert (new.truth.theta, new.truth.eta.values.size) == (-1.0, 20)
-        assert (cfg.spec.k, cfg.law.residual_sd, cfg.truth.theta) == (1, 0.8, 1.0)
+        assert (cfg.spec.k, cfg.law.sigma_w, cfg.truth.theta) == (1, 0.8, 1.0)
 
     def test_equality_and_hash_read_the_twelve_fields_alone(self):
         a, b = ExperimentConfig(), ExperimentConfig()
@@ -294,6 +297,26 @@ class TestBvmScan:
             q1, q3 = np.percentile(values, [25.0, 75.0])
             assert agg[f"median_{key}"] == pytest.approx(np.median(values), rel=1e-15)
             assert agg[f"iqr_{key}"] == pytest.approx(q3 - q1, rel=1e-12, abs=1e-15)
+
+    @given(
+        st.lists(
+            st.sampled_from([-2.5, 0.0, 1e-300, 0.1, 0.1, 1.0 / 3.0, 0.7, 5.0, 1e308]),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    @example([0.1, 0.1, 0.7, 0.7])
+    @example([1e308, 1e308])
+    @settings(max_examples=300, deadline=None)
+    def test_median_and_iqr_match_statistics_bit_for_bit(self, values):
+        # the scan reads the statistics module's formulas off a sorted list
+        ordered = sorted(values)
+        assert _median(ordered).hex() == float(statistics.median(values)).hex()
+        if len(values) < 2:
+            assert _iqr(ordered) == 0.0
+        else:
+            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            assert _iqr(ordered).hex() == (q3 - q1).hex()
 
     def test_runs_take_no_jobs_argument(self):
         # replications run as stacked batches in one process; the process
@@ -813,7 +836,7 @@ class TestSnapshotsAndSuite:
             report = run_diagnostics_suite(cfg, n, cell_seed(0, n, 0), un_reps=10)
             with mpmath.workdps(40):
                 delta = 2 / mpmath.sqrt(n)
-                s2 = (delta * mpmath.mpf(law.residual_sd)) ** 2
+                s2 = (delta * mpmath.mpf(law.sigma_w)) ** 2
                 c = delta**2 * mpmath.mpf(law.cond_mean_amplitude) ** 2 / (8 + 2 * s2)
                 exact = 1 - mpmath.exp(-c / 2) * mpmath.besseli(0, c / 2) / mpmath.sqrt(1 + s2 / 4)
                 assert exact == pytest.approx(value, rel=1e-5)

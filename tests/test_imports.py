@@ -5,6 +5,8 @@ exported name resolves, ``import semibvm`` loads no numpy, and the CLI
 runs its linear algebra on one BLAS thread unless the caller chose a
 count."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -119,6 +121,50 @@ def test_serial_runs_import_no_numpy_or_scipy_module(tmp_path):
     )
     added = json.loads(_run_python(code, str(config), str(tmp_path)))
     assert [m for m in added if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+# what the normal quantile, the medians and the CSV writers used to load
+# on every launch
+STDLIB_EXTRAS = ("statistics", "fractions", "decimal", "_decimal", "csv")
+
+
+def test_json_runs_load_no_statistics_decimal_or_csv(tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    code = (
+        "import json, sys, semibvm.cli\n"
+        "cfg, out = sys.argv[1], sys.argv[2]\n"
+        "assert semibvm.cli.main(['bvm-scan', '--config', cfg, '--out', out + '/s.json']) == 0\n"
+        "assert semibvm.cli.main(\n"
+        "    ['coverage', '--config', cfg, '--replications', '4', '--out', out + '/c.json']\n"
+        ") == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = json.loads(_run_python(code, str(config), str(tmp_path)))
+    assert [m for m in loaded if m in STDLIB_EXTRAS] == []
+
+
+@pytest.mark.parametrize("command", [["bvm-scan"], ["coverage", "--replications", "4"]])
+def test_csv_output_loads_csv_and_writes_the_json_rows(command, tmp_path):
+    # a CSV report is the JSON report's rows through csv.writer, header first
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    code = (
+        "import json, sys, semibvm.cli\n"
+        "out, *argv = sys.argv[1:]\n"
+        "assert semibvm.cli.main([*argv, '--out', out + '/r.json']) == 0\n"
+        "assert 'csv' not in sys.modules\n"
+        "assert semibvm.cli.main([*argv, '--format', 'csv', '--out', out + '/r.csv']) == 0\n"
+        "print(json.dumps('csv' in sys.modules))\n"
+    )
+    argv = [*command, "--config", str(config)]
+    assert json.loads(_run_python(code, str(tmp_path), *argv)) is True
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(list(rows[0]))
+    writer.writerows([list(row.values()) for row in rows])
+    assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_jobs_flag_loads_no_pool_module(tmp_path):

@@ -52,10 +52,10 @@ class TestMakeCovariateLaw:
             make_covariate_law(-0.3)
 
     @pytest.mark.parametrize("sd", [1e-160, 2.0**-512, 1e-300, 5e-324])
-    def test_residual_sd_without_finite_information_reciprocal_rejected(self, sd):
+    def test_sigma_w_without_finite_information_reciprocal_rejected(self, sd):
         # 1/sigma_w^2 overflows (or sigma_w^2 underflows to 0), so the
         # sampling variance 1/I~ of every gap would be infinite
-        with pytest.raises(ValueError, match="residual_sd"):
+        with pytest.raises(ValueError, match="sigma_w"):
             make_covariate_law(sd)
 
     def test_unstandardisable_rejected(self):
@@ -65,13 +65,13 @@ class TestMakeCovariateLaw:
     @pytest.mark.parametrize(
         "sd, message",
         [
-            (0.0, "residual_sd must lie in (0, 1], got 0.0"),
-            (1.2, "residual_sd must lie in (0, 1], got 1.2"),
-            (math.nan, "residual_sd must be finite, got nan"),
-            (math.inf, "residual_sd must be finite, got inf"),
+            (0.0, "sigma_w must lie in (0, 1], got 0.0"),
+            (1.2, "sigma_w must lie in (0, 1], got 1.2"),
+            (math.nan, "sigma_w must be finite, got nan"),
+            (math.inf, "sigma_w must be finite, got inf"),
         ],
     )
-    def test_residual_sd_follows_the_real_rule(self, sd, message):
+    def test_sigma_w_follows_the_real_rule(self, sd, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_covariate_law(sd)
 
@@ -79,11 +79,11 @@ class TestMakeCovariateLaw:
         law = make_covariate_law(0.8)
         assert law.cond_mean_amplitude == pytest.approx(math.sqrt(0.72), abs=1e-15)
 
-    def test_residual_sd_is_the_only_field(self):
+    def test_sigma_w_is_the_only_field(self):
         # the amplitude is derived from sigma_w, never passed beside it
-        assert CovariateLaw(residual_sd=0.8) == make_covariate_law(0.8)
+        assert CovariateLaw(sigma_w=0.8) == make_covariate_law(0.8)
         with pytest.raises(TypeError):
-            CovariateLaw(cond_mean_amplitude=math.sqrt(0.72), residual_sd=0.8)
+            CovariateLaw(cond_mean_amplitude=math.sqrt(0.72), sigma_w=0.8)
 
     def test_second_moment_monte_carlo(self):
         # E U^2 = 1 within 3 MC standard errors at 1e5 draws
@@ -247,10 +247,10 @@ class TestSampleDataset:
             v = rng.uniform(0.0, 1.0, n)
             z = rng.standard_normal(n)
             e = rng.standard_normal(n)
-            u = law.cond_mean(v) + law.residual_sd * z
+            u = law.cond_mean(v) + law.sigma_w * z
             y = truth.theta * u + truth.eta(v) + e
             alone = sample_dataset(law, truth, n, seed)
-            for name, reference in (("u", u), ("v", v), ("y", y), ("e", e), ("w", law.residual_sd * z)):
+            for name, reference in (("u", u), ("v", v), ("y", y), ("e", e), ("w", law.sigma_w * z)):
                 assert np.array_equal(getattr(data, name)[row], reference), name
                 assert np.array_equal(getattr(data[row], name), reference), name
                 assert np.array_equal(getattr(alone, name), reference), name
@@ -369,7 +369,7 @@ class TestCheckReal:
     # every scalar real input checked by the rule, by module and by the
     # function or class that takes it
     CHECKED = {
-        "model.py": {"CovariateLaw": {"residual_sd"}, "ModelPoint": {"theta"}},
+        "model.py": {"CovariateLaw": {"sigma_w"}, "ModelPoint": {"theta"}},
         "gp_prior.py": {
             "GpPriorSpec": {"scale"},
             "kibm_kernel": {"s", "t"},

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import erfinv, ndtr
 from scipy.stats import kstest
 
 import semibvm.asymptotics
@@ -46,6 +46,7 @@ from semibvm.posterior import (
     JointGaussianPosterior,
     MarginalThetaPosterior,
     _assemble,
+    _interval_z,
     _inverse_lower,
     _normal_cdf,
     _nuisance_conditional,
@@ -774,6 +775,69 @@ class TestCredibleInterval:
             credible_bounds(mean, sd, 0.95)
 
 
+# levels from the smallest subnormal to the largest double below 1: the
+# erf branch's subnormal, tiny and moderate levels, both sides of the
+# branch point 1/2, and the erfc branch's tail out to 2^-53
+INTERVAL_LEVELS = [
+    5e-324,
+    1e-320,
+    2.0**-1022,
+    1e-300,
+    1e-100,
+    1e-12,
+    1e-6,
+    0.1,
+    0.3,
+    0.5 - 2.0**-54,
+    0.5,
+    0.5 + 2.0**-53,
+    0.6827,
+    0.9,
+    0.95,
+    0.99,
+    1.0 - 1e-6,
+    1.0 - 1e-12,
+    1.0 - 2.0**-52,
+    1.0 - 2.0**-53,
+]
+
+
+def _interval_z_ulps(level: float) -> float:
+    """Distance of _interval_z(level) from the 50-digit root, in ulps of the root."""
+    with mpmath.workdps(50):
+        exact = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(level))
+        return float(abs(mpmath.mpf(_interval_z(level)) - exact) / math.ulp(float(exact)))
+
+
+class TestIntervalZ:
+    """The interval's z, erf(z/sqrt(2)) = level, against mpmath at 50 digits."""
+
+    @pytest.mark.parametrize("level", INTERVAL_LEVELS)
+    def test_within_4_ulp_of_the_exact_root(self, level):
+        assert _interval_z(level) > 0.0
+        assert _interval_z_ulps(level) <= 4.0
+
+    @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53))
+    @settings(max_examples=300, deadline=None)
+    def test_within_4_ulp_on_any_level(self, level):
+        assert _interval_z_ulps(level) <= 4.0
+
+    def test_increases_with_the_level(self):
+        zs = [_interval_z(level) for level in INTERVAL_LEVELS]
+        assert all(a < b for a, b in zip(zs, zs[1:]))
+
+    @pytest.mark.parametrize("level", [1e-300, 1.0 - 2.0**-53])
+    def test_edge_levels_give_finite_nonempty_bounds(self, level):
+        # (1 + level)/2 rounded these to 1/2 (z = 0) and to 1 (inv_cdf
+        # raised); the bounds now come from level itself
+        lo, hi = credible_bounds(np.array([0.0, -3.0]), np.array([1.0, 2.0]), level)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        z = _interval_z(level)
+        assert lo.tolist() == [-z, -3.0 - 2.0 * z]
+        assert hi.tolist() == [z, -3.0 + 2.0 * z]
+        assert lo[0] < hi[0]
+
+
 class TestPosteriorMassHBall:
     def test_zero_radius(self):
         mp = MarginalThetaPosterior(mean=0.3, variance=1.0)
@@ -833,7 +897,9 @@ class TestNormalFunctionsAgainstScipy:
     def test_credible_interval_quantile(self):
         mp = MarginalThetaPosterior(mean=0.3, variance=2.0)
         for level in (1e-6, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-12):
-            z = ndtri(0.5 * (1.0 + level))
+            # from level itself: ndtri((1 + level)/2) reads a rounded
+            # argument, 1.5e-5 off in z at 1 - 1e-12
+            z = math.sqrt(2.0) * erfinv(level)
             lo, hi = credible_interval(mp, level)
             assert lo == pytest.approx(0.3 - z * mp.sd, rel=1e-14, abs=1e-15)
             assert hi == pytest.approx(0.3 + z * mp.sd, rel=1e-14, abs=1e-15)

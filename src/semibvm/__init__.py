@@ -39,7 +39,6 @@ _EXPORTS = {
     "run_coverage": "experiments",
     "run_parametric_baseline": "experiments",
     "GpPriorSpec": "gp_prior",
-    "NumericsError": "gp_prior",
     "PriorCovariance": "gp_prior",
     "holder_seminorm": "gp_prior",
     "kibm_kernel": "gp_prior",
@@ -48,6 +47,7 @@ _EXPORTS = {
     "CovariateLaw": "model",
     "Dataset": "model",
     "ModelPoint": "model",
+    "NumericsError": "model",
     "NuisanceFunction": "model",
     "efficient_score": "model",
     "empirical_information": "model",

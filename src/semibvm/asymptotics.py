@@ -174,20 +174,27 @@ def tv_normals(m1: float, v1: float, m2: float, v2: float) -> float:
     return float(min(abs(narrow - wide), 1.0))
 
 
+def _localize(mean, variance, n: int, theta0: float):
+    """(sqrt(n)(mean - theta0), n variance): a marginal posterior N(mean,
+    variance) of theta in the local parameter h = sqrt(n)(theta - theta0),
+    for floats or for arrays of a chunk's cells alike, unchecked."""
+    return math.sqrt(n) * (mean - theta0), n * variance
+
+
 def bvm_gap(
     mp: MarginalThetaPosterior, delta: float, info: float, n: int, theta0: float
 ) -> BvmDiagnostics:
     """TV gap between the localized posterior and N(delta, 1/info).
 
     Localization h = sqrt(n)(theta - theta0) maps the marginal posterior
-    to N(sqrt(n)(mean - theta0), n * variance); TV is invariant under
-    that affine map, so the gap can be read in either coordinate system.
+    to N(sqrt(n)(mean - theta0), n * variance) (:func:`_localize`); TV is
+    invariant under that affine map, so the gap can be read in either
+    coordinate system.
     """
     n = _check_integer("n", n, 1)
     delta, info = _check_real("delta", delta), _check_real("info", info, gt=0)
     theta0 = _check_real("theta0", theta0)
-    loc_mean = math.sqrt(n) * (mp.mean - theta0)
-    loc_var = n * mp.variance
+    loc_mean, loc_var = _localize(mp.mean, mp.variance, n, theta0)
     gap = tv_normals(loc_mean, loc_var, delta, 1.0 / info)
     return BvmDiagnostics(
         n=n,

@@ -62,8 +62,8 @@ from .experiments import (  # noqa: E402
     run_parametric_baseline,
     run_posterior_snapshot,
 )
-from .gp_prior import NumericsError, prior_covariance  # noqa: E402
-from .model import _check_integer, sample_dataset  # noqa: E402
+from .gp_prior import prior_covariance  # noqa: E402
+from .model import NumericsError, _check_integer, sample_dataset  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -18,19 +18,25 @@ Scans and coverage studies solve the replications of one n in chunks,
 in one process.  The seeds of one n's cells are folded from one shared
 (master, n) prefix (:func:`_cell_seeds`), and the PCG64 state each cell's
 generator starts in, exactly the state default_rng(seed) starts in, is
-computed for all of them in one vectorised pass
-(:func:`semibvm.model._pcg64_states`), in groups of at most
-``_SEED_GROUP`` cells unless one chunk is larger.  A chunk's datasets
-are stacked as rows, their sufficient statistics gathered by offset
-bincounts, and their posterior systems assembled by two stacked GEMMs
-and factorised by stacked Cholesky calls, in sub-stacks (see
-:func:`semibvm.posterior.theta_posteriors`).  Only the generator runs
-per cell, one Generator re-stated at each cell's state; u and y are
-formed once for the whole chunk.  Chunks and sub-stacks are sized by
-the one stack rule, ``semibvm.model._stack_rows``, whose budget comment
-states each stage's rows.  A row does not depend on which other cells
-share its chunk, sub-stack or seeding group, so the reports are the same
-for any budget or group size.
+computed in one vectorised pass (:func:`semibvm.model._pcg64_states`)
+per group of whole chunks, taken in (n, rep) order across the ladder:
+a group may span several n and holds at most ``_SEED_GROUP`` cells
+unless one chunk is larger, so a run of at most that many cells takes
+one pass.  A chunk's datasets are stacked as rows, their sufficient
+statistics gathered by offset bincounts, and their posterior systems
+assembled by two stacked GEMMs and factorised by stacked Cholesky
+calls, in sub-stacks (see :func:`semibvm.posterior.theta_posteriors`).
+Only the generator runs per cell, one Generator re-stated at each
+cell's state; u and y are formed once for the whole chunk.  Chunks and
+sub-stacks are sized by the one stack rule, ``semibvm.model._stack_rows``,
+whose budget comment states each stage's rows.  A scan's rows are read
+off its chunk's arrays: every cell is localized at once
+(``asymptotics._localize``, which :func:`semibvm.asymptotics.bvm_gap`
+also calls), the localized means and variances and delta_n are checked
+once per chunk, and each row is a plain dict around one
+:func:`semibvm.asymptotics.tv_normals` call.  A row does not depend on
+which other cells share its chunk, sub-stack or seeding group, so the
+reports are the same for any budget or group size.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TextIO
 
 import numpy as np
@@ -47,19 +53,23 @@ import numpy as np
 from .asymptotics import (
     BvmDiagnostics,
     _hellinger_sq,
+    _localize,
     bvm_gap,
     delta_n,
     estimate_un_per_zeta,
     kl_neighborhood_stats,
     lan_remainder,
+    tv_normals,
 )
-from .gp_prior import GpPriorSpec, NumericsError, PriorCovariance
+from .gp_prior import GpPriorSpec, PriorCovariance
 from .model import (
     _MASK64,
     CovariateLaw,
     Dataset,
     ModelPoint,
     NuisanceFunction,
+    NumericsError,
+    StackNumericsError,
     _check_integer,
     _check_real,
     _pcg64_states,
@@ -72,7 +82,6 @@ from .model import (
 )
 from .posterior import (
     MarginalThetaPosterior,
-    StackNumericsError,
     _prior_precision,
     credible_bounds,
     credible_interval,
@@ -269,22 +278,39 @@ def _opened(dest: str | TextIO):
     return open(dest, "w", newline="")
 
 
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    """Every field, with the ladder as a JSON list."""
-    return {**asdict(cfg), "n_ladder": list(cfg.n_ladder)}
+    """Every field, with the ladder as a JSON list: read off the config,
+    without the deep copy asdict makes."""
+    echo = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
+    echo["n_ladder"] = list(cfg.n_ladder)
+    return echo
 
 
 _Batch = tuple[ExperimentConfig, int, range, list[int], list[tuple[int, int]]]
 
-# Largest group of one n's cells whose seeds are folded and whose
-# generator states are computed in one pass, unless one chunk is larger:
-# a group is a whole number of chunks.  One pass costs a fixed 50-80 us,
-# about default_rng's cost for a 10-cell chunk, which is why states are
-# computed per group and not per chunk, and less than a third of
+# Largest group of cells whose generator states are computed in one
+# pass, unless one chunk is larger: a group is a whole number of chunks,
+# taken in (n, rep) order, and may span several n, so a run of at most
+# this many cells (the default scan's 300, a 100-replication coverage
+# run's 300) takes one pass.  One pass costs a fixed 50-80 us, about
+# default_rng's cost for a 10-cell chunk, and less than a third of
 # default_rng's cost from 100 cells on.  The cap bounds a group's
 # (8, group) uint32 hash arrays at 32 KiB and its Python-int states at
 # about 150 KiB.
 _SEED_GROUP = 1024
+
+
+def _seeded(cfg: ExperimentConfig, group: list[tuple[int, range, list[int]]]):
+    """The batches of a group of (n, reps, seeds) chunks, every PCG64
+    state of the group computed in one pass."""
+    states = _pcg64_states([seed for _, _, seeds in group for seed in seeds])
+    start = 0
+    for n, reps, seeds in group:
+        yield cfg, n, reps, seeds, states[start : start + len(seeds)]
+        start += len(seeds)
 
 
 def _batches(cfg: ExperimentConfig, replications: int):
@@ -292,45 +318,75 @@ def _batches(cfg: ExperimentConfig, replications: int):
     (n, rep) order, each of the replications that
     ``semibvm.model._stack_rows`` gives rows of 2 max(n, m) doubles, with
     their seeds and PCG64 states (see :func:`semibvm.model._pcg64_states`),
-    computed once per group of chunks of one n.  A chunk reads the model
-    objects off its config."""
+    computed once per group of whole chunks of at most ``_SEED_GROUP``
+    cells, which may span several n.  A chunk reads the model objects off
+    its config."""
+    group, cells = [], 0
     for n in cfg.n_ladder:
         size = _stack_rows(2 * max(n, cfg.grid_size))
-        group = max(1, _SEED_GROUP // size) * size
-        for first in range(0, replications, group):
-            cells = range(first, min(first + group, replications))
-            seeds = _cell_seeds(cfg.master_seed, n, cells)
-            states = _pcg64_states(seeds)
-            for start in range(0, len(cells), size):
-                part = slice(start, start + size)
-                yield cfg, n, cells[part], seeds[part], states[part]
+        for first in range(0, replications, size):
+            reps = range(first, min(first + size, replications))
+            if group and cells + len(reps) > _SEED_GROUP:
+                yield from _seeded(cfg, group)
+                group, cells = [], 0
+            group.append((n, reps, _cell_seeds(cfg.master_seed, n, reps)))
+            cells += len(reps)
+    yield from _seeded(cfg, group)
+
+
+def _cell_error(n: int, reps: range, seeds: list[int], index: int, message) -> NumericsError:
+    """NumericsError naming the cell at `index` of a chunk by its n, rep and seed."""
+    return NumericsError(f"cell n={n} rep={reps[index]} seed={seeds[index]}: {message}")
 
 
 def _solve_batch(batch: _Batch):
     """Datasets and theta marginals of one chunk's cells.  A failing cell
     is named by its n, rep and seed."""
     cfg, n, reps, seeds, states = batch
-    data = _sample_rows(cfg.law, cfg.truth, n, states)
     try:
+        data = _sample_rows(cfg.law, cfg.truth, n, states)
         means, variances = theta_posteriors(data, cfg.spec, cfg.theta_prior_var)
     except StackNumericsError as exc:
-        rep, seed = reps[exc.index], seeds[exc.index]
-        raise NumericsError(f"cell n={n} rep={rep} seed={seed}: {exc}") from exc
+        raise _cell_error(n, reps, seeds, exc.index, exc) from exc
     return data, means, variances
 
 
 def _bvm_cell(batch: _Batch) -> list[dict]:
-    """Gap rows of one chunk of cells; a row is the same whatever else
-    is in its chunk."""
+    """Gap rows of one chunk of cells, read off the chunk's arrays: the
+    rows of :func:`semibvm.asymptotics.bvm_gap`, bit for bit, with one
+    check of the localized means, variances and delta_n per chunk and one
+    :func:`semibvm.asymptotics.tv_normals` call per row.  A row is the
+    same whatever else is in its chunk."""
     cfg, n, reps, seeds, _ = batch
     data, means, variances = _solve_batch(batch)
     deltas = delta_n(data, cfg.law)
-    rows = []
-    for rep, seed, mean, variance, delta in zip(reps, seeds, means, variances, deltas):
-        mp = MarginalThetaPosterior(mean=float(mean), variance=float(variance))
-        diag = bvm_gap(mp, float(delta), cfg.law.efficient_info, n, cfg.theta0)
-        rows.append({"rep": rep, "seed": seed, **vars(diag)})  # the fields, not a deep copy
-    return rows
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        loc_means, loc_vars = _localize(means, variances, n, float(cfg.theta0))
+    ok = np.isfinite(loc_means) & np.isfinite(deltas) & np.isfinite(loc_vars) & (loc_vars > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        message = (
+            f"localized posterior N({loc_means[i]}, {loc_vars[i]}) and delta_n {deltas[i]} "
+            "must be finite, the variance > 0"
+        )
+        raise _cell_error(n, reps, seeds, i, message)
+    info = float(cfg.law.efficient_info)  # a float, as bvm_gap's check returns it
+    limit_var = 1.0 / info
+    return [
+        {
+            "rep": rep,
+            "seed": seed,
+            "n": n,
+            "delta_n": delta,
+            "info_tilde": info,
+            "localized_post_mean": mean,
+            "localized_post_var": var,
+            "tv_gap": tv_normals(mean, var, delta, limit_var),
+        }
+        for rep, seed, mean, var, delta in zip(
+            reps, seeds, loc_means.tolist(), loc_vars.tolist(), deltas.tolist()
+        )
+    ]
 
 
 def _run_cells(worker, batches) -> list[dict]:

@@ -34,6 +34,7 @@ import numpy as np
 from .model import (
     _MASK64,
     NuisanceFunction,
+    NumericsError,
     _check_integer,
     _check_real,
     _store_finite,
@@ -50,10 +51,6 @@ __all__ = [
     "sample_prior_path",
     "holder_seminorm",
 ]
-
-
-class NumericsError(RuntimeError):
-    """A posterior precision is not finite and positive definite."""
 
 
 # c_k divides by (k!)^2 as a float: 98!^2 is about 9e307, 99!^2 overflows
@@ -96,11 +93,13 @@ class PriorCovariance:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_finite(self, ("matrix",))  # first: np.allclose takes inf as close to inf
+        _store_finite(self, ("matrix",))  # first: the symmetry test takes finite entries
         matrix = self.matrix.copy()
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("covariance must be a square matrix")
-        if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
+        # on finite entries, np.allclose(matrix, matrix.T, atol=1e-12,
+        # rtol=0.0) without its Python overhead
+        if not (np.abs(matrix - matrix.T) <= 1e-12).all():
             raise ValueError("covariance must be symmetric to 1e-12")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)

@@ -37,6 +37,7 @@ __all__ = [
     "NuisanceFunction",
     "ModelPoint",
     "Dataset",
+    "NumericsError",
     "make_covariate_law",
     "sample_dataset",
     "sample_datasets",
@@ -47,6 +48,20 @@ __all__ = [
     "interpolate",
     "interpolation_weights",
 ]
+
+
+class NumericsError(RuntimeError):
+    """A computed quantity (a simulated field, a posterior precision) is
+    not finite, or not positive definite where it must be."""
+
+
+class StackNumericsError(NumericsError):
+    """A NumericsError raised for one row of a stack; `index` is its
+    position in the stack."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 def _check_integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
@@ -413,13 +428,21 @@ def _sample_rows(
 ) -> Dataset:
     """One dataset of n triplets per PCG64 state of :func:`_pcg64_states`,
     as the rows of a (len(states), n) stack: :func:`_draws` re-states one
-    generator per row, and y = theta u + eta(v) + e is formed once."""
+    generator per row, and y = theta u + eta(v) + e is formed once.  A y
+    that overflows (a huge theta or eta) is StackNumericsError naming its
+    row, found by the Dataset's own finiteness check: no extra pass."""
     n = _check_integer("n", n, 0)
     rng = np.random.default_rng(0)  # re-stated before its first draw
     u, v, w, e = _draws(law, rng, n, len(states), states)
-    with np.errstate(over="ignore"):  # Dataset rejects an overflowed y
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         y = truth.theta * u + truth.eta(v) + e
-    return Dataset(u=u, v=v, y=y, e=e, w=w)
+    try:
+        return Dataset(u=u, v=v, y=y, e=e, w=w)
+    except ValueError as exc:  # the draws are finite, so only y can fail
+        finite = np.isfinite(y).all(axis=-1)
+        if finite.all():
+            raise
+        raise StackNumericsError(int(np.argmin(finite)), "simulated y is not finite") from exc
 
 
 def sample_datasets(
@@ -433,7 +456,8 @@ def sample_datasets(
     computed for all seeds at once (:func:`_pcg64_states`), and y = theta
     u + eta(v) + e is formed once for the whole stack.  The drawn e and w
     are kept for score-based diagnostics: u - m(v) loses w's digits to
-    m(v) as sigma_w shrinks.
+    m(v) as sigma_w shrinks.  StackNumericsError names the row of a y
+    that overflows.
     """
     return _sample_rows(law, truth, n, _pcg64_states(seeds))
 
@@ -442,8 +466,12 @@ def sample_dataset(
     law: CovariateLaw, truth: ModelPoint, n: int, seed: int
 ) -> Dataset:
     """Simulate n i.i.d. triplets from the model at `truth`: row 0 of
-    :func:`sample_datasets` for the one seed."""
-    return sample_datasets(law, truth, n, [seed])[0]
+    :func:`sample_datasets` for the one seed.  NumericsError, naming n
+    and the seed, if y overflows."""
+    try:
+        return sample_datasets(law, truth, n, [seed])[0]
+    except StackNumericsError as exc:
+        raise NumericsError(f"dataset n={n} seed={seed}: {exc}") from exc
 
 
 def efficient_score(x, law: CovariateLaw, truth: ModelPoint):

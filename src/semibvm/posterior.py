@@ -46,12 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 # prior_covariance is bound here, uncalled, for perfbench's tracer
-from .gp_prior import GpPriorSpec, NumericsError, prior_covariance, prior_factor  # noqa: F401
+from .gp_prior import GpPriorSpec, prior_covariance, prior_factor  # noqa: F401
 from .model import (
     _MASK64,
     CovariateLaw,
     Dataset,
     ModelPoint,
+    NumericsError,
+    StackNumericsError,
     _check_integer,
     _check_real,
     _stack_rows,
@@ -129,6 +131,7 @@ class GibbsChain:
     seed: int
 
     def __post_init__(self) -> None:
+        _store_finite(self, ("thetas", "etas"))
         _check_integer("burn_in", self.burn_in, 0)
         _check_integer("iterations", self.iterations, self.burn_in + 1)
         if self.thetas.shape != (self.iterations,):
@@ -140,15 +143,6 @@ class GibbsChain:
     def theta_draws(self) -> np.ndarray:
         """Post-burn-in theta samples."""
         return self.thetas[self.burn_in :]
-
-
-class StackNumericsError(NumericsError):
-    """A NumericsError raised for one system of a stack; `index` is its
-    position in the stack."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 def _cholesky_stack(systems: np.ndarray) -> np.ndarray:

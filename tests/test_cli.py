@@ -523,11 +523,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["theta0 = 1e308", "theta0 = -1e308"])
-    @pytest.mark.parametrize("command", ["bvm-scan", "coverage"])
-    def test_overflowing_y_exits_2_before_any_posterior(
+    @pytest.mark.parametrize("command", ["bvm-scan", "coverage", "sample", "posterior", "diagnostics"])
+    def test_overflowing_y_exits_3_before_any_posterior(
         self, command, line, tmp_path, monkeypatch, capsys
     ):
-        # a RuntimeWarning would fail this test: the suite turns warnings into errors
+        # the config is valid; its simulated y overflows, a numeric failure
+        # naming the cell (or the dataset's n and seed), and no posterior is
+        # computed.  A RuntimeWarning would fail this test: the suite turns
+        # warnings into errors
         calls = []
 
         def spy(*args, **kwargs):
@@ -535,11 +538,21 @@ class TestExitCodes:
             raise AssertionError("a posterior was computed from a non-finite y")
 
         monkeypatch.setattr(semibvm.experiments, "theta_posteriors", spy)
+        monkeypatch.setattr(semibvm.experiments, "theta_posterior", spy)
         path = tmp_path / "bad.cfg"
         path.write_text(SMALL_CONFIG + line + "\n")
-        out = tmp_path / "r.json"
-        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: y entries must be finite\n"
+        out = tmp_path / "r.out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        if command in ("bvm-scan", "coverage"):
+            assert re.fullmatch(
+                r"numeric failure: cell n=30 rep=(\d+) seed=(\d+): simulated y is not finite\n", err
+            )
+            rep, seed = map(int, re.findall(r"\d+", err)[1:3])
+            assert seed == cell_seed(7, 30, rep)
+        else:
+            seed = cell_seed(7, 30, 0)
+            assert err == f"numeric failure: dataset n=30 seed={seed}: simulated y is not finite\n"
         assert calls == []
         assert not out.exists()
 
@@ -578,6 +591,27 @@ class TestExitCodes:
         assert cli.main([command, "--n", "0"]) == cli.EXIT_CONFIG
         assert "n must be >= 1, got 0" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_posterior_mean_in_a_chunk_exits_3(self, value, tmp_path, monkeypatch, capsys):
+        # the scan's one check per chunk names the cell; nothing is written
+        solve = semibvm.experiments.theta_posteriors
+
+        def solved(data, spec, theta_prior_var):
+            means, variances = solve(data, spec, theta_prior_var)
+            if data.n == 60:
+                means[1] = value
+            return means, variances
+
+        monkeypatch.setattr(semibvm.experiments, "theta_posteriors", solved)
+        path = tmp_path / "small.cfg"
+        path.write_text(SMALL_CONFIG)
+        out = tmp_path / "r.json"
+        assert cli.main(["bvm-scan", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: cell n=60 rep=1 seed={cell_seed(7, 60, 1)}: ")
+        assert err.endswith("must be finite, the variance > 0\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_numeric_failure_exits_3(self, monkeypatch, capsys):
         def boom(cfg):

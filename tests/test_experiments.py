@@ -280,7 +280,7 @@ class TestBvmScan:
     def test_report_does_not_depend_on_batch_size(self, budget, group, monkeypatch):
         # budget 1: one replication per batch; 10**6: one batch per n.
         # seeding group 1: every chunk seeded on its own; 10**6: one
-        # seeding pass per n
+        # seeding pass per run
         scan, coverage = run_bvm_scan(SMALL), run_coverage(SMALL, 5)
         monkeypatch.setattr(model, "_BATCH_BUDGET", budget)
         monkeypatch.setattr(experiments, "_SEED_GROUP", group)
@@ -318,6 +318,112 @@ class TestBvmScan:
             q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
             assert _iqr(ordered).hex() == (q3 - q1).hex()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"k": 0},
+            {"k": 1},
+            {"k": 3, "grid_size": 200},  # K singular to rounding: the eigen square root
+            {"k": 4},
+            {"theta_prior_var": math.inf},
+        ],
+        ids=["k0", "k1", "k3-grid200", "k4", "flat"],
+    )
+    def test_rows_are_the_scalar_path_bit_for_bit(self, changes):
+        # rows read off a chunk's arrays equal the public scalar path's
+        # rows: theta_posterior, delta_n and bvm_gap per cell, key order,
+        # types and every bit of every float (repr round-trips a double
+        # and tells -0.0 from 0.0), over a ladder from n = 1
+        cfg = ExperimentConfig(n_ladder=(1, 30, 200), seeds=5, master_seed=11, **changes)
+        rows = run_bvm_scan(cfg).rows
+        assert len(rows) == 15
+        law, truth, spec = cfg.law, cfg.truth, cfg.spec
+        for row in rows:
+            n, rep = row["n"], row["rep"]
+            seed = cell_seed(cfg.master_seed, n, rep)
+            ds = sample_dataset(law, truth, n, seed)
+            mp = theta_posterior(ds, spec, cfg.theta_prior_var)
+            diag = bvm_gap(mp, delta_n(ds, law), law.efficient_info, n, cfg.theta0)
+            assert repr(row) == repr({"rep": rep, "seed": seed, **vars(diag)})
+
+    def test_rows_build_no_record_and_call_tv_normals_once_each(self, monkeypatch):
+        # per row: one public tv_normals call, and no MarginalThetaPosterior,
+        # bvm_gap result or BvmDiagnostics
+        calls = {"tv_normals": 0, "records": 0}
+        tv = experiments.tv_normals
+
+        def counted(*args):
+            calls["tv_normals"] += 1
+            return tv(*args)
+
+        def built(*args, **kwargs):
+            calls["records"] += 1
+            raise AssertionError("a per-row record was built")
+
+        monkeypatch.setattr(experiments, "tv_normals", counted)
+        monkeypatch.setattr(experiments, "bvm_gap", built)
+        monkeypatch.setattr(posterior.MarginalThetaPosterior, "__post_init__", built)
+        monkeypatch.setattr(asymptotics.BvmDiagnostics, "__post_init__", built)
+        cfg = ExperimentConfig(n_ladder=(1, 30, 60), seeds=7, grid_size=15, master_seed=2)
+        rows = run_bvm_scan(cfg).rows
+        assert calls == {"tv_normals": len(rows), "records": 0}
+        assert len(rows) == 21
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("mean", math.nan),
+            ("mean", math.inf),
+            ("mean", -math.inf),
+            ("mean", 1.7e308),  # finite, but its localization overflows
+            ("variance", math.nan),
+            ("variance", math.inf),
+            ("variance", 0.0),
+            ("variance", -1.0),
+            ("delta", math.nan),
+            ("delta", -math.inf),
+        ],
+    )
+    def test_bad_chunk_value_names_its_cell(self, name, value, monkeypatch):
+        # one check per chunk of the localized means, the localized
+        # variances and delta_n: a bad value in the chunk of n = 60 is a
+        # NumericsError naming n, rep and seed, and no gap is computed for it
+        solve, deltas, gaps = experiments.theta_posteriors, experiments.delta_n, []
+
+        def corrupt(kind, arrays, data):
+            if name == kind and data.n == 60:
+                arrays[2] = value
+            return arrays
+
+        def solved(data, spec, theta_prior_var):
+            means, variances = solve(data, spec, theta_prior_var)
+            return corrupt("mean", means, data), corrupt("variance", variances, data)
+
+        monkeypatch.setattr(experiments, "theta_posteriors", solved)
+        monkeypatch.setattr(experiments, "delta_n", lambda d, law: corrupt("delta", deltas(d, law), d))
+        monkeypatch.setattr(experiments, "tv_normals", lambda *args: gaps.append(args[0]) or 0.5)
+        seed = cell_seed(SMALL.master_seed, 60, 2)
+        with pytest.raises(posterior.NumericsError) as info:
+            run_bvm_scan(SMALL)
+        message = str(info.value)
+        assert message.startswith(f"cell n=60 rep=2 seed={seed}: localized posterior N(")
+        assert message.endswith("must be finite, the variance > 0")
+        assert len(gaps) == 4  # the chunk of n = 30 only
+
+    def test_one_seeding_pass_per_default_run(self, monkeypatch):
+        # the default scan's 300 cells and a 100-replication coverage run's
+        # 300 take one _pcg64_states pass each
+        passes = []
+
+        def states_of(seeds):
+            passes.append(len(seeds))
+            return _pcg64_states(seeds)
+
+        monkeypatch.setattr(experiments, "_pcg64_states", states_of)
+        run_bvm_scan(ExperimentConfig())
+        run_coverage(ExperimentConfig(), 100)
+        assert passes == [300, 300]
+
     def test_runs_take_no_jobs_argument(self):
         # replications run as stacked batches in one process; the process
         # pool and its jobs keyword are gone
@@ -343,20 +449,22 @@ class TestBatchedCells:
     @pytest.mark.parametrize(
         "group, passes",
         [
-            # one seeding pass per n; groups of whole chunks of at most 5
-            # cells, 3 at n = 10, 4 at n = 20 and 5 at n = 60; a chunk per
-            # group, whatever its size
-            (1024, [7, 7, 7]),
-            (5, [3, 3, 1, 4, 3, 5, 2]),
+            # one seeding pass per run; groups of whole chunks of at most
+            # 5 cells, filled in (n, rep) order across the ladder: 3,
+            # 3 + 1 (n = 10), 2 + 2 (n = 20), 2 + 1 (n = 20) + 1 + 1 and
+            # 1 * 5 (n = 60); a chunk per group, whatever its size
+            (1024, [21]),
+            (5, [3, 4, 4, 5, 5]),
             (1, [3, 3, 1, 2, 2, 2, 1, *[1] * 7]),
         ],
     )
     def test_batches_cover_every_cell_in_order(self, group, passes, monkeypatch):
         # a chunk takes budget // 2 max(n, m) replications (at least one):
         # 3 at n = 10, where the grid of 15 nodes is the wider row, 2 at
-        # n = 20 and 1 at n = 60.  Seeds are folded and seeded once per
-        # group of whole chunks of one n, at most `group` cells unless a
-        # chunk is larger; each chunk carries its cells' seeds and states
+        # n = 20 and 1 at n = 60.  States are computed once per group of
+        # whole chunks, which may span several n, at most `group` cells
+        # unless a chunk is larger; each chunk carries its cells' seeds
+        # and states
         cfg = ExperimentConfig(n_ladder=(10, 20, 60), grid_size=15, master_seed=5)
         seeded = []
 
@@ -503,10 +611,8 @@ class TestBatchedCells:
             mp = theta_posterior(ds, spec, theta_prior_var)
             lo, hi = credible_interval(mp, cfg.level)
             diag = bvm_gap(mp, delta_n(ds, law), law.efficient_info, n, cfg.theta0)
-            expected = {"rep": rep, "seed": seed, **vars(diag)}
-            assert scan[rep].keys() == expected.keys()
-            for key, value in expected.items():
-                assert scan[rep][key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+            # bit for bit, key order and types included
+            assert repr(scan[rep]) == repr({"rep": rep, "seed": seed, **vars(diag)})
             assert coverage[rep]["seed"] == seed
             assert coverage[rep]["lo"] == pytest.approx(lo, rel=1e-12, abs=1e-12)
             assert coverage[rep]["hi"] == pytest.approx(hi, rel=1e-12, abs=1e-12)

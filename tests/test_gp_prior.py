@@ -242,6 +242,38 @@ class TestPriorCovariance:
         with pytest.raises(ValueError):
             PriorCovariance(matrix=bad)
 
+    def test_symmetry_verdict_is_np_allclose_at_1e_12(self):
+        # on finite entries the direct |K - K'| <= 1e-12 test gives
+        # np.allclose(K, K', atol=1e-12, rtol=0.0)'s verdict: asymmetric
+        # perturbations within a few ulp of 1e-12 of entries of several sizes
+        from semibvm.gp_prior import PriorCovariance
+
+        def symmetric(matrix):
+            try:
+                PriorCovariance(matrix=matrix)
+            except ValueError as exc:
+                assert str(exc) == "covariance must be symmetric to 1e-12"
+                return False
+            return True
+
+        edge, verdicts = 1e-12, set()
+        for base in (0.0, 1e-13, 0.3, 1.0, -2.5, 1e-3, 7.0, -123.0):
+            for sign in (1.0, -1.0):
+                for steps in range(-4, 5):
+                    shift = sign * edge
+                    for _ in range(abs(steps)):
+                        shift = np.nextafter(shift, sign * (math.inf if steps > 0 else 0.0))
+                    matrix = np.array([[1.0, base, 0.0], [base + shift, 2.0, base], [0.0, base, 3.0]])
+                    verdict = symmetric(matrix)
+                    assert verdict == np.allclose(matrix, matrix.T, atol=edge, rtol=0.0)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+        # exactly 1e-12 apart is accepted, the next double up is not
+        assert symmetric(np.array([[0.0, edge], [0.0, 0.0]]))
+        assert not symmetric(np.array([[0.0, np.nextafter(edge, 1.0)], [0.0, 0.0]]))
+        assert symmetric(np.array([[0.0, -edge], [0.0, 0.0]]))
+        assert not symmetric(np.array([[0.0, 0.0], [-np.nextafter(edge, 1.0), 0.0]]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("shape", ["one", "diagonal", "non-square"])
     def test_nonfinite_entry_rejected_before_shape_and_symmetry(self, bad, shape):

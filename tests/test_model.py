@@ -15,6 +15,8 @@ from semibvm.model import (
     Dataset,
     ModelPoint,
     NuisanceFunction,
+    NumericsError,
+    StackNumericsError,
     _check_integer,
     _check_real,
     _draws,
@@ -255,10 +257,26 @@ class TestSampleDataset:
                 assert np.array_equal(getattr(data[row], name), reference), name
                 assert np.array_equal(getattr(alone, name), reference), name
 
-    def test_overflowing_y_rejected_without_a_warning(self):
-        # theta u overflows for |u| > 1.8; warnings are errors in this suite
-        with pytest.raises(ValueError, match="y entries must be finite"):
-            sample_datasets(make_covariate_law(0.8), _truth(theta=1e308), 50, [1, 2])
+    @pytest.mark.parametrize("theta", [1e308, -1e308])
+    def test_overflowing_y_is_a_numeric_failure_naming_its_row(self, theta):
+        # theta u overflows for |u| > 1.8, a failure of the simulation, not
+        # of the input: the row (or n and the seed) is named.  Warnings are
+        # errors in this suite
+        law = make_covariate_law(0.8)
+        u = sample_datasets(law, _truth(), 1, range(1000)).u[:, 0]
+        assert (abs(u) < 1.0).any() and (abs(u) > 1.9).any()
+        small, large = int(np.argmax(abs(u) < 1.0)), int(np.argmax(abs(u) > 1.9))
+        truth = _truth(theta=theta)
+        assert np.isfinite(sample_datasets(law, truth, 1, [small, small]).y).all()
+        with pytest.raises(StackNumericsError, match="^simulated y is not finite$") as info:
+            sample_datasets(law, truth, 1, [small, large, large])
+        assert info.value.index == 1
+        with pytest.raises(NumericsError) as info:
+            sample_dataset(law, truth, 1, large)
+        assert str(info.value) == f"dataset n=1 seed={large}: simulated y is not finite"
+        assert not isinstance(info.value, StackNumericsError)
+        with pytest.raises(StackNumericsError):
+            sample_datasets(law, truth, 50, [1, 2])
 
 
 class TestCheckInteger:

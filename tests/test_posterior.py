@@ -683,6 +683,23 @@ class TestGibbs:
         with pytest.raises(ValueError, match="^burn_in must be >= 0, got -1$"):
             gibbs_chain(ds, spec, 10.0, iterations=10, burn_in=-1, seed=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["thetas", "etas"])
+    def test_chain_rejects_nonfinite_draws(self, name, bad):
+        # stored as float arrays and checked before the shape checks, so a
+        # non-finite draw is named even where a shape is also wrong
+        fields = {"thetas": np.array([0.5, 1.0]), "etas": np.zeros((2, 3))}
+        fields[name][(1,) * fields[name].ndim] = bad
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            GibbsChain(**fields, iterations=2, burn_in=0, seed=0)
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            GibbsChain(**fields, iterations=3, burn_in=0, seed=0)
+        fields[name][(1,) * fields[name].ndim] = 0.0
+        chain = GibbsChain(**fields, iterations=2, burn_in=0, seed=0)
+        assert chain.thetas.dtype == chain.etas.dtype == np.float64
+        chain = GibbsChain(thetas=[0.5, 1], etas=[[0], [1]], iterations=2, burn_in=0, seed=0)
+        assert chain.thetas.dtype == chain.etas.dtype == np.float64
+
     def test_matches_conjugate_marginal(self):
         _, _, spec, ds = _setup(n=120, grid_size=20)
         mp = joint_theta(conjugate_joint_posterior(ds, spec, 10.0))
